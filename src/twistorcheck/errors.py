@@ -6,7 +6,7 @@ class TwistorCheckError(Exception):
 
 
 class ConfigurationError(TwistorCheckError):
-    """Invalid configuration value (jet order, suite options, ...)."""
+    """Invalid configuration value (suite options, fixture parameters, ...)."""
 
 
 class UsageError(TwistorCheckError):

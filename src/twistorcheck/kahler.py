@@ -15,6 +15,7 @@ nabla s3 = -beta s2 for a 1-form beta computed here from frame jets.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,18 +102,18 @@ def _u_of(xj):
     return xj[0] * xj[0] + xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3]
 
 
-def _flat(params):
+def _flat():
     chart = ChartDomain([[-1, 1]] * 4)
     return metric_from_potential(_u_of, chart, name="flat")
 
 
-def _fubini_study(params):
+def _fubini_study():
     chart = ChartDomain([[-0.7, 0.7]] * 4)
     return metric_from_potential(lambda xj: jets.log(1.0 + _u_of(xj)), chart, name="fubini_study")
 
 
-def _eguchi_hanson(params):
-    a = float(params.get("a", 1.0))
+def _eguchi_hanson(a=1.0):
+    a = float(a)
     a2, a4 = a * a, a**4
 
     def phi(xj):
@@ -124,8 +125,8 @@ def _eguchi_hanson(params):
     return metric_from_potential(phi, chart, name="eguchi_hanson", params={"a": a})
 
 
-def _burns(params):
-    m = float(params.get("m", 1.0))
+def _burns(m=1.0):
+    m = float(m)
     if m <= 0:
         raise GeometryError("burns parameter m must be positive")
 
@@ -137,7 +138,7 @@ def _burns(params):
     return metric_from_potential(phi, chart, name="burns", params={"m": m})
 
 
-def _conformal_hermitian(params):
+def _conformal_hermitian():
     """I-compatible but non-Kahler control metric e^{2 x0} * delta."""
     chart = ChartDomain([[-0.5, 0.5]] * 4)
 
@@ -162,9 +163,14 @@ FIXTURES = {
 
 
 def get_fixture(name: str, **params) -> MetricField:
+    """Build a fixture; ``params`` are its builder's keyword parameters."""
     if name not in FIXTURES:
         raise GeometryError(f"unknown metric fixture '{name}' (have {sorted(FIXTURES)})")
-    return FIXTURES[name](params)
+    builder = FIXTURES[name]
+    unknown = set(params) - set(inspect.signature(builder).parameters)
+    if unknown:
+        raise GeometryError(f"unknown params {sorted(unknown)} for fixture '{name}'")
+    return builder(**params)
 
 
 # ---------------------------------------------------------------------------

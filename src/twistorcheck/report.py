@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, fibermap, geometry, jets, kahler, twistor
-from .errors import ConfigurationError, TwistorCheckError
+from .errors import ConfigurationError, GeometryError, TwistorCheckError
 
 SUITES = ("curvature", "integrability", "structure_identities", "balanced",
           "cone", "fibermap", "completeness", "all")
@@ -30,7 +30,6 @@ _CONFIG_KEYS = {
     "suite": "all",
     "sample_count": None,
     "seed": 2024,
-    "jet_order": 3,
     "tol_tier": "strict",
     "tolerances": {},
     "fiber": {},
@@ -55,7 +54,6 @@ class SuiteConfig:
     suite: str = "all"
     sample_count: Optional[int] = None
     seed: int = 2024
-    jet_order: int = 3
     tol_tier: str = "strict"
     tolerances: dict = field(default_factory=dict)
     fiber: dict = field(default_factory=dict)
@@ -77,11 +75,17 @@ class SuiteConfig:
     def validate(self):
         if self.suite not in SUITES:
             raise ConfigurationError(f"unknown suite '{self.suite}' (have {SUITES})")
-        if self.metric not in kahler.FIXTURES:
-            raise ConfigurationError(
-                f"unknown metric fixture '{self.metric}' (have {sorted(kahler.FIXTURES)})")
-        if self.jet_order not in (2, 3):
-            raise ConfigurationError("jet_order must be 2 or 3")
+        if not isinstance(self.params, dict):
+            raise ConfigurationError("params must be a mapping of fixture parameters")
+        try:
+            kahler.get_fixture(self.metric, **self.params)
+        except GeometryError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        if self.sample_count is not None and not (isinstance(self.sample_count, int)
+                                                  and self.sample_count >= 1):
+            raise ConfigurationError(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.tol_tier not in TOL_TIERS:
             raise ConfigurationError(f"tol_tier must be one of {sorted(TOL_TIERS)}")
         self.fiber = dict(_FIBER_KEYS, **self.fiber)
@@ -121,10 +125,6 @@ class _Recorder:
 
 
 SCALAR_FLAT = ("flat", "eguchi_hanson", "burns")
-
-
-def _tw_chart(metric, config) -> twistor.TwistorChart:
-    return twistor.TwistorChart.twistor(metric, jet_order=config.jet_order)
 
 
 def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
@@ -209,25 +209,25 @@ def _modified_charts(metric, config: SuiteConfig):
     fib = config.fiber
     profile = fibermap.get_profile(fib["profile"])
     emap = fibermap.solve_phi(profile, c=fib["c"], sign=fib["sign"], branch=fib["branch"])
-    chart = twistor.TwistorChart.modified(metric, profile, emap, jet_order=config.jet_order)
-    perturbed = twistor.TwistorChart.modified(metric, profile, emap.perturbed(0.1),
-                                              jet_order=config.jet_order)
+    chart = twistor.TwistorChart.modified(metric, profile, emap)
+    perturbed = twistor.TwistorChart.modified(metric, profile, emap.perturbed(0.1))
     return chart, perturbed
 
 
 def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(50)
-    chart = _tw_chart(metric, config)
+    chart = twistor.TwistorChart.twistor(metric)
     pts = chart.sample(n, config.seed)
-    nmax = twistor.nijenhuis_max(chart, pts)
+    ctx = twistor.ChartEval(chart, pts)
+    nmax = np.max(np.abs(twistor._nijenhuis_values(ctx)))
     if metric.name in SCALAR_FLAT:
         rec.add("integrability.twistor_vanishing",
                 "Nijenhuis tensor vanishes over the anti-self-dual base",
-                n, np.max(nmax), 1e-6)
+                n, nmax, 1e-6)
     else:
         rec.add("integrability.twistor_obstruction",
                 "nonvanishing W+ obstructs integrability (negative control)",
-                n, np.max(nmax), 1e-3, mode="exceeds")
+                n, nmax, 1e-3, mode="exceeds")
     if metric.name in SCALAR_FLAT:
         chart_s, chart_p = _modified_charts(metric, config)
         pts_s = chart_s.sample(n, config.seed + 1)
@@ -238,8 +238,8 @@ def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
         rec.add("integrability.modified_perturbed",
                 "perturbing the fiber map breaks integrability (negative control)",
                 n, np.max(twistor.nijenhuis_max(chart_p, pts_p)), 1e-3, mode="exceeds")
-    eps_diag = twistor.chart_calibration(metric)[1]
-    if not eps_diag.get("beta_negligible", False):
+    # any sign works where beta vanishes, as in calibrate_epsilon
+    if np.max(np.abs(ctx.beta_vals)) >= 1e-10:
         flipped = chart.with_eps(-chart.eps)
         rec.add("integrability.connection_sign",
                 "flipping the connection-correction sign breaks integrability",
@@ -252,7 +252,7 @@ def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
 
 def _run_structure_identities(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(20)
-    chart = _tw_chart(metric, config)
+    chart = twistor.TwistorChart.twistor(metric)
     pts = chart.sample(n, config.seed)
     res = twistor.verify_structure_identities(chart, pts, n_random=6, seed=config.seed)
     for cid, anchor, val in (
@@ -283,7 +283,7 @@ _H_FUNCS = {
 
 def _run_balanced(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(30)
-    chart = _tw_chart(metric, config)
+    chart = twistor.TwistorChart.twistor(metric)
     for key, (hf, label) in _H_FUNCS.items():
         rep = twistor.balanced_check(chart, hf, sample_count=n, seed=config.seed, h_label=label)
         rec.add(f"balanced.{key}", f"square of the Hermitian form is closed ({label})",
@@ -298,7 +298,7 @@ def _run_balanced(rec: _Recorder, metric, config: SuiteConfig):
 
 def _run_cone(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(50)
-    chart = _tw_chart(metric, config)
+    chart = twistor.TwistorChart.twistor(metric)
     fib = config.fiber
     a0, b0 = float(fib["a"]), float(fib["b"])
     base = twistor.cone_wedge_constants(chart, a0, b0, sample_count=n, seed=config.seed)
@@ -396,7 +396,6 @@ def run_suite(config: SuiteConfig) -> dict:
             "package": "twistorcheck",
             "version": __version__,
             "seed": int(config.seed),
-            "jet_order": int(config.jet_order),
         },
         "config": {
             "metric": config.metric,

@@ -12,9 +12,10 @@ frame (s1, s2, s3); the rotation axis is s1 and the surface point is
 
 Conventions fixed here and exercised by the tests:
 
-* horizontal lift X^h = X^k (d_k - eps beta_k d_w); the sign eps is
-  calibrated against numeric parallel transport (eps = +1 for the beta
-  convention nabla s2 = beta s3 of the kahler module).
+* horizontal lift X^h = X^k (d_k - eps beta_k d_w) with eps = EPS = +1
+  for the beta convention nabla s2 = beta s3 of the kahler module;
+  :func:`calibrate_epsilon` derives the same sign from numeric parallel
+  transport, and the tests check that the two agree.
 * the fiber R^3 carries the cyclic cross product s1 x s2 = s3; the Gauss
   map is the outward normal, and the vertical action of J is eps(p) x .
 * J X^h = (K_{F(p)} X)^h with F(p) = phi(v) s1 + sqrt(1-phi^2)(cos w s2 +
@@ -36,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import jets
-from .errors import ConfigurationError, DomainError, InputError, NumericError, UsageError
+from .errors import DomainError, InputError, NumericError, UsageError
 from .fibermap import EquivariantMap, SurfaceProfile, identity_sphere_map, sphere_profile
 from .geometry import (
     MetricField,
@@ -59,6 +60,9 @@ from .kahler import adapted_frame, beta_form
 TOTAL_DIM = 6
 IDX_V, IDX_W = 4, 5
 
+# sign of the connection correction in the vertical coframe {dv, dw + EPS beta}
+EPS = +1
+
 
 # ---------------------------------------------------------------------------
 # charts
@@ -69,21 +73,19 @@ class TwistorChart:
 
     Plain twistor charts use the sphere profile with the identity fiber map;
     modified charts carry an arbitrary rotational profile and an equivariant
-    fiber map phi.  ``eps`` is the calibrated sign of the connection
-    correction in the vertical coframe {dv, dw + eps beta}.
+    fiber map phi.  ``eps`` is the sign of the connection correction in the
+    vertical coframe {dv, dw + eps beta}: :data:`EPS`, or its negative for
+    the negative control built by :meth:`with_eps`.
     """
 
     def __init__(self, base: MetricField, profile: SurfaceProfile,
-                 fmap: Optional[EquivariantMap] = None, jet_order: int = 3,
-                 pole_margin: float = 1e-2, eps: Optional[int] = None):
-        if jet_order not in (2, 3):
-            raise ConfigurationError("twistor charts need jet_order 2 or 3")
+                 fmap: Optional[EquivariantMap] = None,
+                 pole_margin: float = 1e-2, eps: int = EPS):
         self.base = base
         self.profile = profile
         self.fmap = fmap if fmap is not None else identity_sphere_map()
-        self.jet_order = jet_order
         self.pole_margin = pole_margin
-        self._eps = eps
+        self.eps = eps
 
     @classmethod
     def twistor(cls, base: MetricField, **kw) -> "TwistorChart":
@@ -98,15 +100,8 @@ class TwistorChart:
     def is_plain_twistor(self) -> bool:
         return self.fmap.branch == "identity"
 
-    @property
-    def eps(self) -> int:
-        if self._eps is None:
-            self._eps = chart_calibration(self.base)[0]
-        return self._eps
-
     def with_eps(self, eps: int) -> "TwistorChart":
-        return TwistorChart(self.base, self.profile, self.fmap, self.jet_order,
-                            self.pole_margin, eps)
+        return TwistorChart(self.base, self.profile, self.fmap, self.pole_margin, eps)
 
     def fiber_interval(self):
         lo, hi = self.fmap.domain if self.fmap.domain else (self.profile.z_minus, self.profile.z_plus)
@@ -135,15 +130,6 @@ class TwistorChart:
         return out
 
 
-def chart_calibration(metric: MetricField):
-    """Cached (eps, diagnostics) of :func:`calibrate_epsilon` per fixture."""
-    cached = getattr(metric, "_twistor_calibration", None)
-    if cached is None:
-        cached = calibrate_epsilon(metric)
-        metric._twistor_calibration = cached
-    return cached
-
-
 def calibrate_epsilon(metric: MetricField, seed: int = 2024, steps: int = 24,
                       t_max: float = 0.02):
     """Sign of the connection correction, from numeric parallel transport.
@@ -153,7 +139,8 @@ def calibrate_epsilon(metric: MetricField, seed: int = 2024, steps: int = 24,
     integral of beta.  The sign is determined independently at the two
     strongest-connection probe points and must agree.  Returns
     (eps, diagnostics); when beta is negligible on the probe points any
-    sign works and +1 is returned.
+    sign works and +1 is returned.  This is the reference that the fixed
+    :data:`EPS` is tested against; verification runs do not call it.
     """
     rng = np.random.default_rng(seed)
     probes = metric.chart.sample(4, rng)
@@ -226,20 +213,23 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
 
 class ChartEval:
     """All jet fields of a chart at a batch of 6-points, at working order
-    ``jet_order - 1`` (one order is consumed by the connection form)."""
+    ``order``.  Order 1 (values and first derivatives) is all that the
+    Nijenhuis tensor, the Christoffel symbols of h and d of a form consume;
+    :func:`exterior_derivative` asks for 2, because its form field may
+    itself be built with one d.  The base metric jets are taken one order
+    higher, because the connection form beta consumes one order."""
 
-    def __init__(self, chart: TwistorChart, points):
+    def __init__(self, chart: TwistorChart, points, order: int = 1):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         self.chart = chart
         self.points = pts
         self.x4 = pts[:, :4]
         self.v = pts[:, IDX_V]
         self.w = pts[:, IDX_W]
-        order = chart.jet_order
-        self.W = order - 1
-        self.space = jets.get_space(TOTAL_DIM, self.W)
+        self.W = order
+        self.space = jets.get_space(TOTAL_DIM, order)
         self.eps = chart.eps
-        self._build_base(order)
+        self._build_base(order + 1)
         self._build_fiber()
         self._build_J_h()
         self._gamma_h = None
@@ -513,8 +503,6 @@ def _nijenhuis_values(ctx: ChartEval) -> np.ndarray:
 
 def nijenhuis_bracket(chart: TwistorChart, point) -> np.ndarray:
     """N(A,B) = [JA,JB] - J[JA,B] - J[A,JB] - [A,B] on coordinate fields."""
-    if chart.jet_order < 2:
-        raise UsageError("the Nijenhuis tensor needs jet_order >= 2")
     ctx = ChartEval(chart, point)
     N = _nijenhuis_values(ctx)
     return N[0] if np.ndim(point) == 1 else N
@@ -902,10 +890,11 @@ def d_dict(comps: dict, to_values: bool = True) -> dict:
 
 
 def exterior_derivative(form_field: FormField, chart: TwistorChart, point) -> FormValue:
-    """d of a form field, evaluated at the point(s)."""
+    """d of a form field at the point(s); the field is built at working
+    order 2, so it may itself take one d (as in checking d d = 0)."""
     if form_field.degree > 5:
         raise UsageError("cannot take d of a form of degree > 5")
-    ctx = ChartEval(chart, point)
+    ctx = ChartEval(chart, point, order=2)
     comps = form_field.at(ctx)
     return FormValue(form_field.degree + 1, d_dict(comps))
 

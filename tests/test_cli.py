@@ -17,7 +17,8 @@ class TestSuiteConfig:
         assert cfg.metric == "eguchi_hanson"
         assert cfg.suite == "all"
         assert cfg.seed == 2024
-        assert cfg.jet_order == 3
+        with pytest.raises(ConfigurationError, match="unknown config keys"):
+            SuiteConfig.from_dict({"jet_order": 3})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -26,14 +27,22 @@ class TestSuiteConfig:
             SuiteConfig.from_dict({"fiber": {"profil": "sphere"}})
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SuiteConfig.from_dict({"suite": "nope"})
-        with pytest.raises(ConfigurationError):
-            SuiteConfig.from_dict({"metric": "nope"})
-        with pytest.raises(ConfigurationError):
-            SuiteConfig.from_dict({"jet_order": 5})
-        with pytest.raises(ConfigurationError):
-            SuiteConfig.from_dict({"tol_tier": "medium"})
+        for raw in ({"suite": "nope"}, {"metric": "nope"}, {"tol_tier": "medium"},
+                    {"sample_count": 0}, {"sample_count": -3}, {"seed": -1}):
+            with pytest.raises(ConfigurationError):
+                SuiteConfig.from_dict(raw)
+
+    def test_fixture_params_checked(self):
+        # each fixture takes only its own parameters: burns m, eguchi_hanson a
+        for metric, params in (("burns", {"q": 3}), ("eguchi_hanson", {"m": 1.0}),
+                               ("flat", {"a": 1.0})):
+            with pytest.raises(ConfigurationError, match="unknown params"):
+                SuiteConfig.from_dict({"metric": metric, "params": params})
+        for m in (0.0, -2.0):
+            with pytest.raises(ConfigurationError, match="must be positive"):
+                SuiteConfig.from_dict({"metric": "burns", "params": {"m": m}})
+        assert SuiteConfig.from_dict({"metric": "burns", "params": {"m": 2.0}}).params == {"m": 2.0}
+        assert SuiteConfig.from_dict({"metric": "eguchi_hanson", "params": {"a": 0.5}})
 
 
 class TestRunSuite:
@@ -64,6 +73,24 @@ class TestRunSuite:
             {"metric": "eguchi_hanson", "suite": "integrability", "sample_count": 5, "seed": 3}))
         skipped = [c for c in rep["checks"] if c["mode"] == "skipped"]
         assert skipped and all(c["detail"].get("reason") for c in skipped)
+
+    def test_no_transport_at_run_time(self, monkeypatch):
+        # eps is the constant twistor.EPS; the connection-sign control is
+        # gated on beta at the check's own points, not on a transport run
+        from twistorcheck import twistor
+
+        def boom(*args, **kwargs):
+            raise AssertionError("calibrate_epsilon called during a verify run")
+
+        monkeypatch.setattr(twistor, "calibrate_epsilon", boom)
+        modes = {}
+        for metric in ("burns", "eguchi_hanson"):
+            rep = run_suite(SuiteConfig.from_dict(
+                {"metric": metric, "suite": "integrability", "sample_count": 5}))
+            assert rep["overall_pass"], metric
+            rec = {c["check_id"]: c for c in rep["checks"]}["integrability.connection_sign"]
+            modes[metric] = rec["mode"]
+        assert modes == {"burns": "exceeds", "eguchi_hanson": "skipped"}
 
     def test_tolerance_override_and_failure_exit(self, tmp_path):
         raw = {"metric": "flat", "suite": "integrability", "sample_count": 5, "seed": 3,
@@ -120,9 +147,18 @@ class TestDeterminism:
 
 
 class TestCliCommands:
-    def test_usage_error_exit_code(self, capsys):
+    def test_usage_error_exit_code(self, tmp_path, capsys):
         assert main(["verify", "--metric", "nosuch", "--suite", "integrability"]) == 2
         assert main(["verify", "--metric", "flat", "--suite", "nosuch"]) == 2
+        out = str(tmp_path / "r.json")
+        for flags in (["--points", "0"], ["--points", "-3"], ["--seed", "-1"]):
+            assert main(["verify", "--metric", "flat", "--suite", "completeness",
+                         "--report", out] + flags) == 2, flags
+        for params in ({"q": 3}, {"m": 0}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"metric": "burns", "suite": "completeness",
+                                       "params": params}))
+            assert main(["verify", "--config", str(cfg), "--report", out]) == 2, params
 
     def test_solve_map_csv(self, tmp_path):
         out = tmp_path / "map.csv"

@@ -69,14 +69,17 @@ class TestHorizontalLift:
             assert np.max(np.abs(pw)) < 1e-10
             assert np.allclose(lift[..., :4], X)  # d pi (X^h) = X
 
-    def test_epsilon_calibration(self, burns, eguchi_hanson):
-        eps, diag = tw.chart_calibration(burns)
-        assert eps == +1
-        assert not diag["beta_negligible"]
-        # the matched sign reproduces transport; the flipped one misses badly
-        assert diag["match_residual"] < 1e-3 * abs(diag["beta_integral"]) + 1e-8
-        assert diag["mismatch_ratio"] > 1.0
-        eps_eh, diag_eh = tw.chart_calibration(eguchi_hanson)
+    def test_epsilon_calibration(self, burns, fubini_study, eguchi_hanson):
+        # the fixed sign EPS agrees with RK4 parallel transport on every
+        # fixture whose connection form is not negligible
+        for metric in (burns, fubini_study, kahler.get_fixture("conformal_hermitian")):
+            eps, diag = tw.calibrate_epsilon(metric)
+            assert eps == +1 and eps == tw.EPS, metric.name
+            assert not diag["beta_negligible"]
+            # the matched sign reproduces transport; the flipped one misses badly
+            assert diag["match_residual"] < 1e-3 * abs(diag["beta_integral"]) + 1e-8
+            assert diag["mismatch_ratio"] > 1.0
+        eps_eh, diag_eh = tw.calibrate_epsilon(eguchi_hanson)
         assert eps_eh == +1 and diag_eh["beta_negligible"]
 
 
