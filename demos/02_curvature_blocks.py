@@ -10,6 +10,10 @@ The four fixtures realize the interesting corners: flat (everything 0),
 Fubini-Study (W+ != 0, Scal = 24: the negative control for twistor
 integrability), Eguchi-Hanson (hyperkahler: whole ++ block and Ric0
 vanish), Burns (scalar-flat but not Ricci-flat: Ric0 survives).
+
+The metric is evaluated once per point: ``curvature_data`` keeps the metric
+jets it computed the curvature from, and the adapted frame is built from
+those same jets.
 """
 
 import numpy as np
@@ -21,10 +25,10 @@ np.set_printoptions(precision=5, suppress=True)
 for name in ("flat", "fubini_study", "eguchi_hanson", "burns"):
     metric = kahler.get_fixture(name)
     x = metric.chart.sample(1, np.random.default_rng(1))[0]
-    data = geo.curvature_data(metric, x)
-    frame = kahler.adapted_frame(metric, x)
+    data = geo.curvature_data(metric, x)  # the one evaluation of the metric
+    frame = kahler.adapted_frame(data.gjets)
     basis = geo.sd_basis(frame.matrix, data.gvals)
-    op = geo.curvature_operator(data, x, basis)
+    op = geo.curvature_operator(data, basis)
     print(f"=== {name} at x={np.round(x, 3)}")
     print("Scal          :", float(np.round(data.scal, 10)))
     print("matrix:\n", op.matrix)

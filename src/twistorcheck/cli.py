@@ -39,8 +39,13 @@ def _report_path(name: str, explicit):
 def _cmd_verify(args) -> int:
     raw = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+            raise ConfigurationError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"config file {args.config} must hold a JSON object")
     # flags win over the config file
     if args.metric is not None:
         raw["metric"] = args.metric

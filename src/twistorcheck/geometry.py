@@ -5,6 +5,12 @@ symbols, the full Riemann tensor, the half-determinant inner product on
 2-vectors, the Hodge star, self-dual / anti-self-dual bases, and the
 curvature operator in block form.
 
+A metric is evaluated once per point set: :meth:`MetricField.jets_at`
+returns the 4x4 matrix of metric jets, and :func:`curvature_data` bundles
+those jets with the curvature computed from them.  Functions downstream
+take the jets or the :class:`CurvatureData` they need, never the metric
+and the points again; jets carry their own truncation order.
+
 Conventions (fixed once, validated by the test suite):
 
 * curvature sign: R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y];
@@ -103,18 +109,16 @@ class MetricField:
         self.params = dict(params or {})
 
     def jets_at(self, x, order: int):
-        """(coordinate jets, 4x4 object array of g_{ij} jets) at ``x``."""
-        xj = jets.seed_raw(np.asarray(x, dtype=float), order)
-        raw = self._fn(xj)
+        """4x4 object array of the g_{ij} jets of order ``order`` at ``x``."""
+        raw = self._fn(jets.seed_raw(np.asarray(x, dtype=float), order))
         g = np.empty((DIM, DIM), dtype=object)
         for i in range(DIM):
             for j in range(DIM):
                 g[i, j] = raw[i][j]
-        return xj, g
+        return g
 
     def values_at(self, x):
-        _, g = self.jets_at(x, 0)
-        return values_of(g)
+        return values_of(self.jets_at(x, 0))
 
 
 def values_of(obj_arr: np.ndarray) -> np.ndarray:
@@ -196,23 +200,35 @@ def christoffel_jets(gjets: np.ndarray) -> np.ndarray:
 
 def christoffel(metric: MetricField, x) -> np.ndarray:
     """Levi-Civita symbols Gamma^k_{ij} at x (batch axes leading)."""
-    _, gjets = metric.jets_at(x, 1)
-    gvals = values_of(gjets)
-    check_spd(gvals, x)
+    gjets = metric.jets_at(x, 1)
+    check_spd(values_of(gjets), x)
     return values_of(christoffel_jets(gjets))
 
 
-def riemann_scalar(metric: MetricField, x, order: int = 2):
-    """Full curvature at x: (Rlow, Ric, Scal); needs order >= 2 jets."""
-    if order < 2:
-        raise ConfigurationError("curvature needs jets of order >= 2")
-    _, gjets = metric.jets_at(x, order)
+@dataclass
+class CurvatureData:
+    """Evaluated curvature bundle reused across higher-level checks; its
+    ``gjets`` serve the adapted frame and the Kahler residuals as well."""
+
+    gvals: np.ndarray
+    ginv: np.ndarray
+    gjets: np.ndarray
+    rlow: np.ndarray
+    ric: np.ndarray
+    scal: np.ndarray
+    rup: np.ndarray
+
+
+def curvature_data(metric: MetricField, x) -> CurvatureData:
+    """Full curvature at x (Rlow, Ric, Scal, Rup) from one order-2 evaluation."""
+    gjets = metric.jets_at(x, 2)
     gvals = values_of(gjets)
     check_spd(gvals, x)
-    return _riemann_from_gjets(gjets, gvals)
+    return _curvature_from_jets(gjets, gvals)
 
 
-def _riemann_from_gjets(gjets, gvals):
+def _curvature_from_jets(gjets, gvals) -> CurvatureData:
+    """Curvature of metric jets of order >= 2 whose values ``gvals`` are SPD."""
     gamma_jets = christoffel_jets(gjets)
     gamma = values_of(gamma_jets)
     dgamma = np.empty(gamma.shape[:-3] + (DIM,) * 4)  # [..., i, l, j, k] = d_i Gamma^l_{jk}
@@ -232,31 +248,9 @@ def _riemann_from_gjets(gjets, gvals):
     ric = np.einsum("...kjki->...ij", rup)
     ginv = np.linalg.inv(gvals)
     scal = np.einsum("...ij,...ij->...", ginv, ric)
-    return rlow, ric, scal
-
-
-@dataclass
-class CurvatureData:
-    """Evaluated curvature bundle reused across higher-level checks."""
-
-    x: np.ndarray
-    gvals: np.ndarray
-    ginv: np.ndarray
-    gjets: np.ndarray
-    rlow: np.ndarray
-    ric: np.ndarray
-    scal: np.ndarray
-    rup: np.ndarray = None
-
-
-def curvature_data(metric: MetricField, x, order: int = 2) -> CurvatureData:
-    _, gjets = metric.jets_at(x, order)
-    gvals = values_of(gjets)
-    check_spd(gvals, x)
-    rlow, ric, scal = _riemann_from_gjets(gjets, gvals)
-    ginv = np.linalg.inv(gvals)
-    rup = np.einsum("...lm,...ijkm->...lkij", ginv, rlow)
-    return CurvatureData(np.asarray(x, float), gvals, ginv, gjets, rlow, ric, scal, rup)
+    # the curvature actions consume Rup raised back from Rlow
+    return CurvatureData(gvals, ginv, gjets, rlow, ric, scal,
+                         np.einsum("...lm,...ijkm->...lkij", ginv, rlow))
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +359,11 @@ def curvature_endomorphism(data: CurvatureData, xi: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...ij,...lkij->...lk", xi, data.rup)
 
 
-def rho_apply(metric_or_data, x, xi: TwoVector, v: TwoVector) -> TwoVector:
+def rho_apply(data: CurvatureData, xi: TwoVector, v: TwoVector) -> TwoVector:
     """Derivation action rho(xi) v of the curvature on Lambda^2 TM.
 
     rho(X^Y)(Z^W) = R(X,Y)Z ^ W + Z ^ R(X,Y)W, extended bilinearly in xi.
     """
-    data = metric_or_data if isinstance(metric_or_data, CurvatureData) else curvature_data(metric_or_data, x)
     A = curvature_endomorphism(data, xi.comps)
     B = v.comps
     out = np.einsum("...km,...ml->...kl", A, B) - np.einsum("...lm,...mk->...kl", A, B)
@@ -413,13 +406,12 @@ class CurvatureOperator:
         return self.scal / 12.0
 
 
-def curvature_operator(metric_or_data, x, basis) -> CurvatureOperator:
+def curvature_operator(data: CurvatureData, basis) -> CurvatureOperator:
     """Matrix of the curvature operator in an (s1,s2,s3,t1,t2,t3) basis.
 
     Normalized so the diagonal blocks are W+- + (Scal/12) Id: this is -1/2
     times the rho-dual endomorphism of :func:`curvature_two_vector_action`.
     """
-    data = metric_or_data if isinstance(metric_or_data, CurvatureData) else curvature_data(metric_or_data, x)
     comps = [b.comps for b in basis]
     n = len(comps)
     batch = data.scal.shape

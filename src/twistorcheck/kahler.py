@@ -4,13 +4,19 @@ A potential Phi on a 2-complex-dimensional chart (z^1, z^2), with
 z^k = x^{2k} + i x^{2k+1} (0-based reals), determines
 
 * the Riemannian metric g from the complex Hessian d^2 Phi / dz dzbar,
-* the constant complex structure I of the chart,
+* the constant complex structure I of the chart (:data:`I_MATRIX`, shared
+  by every fixture),
 * the Kahler form omega(X, Y) = g(I X, Y).
 
 The orthonormal frame construction keeps e2 = I e1 and e4 = I e3 exactly,
 so s1 = e1^e2 + e3^e4 is the metric dual of omega and the self-dual frame
 (s1, s2, s3) diagonalizes the U(1) holonomy: nabla s2 = beta s3,
 nabla s3 = -beta s2 for a 1-form beta computed here from frame jets.
+
+The frame, beta and the Kahler residuals take the metric jets of
+:meth:`MetricField.jets_at` (or a :class:`CurvatureData`), so one
+evaluation of the potential serves them all; their order follows from the
+order of the jets passed in.
 """
 
 from __future__ import annotations
@@ -25,12 +31,10 @@ from .errors import FrameError, GeometryError
 from .geometry import (
     DIM,
     ChartDomain,
+    CurvatureData,
     MetricField,
-    TwoVector,
     christoffel_jets,
-    curvature_data,
     curvature_two_vector_action,
-    sd_basis,
     values_of,
     _inner_kernel,
 )
@@ -43,17 +47,15 @@ for _a in (0, 1):
 
 
 class KahlerPotentialMetric(MetricField):
-    """Metric derived from a Kahler potential, with I and omega attached."""
+    """Metric derived from a Kahler potential, with omega attached."""
 
     def __init__(self, chart: ChartDomain, potential, name="potential", params=None):
         super().__init__(chart, None, name=name, params=params)
         self.potential = potential
-        self.I = I_MATRIX
 
     def jets_at(self, x, order: int):
-        x = np.asarray(x, dtype=float)
-        xj = jets.seed_raw(x, order + 2)
-        phi = self.potential(xj)
+        """g_{ij} jets of order ``order``, from potential jets two orders higher."""
+        phi = self.potential(jets.seed_raw(np.asarray(x, dtype=float), order + 2))
         # second partials of Phi as jets of the requested order
         d2 = np.empty((DIM, DIM), dtype=object)
         for a in range(DIM):
@@ -73,12 +75,11 @@ class KahlerPotentialMetric(MetricField):
                 g[yb, xa] = im
                 g[ya, xb] = -1.0 * im
                 g[xb, ya] = -1.0 * im
-        xj_out = jets.seed_raw(x, order)
-        return xj_out, g
+        return g
 
     def omega_values(self, x):
         g = self.values_at(x)
-        return np.einsum("ki,...kj->...ij", self.I, g)
+        return np.einsum("ki,...kj->...ij", I_MATRIX, g)
 
 
 def metric_from_potential(potential, chart: ChartDomain, name="potential", params=None,
@@ -148,7 +149,6 @@ def _conformal_hermitian():
         return [[c if i == j else zero for j in range(DIM)] for i in range(DIM)]
 
     m = MetricField(chart, fn, name="conformal_hermitian")
-    m.I = I_MATRIX
     m.omega_values = lambda x: np.einsum("ki,...kj->...ij", I_MATRIX, m.values_at(x))
     return m
 
@@ -220,14 +220,14 @@ def _jet_dot(gjets, u, v):
     return acc
 
 
-def adapted_frame(metric: MetricField, x, order: int = 2) -> AdaptedFrame:
-    """Gram-Schmidt frame seeded on (d_1, I d_1, d_3, I d_3); smooth in x."""
-    _, gjets = metric.jets_at(x, order)
-    I = getattr(metric, "I", I_MATRIX)
+def adapted_frame(gjets: np.ndarray) -> AdaptedFrame:
+    """Gram-Schmidt frame seeded on (d_1, I d_1, d_3, I d_3), as jets of the
+    order of the metric jets ``gjets``; smooth in x."""
     zero = gjets[0, 0] * 0.0
 
     def apply_I(u):
-        return [sum((u[k] * I[i, k] for k in range(DIM) if I[i, k] != 0.0), zero) for i in range(DIM)]
+        return [sum((u[k] * I_MATRIX[i, k] for k in range(DIM) if I_MATRIX[i, k] != 0.0), zero)
+                for i in range(DIM)]
 
     e1 = [zero + (1.0 if i == 0 else 0.0) for i in range(DIM)]
     n1 = jets.sqrt(_jet_dot(gjets, e1, e1))
@@ -239,7 +239,7 @@ def adapted_frame(metric: MetricField, x, order: int = 2) -> AdaptedFrame:
         v = [vi - c * ei for vi, ei in zip(v, e)]
     nv_sq = _jet_dot(gjets, v, v)
     if np.any(nv_sq.value < 1e-20):
-        raise FrameError(f"frame seed degenerate at x={x}")
+        raise FrameError(f"frame seed degenerate (|v|^2 = {np.min(nv_sq.value):.3e})")
     nv = jets.sqrt(nv_sq)
     e3 = [c / nv for c in v]
     e4 = apply_I(e3)
@@ -286,12 +286,12 @@ def _inner_jets(gjets, a, b):
     return acc * 0.25
 
 
-def beta_form(metric: MetricField, frame: AdaptedFrame, x, order: int = 2) -> ConnectionOneForm:
-    """beta_k = < nabla_k s2, s3 > as jets of order ``order - 1``."""
-    _, gjets = metric.jets_at(x, order)
+def beta_form(gjets: np.ndarray, frame: AdaptedFrame) -> ConnectionOneForm:
+    """beta_k = < nabla_k s2, s3 > as jets one order below the metric jets
+    ``gjets``; ``frame`` is the adapted frame built from the same jets."""
     gamma = christoffel_jets(gjets)
-    s1, s2, s3 = frame.sd_jets()
-    lower = order - 1
+    _, s2, s3 = frame.sd_jets()
+    lower = gjets[0, 0].space.order - 1
     g_low = np.empty((DIM, DIM), dtype=object)
     s3_low = np.empty((DIM, DIM), dtype=object)
     for i in range(DIM):
@@ -310,20 +310,24 @@ def beta_form(metric: MetricField, frame: AdaptedFrame, x, order: int = 2) -> Co
 # Kahler certification helpers
 # ---------------------------------------------------------------------------
 
-def nabla_omega_residual(metric: MetricField, x) -> float:
-    """sup |(nabla_k omega)_{ij}|: zero iff the structure is Kahler."""
-    _, gjets = metric.jets_at(x, 1)
-    I = getattr(metric, "I", I_MATRIX)
-    gamma = values_of(christoffel_jets(gjets))
+def _omega_jets(gjets):
+    """Kahler form omega_{ij} = g(I d_i, d_j) as jets of the order of ``gjets``."""
     omega = np.empty((DIM, DIM), dtype=object)
     for i in range(DIM):
         for j in range(DIM):
             acc = None
             for k in range(DIM):
-                if I[k, i] != 0.0:
-                    t = gjets[k, j] * I[k, i]
+                if I_MATRIX[k, i] != 0.0:
+                    t = gjets[k, j] * I_MATRIX[k, i]
                     acc = t if acc is None else acc + t
             omega[i, j] = acc
+    return omega
+
+
+def nabla_omega_residual(gjets: np.ndarray) -> float:
+    """sup |(nabla_k omega)_{ij}|: zero iff the structure is Kahler."""
+    gamma = values_of(christoffel_jets(gjets))
+    omega = _omega_jets(gjets)
     om = values_of(omega)
     dom = np.empty(om.shape[:-2] + (DIM, DIM, DIM))
     for k in range(DIM):
@@ -338,19 +342,9 @@ def nabla_omega_residual(metric: MetricField, x) -> float:
     return float(np.max(np.abs(nab)))
 
 
-def d_omega_residual(metric: MetricField, x) -> float:
+def d_omega_residual(gjets: np.ndarray) -> float:
     """sup |(d omega)_{kij}| over antisymmetrized index triples."""
-    _, gjets = metric.jets_at(x, 1)
-    I = getattr(metric, "I", I_MATRIX)
-    omega = np.empty((DIM, DIM), dtype=object)
-    for i in range(DIM):
-        for j in range(DIM):
-            acc = None
-            for k in range(DIM):
-                if I[k, i] != 0.0:
-                    t = gjets[k, j] * I[k, i]
-                    acc = t if acc is None else acc + t
-            omega[i, j] = acc
+    omega = _omega_jets(gjets)
     worst = 0.0
     for k in range(DIM):
         for i in range(DIM):
@@ -360,11 +354,9 @@ def d_omega_residual(metric: MetricField, x) -> float:
     return worst
 
 
-def curvature_s_residuals(metric: MetricField, x):
-    """(|Rhat(s2)|, |Rhat(s3)|, <Rhat(s1), s1>) at x; Kahler kills the first two."""
-    data = curvature_data(metric, x)
-    frame = adapted_frame(metric, x, order=1)
-    basis = sd_basis(frame.matrix, data.gvals)
+def curvature_s_residuals(data: CurvatureData, basis):
+    """(|Rhat(s2)|, |Rhat(s3)|, <Rhat(s1), s1>) for the curvature ``data`` and
+    an :func:`sd_basis` of the adapted frame; Kahler kills the first two."""
     s1, s2, s3 = basis[0], basis[1], basis[2]
     out = []
     for s in (s2, s3):

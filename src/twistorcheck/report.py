@@ -11,6 +11,7 @@ detect.  Reports are plain dictionaries serializable to byte-stable JSON.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -63,35 +64,59 @@ class SuiteConfig:
         unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        merged = dict(_CONFIG_KEYS, **raw)
-        fib_unknown = set(merged["fiber"]) - set(_FIBER_KEYS)
-        if fib_unknown:
-            raise ConfigurationError(f"unknown fiber keys: {sorted(fib_unknown)}")
-        merged["fiber"] = dict(_FIBER_KEYS, **merged["fiber"])
-        cfg = cls(**merged)
+        cfg = cls(**dict(_CONFIG_KEYS, **raw))
         cfg.validate()
         return cfg
 
     def validate(self):
-        if self.suite not in SUITES:
-            raise ConfigurationError(f"unknown suite '{self.suite}' (have {SUITES})")
-        if not isinstance(self.params, dict):
-            raise ConfigurationError("params must be a mapping of fixture parameters")
+        if not isinstance(self.suite, str) or self.suite not in SUITES:
+            raise ConfigurationError(f"unknown suite {self.suite!r} (have {SUITES})")
+        if not isinstance(self.metric, str):
+            raise ConfigurationError(f"metric must be a fixture name, got {self.metric!r}")
+        for key in ("params", "tolerances", "fiber"):
+            if not isinstance(getattr(self, key), dict):
+                raise ConfigurationError(f"{key} must be a mapping")
+        for key, value in self.params.items():
+            _check_real(f"params.{key}", value)
         try:
             kahler.get_fixture(self.metric, **self.params)
         except GeometryError as exc:
             raise ConfigurationError(str(exc)) from exc
-        if self.sample_count is not None and not (isinstance(self.sample_count, int)
+        if self.sample_count is not None and not (_is_int(self.sample_count)
                                                   and self.sample_count >= 1):
             raise ConfigurationError(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.tol_tier not in TOL_TIERS:
+        if not isinstance(self.tol_tier, str) or self.tol_tier not in TOL_TIERS:
             raise ConfigurationError(f"tol_tier must be one of {sorted(TOL_TIERS)}")
-        self.fiber = dict(_FIBER_KEYS, **self.fiber)
+        for key, value in self.tolerances.items():
+            _check_real(f"tolerances.{key}", value)
+        fib_unknown = set(self.fiber) - set(_FIBER_KEYS)
+        if fib_unknown:
+            raise ConfigurationError(f"unknown fiber keys: {sorted(fib_unknown)}")
+        self.fiber = fib = dict(_FIBER_KEYS, **self.fiber)
+        for key in ("c", "p", "a", "b"):
+            _check_real(f"fiber.{key}", fib[key])
+        for key, allowed in (("profile", sorted(fibermap.PROFILES)),
+                             ("branch", list(fibermap.BRANCHES)), ("h_family", ["power_pole"])):
+            if not isinstance(fib[key], str) or fib[key] not in allowed:
+                raise ConfigurationError(f"fiber.{key} must be one of {allowed}, got {fib[key]!r}")
+        if isinstance(fib["sign"], bool) or fib["sign"] not in (1, -1):
+            raise ConfigurationError(f"fiber.sign must be 1 or -1, got {fib['sign']!r}")
 
     def points(self, default: int) -> int:
         return self.sample_count if self.sample_count is not None else default
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_real(where: str, value):
+    """Raise ConfigurationError unless ``value`` is a finite real (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # NaN, inf, ints beyond float
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -142,9 +167,9 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
     )
     rec.add("curvature.riemann_symmetries", "Riemann tensor pair/antisymmetry and first Bianchi",
             n, sym, 1e-10)
-    frame = kahler.adapted_frame(metric, pts, order=2)
+    frame = kahler.adapted_frame(data.gjets)
     basis = geometry.sd_basis(frame.matrix, data.gvals)
-    op = geometry.curvature_operator(data, pts, basis)
+    op = geometry.curvature_operator(data, basis)
     rec.add("curvature.block_symmetry", "curvature operator is self-adjoint on the 2-vector basis",
             n, np.max(np.abs(op.matrix - np.swapaxes(op.matrix, -1, -2))), 1e-9)
     rec.add("curvature.traceless_weyl", "diagonal blocks split as W(+/-) traceless + Scal/12",
@@ -168,17 +193,17 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
         rec.add("curvature.wplus_nonzero", "positive-scalar control has nonvanishing W+",
                 n, np.max(np.abs(op.wplus)), 0.1, mode="exceeds")
     if name in ("eguchi_hanson", "burns", "fubini_study", "flat"):
-        r2, r3, ray = kahler.curvature_s_residuals(metric, pts)
+        r2, r3, ray = kahler.curvature_s_residuals(data, basis)
         rec.add("kahler.curvature_kills_s2_s3", "curvature annihilates the non-parallel self-dual frame",
                 n, max(np.max(r2), np.max(r3)), 1e-8)
         rec.add("kahler.s1_rayleigh_half_scal",
                 "curvature pairing of the parallel 2-vector equals -Scal/2",
                 n, np.max(np.abs(ray + data.scal / 2.0)), 1e-8)
         rec.add("kahler.nabla_omega", "fundamental 2-form is parallel",
-                n, kahler.nabla_omega_residual(metric, pts), 1e-8)
+                n, kahler.nabla_omega_residual(data.gjets), 1e-8)
     # rho duality spot check
     data1 = geometry.curvature_data(metric, pts[0])
-    fr1 = kahler.adapted_frame(metric, pts[0], order=2)
+    fr1 = kahler.adapted_frame(data1.gjets)
     b1 = geometry.sd_basis(fr1.matrix, data1.gvals)
     worst = 0.0
     for _ in range(20):
@@ -192,7 +217,7 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
                                      geometry.curvature_two_vector_action(data1, vxw.comps),
                                      xi.comps)
         rhs = geometry._inner_kernel(data1.gvals,
-                                     geometry.rho_apply(data1, pts[0], xi, v).comps, w.comps)
+                                     geometry.rho_apply(data1, xi, v).comps, w.comps)
         worst = max(worst, abs(float(lhs - rhs)))
     rec.add("curvature.rho_duality", "derivation action is dual to the curvature operator"
             " under the self-dual cross product", 20, worst, 1e-9)

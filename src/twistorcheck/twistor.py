@@ -43,15 +43,13 @@ from .geometry import (
     MetricField,
     TwoVector,
     check_spd,
-    christoffel,
     christoffel_jets,
-    curvature_data,
     curvature_endomorphism,
     curvature_two_vector_action,
-    jet_matrix_inverse,
     rho_apply,
     sd_basis,
     values_of,
+    _curvature_from_jets,
     _inner_kernel,
     _star_kernel,
 )
@@ -146,8 +144,8 @@ def calibrate_epsilon(metric: MetricField, seed: int = 2024, steps: int = 24,
     probes = metric.chart.sample(4, rng)
     ranked = []
     for x in probes:
-        fr = adapted_frame(metric, x, order=2)
-        b = beta_form(metric, fr, x).values
+        gjets = metric.jets_at(x, 2)
+        b = beta_form(gjets, adapted_frame(gjets)).values
         k = int(np.argmax(np.abs(b)))
         ranked.append((abs(b[k]), k, x))
     ranked.sort(key=lambda t: -t[0])
@@ -167,33 +165,36 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
     direction = 1.0 if x0[k] + t_max <= box[k, 1] else -1.0
     h = t_max / steps
 
-    def gamma_action(x, S):
-        G = christoffel(metric, x)
+    def probe(x):
+        """Metric values, Christoffel values, adapted frame and beta_k at x,
+        from one evaluation of the metric."""
+        gjets = metric.jets_at(x, 2)
+        fr = adapted_frame(gjets)
+        return values_of(gjets), values_of(christoffel_jets(gjets)), fr, beta_form(gjets, fr).values[k]
+
+    def gamma_action(G, S):
         return -direction * (np.einsum("im,mj->ij", G[:, k, :], S)
                              + np.einsum("jm,im->ij", G[:, k, :], S))
 
-    fr0 = adapted_frame(metric, x0, order=1)
-    basis0 = sd_basis(fr0.matrix, metric.values_at(x0))
-    S = basis0[1].comps.copy()
+    g, G, fr, b_here = probe(x0)
+    S = sd_basis(fr.matrix, g)[1].comps.copy()
     x = x0.copy()
     beta_int = 0.0
     for _ in range(steps):
-        b_here = beta_form(metric, adapted_frame(metric, x, order=2), x).values[k]
-        k1 = gamma_action(x, S)
         xm = x.copy(); xm[k] += direction * h / 2
-        k2 = gamma_action(xm, S + h / 2 * k1)
-        k3 = gamma_action(xm, S + h / 2 * k2)
         xe = x.copy(); xe[k] += direction * h
-        k4 = gamma_action(xe, S + h * k3)
+        Gm = values_of(christoffel_jets(metric.jets_at(xm, 1)))
+        g, Ge, fr, b_next = probe(xe)
+        k1 = gamma_action(G, S)
+        k2 = gamma_action(Gm, S + h / 2 * k1)
+        k3 = gamma_action(Gm, S + h / 2 * k2)
+        k4 = gamma_action(Ge, S + h * k3)
         S = S + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        b_next = beta_form(metric, adapted_frame(metric, xe, order=2), xe).values[k]
         beta_int += direction * h * 0.5 * (b_here + b_next)
-        x = xe
-    g1 = metric.values_at(x)
-    fr1 = adapted_frame(metric, x, order=1)
-    basis1 = sd_basis(fr1.matrix, g1)
-    c2 = _inner_kernel(g1, S, basis1[1].comps)
-    c3 = _inner_kernel(g1, S, basis1[2].comps)
+        x, G, b_here = xe, Ge, b_next
+    basis1 = sd_basis(fr.matrix, g)
+    c2 = _inner_kernel(g, S, basis1[1].comps)
+    c3 = _inner_kernel(g, S, basis1[2].comps)
     psi = float(np.arctan2(c3, c2))
     plus_resid = abs(psi + beta_int)   # eps = +1 predicts psi = -int beta
     minus_resid = abs(psi - beta_int)
@@ -217,7 +218,8 @@ class ChartEval:
     Nijenhuis tensor, the Christoffel symbols of h and d of a form consume;
     :func:`exterior_derivative` asks for 2, because its form field may
     itself be built with one d.  The base metric jets are taken one order
-    higher, because the connection form beta consumes one order."""
+    higher, because the connection form beta consumes one order; the frame,
+    beta and :attr:`data4` all come from that one evaluation."""
 
     def __init__(self, chart: TwistorChart, points, order: int = 1):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -238,13 +240,11 @@ class ChartEval:
 
     # -- base fields ------------------------------------------------------
     def _build_base(self, order):
-        chart = self.chart
-        _, gj4 = chart.base.jets_at(self.x4, order)
+        self.gjets4 = gj4 = self.chart.base.jets_at(self.x4, order)
         self.gvals = values_of(gj4)
         check_spd(self.gvals, self.x4)
-        frame = adapted_frame(chart.base, self.x4, order=order)
-        self.frame_vals = values_of(frame.jets_)
-        beta = beta_form(chart.base, frame, self.x4, order=order)
+        frame = adapted_frame(gj4)
+        beta = beta_form(gj4, frame)
         self.beta_vals = beta.values
         s1j, s2j, s3j = frame.sd_jets()
         self.svals = [values_of(s) for s in (s1j, s2j, s3j)]
@@ -386,8 +386,9 @@ class ChartEval:
 
     @property
     def data4(self):
+        """Base curvature at the points, from the base metric jets above."""
         if self._data4 is None:
-            self._data4 = curvature_data(self.chart.base, self.x4)
+            self._data4 = _curvature_from_jets(self.gjets4, self.gvals)
         return self._data4
 
     def horizontal_lift_values(self, X):
@@ -461,25 +462,6 @@ def J_field(chart: TwistorChart, point) -> np.ndarray:
     ctx = ChartEval(chart, point)
     Jv = ctx.J_values
     return Jv[0] if np.ndim(point) == 1 else Jv
-
-
-def total_space_metric(chart: TwistorChart, point) -> np.ndarray:
-    ctx = ChartEval(chart, point)
-    hv = ctx.h_values
-    return hv[0] if np.ndim(point) == 1 else hv
-
-
-class TotalSpaceMetric:
-    """h = pi^* g + g^v as an evaluable 6x6 field over a chart."""
-
-    def __init__(self, chart: TwistorChart):
-        self.chart = chart
-
-    def values_at(self, point):
-        return total_space_metric(self.chart, point)
-
-    def jets_at(self, point):
-        return ChartEval(self.chart, point).h
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +648,7 @@ def verify_structure_identities(chart: TwistorChart, point, n_random: int = 6,
         pv, pw = ctx.vertical_coframe_pairing(DXY)
         vert3 = pv[..., None] * t_v + pw[..., None] * t_w
         vert2 = ctx.triple_to_two_vector(vert3)
-        rho_p2 = rho_apply(data, ctx.x4, TwoVector(np.broadcast_to(XY, ctx.gvals.shape[:-2] + (4, 4))), TwoVector(p2v))
+        rho_p2 = rho_apply(data, TwoVector(np.broadcast_to(XY, ctx.gvals.shape[:-2] + (4, 4))), TwoVector(p2v))
         resid = vert2 + 0.5 * rho_p2.comps
         r2 = max(r2, float(np.max(np.abs(_inner_kernel(ctx.gvals, resid, resid)))) ** 0.5)
 

@@ -49,3 +49,17 @@ def all_fixtures(flat, fubini_study, eguchi_hanson, burns):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def jets_at_calls(monkeypatch):
+    """Orders of the potential-metric evaluations (jets_at calls) a test makes."""
+    calls = []
+    orig = kahler.KahlerPotentialMetric.jets_at
+
+    def counted(self, x, order):
+        calls.append(order)
+        return orig(self, x, order)
+
+    monkeypatch.setattr(kahler.KahlerPotentialMetric, "jets_at", counted)
+    return calls

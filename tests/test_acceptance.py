@@ -40,9 +40,9 @@ def test_criterion_1_curvature_block_structure():
         m = _metric(name)
         pts = m.chart.sample(50, np.random.default_rng(SEED))
         data = geo.curvature_data(m, pts)
-        frame = kahler.adapted_frame(m, pts, order=2)
+        frame = kahler.adapted_frame(data.gjets)
         basis = geo.sd_basis(frame.matrix, data.gvals)
-        op = geo.curvature_operator(data, pts, basis)
+        op = geo.curvature_operator(data, basis)
         worst_sym = max(worst_sym, float(np.max(np.abs(op.matrix - np.swapaxes(op.matrix, -1, -2)))))
         worst_tr = max(worst_tr, float(np.max(np.abs(np.trace(op.wplus, axis1=-2, axis2=-1)))),
                        float(np.max(np.abs(np.trace(op.wminus, axis1=-2, axis2=-1)))))
@@ -63,14 +63,14 @@ def test_criterion_2a_scalar_flat_certification():
         m = _metric(name)
         pts = m.chart.sample(50, np.random.default_rng(SEED))
         data = geo.curvature_data(m, pts)
-        frame = kahler.adapted_frame(m, pts, order=2)
+        frame = kahler.adapted_frame(data.gjets)
         basis = geo.sd_basis(frame.matrix, data.gvals)
-        op = geo.curvature_operator(data, pts, basis)
-        r2, r3, _ = kahler.curvature_s_residuals(m, pts)
+        op = geo.curvature_operator(data, basis)
+        r2, r3, _ = kahler.curvature_s_residuals(data, basis)
         worst[name] = {
             "scal": float(np.max(np.abs(data.scal))),
             "wplus": float(np.max(np.abs(op.wplus))),
-            "nabla_omega": kahler.nabla_omega_residual(m, pts),
+            "nabla_omega": kahler.nabla_omega_residual(data.gjets),
             "r_s2_s3": float(max(np.max(r2), np.max(r3))),
         }
     ok = all(v["scal"] < 1e-7 and v["wplus"] < 1e-7 and v["nabla_omega"] < 1e-8
@@ -98,14 +98,14 @@ def test_criterion_2b_fubini_study_rayleigh_literal():
     """
     m = _metric("fubini_study")
     pts = m.chart.sample(50, np.random.default_rng(SEED))
-    _, _, scal = geo.riemann_scalar(m, pts)
+    data = geo.curvature_data(m, pts)
+    scal = data.scal
     assert np.max(np.abs(scal - 24.0)) < 1e-6
     scal = np.asarray(scal)
-    _, _, ray = kahler.curvature_s_residuals(m, pts)
-    data = geo.curvature_data(m, pts)
-    frame = kahler.adapted_frame(m, pts, order=2)
+    frame = kahler.adapted_frame(data.gjets)
     basis = geo.sd_basis(frame.matrix, data.gvals)
-    op = geo.curvature_operator(data, pts, basis)
+    _, _, ray = kahler.curvature_s_residuals(data, basis)
+    op = geo.curvature_operator(data, basis)
     # |s1|^2 in the Gram-determinant metric: twice the half-determinant one
     s1_sq = 2.0 * geo.two_vector_inner(m, pts, basis[0], basis[0])
     wplus_ray = s1_sq * (-0.5 * np.asarray(ray) - scal / 12.0)
@@ -134,12 +134,13 @@ def test_criterion_2c_fubini_study_rayleigh_verified():
     """The s1 pairing in the package's normalizations: rho-dual -Scal/2, block +Scal/4."""
     m = _metric("fubini_study")
     pts = m.chart.sample(50, np.random.default_rng(SEED))
-    _, _, scal = geo.riemann_scalar(m, pts)
-    _, _, ray = kahler.curvature_s_residuals(m, pts)
-    resid = float(np.max(np.abs(np.asarray(ray) + np.asarray(scal) / 2.0)))
-    frame = kahler.adapted_frame(m, pts, order=2)
     data = geo.curvature_data(m, pts)
-    op = geo.curvature_operator(data, pts, geo.sd_basis(frame.matrix, data.gvals))
+    scal = data.scal
+    frame = kahler.adapted_frame(data.gjets)
+    basis = geo.sd_basis(frame.matrix, data.gvals)
+    _, _, ray = kahler.curvature_s_residuals(data, basis)
+    resid = float(np.max(np.abs(np.asarray(ray) + np.asarray(scal) / 2.0)))
+    op = geo.curvature_operator(data, basis)
     resid_block = float(np.max(np.abs(op.matrix[..., 0, 0] - data.scal / 4.0)))
     ok = resid < 1e-8 and resid_block < 1e-8
     _report("2c", ok, f"rho-dual +Scal/2 residual={resid:.2e}, block Scal/4 residual={resid_block:.2e}")

@@ -28,7 +28,20 @@ class TestSuiteConfig:
 
     def test_bad_values_rejected(self):
         for raw in ({"suite": "nope"}, {"metric": "nope"}, {"tol_tier": "medium"},
-                    {"sample_count": 0}, {"sample_count": -3}, {"seed": -1}):
+                    {"sample_count": 0}, {"sample_count": -3}, {"seed": -1},
+                    {"sample_count": True}, {"seed": False},
+                    {"metric": "burns", "params": {"m": "x"}},
+                    {"metric": "eguchi_hanson", "params": {"a": "x"}},
+                    {"metric": "burns", "params": {"m": float("nan")}},
+                    {"metric": "burns", "params": {"m": True}},
+                    {"fiber": {"c": "x"}}, {"fiber": {"a": "x"}}, {"fiber": {"p": "x"}},
+                    {"fiber": {"p": float("nan")}}, {"fiber": {"b": float("inf")}},
+                    {"tolerances": {"completeness.power_family": "x"}},
+                    {"tolerances": {"completeness.power_family": True}},
+                    {"fiber": {"profile": "nope"}}, {"fiber": {"branch": "nope"}},
+                    {"fiber": {"sign": 5}}, {"fiber": {"sign": True}},
+                    {"fiber": {"h_family": "nope"}},
+                    {"fiber": 3}, {"tolerances": []}):
             with pytest.raises(ConfigurationError):
                 SuiteConfig.from_dict(raw)
 
@@ -91,6 +104,13 @@ class TestRunSuite:
             rec = {c["check_id"]: c for c in rep["checks"]}["integrability.connection_sign"]
             modes[metric] = rec["mode"]
         assert modes == {"burns": "exceeds", "eguchi_hanson": "skipped"}
+
+    def test_curvature_suite_evaluates_metric_twice(self, jets_at_calls):
+        # one metric-jet bundle at the sampled points, one at the rho-duality point
+        rep = run_suite(SuiteConfig.from_dict(
+            {"metric": "burns", "suite": "curvature", "sample_count": 5}))
+        assert rep["overall_pass"]
+        assert len(jets_at_calls) == 2
 
     def test_tolerance_override_and_failure_exit(self, tmp_path):
         raw = {"metric": "flat", "suite": "integrability", "sample_count": 5, "seed": 3,
@@ -159,6 +179,21 @@ class TestCliCommands:
             cfg.write_text(json.dumps({"metric": "burns", "suite": "completeness",
                                        "params": params}))
             assert main(["verify", "--config", str(cfg), "--report", out]) == 2, params
+        cfg = tmp_path / "cfg.json"
+        for text in ('{"metric": "burns", "params": {"m": "x"}}',
+                     '{"metric": "eguchi_hanson", "params": {"a": "x"}}',
+                     '{"suite": "integrability", "metric": "burns", "fiber": {"c": "x"}}',
+                     '{"fiber": {"a": "x"}}', '{"fiber": {"p": "x"}}',
+                     '{"fiber": {"p": NaN}}', '{"sample_count": true}',
+                     '{"tolerances": {"completeness.power_family": "x"}}',
+                     '{"fiber": {"profile": "nope"}}', '{"fiber": {"branch": "nope"}}',
+                     '{"fiber": {"sign": 5}}', '{"fiber": {"h_family": "nope"}}',
+                     '{"metric": "flat", "suite": "completeness"', '[1, 2]'):
+            cfg.write_text(text)
+            assert main(["verify", "--config", str(cfg), "--suite", "completeness",
+                         "--report", out]) == 2, text
+        assert main(["verify", "--config", str(tmp_path / "missing.json"),
+                     "--report", out]) == 2
 
     def test_solve_map_csv(self, tmp_path):
         out = tmp_path / "map.csv"

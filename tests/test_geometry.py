@@ -52,7 +52,7 @@ class TestChristoffel:
 
     def test_metric_compatibility(self, burns, rng):
         x = burns.chart.sample(3, rng)
-        _, gjets = burns.jets_at(x, 1)
+        gjets = burns.jets_at(x, 1)
         gvals = geo.values_of(gjets)
         gamma = geo.values_of(geo.christoffel_jets(gjets))
         dg = np.empty(gvals.shape[:-2] + (4, 4, 4))
@@ -80,29 +80,26 @@ class TestChristoffel:
 
 class TestRiemann:
     def test_flat_zero(self, flat):
-        rlow, ric, scal = geo.riemann_scalar(flat, np.array([0.1, 0.2, 0.3, 0.4]))
-        assert np.max(np.abs(rlow)) == 0.0
-        assert np.max(np.abs(ric)) == 0.0
-        assert scal == 0.0
-
-    def test_order_one_rejected(self, flat):
-        with pytest.raises(ConfigurationError):
-            geo.riemann_scalar(flat, np.zeros(4), order=1)
+        data = geo.curvature_data(flat, np.array([0.1, 0.2, 0.3, 0.4]))
+        assert np.max(np.abs(data.rlow)) == 0.0
+        assert np.max(np.abs(data.ric)) == 0.0
+        assert data.scal == 0.0
 
     def test_fubini_study_scal_24(self, fubini_study, rng):
         pts = fubini_study.chart.sample(50, rng)
-        _, _, scal = geo.riemann_scalar(fubini_study, pts)
+        scal = geo.curvature_data(fubini_study, pts).scal
         assert np.max(np.abs(scal - 24.0)) < 1e-8
 
     def test_eguchi_hanson_ricci_flat(self, eguchi_hanson, rng):
         pts = eguchi_hanson.chart.sample(20, rng)
-        _, ric, scal = geo.riemann_scalar(eguchi_hanson, pts)
+        data = geo.curvature_data(eguchi_hanson, pts)
+        ric, scal = data.ric, data.scal
         assert np.max(np.abs(scal)) < 1e-8
         assert np.max(np.abs(ric)) < 1e-8
 
     def test_symmetries_and_bianchi(self, burns, rng):
         pts = burns.chart.sample(10, rng)
-        rl, _, _ = geo.riemann_scalar(burns, pts)
+        rl = geo.curvature_data(burns, pts).rlow
         assert np.max(np.abs(rl + np.einsum("...jikl->...ijkl", rl))) < 1e-10
         assert np.max(np.abs(rl + np.einsum("...ijlk->...ijkl", rl))) < 1e-10
         assert np.max(np.abs(rl - np.einsum("...klij->...ijkl", rl))) < 1e-10
@@ -171,7 +168,7 @@ class TestSdBasis:
     def test_orthonormality_and_duality(self, burns, rng):
         x = burns.chart.sample(1, rng)[0]
         g = burns.values_at(x)
-        fr = kahler.adapted_frame(burns, x)
+        fr = kahler.adapted_frame(burns.jets_at(x, 2))
         basis = geo.sd_basis(fr.matrix, g)
         gram = np.array([[geo._inner_kernel(g, a.comps, b.comps) for b in basis] for a in basis])
         assert np.max(np.abs(gram - np.eye(6))) < 1e-12
@@ -194,15 +191,15 @@ class TestCurvatureOperator:
     def test_flat_zero(self, flat):
         x = np.zeros(4)
         basis = geo.sd_basis(np.eye(4))
-        op = geo.curvature_operator(flat, x, basis)
+        op = geo.curvature_operator(geo.curvature_data(flat, x), basis)
         assert np.max(np.abs(op.matrix)) == 0.0
 
     def test_fubini_study_blocks(self, fubini_study, rng):
         x = fubini_study.chart.sample(1, rng)[0]
         data = geo.curvature_data(fubini_study, x)
-        fr = kahler.adapted_frame(fubini_study, x)
+        fr = kahler.adapted_frame(data.gjets)
         basis = geo.sd_basis(fr.matrix, data.gvals)
-        op = geo.curvature_operator(data, x, basis)
+        op = geo.curvature_operator(data, basis)
         assert np.trace(op.plus_block) == pytest.approx(data.scal / 4.0, abs=1e-10)
         assert np.trace(op.minus_block) == pytest.approx(data.scal / 4.0, abs=1e-10)
         # Kahler surface: W+ spectrum (s/6, -s/12, -s/12)
@@ -216,9 +213,9 @@ class TestCurvatureOperator:
     def test_eguchi_hanson_plus_block_vanishes(self, eguchi_hanson, rng):
         x = eguchi_hanson.chart.sample(1, rng)[0]
         data = geo.curvature_data(eguchi_hanson, x)
-        fr = kahler.adapted_frame(eguchi_hanson, x)
+        fr = kahler.adapted_frame(data.gjets)
         basis = geo.sd_basis(fr.matrix, data.gvals)
-        op = geo.curvature_operator(data, x, basis)
+        op = geo.curvature_operator(data, basis)
         assert np.max(np.abs(op.plus_block)) < 1e-8
         assert np.max(np.abs(op.ric0)) < 1e-8  # Ricci-flat
         assert np.max(np.abs(op.minus_block)) > 0.01  # W- survives
@@ -226,8 +223,8 @@ class TestCurvatureOperator:
     def test_burns_ric0_nonzero(self, burns, rng):
         x = burns.chart.sample(1, rng)[0]
         data = geo.curvature_data(burns, x)
-        fr = kahler.adapted_frame(burns, x)
-        op = geo.curvature_operator(data, x, geo.sd_basis(fr.matrix, data.gvals))
+        fr = kahler.adapted_frame(data.gjets)
+        op = geo.curvature_operator(data, geo.sd_basis(fr.matrix, data.gvals))
         assert np.max(np.abs(op.plus_block)) < 1e-8
         assert np.max(np.abs(op.ric0)) > 1e-3
         assert np.max(np.abs(op.matrix - op.matrix.T)) < 1e-10
@@ -238,13 +235,13 @@ class TestRho:
         m = rng.normal(size=(4, 4))
         xi = geo.TwoVector(m - m.T)
         v = geo.TwoVector.wedge(np.eye(4)[0], np.eye(4)[1])
-        out = geo.rho_apply(flat, np.zeros(4), xi, v)
+        out = geo.rho_apply(geo.curvature_data(flat, np.zeros(4)), xi, v)
         assert np.max(np.abs(out.comps)) == 0.0
 
     def test_duality_random(self, eguchi_hanson, rng):
         x = eguchi_hanson.chart.sample(1, rng)[0]
         data = geo.curvature_data(eguchi_hanson, x)
-        fr = kahler.adapted_frame(eguchi_hanson, x)
+        fr = kahler.adapted_frame(data.gjets)
         basis = geo.sd_basis(fr.matrix, data.gvals)
         worst = 0.0
         for _ in range(20):
@@ -257,7 +254,7 @@ class TestRho:
             xi = geo.TwoVector(m - m.T)
             lhs = geo._inner_kernel(data.gvals,
                                     geo.curvature_two_vector_action(data, vxw.comps), xi.comps)
-            rhs = geo._inner_kernel(data.gvals, geo.rho_apply(data, x, xi, v).comps, w.comps)
+            rhs = geo._inner_kernel(data.gvals, geo.rho_apply(data, xi, v).comps, w.comps)
             worst = max(worst, abs(float(lhs - rhs)))
         assert worst < 1e-9
 
@@ -268,6 +265,6 @@ class TestRho:
         xi1 = geo.TwoVector(m1 - m1.T)
         xi2 = geo.TwoVector(m2 - m2.T)
         v = geo.TwoVector.wedge(np.eye(4)[0], np.eye(4)[2])
-        lhs = geo.rho_apply(data, x, xi1 + xi2, v).comps
-        rhs = geo.rho_apply(data, x, xi1, v).comps + geo.rho_apply(data, x, xi2, v).comps
+        lhs = geo.rho_apply(data, xi1 + xi2, v).comps
+        rhs = geo.rho_apply(data, xi1, v).comps + geo.rho_apply(data, xi2, v).comps
         assert np.max(np.abs(lhs - rhs)) < 1e-12

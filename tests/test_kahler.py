@@ -21,13 +21,13 @@ class TestPotentialMetrics:
 
     def test_burns_scalar_flat(self, burns, rng):
         pts = burns.chart.sample(50, rng)
-        _, _, scal = geo.riemann_scalar(burns, pts)
+        scal = geo.curvature_data(burns, pts).scal
         assert np.max(np.abs(scal)) < 1e-7
 
     def test_metric_positive_definite_on_samples(self, all_fixtures, rng):
         for m in all_fixtures.values():
             pts = m.chart.sample(10, rng)
-            ev = np.linalg.eigvalsh(geo.values_of(m.jets_at(pts, 0)[1]))
+            ev = np.linalg.eigvalsh(geo.values_of(m.jets_at(pts, 0)))
             assert np.all(ev > 0)
 
     def test_degenerate_potential_rejected(self):
@@ -43,33 +43,34 @@ class TestPotentialMetrics:
     def test_kahler_two_form_closed_and_parallel(self, all_fixtures, rng):
         for name, m in all_fixtures.items():
             pts = m.chart.sample(8, rng)
-            assert kahler.d_omega_residual(m, pts) < 1e-9, name
-            assert kahler.nabla_omega_residual(m, pts) < 1e-8, name
+            gjets = m.jets_at(pts, 1)
+            assert kahler.d_omega_residual(gjets) < 1e-9, name
+            assert kahler.nabla_omega_residual(gjets) < 1e-8, name
 
     def test_non_kahler_control_detected(self, rng):
         m = kahler.get_fixture("conformal_hermitian")
         pts = m.chart.sample(8, rng)
-        assert kahler.nabla_omega_residual(m, pts) > 1e-3
+        assert kahler.nabla_omega_residual(m.jets_at(pts, 1)) > 1e-3
 
 
 class TestAdaptedFrame:
     def test_flat_standard_basis(self, flat):
-        fr = kahler.adapted_frame(flat, np.array([0.1, 0.2, 0.3, 0.4]))
+        fr = kahler.adapted_frame(flat.jets_at(np.array([0.1, 0.2, 0.3, 0.4]), 2))
         assert np.allclose(fr.matrix, np.eye(4), atol=1e-14)
 
     def test_gram_residual(self, all_fixtures, rng):
         for m in all_fixtures.values():
             pts = m.chart.sample(5, rng)
-            fr = kahler.adapted_frame(m, pts)
-            g = geo.values_of(m.jets_at(pts, 0)[1])
+            fr = kahler.adapted_frame(m.jets_at(pts, 2))
+            g = geo.values_of(m.jets_at(pts, 0))
             gram = np.einsum("...ai,...ij,...bj->...ab", fr.matrix, g, fr.matrix)
             assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
     def test_frame_is_I_adapted_and_oriented(self, burns, rng):
         pts = burns.chart.sample(4, rng)
-        fr = kahler.adapted_frame(burns, pts)
+        fr = kahler.adapted_frame(burns.jets_at(pts, 2))
         E = fr.matrix
-        I = burns.I
+        I = kahler.I_MATRIX
         assert np.max(np.abs(np.einsum("ij,...j->...i", I, E[..., 0, :]) - E[..., 1, :])) < 1e-13
         assert np.max(np.abs(np.einsum("ij,...j->...i", I, E[..., 2, :]) - E[..., 3, :])) < 1e-13
         assert np.all(np.linalg.det(E) > 0)
@@ -80,7 +81,7 @@ class TestAdaptedFrame:
         ginv = np.linalg.inv(g)
         omega = eguchi_hanson.omega_values(x)
         omega_sharp = np.einsum("ik,jl,kl->ij", ginv, ginv, omega)
-        fr = kahler.adapted_frame(eguchi_hanson, x)
+        fr = kahler.adapted_frame(eguchi_hanson.jets_at(x, 2))
         s1 = geo.sd_basis(fr.matrix, g)[0]
         diff = s1.comps - omega_sharp
         assert geo._inner_kernel(g, diff, diff) < 1e-10
@@ -89,16 +90,16 @@ class TestAdaptedFrame:
 class TestBetaForm:
     def test_flat_beta_zero(self, flat):
         x = np.array([0.2, 0.0, -0.3, 0.5])
-        fr = kahler.adapted_frame(flat, x)
-        beta = kahler.beta_form(flat, fr, x)
+        gjets = flat.jets_at(x, 2)
+        beta = kahler.beta_form(gjets, kahler.adapted_frame(gjets))
         assert np.max(np.abs(beta.values)) < 1e-14
 
     def test_connection_relations(self, burns, rng):
         # nabla_k s2 = beta_k s3, nabla_k s3 = -beta_k s2, nabla s1 = 0
         pts = burns.chart.sample(20, rng)
-        fr = kahler.adapted_frame(burns, pts, order=2)
-        beta = kahler.beta_form(burns, fr, pts, order=2)
-        _, gjets = burns.jets_at(pts, 2)
+        gjets = burns.jets_at(pts, 2)
+        fr = kahler.adapted_frame(gjets)
+        beta = kahler.beta_form(gjets, fr)
         gamma = geo.christoffel_jets(gjets)
         s1j, s2j, s3j = fr.sd_jets()
         s2v, s3v = geo.values_of(s2j), geo.values_of(s3j)
@@ -114,8 +115,8 @@ class TestBetaForm:
     def test_skew_symmetry(self, fubini_study, rng):
         # metric compatibility: g(nabla_k s2, s2) = 0
         pts = fubini_study.chart.sample(5, rng)
-        fr = kahler.adapted_frame(fubini_study, pts, order=2)
-        _, gjets = fubini_study.jets_at(pts, 2)
+        gjets = fubini_study.jets_at(pts, 2)
+        fr = kahler.adapted_frame(gjets)
         gamma = geo.christoffel_jets(gjets)
         _, s2j, _ = fr.sd_jets()
         g = geo.values_of(gjets)
@@ -126,8 +127,8 @@ class TestBetaForm:
 
     def test_beta_nontrivial_on_burns(self, burns, rng):
         pts = burns.chart.sample(5, rng)
-        fr = kahler.adapted_frame(burns, pts, order=2)
-        beta = kahler.beta_form(burns, fr, pts)
+        gjets = burns.jets_at(pts, 2)
+        beta = kahler.beta_form(gjets, kahler.adapted_frame(gjets))
         assert np.max(np.abs(beta.values)) > 1e-3
 
 
@@ -135,7 +136,9 @@ class TestCurvatureResiduals:
     def test_kahler_kills_s2_s3(self, all_fixtures, rng):
         for name, m in all_fixtures.items():
             pts = m.chart.sample(8, rng)
-            r2, r3, _ = kahler.curvature_s_residuals(m, pts)
+            data = geo.curvature_data(m, pts)
+            basis = geo.sd_basis(kahler.adapted_frame(data.gjets).matrix, data.gvals)
+            r2, r3, _ = kahler.curvature_s_residuals(data, basis)
             assert np.max(r2) < 1e-8, name
             assert np.max(r3) < 1e-8, name
 
@@ -144,6 +147,8 @@ class TestCurvatureResiduals:
         # conventions (R = [nabla,nabla] - nabla_[,], cyclic s-cross product)
         for name, m in all_fixtures.items():
             pts = m.chart.sample(8, rng)
-            _, _, ray = kahler.curvature_s_residuals(m, pts)
-            _, _, scal = geo.riemann_scalar(m, pts)
+            data = geo.curvature_data(m, pts)
+            basis = geo.sd_basis(kahler.adapted_frame(data.gjets).matrix, data.gvals)
+            _, _, ray = kahler.curvature_s_residuals(data, basis)
+            scal = data.scal
             assert np.max(np.abs(ray + scal / 2.0)) < 1e-8, name

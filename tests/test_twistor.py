@@ -33,7 +33,7 @@ class TestKOperator:
     def test_square_and_isometry(self, eguchi_hanson, rng):
         x = eguchi_hanson.chart.sample(1, rng)[0]
         g = eguchi_hanson.values_at(x)
-        fr = kahler.adapted_frame(eguchi_hanson, x)
+        fr = kahler.adapted_frame(eguchi_hanson.jets_at(x, 2))
         basis = geo.sd_basis(fr.matrix, g)
         a = np.cos(0.7) * basis[0] + np.sin(0.7) * basis[2]
         K = tw.K_operator(a, eguchi_hanson, x)
@@ -381,5 +381,12 @@ class TestTotalSpaceMetric:
         rp = ctx.rho_p.value
         assert np.allclose(hv[..., 4, 4], rp * rp + 1.0)
         assert np.allclose(hv[..., 5, 5], rho * rho)
-        tsm = tw.TotalSpaceMetric(chart)
-        assert np.allclose(tsm.values_at(pts), hv)
+
+
+class TestOneMetricEvaluation:
+    def test_chart_eval_evaluates_base_once(self, charts, jets_at_calls):
+        # frame, beta and the base curvature reuse the ChartEval's own jets
+        chart = charts["burns"]
+        ctx = tw.ChartEval(chart, chart.sample(3, 5))
+        ctx.data4
+        assert jets_at_calls == [2]
