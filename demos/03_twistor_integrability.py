@@ -15,8 +15,8 @@ SEED = 7
 
 
 def show(label, chart, n=25):
-    pts = chart.sample(n, SEED)
-    print(f"{label:55s} max|N| = {np.max(twistor.nijenhuis_max(chart, pts)):.3e}")
+    ctx = twistor.ChartEval(chart, chart.sample(n, SEED))  # J, h, beta at the points
+    print(f"{label:55s} max|N| = {np.max(twistor.nijenhuis_max(ctx)):.3e}")
 
 
 for name in ("flat", "eguchi_hanson", "burns"):
@@ -39,6 +39,6 @@ show("eguchi_hanson: cylinder fiber, perturbed map (obstructed)",
 # The same dichotomy through the independent route: the Nijenhuis tensor
 # evaluated from the Levi-Civita connection of the total-space metric.
 chart = twistor.TwistorChart.twistor(eh)
-pts = chart.sample(3, SEED)
-agree = twistor.nijenhuis_route_agreement(chart, pts, n_triples=10, seed=SEED)
+ctx = twistor.ChartEval(chart, chart.sample(3, SEED))
+agree = twistor.nijenhuis_route_agreement(ctx, n_triples=10, seed=SEED)
 print(f"\nbracket route vs connection route (20 random triples): {agree:.3e}")

@@ -22,25 +22,26 @@ weights = (
 
 for name in ("eguchi_hanson", "burns"):
     chart = twistor.TwistorChart.twistor(kahler.get_fixture(name))
+    ctx = twistor.ChartEval(chart, chart.sample(15, SEED))  # one evaluation, four weights
     print(f"=== {name}")
     for label, h in weights:
-        rep = twistor.balanced_check(chart, h, sample_count=15, seed=SEED, h_label=label)
+        rep = twistor.balanced_check(ctx, h, h_label=label)
         print(f"  {label:22s} max|d(Omega_h^2)| = {rep.max_residual:.3e}")
 
 print("\ncontrols:")
 eh_chart = twistor.TwistorChart.twistor(kahler.get_fixture("eguchi_hanson"))
-ctrl = twistor.balanced_check(eh_chart, None, sample_count=15, seed=SEED,
+ctrl = twistor.balanced_check(twistor.ChartEval(eh_chart, eh_chart.sample(15, SEED)), None,
                               weight_mode="x_dependent")
 print(f"  base-dependent weight e^{{x0}} on EH   : {ctrl.max_residual:.3e}  (not balanced)")
 fs_chart = twistor.TwistorChart.twistor(kahler.get_fixture("fubini_study"))
-fs = twistor.balanced_check(fs_chart, None, sample_count=10, seed=SEED)
+fs = twistor.balanced_check(twistor.ChartEval(fs_chart, fs_chart.sample(10, SEED)), None)
 print(f"  positive scalar curvature base (FS)  : {fs.max_residual:.3e}  (not balanced)")
 
 # Hermitian positivity of the family, and the wedge-cone constants.
-pts = eh_chart.sample(10, SEED)
-pos = twistor.hermitian_positivity(eh_chart, pts, weights[1][1], 1.0, 1.0, n_vectors=40)
+ctx = twistor.ChartEval(eh_chart, eh_chart.sample(10, SEED))
+pos = twistor.hermitian_positivity(ctx, weights[1][1], 1.0, 1.0, n_vectors=40)
 print(f"\nmin Omega_h(v, Jv) over random v      : {pos:.4f}  (> 0)")
 for a, b in ((1.0, 1.0), (2.0, 1.0), (2.0, 2.0)):
-    r = twistor.cone_wedge_constants(eh_chart, a, b, sample_count=10, seed=SEED)
+    r = twistor.cone_wedge_constants(ctx, a, b)
     print(f"a={a} b={b}:  Omega^2^fiber/vol = {r.c1:.6f} (=2a^2)   "
           f"Omega^2^tau/vol = {r.c2:.6f} (=4ab)")

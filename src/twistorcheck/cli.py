@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import fibermap
 from .errors import ConfigurationError, TwistorCheckError
-from .report import SuiteConfig, report_to_json, run_suite
+from .report import SuiteConfig, _check_real, report_to_json, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -34,6 +35,27 @@ def _report_path(name: str, explicit):
         return explicit
     base = os.environ.get("TWISTORCHECK_REPORT_DIR", ".")
     return os.path.join(base, name)
+
+
+def _output(path: str):
+    """Check now, before any work, that ``path`` names a file in an existing
+    directory, and return a function that writes text to it.  Both steps
+    raise ConfigurationError (exit 2): a bad path up front, and any OSError
+    when writing."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigurationError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise ConfigurationError(f"cannot write {path}: it is a directory")
+
+    def write(text: str):
+        try:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+    return write
 
 
 def _cmd_verify(args) -> int:
@@ -58,11 +80,10 @@ def _cmd_verify(args) -> int:
     if args.tol_tier is not None:
         raw["tol_tier"] = args.tol_tier
     config = SuiteConfig.from_dict(raw)
-    report = run_suite(config)
-    text = report_to_json(report)
     out = _report_path("twistorcheck_report.json", args.report)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write = _output(out)
+    report = run_suite(config)
+    write(report_to_json(report))
     for check in report["checks"]:
         status = "PASS" if check["pass"] else ("SKIP" if check["mode"] == "skipped" else "FAIL")
         print(f"[{status}] {check['check_id']}: residual={check['max_residual']} "
@@ -73,6 +94,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve_map(args) -> int:
+    _check_real("--c", args.c)
+    if args.samples < 1:
+        raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
+    out = _report_path(f"fiber_map_{args.profile}_{args.branch}.csv", args.csv)
+    write = _output(out)
     profile = fibermap.get_profile(args.profile)
     emap = fibermap.solve_phi(profile, c=args.c, sign=args.sign, branch=args.branch)
     lo, hi = emap.domain
@@ -87,12 +113,12 @@ def _cmd_solve_map(args) -> int:
         s_par = np.sqrt(1.0 - phi * phi) / rho
         s_mer = np.abs(dphi) / np.sqrt(1.0 - phi * phi) / np.sqrt(rp * rp + 1.0)
         aniso = np.abs(s_mer / s_par - 1.0)
-    out = _report_path(f"fiber_map_{args.profile}_{args.branch}.csv", args.csv)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z", "phi", "anisotropy"])
-        for row in zip(zs, phi, aniso):
-            writer.writerow([f"{v:.16g}" for v in row])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["z", "phi", "anisotropy"])
+    for row in zip(zs, phi, aniso):
+        writer.writerow([f"{v:.16g}" for v in row])
+    write(buf.getvalue())
     rep = fibermap.conformality_check(profile, emap, sample_count=args.samples)
     print(f"profile={args.profile} branch={args.branch} c={args.c} "
           f"degenerate={emap.degenerate} max_anisotropy={rep.max_anisotropy} "
@@ -102,6 +128,8 @@ def _cmd_solve_map(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _check_real("--p", args.p)
+    write = _output(args.report) if args.report else None
     verdict = fibermap.completeness_classify(args.family, p=args.p)
     payload = {
         "family": args.family,
@@ -112,10 +140,8 @@ def _cmd_classify(args) -> int:
         "detail": verdict.detail,
     }
     print(json.dumps(payload, sort_keys=True, indent=2))
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    if write:
+        write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_PASS
 
 

@@ -375,7 +375,6 @@ class CurvatureOperator:
     """6x6 block matrix of the curvature operator on Lambda2+ + Lambda2-."""
 
     matrix: np.ndarray
-    scal: np.ndarray
 
     @property
     def plus_block(self):
@@ -401,10 +400,6 @@ class CurvatureOperator:
         tr = np.trace(mb, axis1=-2, axis2=-1)
         return mb - (tr[..., None, None] / 3.0) * np.eye(3)
 
-    @property
-    def scal_over_12(self):
-        return self.scal / 12.0
-
 
 def curvature_operator(data: CurvatureData, basis) -> CurvatureOperator:
     """Matrix of the curvature operator in an (s1,s2,s3,t1,t2,t3) basis.
@@ -420,7 +415,7 @@ def curvature_operator(data: CurvatureData, basis) -> CurvatureOperator:
         va = curvature_two_vector_action(data, comps[a])
         for b in range(n):
             M[..., a, b] = -0.5 * _inner_kernel(data.gvals, va, comps[b])
-    return CurvatureOperator(M, data.scal)
+    return CurvatureOperator(M)
 
 
 def lambda_plus_cross(u3, v3):

@@ -244,7 +244,7 @@ def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
     chart = twistor.TwistorChart.twistor(metric)
     pts = chart.sample(n, config.seed)
     ctx = twistor.ChartEval(chart, pts)
-    nmax = np.max(np.abs(twistor._nijenhuis_values(ctx)))
+    nmax = np.max(twistor.nijenhuis_max(ctx))
     if metric.name in SCALAR_FLAT:
         rec.add("integrability.twistor_vanishing",
                 "Nijenhuis tensor vanishes over the anti-self-dual base",
@@ -258,17 +258,19 @@ def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
         pts_s = chart_s.sample(n, config.seed + 1)
         rec.add("integrability.modified_holomorphic",
                 "isothermal fiber map keeps the modified chart integrable",
-                n, np.max(twistor.nijenhuis_max(chart_s, pts_s)), 1e-6)
+                n, np.max(twistor.nijenhuis_max(twistor.ChartEval(chart_s, pts_s))), 1e-6)
         pts_p = chart_p.sample(n, config.seed + 2)
         rec.add("integrability.modified_perturbed",
                 "perturbing the fiber map breaks integrability (negative control)",
-                n, np.max(twistor.nijenhuis_max(chart_p, pts_p)), 1e-3, mode="exceeds")
+                n, np.max(twistor.nijenhuis_max(twistor.ChartEval(chart_p, pts_p))), 1e-3,
+                mode="exceeds")
     # any sign works where beta vanishes, as in calibrate_epsilon
     if np.max(np.abs(ctx.beta_vals)) >= 1e-10:
         flipped = chart.with_eps(-chart.eps)
         rec.add("integrability.connection_sign",
                 "flipping the connection-correction sign breaks integrability",
-                n, np.max(twistor.nijenhuis_max(flipped, pts)), 1e-3, mode="exceeds")
+                n, np.max(twistor.nijenhuis_max(twistor.ChartEval(flipped, pts))), 1e-3,
+                mode="exceeds")
     else:
         rec.skip("integrability.connection_sign",
                  "flipping the connection-correction sign breaks integrability",
@@ -279,7 +281,8 @@ def _run_structure_identities(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(20)
     chart = twistor.TwistorChart.twistor(metric)
     pts = chart.sample(n, config.seed)
-    res = twistor.verify_structure_identities(chart, pts, n_random=6, seed=config.seed)
+    ctx = twistor.ChartEval(chart, pts)  # the identities and the horizontal check share it
+    res = twistor.verify_structure_identities(ctx, n_random=6, seed=config.seed)
     for cid, anchor, val in (
         ("identities.cross_k_pairing", "pairing of the vertical cross action with the K wedge", res.cross_k_pairing),
         ("identities.vertical_second_fund", "vertical part of horizontal covariant derivatives is half the curvature rotation", res.vertical_second_fund),
@@ -289,11 +292,11 @@ def _run_structure_identities(rec: _Recorder, metric, config: SuiteConfig):
         ("identities.horizontal_domega", "covariant derivative of the fundamental form kills horizontal triples", res.horizontal_domega),
     ):
         rec.add(cid, anchor, n, val, 1e-6)
-    agree = twistor.nijenhuis_route_agreement(chart, pts[: min(n, 5)], n_triples=20,
-                                              seed=config.seed)
+    agree = twistor.nijenhuis_route_agreement(twistor.ChartEval(chart, pts[: min(n, 5)]),
+                                              n_triples=20, seed=config.seed)
     rec.add("identities.nijenhuis_routes", "bracket and connection routes to the Nijenhuis tensor agree",
             20, agree, 1e-6)
-    hn = twistor.horizontal_nijenhuis_residual(chart, pts, n_random=6, seed=config.seed)
+    hn = twistor.horizontal_nijenhuis_residual(ctx, n_random=6, seed=config.seed)
     rec.add("identities.horizontal_nijenhuis",
             "vertical component of N on lifts equals its curvature expression",
             n, hn, 1e-6)
@@ -309,13 +312,13 @@ _H_FUNCS = {
 def _run_balanced(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(30)
     chart = twistor.TwistorChart.twistor(metric)
+    ctx = twistor.ChartEval(chart, chart.sample(n, config.seed))
     for key, (hf, label) in _H_FUNCS.items():
-        rep = twistor.balanced_check(chart, hf, sample_count=n, seed=config.seed, h_label=label)
+        rep = twistor.balanced_check(ctx, hf, h_label=label)
         rec.add(f"balanced.{key}", f"square of the Hermitian form is closed ({label})",
                 n, rep.max_residual, 1e-7,
                 detail={"proof_step_residual": float(rep.proof_step_residual)})
-    rep = twistor.balanced_check(chart, None, sample_count=n, seed=config.seed,
-                                 weight_mode="x_dependent", h_label="e^{x0}")
+    rep = twistor.balanced_check(ctx, None, weight_mode="x_dependent", h_label="e^{x0}")
     rec.add("balanced.x_weight_control",
             "a base-dependent fiber weight breaks the balanced condition (negative control)",
             n, rep.max_residual, 1e-3, mode="exceeds")
@@ -326,16 +329,18 @@ def _run_cone(rec: _Recorder, metric, config: SuiteConfig):
     chart = twistor.TwistorChart.twistor(metric)
     fib = config.fiber
     a0, b0 = float(fib["a"]), float(fib["b"])
-    base = twistor.cone_wedge_constants(chart, a0, b0, sample_count=n, seed=config.seed)
+    base = twistor.cone_wedge_constants(twistor.ChartEval(chart, chart.sample(n, config.seed)),
+                                        a0, b0)
     rec.add("cone.constancy", "wedge ratios of the 2-form family are constant over the chart",
             n, max(base.c1_rel_variation, base.c2_rel_variation), 1e-6,
             detail={"c1": base.c1, "c2": base.c2})
     rec.add("cone.values", "ratios are 2 a^2 and 4 a b in this volume normalization",
             n, max(abs(base.c1 - 2 * a0**2), abs(base.c2 - 4 * a0 * b0)), 1e-6)
+    grid = twistor.ChartEval(chart, chart.sample(10, config.seed))
     worst = 0.0
     for a in (1.0, 2.0):
         for b in (1.0, 2.0):
-            r = twistor.cone_wedge_constants(chart, a, b, sample_count=10, seed=config.seed)
+            r = twistor.cone_wedge_constants(grid, a, b)
             worst = max(worst, abs(r.c1 / (2 * a * a) - 1.0), abs(r.c2 / (4 * a * b) - 1.0))
     rec.add("cone.scaling", "ratios scale as a^2 and a b over the parameter grid",
             40, worst, 1e-6)

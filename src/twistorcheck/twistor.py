@@ -26,6 +26,14 @@ Conventions fixed here and exercised by the tests:
 * orientation: base complex orientation times the outward fiber
   orientation (d_w, d_v); the coordinate frame (x, v, w) is negatively
   oriented, so the volume component on dx^0123 ^ dv ^ dw is -sqrt(det h).
+
+Field operations take a :class:`ChartEval` as their first argument, never
+a (chart, point) pair: build one ``ChartEval(chart, points)`` per point
+set and pass it to every check on that set, so J, h, beta and the lazily
+derived fields (Christoffel symbols, Nijenhuis tensor, fundamental form)
+are computed once.  Results keep the batch axis, also for a single point.
+A form is the dict of jet components (sorted index tuple -> jet) that a
+builder such as :func:`omega_ab_field` returns from a ``ChartEval``.
 """
 
 from __future__ import annotations
@@ -93,10 +101,6 @@ class TwistorChart:
     def modified(cls, base: MetricField, profile: SurfaceProfile,
                  fmap: EquivariantMap, **kw) -> "TwistorChart":
         return cls(base, profile, fmap, **kw)
-
-    @property
-    def is_plain_twistor(self) -> bool:
-        return self.fmap.branch == "identity"
 
     def with_eps(self, eps: int) -> "TwistorChart":
         return TwistorChart(self.base, self.profile, self.fmap, self.pole_margin, eps)
@@ -216,10 +220,18 @@ class ChartEval:
     """All jet fields of a chart at a batch of 6-points, at working order
     ``order``.  Order 1 (values and first derivatives) is all that the
     Nijenhuis tensor, the Christoffel symbols of h and d of a form consume;
-    :func:`exterior_derivative` asks for 2, because its form field may
-    itself be built with one d.  The base metric jets are taken one order
-    higher, because the connection form beta consumes one order; the frame,
-    beta and :attr:`data4` all come from that one evaluation."""
+    a caller that takes d of a form that was itself built with one d (as
+    in checking d d = 0) builds its ChartEval at order 2.  The base metric
+    jets are taken one order higher, because the connection form beta
+    consumes one order; the frame, beta and :attr:`data4` all come from
+    that one evaluation.
+
+    This is the only place a chart is evaluated at points: every field
+    operation of this module takes a ChartEval (and reads the chart from
+    :attr:`chart` when it needs it), so one ChartEval per point set serves
+    every check on that set.  Derived fields (:attr:`gamma_h`,
+    :attr:`nijenhuis`, :attr:`omega_jets`, :attr:`data4`) are computed on
+    first use and kept."""
 
     def __init__(self, chart: TwistorChart, points, order: int = 1):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -235,6 +247,7 @@ class ChartEval:
         self._build_fiber()
         self._build_J_h()
         self._gamma_h = None
+        self._nijenhuis = None
         self._omega_jets = None
         self._data4 = None
 
@@ -370,6 +383,13 @@ class ChartEval:
         return self._gamma_h
 
     @property
+    def nijenhuis(self):
+        """Nijenhuis values N^m_{ab} on coordinate fields (batch leading)."""
+        if self._nijenhuis is None:
+            self._nijenhuis = _nijenhuis_values(self)
+        return self._nijenhuis
+
+    @property
     def omega_jets(self):
         """Fundamental form Omega_{ab} = h(J d_a, d_b) as jets."""
         if self._omega_jets is None:
@@ -450,26 +470,13 @@ def K_operator(a: TwoVector, metric: MetricField, x) -> np.ndarray:
     return -np.einsum("...mi,...ij->...mj", a.comps, g)
 
 
-def horizontal_lift(X, chart: TwistorChart, point) -> np.ndarray:
-    """Lift of a base vector: kills dv and dw + eps beta, projects to X."""
-    ctx = ChartEval(chart, point)
-    out = ctx.horizontal_lift_values(np.asarray(X, dtype=float))
-    return out[0] if np.ndim(point) == 1 else out
-
-
-def J_field(chart: TwistorChart, point) -> np.ndarray:
-    """The 6x6 matrix of J in chart coordinates at the given point(s)."""
-    ctx = ChartEval(chart, point)
-    Jv = ctx.J_values
-    return Jv[0] if np.ndim(point) == 1 else Jv
-
-
 # ---------------------------------------------------------------------------
 # Nijenhuis tensor, two routes
 # ---------------------------------------------------------------------------
 
 def _nijenhuis_values(ctx: ChartEval) -> np.ndarray:
-    """N^m_{ab} on coordinate fields (batch leading)."""
+    """N^m_{ab} on coordinate fields (batch leading); read it through
+    :attr:`ChartEval.nijenhuis`, which computes it once per ChartEval."""
     Jv = ctx.J_values
     dJ = np.empty(Jv.shape[:-2] + (TOTAL_DIM,) * 3)  # [..., k, m, a] = d_k J^m_a
     for k in range(TOTAL_DIM):
@@ -483,17 +490,9 @@ def _nijenhuis_values(ctx: ChartEval) -> np.ndarray:
     return t1 - t2 + t3 - t4
 
 
-def nijenhuis_bracket(chart: TwistorChart, point) -> np.ndarray:
-    """N(A,B) = [JA,JB] - J[JA,B] - J[A,JB] - [A,B] on coordinate fields."""
-    ctx = ChartEval(chart, point)
-    N = _nijenhuis_values(ctx)
-    return N[0] if np.ndim(point) == 1 else N
-
-
-def nijenhuis_max(chart: TwistorChart, points) -> np.ndarray:
+def nijenhuis_max(ctx: ChartEval) -> np.ndarray:
     """Per-point sup-norm of the Nijenhuis coordinate components."""
-    N = _nijenhuis_values(ChartEval(chart, points))
-    return np.max(np.abs(N), axis=(-3, -2, -1))
+    return np.max(np.abs(ctx.nijenhuis), axis=(-3, -2, -1))
 
 
 def _covariant_domega(ctx: ChartEval) -> np.ndarray:
@@ -513,10 +512,20 @@ def _covariant_domega(ctx: ChartEval) -> np.ndarray:
     )
 
 
-def nijenhuis_domega(chart: TwistorChart, point, A, B, C) -> float:
-    """h(N(A,B),C) through the four-term D-Omega formula (independent
-    route: uses the Levi-Civita connection of h, not brackets)."""
-    ctx = ChartEval(chart, point)
+def _nijenhuis_from_domega(covd, A, JA, B, JB, C) -> np.ndarray:
+    """h(N(A,B),C) = (D_A Om)(JB,C) - (D_JB Om)(A,C) - (D_B Om)(JA,C)
+    + (D_JA Om)(B,C), from the values ``covd`` of D Omega."""
+
+    def term(X, Y, Z):
+        return np.einsum("...kab,...k,...a,...b->...", covd, X, Y, Z)
+
+    return term(A, JB, C) - term(JB, A, C) - term(B, JA, C) + term(JA, B, C)
+
+
+def nijenhuis_domega(ctx: ChartEval, A, B, C) -> np.ndarray:
+    """h(N(A,B),C) per point through the four-term D-Omega formula
+    (independent route: uses the Levi-Civita connection of h, not
+    brackets)."""
     covd = _covariant_domega(ctx)
     Jv = ctx.J_values
     A = np.asarray(A, float)
@@ -524,19 +533,12 @@ def nijenhuis_domega(chart: TwistorChart, point, A, B, C) -> float:
     C = np.asarray(C, float)
     JA = np.einsum("...ma,...a->...m", Jv, A)
     JB = np.einsum("...ma,...a->...m", Jv, B)
-
-    def term(X, Y, Z):
-        return np.einsum("...kab,...k,...a,...b->...", covd, X, Y, Z)
-
-    out = term(A, JB, C) - term(JB, A, C) - term(B, JA, C) + term(JA, B, C)
-    return float(out[0]) if np.ndim(point) == 1 else out
+    return _nijenhuis_from_domega(covd, A, JA, B, JB, C)
 
 
-def nijenhuis_route_agreement(chart: TwistorChart, points, n_triples: int = 20,
-                              seed: int = 0) -> float:
+def nijenhuis_route_agreement(ctx: ChartEval, n_triples: int = 20, seed: int = 0) -> float:
     """max |bracket route - D-Omega route| over random vector triples."""
-    ctx = ChartEval(chart, points)
-    N = _nijenhuis_values(ctx)
+    N = ctx.nijenhuis
     hv = ctx.h_values
     covd = _covariant_domega(ctx)
     Jv = ctx.J_values
@@ -547,14 +549,10 @@ def nijenhuis_route_agreement(chart: TwistorChart, points, n_triples: int = 20,
         r1 = np.einsum("...mab,a,b,...mc,c->...", N, A, B, hv, C)
         JA = np.einsum("...ma,a->...m", Jv, A)
         JB = np.einsum("...ma,a->...m", Jv, B)
-
-        def term(X, Y, Z):
-            return np.einsum("...kab,...k,...a,...b->...", covd, X, Y, Z)
-
         Ab = np.broadcast_to(A, JA.shape)
         Bb = np.broadcast_to(B, JB.shape)
         Cb = np.broadcast_to(C, JB.shape)
-        r2 = term(Ab, JB, Cb) - term(JB, Ab, Cb) - term(Bb, JA, Cb) + term(JA, Bb, Cb)
+        r2 = _nijenhuis_from_domega(covd, Ab, JA, Bb, JB, Cb)
         worst = max(worst, float(np.max(np.abs(r1 - r2))))
     return worst
 
@@ -581,7 +579,7 @@ class StructureResiduals:
                    self.gauss_curvature_duality, self.mixed_nijenhuis, self.horizontal_domega)
 
 
-def verify_structure_identities(chart: TwistorChart, point, n_random: int = 6,
+def verify_structure_identities(ctx: ChartEval, n_random: int = 6,
                                 seed: int = 0) -> StructureResiduals:
     """Pointwise verification of the connection/curvature identities.
 
@@ -590,9 +588,8 @@ def verify_structure_identities(chart: TwistorChart, point, n_random: int = 6,
     Nijenhuis identity itself is exposed separately for modified charts
     (:func:`mixed_nijenhuis_residual`).
     """
-    if chart.profile.name != "sphere":
+    if ctx.chart.profile.name != "sphere":
         raise UsageError("structure identities are verified on sphere-fiber charts")
-    ctx = ChartEval(chart, point)
     rng = np.random.default_rng(seed)
     data = ctx.data4
     t_v, t_w, eps3 = ctx.fiber_tangents()
@@ -617,8 +614,6 @@ def verify_structure_identities(chart: TwistorChart, point, n_random: int = 6,
     covDH = dH + np.einsum("...man,...nj->...amj", gamma_h, Hv)
 
     r1 = r2 = r3 = r4 = r5 = r6 = 0.0
-    N = _nijenhuis_values(ctx)
-    hv = ctx.h_values
     covd = _covariant_domega(ctx)
 
     for _ in range(n_random):
@@ -672,8 +667,7 @@ def verify_structure_identities(chart: TwistorChart, point, n_random: int = 6,
 
         # (5) mixed Nijenhuis against the fiber-map holomorphicity defect
         Z = rng.normal(size=4)
-        r5 = max(r5, mixed_nijenhuis_residual(chart, None, X, (cU[0], cU[1]), Z,
-                                              _ctx=ctx, _N=N, _hv=hv))
+        r5 = max(r5, mixed_nijenhuis_residual(ctx, X, (cU[0], cU[1]), Z))
 
         # (6) (D_{X^h} Omega)(Y^h, Z^h) = 2 g(V f_*(X^h), Y ^ Z); both sides 0
         Xh = ctx.horizontal_lift_values(X)
@@ -685,7 +679,7 @@ def verify_structure_identities(chart: TwistorChart, point, n_random: int = 6,
     return StructureResiduals(r1, r2, r3, r4, r5, r6)
 
 
-def horizontal_nijenhuis_residual(chart: TwistorChart, point, n_random: int = 6,
+def horizontal_nijenhuis_residual(ctx: ChartEval, n_random: int = 6,
                                   seed: int = 0) -> float:
     """Vertical component of N on horizontal lifts against its curvature form.
 
@@ -695,10 +689,9 @@ def horizontal_nijenhuis_residual(chart: TwistorChart, point, n_random: int = 6,
     sign is tied to the package's curvature convention, like the vertical
     second-fundamental-form identity.
     """
-    if chart.profile.name != "sphere":
+    if ctx.chart.profile.name != "sphere":
         raise UsageError("the horizontal Nijenhuis identity is verified on sphere-fiber charts")
-    ctx = ChartEval(chart, point)
-    N = _nijenhuis_values(ctx)
+    N = ctx.nijenhuis
     hv = ctx.h_values
     data = ctx.data4
     t_v, t_w, eps3 = ctx.fiber_tangents()
@@ -734,16 +727,15 @@ def horizontal_nijenhuis_residual(chart: TwistorChart, point, n_random: int = 6,
     return worst
 
 
-def mixed_nijenhuis_residual(chart: TwistorChart, point, X, U_fiber, Z,
-                             _ctx=None, _N=None, _hv=None) -> float:
-    """|h(N(X^h,U),Z^h) - 2 g(J f_* U - f_* J U, X ^ Z)| at the point(s).
+def mixed_nijenhuis_residual(ctx: ChartEval, X, U_fiber, Z) -> float:
+    """max over the points of ``ctx`` of
+    |h(N(X^h,U),Z^h) - 2 g(J f_* U - f_* J U, X ^ Z)|.
 
     This is the identity itself (valid whether or not f is holomorphic);
     its right side vanishes exactly when the fiber map is holomorphic.
     """
-    ctx = _ctx if _ctx is not None else ChartEval(chart, point)
-    N = _N if _N is not None else _nijenhuis_values(ctx)
-    hv = _hv if _hv is not None else ctx.h_values
+    N = ctx.nijenhuis
+    hv = ctx.h_values
     X = np.asarray(X, float)
     Z = np.asarray(Z, float)
     u4, u5 = U_fiber
@@ -815,17 +807,6 @@ class FormValue:
         return total
 
 
-class FormField:
-    """A k-form field: a builder mapping a ChartEval to jet components."""
-
-    def __init__(self, degree: int, builder: Callable):
-        self.degree = degree
-        self.builder = builder
-
-    def at(self, ctx: ChartEval) -> dict:
-        return self.builder(ctx)
-
-
 def _perm_sign(seq) -> int:
     sign = 1
     seq = list(seq)
@@ -871,14 +852,22 @@ def d_dict(comps: dict, to_values: bool = True) -> dict:
     return out
 
 
-def exterior_derivative(form_field: FormField, chart: TwistorChart, point) -> FormValue:
-    """d of a form field at the point(s); the field is built at working
-    order 2, so it may itself take one d (as in checking d d = 0)."""
-    if form_field.degree > 5:
+def exterior_derivative(comps: dict) -> FormValue:
+    """d of a form given by its jet components, as values at the points
+    of the ChartEval the components were built on.  Taking d of a form
+    that was itself built with one d needs a ChartEval at order 2."""
+    degrees = {len(key) for key in comps}
+    if len(degrees) != 1:
+        raise UsageError("a form needs components, all of one degree")
+    degree = degrees.pop()
+    if degree > 5:
         raise UsageError("cannot take d of a form of degree > 5")
-    ctx = ChartEval(chart, point, order=2)
-    comps = form_field.at(ctx)
-    return FormValue(form_field.degree + 1, d_dict(comps))
+    return FormValue(degree + 1, d_dict(comps))
+
+
+def _form_values(comps: dict) -> dict:
+    """Values of jet components, at the ChartEval's points."""
+    return {k: np.asarray(v.value) for k, v in comps.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -908,9 +897,9 @@ def _fiber_area_comps(ctx: ChartEval, weight) -> dict:
     return out
 
 
-def omega_ab_field(h_func: Optional[Callable], a: float = 1.0, b: float = 1.0,
-                   weight_mode: str = "fiber") -> FormField:
-    """Omega = a tau + b e^{h} omega_FS as a 2-form field.
+def omega_ab_field(ctx: ChartEval, h_func: Optional[Callable], a: float = 1.0,
+                   b: float = 1.0, weight_mode: str = "fiber") -> dict:
+    """Omega = a tau + b e^{h} omega_FS as jet components at ``ctx``.
 
     ``h_func`` takes the fiber height jet (the sphere coordinate through the
     fiber map) and returns a jet; None means h = 0.  ``weight_mode``
@@ -919,38 +908,24 @@ def omega_ab_field(h_func: Optional[Callable], a: float = 1.0, b: float = 1.0,
     """
     if a <= 0 or b <= 0:
         raise InputError("cone parameters a, b must be positive")
-
-    def build(ctx: ChartEval) -> dict:
-        comps = {k: (a * 1.0) * v for k, v in _tau_comps(ctx).items()}
-        if weight_mode == "fiber":
-            hval = h_func(ctx.phi) if h_func is not None else None
-            weight = jets.exp(hval) * b if hval is not None else ctx.one * b
-        elif weight_mode == "x_dependent":
-            xj = jets.Jet.variable(ctx.space, 0, ctx.points[:, 0])
-            weight = jets.exp(xj) * b
-        else:
-            raise InputError(f"unknown weight_mode '{weight_mode}'")
-        for k, v in _fiber_area_comps(ctx, weight).items():
-            comps[k] = comps.get(k, ctx.zero) + v
-        return comps
-
-    return FormField(2, build)
+    comps = {k: (a * 1.0) * v for k, v in _tau_comps(ctx).items()}
+    if weight_mode == "fiber":
+        hval = h_func(ctx.phi) if h_func is not None else None
+        weight = jets.exp(hval) * b if hval is not None else ctx.one * b
+    elif weight_mode == "x_dependent":
+        xj = jets.Jet.variable(ctx.space, 0, ctx.points[:, 0])
+        weight = jets.exp(xj) * b
+    else:
+        raise InputError(f"unknown weight_mode '{weight_mode}'")
+    for k, v in _fiber_area_comps(ctx, weight).items():
+        comps[k] = comps.get(k, ctx.zero) + v
+    return comps
 
 
-def omega_h(chart: TwistorChart, h_func: Optional[Callable], a: float, b: float,
-            point) -> FormValue:
-    """Evaluate Omega_{a,b,h} at the point(s)."""
-    ctx = ChartEval(chart, point)
-    comps = omega_ab_field(h_func, a, b).at(ctx)
-    return FormValue(2, {k: np.asarray(v.value) for k, v in comps.items()})
-
-
-def hermitian_positivity(chart: TwistorChart, points, h_func=None, a=1.0, b=1.0,
+def hermitian_positivity(ctx: ChartEval, h_func=None, a=1.0, b=1.0,
                          n_vectors: int = 50, seed: int = 0) -> float:
     """min over random v != 0 of Omega(v, Jv); positive for a Hermitian form."""
-    ctx = ChartEval(chart, points)
-    comps = omega_ab_field(h_func, a, b).at(ctx)
-    fv = FormValue(2, {k: np.asarray(v.value) for k, v in comps.items()})
+    fv = FormValue(2, _form_values(omega_ab_field(ctx, h_func, a, b)))
     Jv = ctx.J_values
     rng = np.random.default_rng(seed)
     worst = np.inf
@@ -971,28 +946,25 @@ class BalancedReport:
     h_label: str
 
 
-def balanced_check(chart: TwistorChart, h_func: Optional[Callable],
-                   sample_count: int = 30, seed: int = 0, a: float = 1.0,
+def balanced_check(ctx: ChartEval, h_func: Optional[Callable], a: float = 1.0,
                    b: float = 1.0, weight_mode: str = "fiber",
                    h_label: str = "h") -> BalancedReport:
-    """Verify d(Omega_h^2) = 0 at sampled points (the balanced condition).
+    """Verify d(Omega_h^2) = 0 at the points of ``ctx`` (the balanced
+    condition).
 
     Also reports the non-closedness of the weighted fiber form wedged with
     tau, the quantity whose cancellation structure carries the proof.
     """
-    pts = chart.sample(sample_count, seed)
-    ctx = ChartEval(chart, pts)
-    comps = omega_ab_field(h_func, a, b, weight_mode).at(ctx)
+    comps = omega_ab_field(ctx, h_func, a, b, weight_mode)
     omega2 = wedge_dicts(comps, comps)
     d_omega2 = d_dict(omega2)
     max_resid = max(float(np.max(np.abs(v))) for v in d_omega2.values()) if d_omega2 else 0.0
 
     fo_comps = {k: v for k, v in comps.items() if IDX_V in k or IDX_W in k}
     d_fo = d_dict(fo_comps)  # 3-form values
-    tau_vals = {k: np.asarray(v.value) for k, v in _tau_comps(ctx).items()}
-    proof = wedge_dicts(d_fo, tau_vals)
+    proof = wedge_dicts(d_fo, _form_values(_tau_comps(ctx)))
     proof_resid = max(float(np.max(np.abs(v))) for v in proof.values()) if proof else 0.0
-    return BalancedReport(max_resid, proof_resid, sample_count, h_label)
+    return BalancedReport(max_resid, proof_resid, len(ctx.points), h_label)
 
 
 @dataclass
@@ -1004,22 +976,17 @@ class ConeReport:
     points_tested: int
 
 
-def cone_wedge_constants(chart: TwistorChart, a: float, b: float,
-                         sample_count: int = 50, seed: int = 0) -> ConeReport:
-    """c1 = (Omega^2 ^ omega_FS)/vol_h and c2 = (Omega^2 ^ tau)/vol_h.
+def cone_wedge_constants(ctx: ChartEval, a: float, b: float) -> ConeReport:
+    """c1 = (Omega^2 ^ omega_FS)/vol_h and c2 = (Omega^2 ^ tau)/vol_h at the
+    points of ``ctx``.
 
     Both are constant over the chart; with the conventions here (omega^2 =
     2 vol_g on the base, unit-sphere fiber area) c1 = 2 a^2 and c2 = 4 a b.
     """
-    if a <= 0 or b <= 0:
-        raise InputError("cone parameters a, b must be positive")
-    pts = chart.sample(sample_count, seed)
-    ctx = ChartEval(chart, pts)
-    comps = omega_ab_field(None, a, b).at(ctx)
-    vals = {k: np.asarray(v.value) for k, v in comps.items()}
+    vals = _form_values(omega_ab_field(ctx, None, a, b))
     omega2 = wedge_dicts(vals, vals)
-    tau_vals = {k: np.asarray(v.value) for k, v in _tau_comps(ctx).items()}
-    fs_vals = {k: np.asarray(v.value) for k, v in _fiber_area_comps(ctx, ctx.one).items()}
+    tau_vals = _form_values(_tau_comps(ctx))
+    fs_vals = _form_values(_fiber_area_comps(ctx, ctx.one))
     top = tuple(range(TOTAL_DIM))
     hv = ctx.h_values
     vol = -np.sqrt(np.linalg.det(hv))  # see module docstring on orientation
@@ -1029,8 +996,7 @@ def cone_wedge_constants(chart: TwistorChart, a: float, b: float,
     c2 = w2 / vol
 
     def relvar(c):
-        c = np.atleast_1d(c)
         return float((np.max(c) - np.min(c)) / max(abs(np.mean(c)), 1e-300))
 
     return ConeReport(float(np.mean(c1)), float(np.mean(c2)),
-                      relvar(c1), relvar(c2), sample_count)
+                      relvar(c1), relvar(c2), len(ctx.points))

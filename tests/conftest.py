@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistorcheck import kahler
+from twistorcheck import kahler, twistor
 
 _ACCEPTANCE_RESULTS = {}
 
@@ -62,4 +62,18 @@ def jets_at_calls(monkeypatch):
         return orig(self, x, order)
 
     monkeypatch.setattr(kahler.KahlerPotentialMetric, "jets_at", counted)
+    return calls
+
+
+@pytest.fixture()
+def chart_evals(monkeypatch):
+    """Batch sizes of the ChartEvals (twistor-chart evaluations) a test builds."""
+    calls = []
+    orig = twistor.ChartEval.__init__
+
+    def counted(self, chart, points, order=1):
+        calls.append(len(np.atleast_2d(points)))
+        orig(self, chart, points, order)
+
+    monkeypatch.setattr(twistor.ChartEval, "__init__", counted)
     return calls

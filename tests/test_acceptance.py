@@ -156,21 +156,21 @@ def test_criterion_3_integrability_dichotomy():
         m = _metric(name)
         chart = tw.TwistorChart.twistor(m)
         pts = chart.sample(50, SEED)
-        results[f"{name}:twistor"] = float(np.max(tw.nijenhuis_max(chart, pts)))
+        results[f"{name}:twistor"] = float(np.max(tw.nijenhuis_max(tw.ChartEval(chart, pts))))
         prof = fm.cylinder_profile()
         emap = fm.solve_phi(prof, c=0.0, branch="quadrature")
         mod = tw.TwistorChart.modified(m, prof, emap)
         pts_m = mod.sample(50, SEED + 1)
-        results[f"{name}:modified"] = float(np.max(tw.nijenhuis_max(mod, pts_m)))
+        results[f"{name}:modified"] = float(np.max(tw.nijenhuis_max(tw.ChartEval(mod, pts_m))))
     fs_chart = tw.TwistorChart.twistor(_metric("fubini_study"))
     fs_pts = fs_chart.sample(50, SEED)
-    fs_max = float(np.max(tw.nijenhuis_max(fs_chart, fs_pts)))
+    fs_max = float(np.max(tw.nijenhuis_max(tw.ChartEval(fs_chart, fs_pts))))
     eh = _metric("eguchi_hanson")
     prof = fm.cylinder_profile()
     pert = fm.solve_phi(prof, c=0.0, branch="quadrature").perturbed(0.1)
     pert_chart = tw.TwistorChart.modified(eh, prof, pert)
     pert_pts = pert_chart.sample(50, SEED + 2)
-    pert_max = float(np.max(tw.nijenhuis_max(pert_chart, pert_pts)))
+    pert_max = float(np.max(tw.nijenhuis_max(tw.ChartEval(pert_chart, pert_pts))))
     ok = all(v < 1e-6 for v in results.values()) and fs_max > 1e-3 and pert_max > 1e-3
     _report("3", ok, f"integrable={ {k: f'{v:.1e}' for k, v in results.items()} } "
                      f"fs={fs_max:.2e} perturbed={pert_max:.2e}")
@@ -185,8 +185,8 @@ def test_criterion_3_integrability_dichotomy():
 def test_criterion_4_structure_identities():
     chart = tw.TwistorChart.twistor(_metric("eguchi_hanson"))
     pts = chart.sample(20, SEED)
-    res = tw.verify_structure_identities(chart, pts, n_random=6, seed=SEED)
-    agree = tw.nijenhuis_route_agreement(chart, pts[:5], n_triples=20, seed=SEED)
+    res = tw.verify_structure_identities(tw.ChartEval(chart, pts), n_random=6, seed=SEED)
+    agree = tw.nijenhuis_route_agreement(tw.ChartEval(chart, pts[:5]), n_triples=20, seed=SEED)
     five = (res.cross_k_pairing, res.vertical_second_fund, res.mixed_connection,
             res.gauss_curvature_duality, res.mixed_nijenhuis)
     ok = all(r < 1e-6 for r in five) and agree < 1e-6
@@ -209,11 +209,13 @@ def test_criterion_5_balancedness():
     worst = {}
     for name in ("eguchi_hanson", "burns"):
         chart = tw.TwistorChart.twistor(_metric(name))
+        ctx = tw.ChartEval(chart, chart.sample(30, SEED))
         for label, h in H_FAMILY:
-            rep = tw.balanced_check(chart, h, sample_count=30, seed=SEED, h_label=label)
+            rep = tw.balanced_check(ctx, h, h_label=label)
             worst[f"{name}:{label}"] = rep.max_residual
-    ctrl = tw.balanced_check(tw.TwistorChart.twistor(_metric("eguchi_hanson")), None,
-                             sample_count=30, seed=SEED, weight_mode="x_dependent")
+    eh_chart = tw.TwistorChart.twistor(_metric("eguchi_hanson"))
+    ctrl = tw.balanced_check(tw.ChartEval(eh_chart, eh_chart.sample(30, SEED)), None,
+                             weight_mode="x_dependent")
     ok = all(v < 1e-7 for v in worst.values()) and ctrl.max_residual > 1e-3
     _report("5", ok, f"max={max(worst.values()):.2e} control={ctrl.max_residual:.2e}")
     for key, val in worst.items():
@@ -225,12 +227,13 @@ def test_criterion_5_balancedness():
 
 def test_criterion_6_cone_identities():
     chart = tw.TwistorChart.twistor(_metric("eguchi_hanson"))
-    base = tw.cone_wedge_constants(chart, 1.0, 1.0, sample_count=50, seed=SEED)
+    base = tw.cone_wedge_constants(tw.ChartEval(chart, chart.sample(50, SEED)), 1.0, 1.0)
+    grid = tw.ChartEval(chart, chart.sample(10, SEED))
     ok = base.c1_rel_variation < 1e-6 and base.c2_rel_variation < 1e-6
     scale_resid = 0.0
     for a in (1.0, 2.0):
         for b in (1.0, 2.0):
-            r = tw.cone_wedge_constants(chart, a, b, sample_count=10, seed=SEED)
+            r = tw.cone_wedge_constants(grid, a, b)
             scale_resid = max(scale_resid,
                               abs(r.c1 / base.c1 - a * a),
                               abs(r.c2 / base.c2 - a * b))

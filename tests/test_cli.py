@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -112,6 +113,20 @@ class TestRunSuite:
         assert rep["overall_pass"]
         assert len(jets_at_calls) == 2
 
+    def test_twistor_suites_evaluate_each_point_set_once(self, chart_evals):
+        # one ChartEval per (chart, point set): the identities and the horizontal
+        # Nijenhuis check share the n-point one and the route agreement has its
+        # own on 5 points; the four balanced checks share one; the cone has one
+        # at n points and one for the (a, b) grid at 10
+        sizes = {}
+        for suite in ("structure_identities", "balanced", "cone"):
+            chart_evals.clear()
+            rep = run_suite(SuiteConfig.from_dict(
+                {"metric": "eguchi_hanson", "suite": suite, "sample_count": 6}))
+            assert rep["overall_pass"], suite
+            sizes[suite] = list(chart_evals)
+        assert sizes == {"structure_identities": [6, 5], "balanced": [6], "cone": [6, 10]}
+
     def test_tolerance_override_and_failure_exit(self, tmp_path):
         raw = {"metric": "flat", "suite": "integrability", "sample_count": 5, "seed": 3,
                "tolerances": {"integrability.twistor_vanishing": 1e-30}}
@@ -194,6 +209,34 @@ class TestCliCommands:
                          "--report", out]) == 2, text
         assert main(["verify", "--config", str(tmp_path / "missing.json"),
                      "--report", out]) == 2
+        # an output path that cannot be written is a usage error, found
+        # before any work starts
+        missing = str(tmp_path / "no_such_dir" / "out")
+        for argv in (["verify", "--metric", "flat", "--suite", "completeness", "--report", missing],
+                     ["verify", "--metric", "flat", "--suite", "completeness",
+                      "--report", str(tmp_path)],
+                     ["solve-map", "--profile", "cylinder", "--csv", missing],
+                     ["classify-completeness", "--p", "1.0", "--report", missing]):
+            assert main(argv) == 2, argv
+            assert "configuration error: cannot write" in capsys.readouterr().err, argv
+        assert not (tmp_path / "no_such_dir").exists()
+        if os.path.exists("/dev/full"):  # the directory exists, the write fails
+            assert main(["classify-completeness", "--p", "1.0", "--report", "/dev/full"]) == 2
+
+    def test_number_flags_checked(self, tmp_path, capsys):
+        # the flags take the checks config numbers get: finite --c/--p, --samples >= 1
+        out = str(tmp_path / "map.csv")
+        for argv in (["classify-completeness", "--p", "nan"],
+                     ["classify-completeness", "--p", "inf"],
+                     ["classify-completeness", "--p=-inf"],
+                     ["solve-map", "--profile", "cylinder", "--c", "nan", "--csv", out],
+                     ["solve-map", "--profile", "cylinder", "--c", "inf", "--csv", out],
+                     ["solve-map", "--profile", "cylinder", "--samples", "0", "--csv", out],
+                     ["solve-map", "--profile", "cylinder", "--samples", "-5", "--csv", out]):
+            assert main(argv) == 2, argv
+            assert "configuration error" in capsys.readouterr().err, argv
+        assert not os.path.exists(out)
+        assert main(["solve-map", "--profile", "cylinder", "--samples", "1", "--csv", out]) == 0
 
     def test_solve_map_csv(self, tmp_path):
         out = tmp_path / "map.csv"
@@ -228,9 +271,13 @@ class TestCliCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
             {"metric": "flat", "suite": "completeness", "sample_count": 4, "seed": 1}))
+        # the subprocess imports the package from this checkout's src/
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "twistorcheck.cli", "verify", "--config", str(cfg),
              "--report", str(tmp_path / "out.json")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "overall: PASS" in proc.stdout

@@ -13,6 +13,11 @@ def charts(request):
     return out
 
 
+def ctx_at(chart, n, seed):
+    """The ChartEval of ``chart`` at ``n`` points sampled with ``seed``."""
+    return tw.ChartEval(chart, chart.sample(n, seed))
+
+
 def modified_chart(metric, perturb=0.0, profile_name="cylinder", c=0.0):
     prof = fm.get_profile(profile_name)
     emap = fm.solve_phi(prof, c=c, branch="quadrature")
@@ -54,7 +59,7 @@ class TestHorizontalLift:
     def test_flat_lift_trivial(self, charts, rng):
         pt = charts["flat"].sample(1, rng)[0]
         X = np.array([1.0, -2.0, 0.5, 0.0])
-        lift = tw.horizontal_lift(X, charts["flat"], pt)
+        lift = tw.ChartEval(charts["flat"], pt).horizontal_lift_values(X)[0]
         assert np.allclose(lift[:4], X) and np.allclose(lift[4:], 0.0)
 
     def test_coframe_annihilation_and_projection(self, charts, rng):
@@ -87,7 +92,7 @@ class TestJField:
     def test_square_minus_identity(self, charts, rng):
         for name in ("flat", "eguchi_hanson", "fubini_study"):
             pts = charts[name].sample(50, rng)
-            Jv = tw.J_field(charts[name], pts)
+            Jv = tw.ChartEval(charts[name], pts).J_values
             JJ = np.einsum("...mk,...ka->...ma", Jv, Jv)
             assert np.max(np.abs(JJ + np.eye(6))) < 1e-12, name
 
@@ -119,7 +124,7 @@ class TestJField:
         chart = charts["eguchi_hanson"]
         for v in (0.0, 0.3, -0.55):
             pt = np.array([0.5, 0.5, 0.5, 0.5, v, 0.0])
-            J = tw.J_field(chart, pt)
+            J = tw.ChartEval(chart, pt).J_values[0]
             expect = np.zeros(6)
             expect[5] = -1.0 / (1.0 - v * v)
             assert np.allclose(J[:, 4], expect, atol=1e-12)
@@ -127,40 +132,40 @@ class TestJField:
     def test_pole_proximity_rejected(self, charts):
         pt = np.array([0.5, 0.5, 0.5, 0.5, 1.0, 0.0])
         with pytest.raises(DomainError):
-            tw.J_field(charts["eguchi_hanson"], pt)
+            tw.ChartEval(charts["eguchi_hanson"], pt)
 
 
 class TestNijenhuis:
     def test_flat_vanishes(self, charts, rng):
         pts = charts["flat"].sample(20, rng)
-        assert np.max(tw.nijenhuis_max(charts["flat"], pts)) < 1e-9
+        assert np.max(tw.nijenhuis_max(tw.ChartEval(charts["flat"], pts))) < 1e-9
 
     def test_scalar_flat_twistor_vanishes(self, charts, rng):
         for name in ("eguchi_hanson", "burns"):
             pts = charts[name].sample(20, rng)
-            assert np.max(tw.nijenhuis_max(charts[name], pts)) < 1e-6, name
+            assert np.max(tw.nijenhuis_max(tw.ChartEval(charts[name], pts))) < 1e-6, name
 
     def test_fubini_study_obstructed(self, charts, rng):
         pts = charts["fubini_study"].sample(20, rng)
-        assert np.max(tw.nijenhuis_max(charts["fubini_study"], pts)) > 1e-2
+        assert np.max(tw.nijenhuis_max(tw.ChartEval(charts["fubini_study"], pts))) > 1e-2
 
     def test_modified_chart_dichotomy(self, eguchi_hanson, rng):
         good = modified_chart(eguchi_hanson)
         pts = good.sample(10, rng)
-        assert np.max(tw.nijenhuis_max(good, pts)) < 1e-6
+        assert np.max(tw.nijenhuis_max(tw.ChartEval(good, pts))) < 1e-6
         bad = modified_chart(eguchi_hanson, perturb=0.1)
         pts_b = bad.sample(10, rng)
-        assert np.max(tw.nijenhuis_max(bad, pts_b)) > 1e-3
+        assert np.max(tw.nijenhuis_max(tw.ChartEval(bad, pts_b))) > 1e-3
 
     def test_wrong_epsilon_breaks_integrability(self, charts, rng):
         chart = charts["burns"]
         pts = chart.sample(10, rng)
         flipped = chart.with_eps(-chart.eps)
-        assert np.max(tw.nijenhuis_max(flipped, pts)) > 1e-3
+        assert np.max(tw.nijenhuis_max(tw.ChartEval(flipped, pts))) > 1e-3
 
     def test_antisymmetry(self, charts, rng):
         pts = charts["fubini_study"].sample(3, rng)
-        N = tw.nijenhuis_bracket(charts["fubini_study"], pts)
+        N = tw.ChartEval(charts["fubini_study"], pts).nijenhuis
         assert np.max(np.abs(N + np.swapaxes(N, -1, -2))) < 1e-12
 
 
@@ -168,24 +173,26 @@ class TestNijenhuisRoutes:
     def test_flat_both_zero(self, charts, rng):
         pt = charts["flat"].sample(1, rng)[0]
         A, B, C = rng.normal(size=(3, 6))
-        assert abs(tw.nijenhuis_domega(charts["flat"], pt, A, B, C)) < 1e-10
+        ctx = tw.ChartEval(charts["flat"], pt)
+        assert abs(tw.nijenhuis_domega(ctx, A, B, C)[0]) < 1e-10
 
     def test_cross_validation(self, charts, rng):
         for name in ("eguchi_hanson", "fubini_study"):
             pts = charts[name].sample(3, rng)
-            agree = tw.nijenhuis_route_agreement(charts[name], pts, n_triples=20, seed=11)
+            agree = tw.nijenhuis_route_agreement(tw.ChartEval(charts[name], pts),
+                                                 n_triples=20, seed=11)
             assert agree < 1e-6, name
 
     def test_fubini_study_routes_nonzero(self, charts, rng):
         pt = charts["fubini_study"].sample(1, rng)[0]
         ctx = tw.ChartEval(charts["fubini_study"], pt)
-        N = tw.nijenhuis_bracket(charts["fubini_study"], pt)
+        N = ctx.nijenhuis[0]
         hv = ctx.h_values[0]
         found = False
         for _ in range(10):
             A, B, C = rng.normal(size=(3, 6))
             r1 = float(np.einsum("mab,a,b,mc,c->", N, A, B, hv, C))
-            r2 = tw.nijenhuis_domega(charts["fubini_study"], pt, A, B, C)
+            r2 = tw.nijenhuis_domega(ctx, A, B, C)[0]
             assert abs(r1 - r2) < 1e-6
             found = found or abs(r1) > 1e-2
         assert found
@@ -194,32 +201,35 @@ class TestNijenhuisRoutes:
 class TestStructureIdentities:
     def test_flat_trivial(self, charts, rng):
         pts = charts["flat"].sample(3, rng)
-        res = tw.verify_structure_identities(charts["flat"], pts, n_random=4, seed=1)
+        res = tw.verify_structure_identities(tw.ChartEval(charts["flat"], pts),
+                                             n_random=4, seed=1)
         assert res.max_residual < 1e-12
 
     def test_all_fixtures(self, charts, rng):
         for name, chart in charts.items():
             pts = chart.sample(5, rng)
-            res = tw.verify_structure_identities(chart, pts, n_random=5, seed=2)
+            res = tw.verify_structure_identities(tw.ChartEval(chart, pts), n_random=5, seed=2)
             assert res.max_residual < 1e-6, (name, res)
 
     def test_cross_pairing_algebraic(self, charts, rng):
         # identity (cross/K pairing) holds independently of curvature
         pts = charts["fubini_study"].sample(10, rng)
-        res = tw.verify_structure_identities(charts["fubini_study"], pts, n_random=8, seed=3)
+        res = tw.verify_structure_identities(tw.ChartEval(charts["fubini_study"], pts),
+                                             n_random=8, seed=3)
         assert res.cross_k_pairing < 1e-9
 
     def test_requires_sphere_chart(self, eguchi_hanson, rng):
         chart = modified_chart(eguchi_hanson)
-        pts = chart.sample(1, rng)
+        ctx = tw.ChartEval(chart, chart.sample(1, rng))
         with pytest.raises(UsageError):
-            tw.verify_structure_identities(chart, pts)
+            tw.verify_structure_identities(ctx)
 
     def test_horizontal_nijenhuis_curvature_form(self, charts, rng):
         # both sides nonzero on the positive-scalar base, yet equal
         for name in ("flat", "eguchi_hanson", "burns", "fubini_study"):
             pts = charts[name].sample(5, rng)
-            resid = tw.horizontal_nijenhuis_residual(charts[name], pts, n_random=5, seed=9)
+            resid = tw.horizontal_nijenhuis_residual(tw.ChartEval(charts[name], pts),
+                                                     n_random=5, seed=9)
             assert resid < 1e-6, name
 
     def test_mixed_identity_holds_even_when_nonholomorphic(self, eguchi_hanson, rng):
@@ -228,13 +238,13 @@ class TestStructureIdentities:
         chart = modified_chart(eguchi_hanson, perturb=0.1)
         pts = chart.sample(5, rng)
         ctx = tw.ChartEval(chart, pts)
-        N = tw._nijenhuis_values(ctx)
+        N = ctx.nijenhuis
         hv = ctx.h_values
         nonzero = False
         for _ in range(10):
             X, Z = rng.normal(size=(2, 4))
             U = rng.normal(size=2)
-            resid = tw.mixed_nijenhuis_residual(chart, None, X, U, Z, _ctx=ctx, _N=N, _hv=hv)
+            resid = tw.mixed_nijenhuis_residual(ctx, X, U, Z)
             assert resid < 1e-6
             Xh = ctx.horizontal_lift_values(X)
             Zh = ctx.horizontal_lift_values(Z)
@@ -249,24 +259,26 @@ class TestStructureIdentities:
 class TestForms:
     def test_exterior_derivative_examples(self, charts, rng):
         chart = charts["flat"]
-        pts = chart.sample(3, rng)
-        f1 = tw.FormField(1, lambda ctx: {(1,): jets.Jet.variable(ctx.space, 0, ctx.points[:, 0])})
-        d1 = tw.exterior_derivative(f1, chart, pts)
+        ctx = tw.ChartEval(chart, chart.sample(3, rng))
+        d1 = tw.exterior_derivative({(1,): jets.Jet.variable(ctx.space, 0, ctx.points[:, 0])})
         assert np.allclose(d1.comps[(0, 1)], 1.0)
         assert all(np.allclose(v, 0.0) for k, v in d1.comps.items() if k != (0, 1))
-        f2 = tw.FormField(2, lambda ctx: {(4, 5): ctx.one})
-        assert tw.exterior_derivative(f2, chart, pts).max_abs() == 0.0
+        assert tw.exterior_derivative({(4, 5): ctx.one}).max_abs() == 0.0
+        # the degree is read from the components, so they must have one
+        for comps in ({}, {(1,): ctx.one, (1, 2): ctx.one}):
+            with pytest.raises(UsageError):
+                tw.exterior_derivative(comps)
 
     def test_d_squared_zero(self, charts, rng):
         chart = charts["eguchi_hanson"]
-        pts = chart.sample(3, rng)
+        ctx = tw.ChartEval(chart, chart.sample(3, rng), order=2)  # d of a d
 
         def one_form(ctx):
             x = [jets.Jet.variable(ctx.space, i, ctx.points[:, i]) for i in range(6)]
             return {(0,): x[1] * x[4] * x[2], (3,): x[0] * x[0] * x[5], (4,): x[2] * x[3]}
 
-        ddf = tw.FormField(2, lambda ctx: tw.d_dict(one_form(ctx), to_values=False))
-        assert tw.exterior_derivative(ddf, chart, pts).max_abs() < 1e-10
+        ddf = tw.d_dict(one_form(ctx), to_values=False)
+        assert tw.exterior_derivative(ddf).max_abs() < 1e-10
 
     def test_d_polynomial_two_form_oracle(self, charts, rng):
         # d(x0 x4 dx1^dx2) = x4 dx0^dx1^dx2 + x0 dx4^dx1^dx2
@@ -277,7 +289,7 @@ class TestForms:
             x = [jets.Jet.variable(ctx.space, i, ctx.points[:, i]) for i in range(6)]
             return {(1, 2): x[0] * x[4]}
 
-        dv = tw.exterior_derivative(tw.FormField(2, two_form), chart, pts)
+        dv = tw.exterior_derivative(two_form(tw.ChartEval(chart, pts)))
         assert np.allclose(dv.comps[(0, 1, 2)], pts[:, 4])
         assert np.allclose(dv.comps[(1, 2, 4)], pts[:, 0])
 
@@ -285,22 +297,23 @@ class TestForms:
         chart = charts["eguchi_hanson"]
         pts = chart.sample(5, rng)
         h = lambda z: -1.0 * jets.log(1.0 - z * z)
-        fv = tw.omega_h(chart, h, 1.0, 1.0, pts)
+        comps = tw.omega_ab_field(tw.ChartEval(chart, pts), h, 1.0, 1.0)
         expect = -1.0 / (1.0 - pts[:, 4] ** 2)
-        assert np.allclose(fv.comps[(4, 5)], expect, atol=1e-12)
+        assert np.allclose(comps[(4, 5)].value, expect, atol=1e-12)
 
     def test_positivity(self, charts, rng):
         for name in ("flat", "eguchi_hanson", "burns"):
             pts = charts[name].sample(5, rng)
-            worst = tw.hermitian_positivity(charts[name], pts, None, 1.0, 1.0,
+            worst = tw.hermitian_positivity(tw.ChartEval(charts[name], pts), None, 1.0, 1.0,
                                             n_vectors=50, seed=4)
             assert worst > 0.0, name
 
     def test_positivity_rejects_bad_parameters(self, charts, rng):
+        ctx = tw.ChartEval(charts["flat"], charts["flat"].sample(1, rng))
         with pytest.raises(InputError):
-            tw.omega_ab_field(None, a=-1.0, b=1.0)
+            tw.omega_ab_field(ctx, None, a=-1.0, b=1.0)
         with pytest.raises(InputError):
-            tw.omega_ab_field(None, a=1.0, b=0.0)
+            tw.omega_ab_field(ctx, None, a=1.0, b=0.0)
 
 
 class TestBalanced:
@@ -313,39 +326,40 @@ class TestBalanced:
     @pytest.mark.parametrize("label,h", H_FUNCS, ids=[h[0] for h in H_FUNCS])
     def test_scalar_flat_balanced(self, charts, label, h):
         for name in ("eguchi_hanson", "burns"):
-            rep = tw.balanced_check(charts[name], h, sample_count=10, seed=6, h_label=label)
+            rep = tw.balanced_check(ctx_at(charts[name], 10, 6), h, h_label=label)
             assert rep.max_residual < 1e-7, (name, label)
 
     def test_flat_square_closed_but_form_not(self, charts, rng):
         pts = charts["flat"].sample(4, rng)
-        rep = tw.balanced_check(charts["flat"], None, sample_count=6, seed=6)
+        rep = tw.balanced_check(ctx_at(charts["flat"], 6, 6), None)
         assert rep.max_residual < 1e-10
         # the tautological Hermitian 2-form itself is not closed, even flat
-        field = tw.omega_ab_field(None, 1.0, 1.0)
-        d1 = tw.exterior_derivative(tw.FormField(2, field.builder), charts["flat"], pts)
+        d1 = tw.exterior_derivative(tw.omega_ab_field(tw.ChartEval(charts["flat"], pts),
+                                                      None, 1.0, 1.0))
         assert d1.max_abs() > 0.1
 
     def test_x_weight_negative_control(self, charts):
-        rep = tw.balanced_check(charts["eguchi_hanson"], None, sample_count=8, seed=6,
+        rep = tw.balanced_check(ctx_at(charts["eguchi_hanson"], 8, 6), None,
                                 weight_mode="x_dependent")
         assert rep.max_residual > 1e-3
 
     def test_positive_scalar_not_balanced(self, charts):
-        rep = tw.balanced_check(charts["fubini_study"], None, sample_count=6, seed=6)
+        rep = tw.balanced_check(ctx_at(charts["fubini_study"], 6, 6), None)
         assert rep.max_residual > 1e-3
 
 
 class TestCone:
     def test_flat_values_and_scaling(self, charts):
-        r = tw.cone_wedge_constants(charts["flat"], 1.0, 1.0, sample_count=8, seed=8)
+        ctx = ctx_at(charts["flat"], 8, 8)
+        r = tw.cone_wedge_constants(ctx, 1.0, 1.0)
         assert r.c1 == pytest.approx(2.0, abs=1e-12)
         assert r.c2 == pytest.approx(4.0, abs=1e-12)
-        r2 = tw.cone_wedge_constants(charts["flat"], 2.0, 1.0, sample_count=8, seed=8)
+        r2 = tw.cone_wedge_constants(ctx, 2.0, 1.0)
         assert r2.c1 == pytest.approx(8.0, abs=1e-12)
         assert r2.c2 == pytest.approx(8.0, abs=1e-12)
 
     def test_constancy_on_curved_chart(self, charts):
-        r = tw.cone_wedge_constants(charts["eguchi_hanson"], 1.0, 1.0, sample_count=20, seed=8)
+        r = tw.cone_wedge_constants(ctx_at(charts["eguchi_hanson"], 20, 8), 1.0, 1.0)
         assert r.c1_rel_variation < 1e-6
         assert r.c2_rel_variation < 1e-6
         assert r.c1 == pytest.approx(2.0, abs=1e-9)
@@ -353,7 +367,7 @@ class TestCone:
 
     def test_rejects_nonpositive_parameters(self, charts):
         with pytest.raises(InputError):
-            tw.cone_wedge_constants(charts["flat"], 0.0, 1.0)
+            tw.cone_wedge_constants(ctx_at(charts["flat"], 1, 0), 0.0, 1.0)
 
 
 class TestTotalSpaceMetric:
@@ -390,3 +404,15 @@ class TestOneMetricEvaluation:
         ctx = tw.ChartEval(chart, chart.sample(3, 5))
         ctx.data4
         assert jets_at_calls == [2]
+
+    def test_nijenhuis_computed_once_per_chart_eval(self, charts, monkeypatch):
+        # the identities and the horizontal Nijenhuis check share one ChartEval
+        # and so one Nijenhuis tensor
+        calls = []
+        orig = tw._nijenhuis_values
+        monkeypatch.setattr(tw, "_nijenhuis_values", lambda ctx: calls.append(1) or orig(ctx))
+        ctx = ctx_at(charts["eguchi_hanson"], 3, 5)
+        tw.verify_structure_identities(ctx, n_random=2, seed=1)
+        tw.horizontal_nijenhuis_residual(ctx, n_random=2, seed=1)
+        assert np.max(tw.nijenhuis_max(ctx)) < 1e-6
+        assert calls == [1]
