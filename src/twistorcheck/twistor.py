@@ -230,8 +230,8 @@ class ChartEval:
     operation of this module takes a ChartEval (and reads the chart from
     :attr:`chart` when it needs it), so one ChartEval per point set serves
     every check on that set.  Derived fields (:attr:`gamma_h`,
-    :attr:`nijenhuis`, :attr:`omega_jets`, :attr:`data4`) are computed on
-    first use and kept."""
+    :attr:`nijenhuis`, :attr:`tau`, :attr:`omega_jets`, :attr:`data4`) are
+    computed on first use and kept."""
 
     def __init__(self, chart: TwistorChart, points, order: int = 1):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -248,6 +248,7 @@ class ChartEval:
         self._build_J_h()
         self._gamma_h = None
         self._nijenhuis = None
+        self._tau = None
         self._omega_jets = None
         self._data4 = None
 
@@ -390,6 +391,13 @@ class ChartEval:
         return self._nijenhuis
 
     @property
+    def tau(self):
+        """Tautological 2-form components tau_{ij} (i < j) as jets."""
+        if self._tau is None:
+            self._tau = _tau_comps(self)
+        return self._tau
+
+    @property
     def omega_jets(self):
         """Fundamental form Omega_{ab} = h(J d_a, d_b) as jets."""
         if self._omega_jets is None:
@@ -435,6 +443,11 @@ class ChartEval:
         n = np.cross(t_w, t_v)
         eps3 = n / np.linalg.norm(n, axis=-1, keepdims=True)
         return t_v, t_w, eps3
+
+    def fiber_point(self):
+        """The fiber point p = (v, rho cos w, rho sin w) as an (s1,s2,s3)-triple."""
+        return np.stack([self.vjet.value, (self.rho * self.cw).value,
+                         (self.rho * self.sw).value], axis=-1)
 
     def triple_to_two_vector(self, a3):
         """(s1,s2,s3)-triple -> Lambda2 components, at values level."""
@@ -593,7 +606,7 @@ def verify_structure_identities(ctx: ChartEval, n_random: int = 6,
     rng = np.random.default_rng(seed)
     data = ctx.data4
     t_v, t_w, eps3 = ctx.fiber_tangents()
-    p3 = np.stack([ctx.vjet.value, (ctx.rho * ctx.cw).value, (ctx.rho * ctx.sw).value], axis=-1)
+    p3 = ctx.fiber_point()
     p2v = ctx.triple_to_two_vector(p3)
     Kp = -np.einsum("...mi,...ij->...mj", p2v, ctx.gvals)
 
@@ -695,7 +708,7 @@ def horizontal_nijenhuis_residual(ctx: ChartEval, n_random: int = 6,
     hv = ctx.h_values
     data = ctx.data4
     t_v, t_w, eps3 = ctx.fiber_tangents()
-    p3 = np.stack([ctx.vjet.value, (ctx.rho * ctx.cw).value, (ctx.rho * ctx.sw).value], axis=-1)
+    p3 = ctx.fiber_point()
     Kv = values_of(ctx.K)
     rng = np.random.default_rng(seed)
 
@@ -785,11 +798,6 @@ class FormValue:
         if not self.comps:
             return 0.0
         return float(max(np.max(np.abs(c)) for c in self.comps.values()))
-
-    def coefficient(self, idx):
-        key = tuple(sorted(idx))
-        sign = _perm_sign(tuple(idx))
-        return sign * self.comps.get(key, 0.0)
 
     def __call__(self, *vectors):
         """Evaluate on ``degree`` many 6-vectors (full antisymmetrization)."""
@@ -908,7 +916,7 @@ def omega_ab_field(ctx: ChartEval, h_func: Optional[Callable], a: float = 1.0,
     """
     if a <= 0 or b <= 0:
         raise InputError("cone parameters a, b must be positive")
-    comps = {k: (a * 1.0) * v for k, v in _tau_comps(ctx).items()}
+    comps = {k: (a * 1.0) * v for k, v in ctx.tau.items()}
     if weight_mode == "fiber":
         hval = h_func(ctx.phi) if h_func is not None else None
         weight = jets.exp(hval) * b if hval is not None else ctx.one * b
@@ -962,7 +970,7 @@ def balanced_check(ctx: ChartEval, h_func: Optional[Callable], a: float = 1.0,
 
     fo_comps = {k: v for k, v in comps.items() if IDX_V in k or IDX_W in k}
     d_fo = d_dict(fo_comps)  # 3-form values
-    proof = wedge_dicts(d_fo, _form_values(_tau_comps(ctx)))
+    proof = wedge_dicts(d_fo, _form_values(ctx.tau))
     proof_resid = max(float(np.max(np.abs(v))) for v in proof.values()) if proof else 0.0
     return BalancedReport(max_resid, proof_resid, len(ctx.points), h_label)
 
@@ -985,7 +993,7 @@ def cone_wedge_constants(ctx: ChartEval, a: float, b: float) -> ConeReport:
     """
     vals = _form_values(omega_ab_field(ctx, None, a, b))
     omega2 = wedge_dicts(vals, vals)
-    tau_vals = _form_values(_tau_comps(ctx))
+    tau_vals = _form_values(ctx.tau)
     fs_vals = _form_values(_fiber_area_comps(ctx, ctx.one))
     top = tuple(range(TOTAL_DIM))
     hv = ctx.h_values

@@ -11,6 +11,17 @@ from twistorcheck.cli import main
 from twistorcheck.errors import ConfigurationError
 from twistorcheck.report import SuiteConfig, report_to_json, run_suite
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _env_with_src():
+    """The environment for a subprocess that imports the package from this
+    checkout's src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return env
+
 
 class TestSuiteConfig:
     def test_defaults(self):
@@ -271,13 +282,25 @@ class TestCliCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
             {"metric": "flat", "suite": "completeness", "sample_count": 4, "seed": 1}))
-        # the subprocess imports the package from this checkout's src/
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "twistorcheck.cli", "verify", "--config", str(cfg),
              "--report", str(tmp_path / "out.json")],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_env_with_src())
         assert proc.returncode == 0
         assert "overall: PASS" in proc.stdout
+
+
+class TestDependencies:
+    def test_cli_import_leaves_out_scipy(self):
+        code = ("import sys, twistorcheck.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=_env_with_src())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_numpy_is_the_only_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+            deps = tomllib.load(fh)["project"]["dependencies"]
+        assert [d.split(">")[0].split("=")[0].strip() for d in deps] == ["numpy"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twistorcheck import fibermap as fm
-from twistorcheck.errors import DomainError, InputError
+from twistorcheck.errors import DomainError, InputError, NumericError
 
 
 class TestProfilesAndGauss:
@@ -94,6 +94,33 @@ class TestSolvePhi:
         assert j.extract((2,))[0] == pytest.approx(float(fd2), rel=1e-4)
 
 
+class TestIsothermalCoordinate:
+    # closed forms of l(z) = integral_0^z sqrt(rho'^2 + 1)/rho, written out
+    # independently of the package's quadrature
+    CLOSED_FORMS = {"sphere": np.arctanh, "cylinder": lambda z: z, "cosh": lambda z: z}
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_matches_closed_form(self, name):
+        prof = fm.get_profile(name)
+        # up to the fiber sampling margin, 1e-3 of the interval length
+        pad = 1e-3 * (prof.z_plus - prof.z_minus)
+        zs = np.linspace(prof.z_minus + pad, prof.z_plus - pad, 200)
+        ell = fm.isothermal_coordinate(prof, zs, 0.0)
+        assert ell.shape == zs.shape
+        assert np.max(np.abs(ell - self.CLOSED_FORMS[name](zs))) < 1e-13
+        scalar = fm.isothermal_coordinate(prof, 0.3, 0.0)
+        assert isinstance(scalar, float)
+        assert abs(scalar - self.CLOSED_FORMS[name](0.3)) < 1e-13
+
+    def test_vanishing_profile_rejected(self):
+        # rho = z^2 vanishes at z0 = 0, so l diverges on [0, z]; a finite
+        # value here would be silently wrong
+        prof = fm.SurfaceProfile(lambda zj: zj * zj, (-1.0, 1.0))
+        for z in (0.5, np.array([0.25, 0.5]), np.array([-0.5])):
+            with pytest.raises(NumericError):
+                fm.isothermal_coordinate(prof, z, 0.0)
+
+
 class TestConformality:
     def test_identity_on_sphere(self):
         rep = fm.conformality_check(fm.sphere_profile(), fm.identity_sphere_map(), 100)
@@ -155,12 +182,19 @@ class TestCompleteness:
         assert v.verdict == expected
 
     def test_expression_route_matches_closed_form(self):
-        for p in (0.0, 0.5, 1.5, 2.0):
+        # e^{h/2} = sec(lat)^p; the partial integral runs to 1e-3 short of
+        # each pole, where it has a closed form for p = 1 and p = 2
+        x = np.pi / 2 - 1e-3
+        partial = {1.0: np.log(1 / np.cos(x) + np.tan(x)), 2.0: np.tan(x)}
+        for p in (0.0, 0.5, 1.0, 1.5, 2.0):
             v = fm.completeness_classify(
                 "expression", h_expr=lambda z, p=p: -p * np.log(1 - z * z))
             assert v.verdict == ("complete" if p >= 1.05 else
                                  "incomplete" if p <= 0.95 else "inconclusive")
             assert v.fitted_exponent == pytest.approx(p, abs=0.02)
+            if p in partial:
+                for pole in ("north", "south"):
+                    assert v.detail[pole]["partial_integral"] == pytest.approx(partial[p], rel=1e-7)
 
     def test_inconclusive_near_critical(self):
         v = fm.completeness_classify("expression", h_expr=lambda z: -1.02 * np.log(1 - z * z))

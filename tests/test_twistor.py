@@ -416,3 +416,16 @@ class TestOneMetricEvaluation:
         tw.horizontal_nijenhuis_residual(ctx, n_random=2, seed=1)
         assert np.max(tw.nijenhuis_max(ctx)) < 1e-6
         assert calls == [1]
+
+    def test_tau_computed_once_per_chart_eval(self, charts, monkeypatch):
+        # the Omega family, its balanced and cone checks and positivity
+        # share one ChartEval and so one tau
+        calls = []
+        orig = tw._tau_comps
+        monkeypatch.setattr(tw, "_tau_comps", lambda ctx: calls.append(1) or orig(ctx))
+        ctx = ctx_at(charts["eguchi_hanson"], 3, 5)
+        assert tw.balanced_check(ctx, None).max_residual < 1e-7
+        tw.balanced_check(ctx, fm.power_pole_h(1.0))
+        tw.cone_wedge_constants(ctx, 1.0, 2.0)
+        assert tw.hermitian_positivity(ctx, n_vectors=3) > 0
+        assert calls == [1]
