@@ -222,7 +222,7 @@ def isothermal_coordinate(profile: SurfaceProfile, z, z0: float):
 def _scan_domain(profile, valid, n=512):
     """Largest subinterval of the profile where ``valid(z)`` holds."""
     zs = np.linspace(profile.z_minus, profile.z_plus, n + 2)[1:-1]
-    ok = np.array([bool(valid(z)) for z in zs])
+    ok = np.broadcast_to(np.asarray(valid(zs), dtype=bool), zs.shape)
     best, cur_start = None, None
     for i, flag in enumerate(np.append(ok, False)):
         if flag and cur_start is None:

@@ -128,30 +128,43 @@ def values_of(obj_arr: np.ndarray) -> np.ndarray:
     return stacked.reshape(stacked.shape[:-1] + obj_arr.shape)
 
 
+def tensor_values(stacked: jets.Jet, ndim: int) -> np.ndarray:
+    """Values of a stacked jet with ``ndim`` tensor axes, batch axes leading
+    (the layout :func:`values_of` gives the object array of its components)."""
+    v = stacked.value
+    return np.ascontiguousarray(np.moveaxis(v, range(ndim), range(v.ndim - ndim, v.ndim)))
+
+
 def jet_matrix_inverse(m: np.ndarray) -> np.ndarray:
     """Invert a square object-matrix of jets by Gauss-Jordan (no pivoting).
 
     Valid for matrices whose leading principal minors stay nonsingular at
     the evaluation point (SPD metrics qualify).
     """
-    n = m.shape[0]
-    a = np.empty((n, 2 * n), dtype=object)
-    one = m[0, 0] * 0 + 1.0
-    for i in range(n):
-        for j in range(n):
-            a[i, j] = m[i, j]
-            a[i, n + j] = one if i == j else one * 0.0
+    return jets.unstack(_inverse(jets.stack(m)), 2)
+
+
+def _inverse(m: jets.Jet) -> jets.Jet:
+    """Gauss-Jordan inverse of a stacked (n, n) jet matrix.  Each pivot
+    step scales the pivot row and updates every other row with stacked
+    products, a chunk of columns at a time."""
+    space, n = m.space, m.coeffs.shape[1]
+    batch = m.coeffs.shape[3:]
+    one = m.coeffs[:, 0, 0] * 0  # as the scalar loop built it, signed zeros included
+    one[0] = one[0] + 1.0
+    a = np.empty(m.coeffs.shape[:2] + (2 * n,) + batch)
+    a[:, :, :n] = m.coeffs
+    a[:, :, n:] = (one * 0.0)[:, None, None]
+    a[:, range(n), range(n, 2 * n)] = one[:, None]
     for col in range(n):
-        piv = 1.0 / a[col, col]
-        for j in range(col, 2 * n):
-            a[col, j] = a[col, j] * piv
-        for row in range(n):
-            if row == col:
-                continue
-            f = a[row, col]
-            for j in range(col, 2 * n):
-                a[row, j] = a[row, j] - f * a[col, j]
-    return a[:, n:].copy()
+        piv = (1.0 / jets.Jet(space, a[:, col, col])).coeffs[:, None]
+        rows = [r for r in range(n) if r != col]
+        f = a[:, rows, col, None]
+        for c in space.chunks(2 * n - col, n * int(np.prod(batch))):
+            cols = slice(col + c.start, col + c.stop)
+            a[:, col, cols] = space.multiply(a[:, col, cols], piv)
+            a[:, rows, cols] -= space.multiply(f, a[:, None, col, cols])
+    return jets.Jet(space, a[:, :, n:].copy())
 
 
 def check_spd(gvals: np.ndarray, x=None, tol: float = 0.0):
@@ -172,30 +185,37 @@ def christoffel_jets(gjets: np.ndarray) -> np.ndarray:
 
     Works for any dimension (also used on the 6x6 total-space metric).
     """
-    n = gjets.shape[0]
-    order = gjets[0, 0].space.order
-    if order < 1:
+    if gjets[0, 0].space.order < 1:
         raise ConfigurationError("christoffel needs metric jets of order >= 1")
-    ginv = jet_matrix_inverse(gjets)
-    dg = np.empty((n, n, n), dtype=object)  # dg[i][j][l] = d_i g_{jl}
+    return jets.unstack(_christoffel(jets.stack(gjets)), 3)
+
+
+def _flat_indices(*shape):
+    """Index arrays of every entry of ``shape``, in C (loop) order."""
+    return tuple(ix.ravel() for ix in np.indices(shape))
+
+
+def _christoffel(g: jets.Jet) -> jets.Jet:
+    """Stacked Gamma[k, i, j] = (1/2) sum_l ginv[k, l] (d_i g_jl + d_j g_il - d_l g_ij)
+    of a stacked (n, n) metric jet, summed over l in order."""
+    n = g.coeffs.shape[1]
+    low = jets.get_space(g.space.n_vars, g.space.order - 1)
+    ginv = _inverse(g).coeffs[:low.ncoef].copy()
+    batch = g.coeffs.shape[3:]
+    dg = np.empty((low.ncoef, n, n, n) + batch)  # [i, j, l] = d_i g_jl
     for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                dg[i, j, l] = gjets[j, l].deriv(i)
-    ginv_low = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            ginv_low[i, j] = ginv[i, j].truncate(order - 1)
-    gamma = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = None
-                for l in range(n):
-                    term = ginv_low[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                    acc = term if acc is None else acc + term
-                gamma[k, i, j] = acc * 0.5
-    return gamma
+        dg[:, i] = g.deriv(i).coeffs
+    s = dg + dg.swapaxes(1, 2)
+    s -= np.moveaxis(dg, 1, 3)  # [i, j, l]
+    del dg
+    k, i, j = _flat_indices(n, n, n)
+    gamma = np.empty((low.ncoef, n ** 3) + batch)
+    for sl in low.chunks(n ** 3, int(np.prod(batch))):
+        acc = low.multiply(ginv[:, k[sl], 0], s[:, i[sl], j[sl], 0])
+        for l in range(1, n):
+            acc += low.multiply(ginv[:, k[sl], l], s[:, i[sl], j[sl], l])
+        gamma[:, sl] = acc * 0.5
+    return jets.Jet(low, gamma.reshape((low.ncoef, n, n, n) + batch))
 
 
 def christoffel(metric: MetricField, x) -> np.ndarray:

@@ -13,8 +13,17 @@ Conventions
   <= order, in graded lexicographic order.
 * ``extract`` multiplies the raw coefficient by the multi-index factorial,
   so it returns the partial derivative itself.
-* Coefficient arrays may carry a trailing batch axis, so one ``Jet`` can
-  represent the same field evaluated at many chart points at once.
+* A coefficient array has shape ``(ncoef, *tensor, *batch)``.  Batch axes
+  hold the same field at many chart points; tensor axes, between the
+  coefficient axis and the batch axes, hold the components of a tensor
+  field, so one ``JetSpace.multiply`` call multiplies all components of a
+  product at once (it indexes axis 0 only and broadcasts the rest).
+  :func:`stack` and :func:`unstack` convert between such a stacked jet and
+  an object array of component jets (views, not copies).
+* Sums of stacked terms keep the order of the scalar loop they replace:
+  :func:`fold` adds slices one at a time, left to right.  ``np.add.reduce``
+  does not promise that order: along a contiguous axis (batch of one, or no
+  batch axis) it sums pairwise, which moves the last bits.
 * Dividing by a jet whose constant term vanishes is an error (no Laurent
   extension).
 """
@@ -43,11 +52,18 @@ __all__ = [
     "atan",
     "tanh",
     "antiderivative",
+    "stack",
+    "unstack",
+    "fold",
 ]
 
 # Orders 1..3 are the public contract; internal evaluations (e.g. deriving a
 # metric from a Kahler potential) sit at caller order + 2.
 MAX_ORDER = 6
+
+# Doubles one JetSpace.multiply call of a stacked product may form (256 kB);
+# longer products run in chunks of terms (see JetSpace.chunks).
+CHUNK_DOUBLES = 1 << 15
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,6 +116,7 @@ class JetSpace:
         perm = np.argsort(k, kind="stable")
         self._mul_i = np.array(pairs_i)[perm]
         self._mul_j = np.array(pairs_j)[perm]
+        self.npairs = len(k)
         k_sorted = k[perm]
         # every target index occurs (alpha = alpha + 0), so reduceat covers all
         self._mul_starts = np.searchsorted(k_sorted, np.arange(self.ncoef))
@@ -119,6 +136,12 @@ class JetSpace:
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = a[self._mul_i] * b[self._mul_j]
         return np.add.reduceat(prod, self._mul_starts, axis=0)
+
+    def chunks(self, count: int, term_size: int) -> list:
+        """Slices covering ``range(count)`` terms, each small enough that a
+        product of terms of ``term_size`` values stays within CHUNK_DOUBLES."""
+        step = max(1, CHUNK_DOUBLES // (self.npairs * max(term_size, 1)))
+        return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
     def zero_coeffs(self, batch_shape=()):
         return np.zeros((self.ncoef,) + batch_shape)
@@ -391,6 +414,37 @@ sin = _dispatch(_sin_jet, np.sin)
 cos = _dispatch(_cos_jet, np.cos)
 atan = _dispatch(_atan_jet, np.arctan)
 tanh = _dispatch(_tanh_jet, np.tanh)
+
+
+# -- stacked jets ------------------------------------------------------------
+
+def stack(arr: np.ndarray) -> Jet:
+    """One jet with tensor axes ``arr.shape`` from an object array of jets
+    of one space (coefficients copied, batch shapes broadcast)."""
+    flat = list(arr.ravel())
+    coeffs = np.stack(np.broadcast_arrays(*[j.coeffs for j in flat]), axis=1)
+    coeffs = coeffs.reshape(coeffs.shape[:1] + arr.shape + coeffs.shape[2:])
+    return Jet(flat[0].space, coeffs)
+
+
+def unstack(stacked: Jet, ndim: int) -> np.ndarray:
+    """Object array of the component jets of the first ``ndim`` tensor axes
+    of ``stacked``; each component's coefficients are a view."""
+    shape = stacked.coeffs.shape[1:1 + ndim]
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = Jet(stacked.space, stacked.coeffs[(slice(None),) + idx])
+    return out
+
+
+def fold(terms: np.ndarray, axis: int, acc: np.ndarray | None = None) -> np.ndarray:
+    """``((acc + t0) + t1) + ...`` over the slices ``t`` of ``terms`` along
+    ``axis``, in index order (from ``t0`` when ``acc`` is None)."""
+    terms = np.moveaxis(terms, axis, 0)
+    acc = terms[0].copy() if acc is None else acc + terms[0]
+    for t in terms[1:]:
+        acc += t
+    return acc
 
 
 # -- seeding and extraction (module-level operations) ---------------------

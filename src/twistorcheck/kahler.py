@@ -21,6 +21,7 @@ order of the jets passed in.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 
@@ -35,7 +36,9 @@ from .geometry import (
     MetricField,
     christoffel_jets,
     curvature_two_vector_action,
+    tensor_values,
     values_of,
+    _flat_indices,
     _inner_kernel,
 )
 
@@ -187,28 +190,36 @@ class AdaptedFrame:
     jets_: np.ndarray
     matrix: np.ndarray
 
+    @functools.cached_property
+    def sd(self) -> jets.Jet:
+        """(s1, s2, s3) self-dual basis as one stacked jet, tensor axes
+        [q, i, j]; built on first use and shared by every consumer."""
+        return _self_dual(jets.stack(self.jets_))
+
     def sd_jets(self):
         """(s1, s2, s3) self-dual basis as (4,4) object arrays of jets."""
-        e = self.jets_
+        return tuple(jets.unstack(s, 2) for s in jets.unstack(self.sd, 1))
 
-        def wedge(a, b):
-            out = np.empty((DIM, DIM), dtype=object)
-            for i in range(DIM):
-                for j in range(DIM):
-                    out[i, j] = e[a, i] * e[b, j] - e[a, j] * e[b, i]
-            return out
 
-        def add(p, q):
-            out = np.empty((DIM, DIM), dtype=object)
-            for i in range(DIM):
-                for j in range(DIM):
-                    out[i, j] = p[i, j] + q[i, j]
-            return out
+# frame rows (a, b) of the two wedges e_a ^ e_b that sum to each of s1, s2, s3
+_SD_WEDGES = np.array([[(0, 1), (2, 3)], [(0, 2), (3, 1)], [(0, 3), (1, 2)]])
 
-        s1 = add(wedge(0, 1), wedge(2, 3))
-        s2 = add(wedge(0, 2), wedge(3, 1))
-        s3 = add(wedge(0, 3), wedge(1, 2))
-        return s1, s2, s3
+
+def _self_dual(e: jets.Jet) -> jets.Jet:
+    """Stacked s_q^{ij} = sum over the wedges of s_q of e_a^i e_b^j - e_a^j e_b^i,
+    from the stacked frame ``e`` (tensor axes [a, i])."""
+    space, E = e.space, e.coeffs
+    batch = E.shape[3:]
+    q, i, j = _flat_indices(3, DIM, DIM)
+    out = np.empty((space.ncoef, q.size) + batch)
+    for c in space.chunks(q.size, int(np.prod(batch))):
+        wedges = []
+        for w in range(2):
+            a, b = _SD_WEDGES[q[c], w, 0], _SD_WEDGES[q[c], w, 1]
+            wedges.append(space.multiply(E[:, a, i[c]], E[:, b, j[c]])
+                          - space.multiply(E[:, a, j[c]], E[:, b, i[c]]))
+        out[:, c] = wedges[0] + wedges[1]
+    return jets.Jet(space, out.reshape((space.ncoef, 3, DIM, DIM) + batch))
 
 
 def _jet_dot(gjets, u, v):
@@ -262,48 +273,55 @@ class ConnectionOneForm:
     values: np.ndarray
 
 
-def _two_vector_nabla(gamma, s, k):
-    """(nabla_k s)^{ij} for a 2-vector jet field s (derivation action)."""
-    order = s[0, 1].space.order - 1
-    out = np.empty((DIM, DIM), dtype=object)
-    for i in range(DIM):
-        for j in range(DIM):
-            acc = s[i, j].deriv(k)
-            for m in range(DIM):
-                acc = acc + gamma[i, k, m] * s[m, j].truncate(order) + gamma[j, k, m] * s[i, m].truncate(order)
-            out[i, j] = acc
-    return out
+def _two_vector_nabla(gamma: jets.Jet, s: jets.Jet) -> jets.Jet:
+    """Stacked (nabla_k s)^{ij}, tensor axes [k, i, j], of a stacked 2-vector
+    jet field ``s`` ([i, j]) for the stacked Christoffel jets ``gamma``
+    ([a, b, c] = Gamma^a_{bc}, one order below ``s``): d_k s^{ij} followed
+    by Gamma^i_{km} s^{mj} and Gamma^j_{km} s^{im} for m = 0..3, summed in
+    that order (the derivation action)."""
+    low, G = gamma.space, gamma.coeffs
+    s_low = s.coeffs[:low.ncoef]
+    batch = s_low.shape[3:]
+    out = np.empty((low.ncoef, DIM, DIM, DIM) + batch)
+    for k in range(DIM):
+        out[:, k] = s.deriv(k).coeffs
+    k, i, j = _flat_indices(DIM, DIM, DIM)
+    acc_all = out.reshape((low.ncoef, k.size) + batch)
+    for c in low.chunks(k.size, int(np.prod(batch))):
+        acc = acc_all[:, c]  # a view: the sums land in ``out``
+        for m in range(DIM):
+            acc += low.multiply(G[:, i[c], k[c], m], s_low[:, m, j[c]])
+            acc += low.multiply(G[:, j[c], k[c], m], s_low[:, i[c], m])
+    return jets.Jet(low, out)
 
 
-def _inner_jets(gjets, a, b):
+def _inner_jets(g: jets.Jet, a: jets.Jet, b: jets.Jet) -> jets.Jet:
+    """Stacked sum_{ijkl} ((a^{ij} b^{kl}) g_ik) g_jl over the last two
+    tensor axes of ``a`` ([m, i, j]), terms summed in (i, j, k, l) order;
+    ``b`` and ``g`` are stacked (4, 4) jets.  Tensor axis [m]."""
+    space, A, B, G = a.space, a.coeffs, b.coeffs, g.coeffs
+    batch = B.shape[3:]
+    i, j, k, l = _flat_indices(DIM, DIM, DIM, DIM)
     acc = None
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                for l in range(DIM):
-                    t = a[i, j] * b[k, l] * gjets[i, k] * gjets[j, l]
-                    acc = t if acc is None else acc + t
-    return acc * 0.25
+    for c in space.chunks(i.size, A.shape[1] * int(np.prod(batch))):
+        p = space.multiply(A[:, :, i[c], j[c]], B[:, None, k[c], l[c]])
+        p = space.multiply(p, G[:, None, i[c], k[c]])
+        p = space.multiply(p, G[:, None, j[c], l[c]])
+        acc = jets.fold(p, 2, acc)
+    return jets.Jet(space, acc)
 
 
 def beta_form(gjets: np.ndarray, frame: AdaptedFrame) -> ConnectionOneForm:
     """beta_k = < nabla_k s2, s3 > as jets one order below the metric jets
     ``gjets``; ``frame`` is the adapted frame built from the same jets."""
-    gamma = christoffel_jets(gjets)
-    _, s2, s3 = frame.sd_jets()
-    lower = gjets[0, 0].space.order - 1
-    g_low = np.empty((DIM, DIM), dtype=object)
-    s3_low = np.empty((DIM, DIM), dtype=object)
-    for i in range(DIM):
-        for j in range(DIM):
-            g_low[i, j] = gjets[i, j].truncate(lower)
-            s3_low[i, j] = s3[i, j].truncate(lower)
-    comps = np.empty(DIM, dtype=object)
-    for k in range(DIM):
-        ns2 = _two_vector_nabla(gamma, s2, k)
-        comps[k] = _inner_jets(g_low, ns2, s3_low)
-    vals = np.stack([np.asarray(c.value, dtype=float) for c in comps], axis=-1)
-    return ConnectionOneForm(comps, vals)
+    gamma = jets.stack(christoffel_jets(gjets))
+    _, s2, s3 = jets.unstack(frame.sd, 1)
+    ns2 = _two_vector_nabla(gamma, s2)
+    low = gamma.space
+    del gamma  # lowers the peak memory of large batches
+    g_low = jets.stack(gjets).truncate(low.order)
+    comps = _inner_jets(g_low, ns2, s3.truncate(low.order)) * 0.25
+    return ConnectionOneForm(jets.unstack(comps, 1), tensor_values(comps, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .geometry import (
     curvature_two_vector_action,
     rho_apply,
     sd_basis,
+    tensor_values,
     values_of,
     _curvature_from_jets,
     _inner_kernel,
@@ -120,16 +121,17 @@ class TwistorChart:
         lo, hi = self.fiber_interval()
         out = np.empty((n, TOTAL_DIM))
         out[:, :4] = xs
-        for i in range(n):
-            for _ in range(1000):
-                v = lo + (hi - lo) * rng.uniform()
-                if abs(float(self.fmap.phi_values(v))) < 1.0 - 1e-3:
-                    out[i, IDX_V] = v
-                    break
-            else:
-                raise DomainError("could not sample a pole-safe fiber point")
-            out[i, IDX_W] = 2.0 * np.pi * rng.uniform()
-        return out
+        # (v, w) candidates, one row per point; rows whose v lands near a
+        # pole of phi are drawn again until all are pole-safe
+        todo = np.arange(n)
+        for _ in range(1000):
+            u = rng.uniform(size=(todo.size, 2))
+            out[todo, IDX_V] = lo + (hi - lo) * u[:, 0]
+            out[todo, IDX_W] = 2.0 * np.pi * u[:, 1]
+            todo = todo[~(np.abs(self.fmap.phi_values(out[todo, IDX_V])) < 1.0 - 1e-3)]
+            if not todo.size:
+                return out
+        raise DomainError("could not sample a pole-safe fiber point")
 
 
 def calibrate_epsilon(metric: MetricField, seed: int = 2024, steps: int = 24,
@@ -224,7 +226,8 @@ class ChartEval:
     in checking d d = 0) builds its ChartEval at order 2.  The base metric
     jets are taken one order higher, because the connection form beta
     consumes one order; the frame, beta and :attr:`data4` all come from
-    that one evaluation.
+    that one evaluation, and beta and :attr:`S` share the frame's one
+    self-dual basis (:attr:`AdaptedFrame.sd`).
 
     This is the only place a chart is evaluated at points: every field
     operation of this module takes a ChartEval (and reads the chart from
@@ -260,24 +263,12 @@ class ChartEval:
         frame = adapted_frame(gj4)
         beta = beta_form(gj4, frame)
         self.beta_vals = beta.values
-        s1j, s2j, s3j = frame.sd_jets()
-        self.svals = [values_of(s) for s in (s1j, s2j, s3j)]
+        self.svals = [tensor_values(s, 2) for s in jets.unstack(frame.sd, 1)]
 
         emb = lambda j: j.truncate(self.W).embed(self.space, (0, 1, 2, 3))
-        self.g = np.empty((4, 4), dtype=object)
-        for i in range(4):
-            for j in range(4):
-                self.g[i, j] = emb(gj4[i, j])
-        self.S = []
-        for sj in (s1j, s2j, s3j):
-            out = np.empty((4, 4), dtype=object)
-            for i in range(4):
-                for j in range(4):
-                    out[i, j] = emb(sj[i, j])
-            self.S.append(out)
-        self.beta = np.empty(4, dtype=object)
-        for k in range(4):
-            self.beta[k] = beta.jets_[k].embed(self.space, (0, 1, 2, 3))
+        self.g = jets.unstack(emb(jets.stack(gj4)), 2)
+        self.S = [jets.unstack(s, 2) for s in jets.unstack(emb(frame.sd), 1)]
+        self.beta = jets.unstack(emb(jets.stack(beta.jets_)), 1)
         self.zero = self.g[0, 0] * 0.0
         self.one = self.zero + 1.0
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistorcheck import kahler, twistor
+from twistorcheck import jets, kahler, twistor
 
 _ACCEPTANCE_RESULTS = {}
 
@@ -76,4 +76,19 @@ def chart_evals(monkeypatch):
         orig(self, chart, points, order)
 
     monkeypatch.setattr(twistor.ChartEval, "__init__", counted)
+    return calls
+
+
+@pytest.fixture()
+def multiply_calls(monkeypatch):
+    """Broadcast tensor-and-batch shapes of the JetSpace.multiply calls (jet
+    products) a test makes, one entry per call."""
+    calls = []
+    orig = jets.JetSpace.multiply
+
+    def counted(self, a, b):
+        calls.append(np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+        return orig(self, a, b)
+
+    monkeypatch.setattr(jets.JetSpace, "multiply", counted)
     return calls

@@ -72,6 +72,19 @@ class TestSolvePhi:
         assert m.degenerate
         assert np.allclose(m.phi_values(np.array([0.0, 0.3])), 1 / np.sqrt(2), atol=1e-14)
 
+    def test_domain_scan_evaluates_predicate_once(self):
+        sp = fm.sphere_profile()
+        shapes = []
+
+        def valid(z):
+            shapes.append(np.shape(z))
+            return sp.rho_values(z) > 0.5
+
+        lo, hi = fm._scan_domain(sp, valid)
+        assert shapes == [(512,)]
+        assert lo == pytest.approx(-np.sqrt(0.75), abs=1e-2)
+        assert hi == pytest.approx(np.sqrt(0.75), abs=1e-2)
+
     def test_empty_domain_rejected(self):
         cy = fm.cylinder_profile()
         with pytest.raises(DomainError):

@@ -100,13 +100,12 @@ class TestBetaForm:
         gjets = burns.jets_at(pts, 2)
         fr = kahler.adapted_frame(gjets)
         beta = kahler.beta_form(gjets, fr)
-        gamma = geo.christoffel_jets(gjets)
-        s1j, s2j, s3j = fr.sd_jets()
-        s2v, s3v = geo.values_of(s2j), geo.values_of(s3j)
+        gamma = jets.stack(geo.christoffel_jets(gjets))
+        s1j, s2j, s3j = jets.unstack(fr.sd, 1)
+        s2v, s3v = geo.tensor_values(s2j, 2), geo.tensor_values(s3j, 2)
+        nabla = [geo.tensor_values(kahler._two_vector_nabla(gamma, s), 3) for s in (s1j, s2j, s3j)]
         for k in range(4):
-            ns1 = geo.values_of(kahler._two_vector_nabla(gamma, s1j, k))
-            ns2 = geo.values_of(kahler._two_vector_nabla(gamma, s2j, k))
-            ns3 = geo.values_of(kahler._two_vector_nabla(gamma, s3j, k))
+            ns1, ns2, ns3 = (n[..., k, :, :] for n in nabla)
             bk = beta.values[..., k, None, None]
             assert np.max(np.abs(ns1)) < 1e-8
             assert np.max(np.abs(ns2 - bk * s3v)) < 1e-8
@@ -117,12 +116,13 @@ class TestBetaForm:
         pts = fubini_study.chart.sample(5, rng)
         gjets = fubini_study.jets_at(pts, 2)
         fr = kahler.adapted_frame(gjets)
-        gamma = geo.christoffel_jets(gjets)
-        _, s2j, _ = fr.sd_jets()
+        gamma = jets.stack(geo.christoffel_jets(gjets))
+        _, s2j, _ = jets.unstack(fr.sd, 1)
         g = geo.values_of(gjets)
-        s2v = geo.values_of(s2j)
+        s2v = geo.tensor_values(s2j, 2)
+        nabla = geo.tensor_values(kahler._two_vector_nabla(gamma, s2j), 3)
         for k in range(4):
-            ns2 = geo.values_of(kahler._two_vector_nabla(gamma, s2j, k))
+            ns2 = nabla[..., k, :, :]
             assert np.max(np.abs(geo._inner_kernel(g, ns2, s2v))) < 1e-10
 
     def test_beta_nontrivial_on_burns(self, burns, rng):
