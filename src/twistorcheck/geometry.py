@@ -6,10 +6,14 @@ symbols, the full Riemann tensor, the half-determinant inner product on
 curvature operator in block form.
 
 A metric is evaluated once per point set: :meth:`MetricField.jets_at`
-returns the 4x4 matrix of metric jets, and :func:`curvature_data` bundles
-those jets with the curvature computed from them.  Functions downstream
-take the jets or the :class:`CurvatureData` they need, never the metric
-and the points again; jets carry their own truncation order.
+returns the metric jets as one stacked (4, 4) jet, and :func:`curvature_data`
+bundles those jets with the curvature computed from them.  Functions
+downstream take the jets or the :class:`CurvatureData` they need, never the
+metric and the points again; jets carry their own truncation order.  A
+tensor of jets is always one stacked jet (see :mod:`twistorcheck.jets`);
+:func:`tensor_values` and :func:`tensor_partials` read its values and first
+partials with the batch axes leading, the layout of every values-level
+array in this package.
 
 Conventions (fixed once, validated by the test suite):
 
@@ -68,13 +72,6 @@ class ChartDomain:
         self.margin = margin
         self.orientation = orientation
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x)
-        inside = np.all(x >= self.box[:, 0]) and np.all(x <= self.box[:, 1])
-        if inside and self.exclusion is not None:
-            return not bool(self.exclusion(x))
-        return inside
-
     def sample(self, n: int, rng) -> np.ndarray:
         """Draw ``n`` admissible points; deterministic for a seeded rng."""
         if isinstance(rng, (int, np.integer)):
@@ -108,46 +105,35 @@ class MetricField:
         self.name = name
         self.params = dict(params or {})
 
-    def jets_at(self, x, order: int):
-        """4x4 object array of the g_{ij} jets of order ``order`` at ``x``."""
-        raw = self._fn(jets.seed_raw(np.asarray(x, dtype=float), order))
-        g = np.empty((DIM, DIM), dtype=object)
-        for i in range(DIM):
-            for j in range(DIM):
-                g[i, j] = raw[i][j]
-        return g
+    def jets_at(self, x, order: int) -> jets.Jet:
+        """The g_{ij} jets of order ``order`` at ``x``, stacked (4, 4)."""
+        return jets.stack(self._fn(jets.seed_raw(np.asarray(x, dtype=float), order)))
 
     def values_at(self, x):
-        return values_of(self.jets_at(x, 0))
+        return tensor_values(self.jets_at(x, 0), 2)
 
 
-def values_of(obj_arr: np.ndarray) -> np.ndarray:
-    """Collect .value of an object array of jets, batch axes leading."""
-    flat = [j.value for j in obj_arr.ravel()]
-    stacked = np.stack([np.asarray(v, dtype=float) for v in flat], axis=-1)
-    return stacked.reshape(stacked.shape[:-1] + obj_arr.shape)
+def _batch_leading(arr: np.ndarray, ndim: int) -> np.ndarray:
+    """``arr`` with its first ``ndim`` axes moved behind the rest, C-contiguous."""
+    return np.ascontiguousarray(np.moveaxis(arr, range(ndim), range(arr.ndim - ndim, arr.ndim)))
 
 
 def tensor_values(stacked: jets.Jet, ndim: int) -> np.ndarray:
-    """Values of a stacked jet with ``ndim`` tensor axes, batch axes leading
-    (the layout :func:`values_of` gives the object array of its components)."""
-    v = stacked.value
-    return np.ascontiguousarray(np.moveaxis(v, range(ndim), range(v.ndim - ndim, v.ndim)))
+    """Values of a stacked jet with ``ndim`` tensor axes, batch axes leading."""
+    return _batch_leading(stacked.value, ndim)
 
 
-def jet_matrix_inverse(m: np.ndarray) -> np.ndarray:
-    """Invert a square object-matrix of jets by Gauss-Jordan (no pivoting).
-
-    Valid for matrices whose leading principal minors stay nonsingular at
-    the evaluation point (SPD metrics qualify).
-    """
-    return jets.unstack(_inverse(jets.stack(m)), 2)
+def tensor_partials(stacked: jets.Jet, ndim: int) -> np.ndarray:
+    """First partials of a stacked jet with ``ndim`` tensor axes, batch axes
+    leading: [..., k, *tensor] = d_k of the component, one gather."""
+    return _batch_leading(stacked.partials(), ndim + 1)
 
 
 def _inverse(m: jets.Jet) -> jets.Jet:
-    """Gauss-Jordan inverse of a stacked (n, n) jet matrix.  Each pivot
-    step scales the pivot row and updates every other row with stacked
-    products, a chunk of columns at a time."""
+    """Gauss-Jordan inverse (no pivoting) of a stacked (n, n) jet matrix,
+    valid while the leading principal minors stay nonsingular (SPD metrics
+    qualify).  Each pivot step scales the pivot row and updates every other
+    row with stacked products, a chunk of columns at a time."""
     space, n = m.space, m.coeffs.shape[1]
     batch = m.coeffs.shape[3:]
     one = m.coeffs[:, 0, 0] * 0  # as the scalar loop built it, signed zeros included
@@ -180,59 +166,45 @@ def check_spd(gvals: np.ndarray, x=None, tol: float = 0.0):
 # Christoffel symbols and curvature
 # ---------------------------------------------------------------------------
 
-def christoffel_jets(gjets: np.ndarray) -> np.ndarray:
-    """Gamma^k_{ij} as jets one order below the metric jets.
-
-    Works for any dimension (also used on the 6x6 total-space metric).
-    """
-    if gjets[0, 0].space.order < 1:
+def christoffel_jets(gjets: jets.Jet) -> jets.Jet:
+    """Gamma[k, i, j] = Gamma^k_{ij} = (1/2) sum_l ginv[k, l] (d_i g_jl +
+    d_j g_il - d_l g_ij) of a stacked (n, n) metric jet, one order below it,
+    summed over l in order.  Works for any n (also the 6x6 total-space
+    metric)."""
+    if gjets.space.order < 1:
         raise ConfigurationError("christoffel needs metric jets of order >= 1")
-    return jets.unstack(_christoffel(jets.stack(gjets)), 3)
-
-
-def _flat_indices(*shape):
-    """Index arrays of every entry of ``shape``, in C (loop) order."""
-    return tuple(ix.ravel() for ix in np.indices(shape))
-
-
-def _christoffel(g: jets.Jet) -> jets.Jet:
-    """Stacked Gamma[k, i, j] = (1/2) sum_l ginv[k, l] (d_i g_jl + d_j g_il - d_l g_ij)
-    of a stacked (n, n) metric jet, summed over l in order."""
-    n = g.coeffs.shape[1]
-    low = jets.get_space(g.space.n_vars, g.space.order - 1)
-    ginv = _inverse(g).coeffs[:low.ncoef].copy()
-    batch = g.coeffs.shape[3:]
+    n = gjets.coeffs.shape[1]
+    low = jets.get_space(gjets.space.n_vars, gjets.space.order - 1)
+    ginv = jets.Jet(low, _inverse(gjets).coeffs[:low.ncoef].copy())
+    batch = gjets.coeffs.shape[3:]
     dg = np.empty((low.ncoef, n, n, n) + batch)  # [i, j, l] = d_i g_jl
     for i in range(n):
-        dg[:, i] = g.deriv(i).coeffs
+        dg[:, i] = gjets.deriv(i).coeffs
     s = dg + dg.swapaxes(1, 2)
     s -= np.moveaxis(dg, 1, 3)  # [i, j, l]
     del dg
-    k, i, j = _flat_indices(n, n, n)
-    gamma = np.empty((low.ncoef, n ** 3) + batch)
-    for sl in low.chunks(n ** 3, int(np.prod(batch))):
-        acc = low.multiply(ginv[:, k[sl], 0], s[:, i[sl], j[sl], 0])
-        for l in range(1, n):
-            acc += low.multiply(ginv[:, k[sl], l], s[:, i[sl], j[sl], l])
-        gamma[:, sl] = acc * 0.5
-    return jets.Jet(low, gamma.reshape((low.ncoef, n, n, n) + batch))
+    gamma = jets.contract("kl,ijl->kij", ginv, jets.Jet(low, s))
+    gamma.coeffs *= 0.5  # in place: no second array of the size of gamma
+    return gamma
 
 
 def christoffel(metric: MetricField, x) -> np.ndarray:
     """Levi-Civita symbols Gamma^k_{ij} at x (batch axes leading)."""
     gjets = metric.jets_at(x, 1)
-    check_spd(values_of(gjets), x)
-    return values_of(christoffel_jets(gjets))
+    check_spd(tensor_values(gjets, 2), x)
+    return tensor_values(christoffel_jets(gjets), 3)
 
 
 @dataclass
 class CurvatureData:
     """Evaluated curvature bundle reused across higher-level checks; its
-    ``gjets`` serve the adapted frame and the Kahler residuals as well."""
+    stacked ``gjets`` and Christoffel values ``gamma`` serve the adapted
+    frame and the Kahler residuals as well."""
 
     gvals: np.ndarray
     ginv: np.ndarray
-    gjets: np.ndarray
+    gjets: jets.Jet
+    gamma: np.ndarray
     rlow: np.ndarray
     ric: np.ndarray
     scal: np.ndarray
@@ -242,7 +214,7 @@ class CurvatureData:
 def curvature_data(metric: MetricField, x) -> CurvatureData:
     """Full curvature at x (Rlow, Ric, Scal, Rup) from one order-2 evaluation."""
     gjets = metric.jets_at(x, 2)
-    gvals = values_of(gjets)
+    gvals = tensor_values(gjets, 2)
     check_spd(gvals, x)
     return _curvature_from_jets(gjets, gvals)
 
@@ -250,13 +222,8 @@ def curvature_data(metric: MetricField, x) -> CurvatureData:
 def _curvature_from_jets(gjets, gvals) -> CurvatureData:
     """Curvature of metric jets of order >= 2 whose values ``gvals`` are SPD."""
     gamma_jets = christoffel_jets(gjets)
-    gamma = values_of(gamma_jets)
-    dgamma = np.empty(gamma.shape[:-3] + (DIM,) * 4)  # [..., i, l, j, k] = d_i Gamma^l_{jk}
-    for i in range(DIM):
-        for l in range(DIM):
-            for j in range(DIM):
-                for k in range(DIM):
-                    dgamma[..., i, l, j, k] = gamma_jets[l, j, k].deriv(i).value
+    gamma = tensor_values(gamma_jets, 3)
+    dgamma = tensor_partials(gamma_jets, 3)  # [..., i, l, j, k] = d_i Gamma^l_{jk}
     # R(d_i, d_j) d_k = Rup[..., l, k, i, j] d_l
     rup = (
         np.einsum("...iljk->...lkij", dgamma)
@@ -269,7 +236,7 @@ def _curvature_from_jets(gjets, gvals) -> CurvatureData:
     ginv = np.linalg.inv(gvals)
     scal = np.einsum("...ij,...ij->...", ginv, ric)
     # the curvature actions consume Rup raised back from Rlow
-    return CurvatureData(gvals, ginv, gjets, rlow, ric, scal,
+    return CurvatureData(gvals, ginv, gjets, gamma, rlow, ric, scal,
                          np.einsum("...lm,...ijkm->...lkij", ginv, rlow))
 
 

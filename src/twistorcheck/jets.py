@@ -18,12 +18,18 @@ Conventions
   coefficient axis and the batch axes, hold the components of a tensor
   field, so one ``JetSpace.multiply`` call multiplies all components of a
   product at once (it indexes axis 0 only and broadcasts the rest).
-  :func:`stack` and :func:`unstack` convert between such a stacked jet and
-  an object array of component jets (views, not copies).
-* Sums of stacked terms keep the order of the scalar loop they replace:
-  :func:`fold` adds slices one at a time, left to right.  ``np.add.reduce``
-  does not promise that order: along a contiguous axis (batch of one, or no
-  batch axis) it sums pairwise, which moves the last bits.
+  Indexing a jet selects tensor components (``g[i, j]`` is a view of one
+  component of a stacked metric jet); :func:`stack` builds a stacked jet
+  from a nested list of jets, and :meth:`Jet.partials` gathers the first
+  partials of every component at once.
+* :func:`contract` forms the stacked products of a contraction such as
+  ``sum_m J[m, a] h[m, b]``: each term multiplies its factors left to right
+  and the terms are added in loop order, so the coefficients equal those of
+  a loop over scalar jets bit for bit.  Sums of stacked terms keep the
+  order of the scalar loop they replace: :func:`fold` adds slices one at a
+  time, left to right.  ``np.add.reduce`` does not promise that order:
+  along a contiguous axis (batch of one, or no batch axis) it sums
+  pairwise, which moves the last bits.
 * Dividing by a jet whose constant term vanishes is an error (no Laurent
   extension).
 """
@@ -53,7 +59,7 @@ __all__ = [
     "tanh",
     "antiderivative",
     "stack",
-    "unstack",
+    "contract",
     "fold",
 ]
 
@@ -201,6 +207,11 @@ class Jet:
         return self.coeffs[0]
 
     @property
+    def shape(self):
+        """Tensor and batch axes of the coefficient array (all but axis 0)."""
+        return self.coeffs.shape[1:]
+
+    @property
     def order(self):
         return self.space.order
 
@@ -228,6 +239,19 @@ class Jet:
         lower = get_space(self.space.n_vars, self.space.order - 1)
         coeffs = self.coeffs[src] * _col(fac, self.coeffs.ndim)
         return Jet(lower, coeffs)
+
+    def partials(self) -> np.ndarray:
+        """Values of the first partials d_k f, k = 0..n_vars-1, on a new
+        leading axis: the value of every :meth:`deriv` in one gather (the
+        degree-1 coefficients follow the constant one in graded-lex order)."""
+        if self.space.order == 0:
+            raise UsageError("cannot differentiate an order-0 jet")
+        return self.coeffs[1:1 + self.space.n_vars]
+
+    def __getitem__(self, idx) -> "Jet":
+        """The tensor component(s) ``idx`` of a stacked jet, as a view."""
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        return Jet(self.space, self.coeffs[(slice(None),) + idx])
 
     def truncate(self, order: int) -> "Jet":
         if order == self.space.order:
@@ -418,32 +442,75 @@ tanh = _dispatch(_tanh_jet, np.tanh)
 
 # -- stacked jets ------------------------------------------------------------
 
-def stack(arr: np.ndarray) -> Jet:
-    """One jet with tensor axes ``arr.shape`` from an object array of jets
-    of one space (coefficients copied, batch shapes broadcast)."""
-    flat = list(arr.ravel())
-    coeffs = np.stack(np.broadcast_arrays(*[j.coeffs for j in flat]), axis=1)
-    coeffs = coeffs.reshape(coeffs.shape[:1] + arr.shape + coeffs.shape[2:])
-    return Jet(flat[0].space, coeffs)
+def stack(components) -> Jet:
+    """One jet from a nested list of jets of one space; the nesting becomes
+    the leading tensor axes (coefficients copied, batch shapes broadcast)."""
+    if isinstance(components, Jet):
+        return components
+    parts = [stack(c) for c in components]
+    coeffs = np.stack(np.broadcast_arrays(*[p.coeffs for p in parts]), axis=1)
+    return Jet(parts[0].space, coeffs)
 
 
-def unstack(stacked: Jet, ndim: int) -> np.ndarray:
-    """Object array of the component jets of the first ``ndim`` tensor axes
-    of ``stacked``; each component's coefficients are a view."""
-    shape = stacked.coeffs.shape[1:1 + ndim]
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        out[idx] = Jet(stacked.space, stacked.coeffs[(slice(None),) + idx])
-    return out
+def contract(spec: str, *factors: Jet) -> Jet:
+    """Stacked products and sums written as an einsum ``spec``: for
+    ``"im,mn,nj->ij"``, out[i, j] = sum over m, n of
+    (f0[i, m] * f1[m, n]) * f2[n, j].
+
+    Each term multiplies its factors left to right, and the terms of an
+    output entry are folded in loop order: summed indices in order of first
+    appearance, the last one fastest.  Coefficients therefore equal those of
+    the scalar loop bit for bit.  An empty index string is a scalar factor;
+    a spec without summed indices is an outer product.  Products run in
+    chunks of output entries, or of terms when one entry is too large, so a
+    temporary stays within CHUNK_DOUBLES."""
+    lhs, out = spec.split("->")
+    letters = lhs.split(",")
+    space = factors[0].space
+    size = {}
+    for f_letters, f in zip(letters, factors):
+        size.update(zip(f_letters, f.coeffs.shape[1:1 + len(f_letters)]))
+    summed = [c for c in dict.fromkeys("".join(letters)) if c not in out]
+    out_shape = tuple(size[c] for c in out)
+    n_out = int(np.prod(out_shape))
+    n_sum = int(np.prod([size[c] for c in summed]))
+    grid = np.indices(out_shape + tuple(size[c] for c in summed)).reshape(-1, n_out, n_sum)
+    axis = {c: grid[k] for k, c in enumerate(list(out) + summed)}
+    batch = np.broadcast_shapes(*[f.coeffs.shape[1 + len(fl):] for fl, f in zip(letters, factors)])
+    nbatch = int(np.prod(batch))
+    if n_sum * space.npairs * nbatch <= CHUNK_DOUBLES:  # chunks of whole outputs
+        blocks = [(o, slice(0, n_sum)) for o in space.chunks(n_out, n_sum * nbatch)]
+    else:  # chunks of terms, for as many outputs as fit
+        step = max(1, min(n_out, CHUNK_DOUBLES // (space.npairs * nbatch)))
+        blocks = [(slice(o, min(o + step, n_out)), r) for o in range(0, n_out, step)
+                  for r in space.chunks(n_sum, step * nbatch)]
+    # a factor that does not vary along the outputs (or the terms) of a block
+    # is gathered once and broadcast, not copied for each of them
+    varies = [(any(c in out for c in fl), any(c in summed for c in fl)) for fl in letters]
+    coeffs = np.empty((space.ncoef, n_out) + batch)
+    acc = None
+    for o, r in blocks:
+        prod = None
+        for f_letters, f, (by_out, by_term) in zip(letters, factors, varies):
+            rows = o if by_out else slice(o.start, o.start + 1)
+            cols = r if by_term else slice(r.start, r.start + 1)
+            idx = tuple(axis[c][rows, cols] for c in f_letters)
+            sel = f.coeffs[(slice(None),) + idx] if idx else f.coeffs[:, None, None]
+            prod = sel if prod is None else space.multiply(prod, sel)
+        prod = np.broadcast_to(prod, (space.ncoef, o.stop - o.start, r.stop - r.start) + batch)
+        acc = fold(prod, 2, acc if r.start else None)
+        if r.stop == n_sum:
+            coeffs[:, o] = acc
+    return Jet(space, coeffs.reshape((space.ncoef,) + out_shape + batch))
 
 
 def fold(terms: np.ndarray, axis: int, acc: np.ndarray | None = None) -> np.ndarray:
     """``((acc + t0) + t1) + ...`` over the slices ``t`` of ``terms`` along
     ``axis``, in index order (from ``t0`` when ``acc`` is None)."""
-    terms = np.moveaxis(terms, axis, 0)
-    acc = terms[0].copy() if acc is None else acc + terms[0]
-    for t in terms[1:]:
-        acc += t
+    lead = (slice(None),) * axis
+    acc = terms[lead + (0,)].copy() if acc is None else acc + terms[lead + (0,)]
+    for r in range(1, terms.shape[axis]):
+        acc += terms[lead + (r,)]
     return acc
 
 

@@ -13,10 +13,13 @@ so s1 = e1^e2 + e3^e4 is the metric dual of omega and the self-dual frame
 (s1, s2, s3) diagonalizes the U(1) holonomy: nabla s2 = beta s3,
 nabla s3 = -beta s2 for a 1-form beta computed here from frame jets.
 
-The frame, beta and the Kahler residuals take the metric jets of
-:meth:`MetricField.jets_at` (or a :class:`CurvatureData`), so one
+The frame, beta and the Kahler residuals take the stacked (4, 4) metric
+jet of :meth:`MetricField.jets_at` (or a :class:`CurvatureData`), so one
 evaluation of the potential serves them all; their order follows from the
-order of the jets passed in.
+order of the jets passed in.  Frame, self-dual basis, beta and omega are
+stacked jets too, built with the products and the summation order of the
+scalar loops they replaced (``tests/scalar_reference.py``), so their
+coefficients are those of the loops, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,9 +39,8 @@ from .geometry import (
     MetricField,
     christoffel_jets,
     curvature_two_vector_action,
+    tensor_partials,
     tensor_values,
-    values_of,
-    _flat_indices,
     _inner_kernel,
 )
 
@@ -48,6 +50,12 @@ for _a in (0, 1):
     I_MATRIX[2 * _a + 1, 2 * _a] = 1.0
     I_MATRIX[2 * _a, 2 * _a + 1] = -1.0
 
+# I has one nonzero per row and per column, both at the swapped index:
+# I[i, _I_SWAP[i]] = _I_ROW[i] and I[_I_SWAP[j], j] = _I_COL[j]
+_I_SWAP = np.array([1, 0, 3, 2])
+_I_ROW = I_MATRIX[range(DIM), _I_SWAP]
+_I_COL = I_MATRIX[_I_SWAP, range(DIM)]
+
 
 class KahlerPotentialMetric(MetricField):
     """Metric derived from a Kahler potential, with omega attached."""
@@ -56,29 +64,25 @@ class KahlerPotentialMetric(MetricField):
         super().__init__(chart, None, name=name, params=params)
         self.potential = potential
 
-    def jets_at(self, x, order: int):
-        """g_{ij} jets of order ``order``, from potential jets two orders higher."""
+    def jets_at(self, x, order: int) -> jets.Jet:
+        """Stacked (4, 4) g_{ij} jets of order ``order``, from potential jets
+        two orders higher."""
         phi = self.potential(jets.seed_raw(np.asarray(x, dtype=float), order + 2))
-        # second partials of Phi as jets of the requested order
-        d2 = np.empty((DIM, DIM), dtype=object)
-        for a in range(DIM):
-            da = phi.deriv(a)
-            for b in range(a, DIM):
-                d2[a, b] = da.deriv(b)
-                d2[b, a] = d2[a, b]
-        g = np.empty((DIM, DIM), dtype=object)
+        # second partials of Phi as jets of the requested order, d_a then d_b
+        # for a <= b (one combined factor would round differently)
+        d1 = [phi.deriv(a) for a in range(DIM)]
+        d2 = jets.stack([[d1[min(a, b)].deriv(max(a, b)) for b in range(DIM)]
+                         for a in range(DIM)])
+        g = np.empty(d2.coeffs.shape)
         for a in range(2):
             for b in range(2):
                 xa, ya, xb, yb = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
-                re = (d2[xa, xb] + d2[ya, yb]) * 0.25
-                im = (d2[xa, yb] - d2[ya, xb]) * 0.25
-                g[xa, xb] = re
-                g[ya, yb] = re
-                g[xa, yb] = im
-                g[yb, xa] = im
-                g[ya, xb] = -1.0 * im
-                g[xb, ya] = -1.0 * im
-        return g
+                re = ((d2[xa, xb] + d2[ya, yb]) * 0.25).coeffs
+                im = ((d2[xa, yb] - d2[ya, xb]) * 0.25).coeffs
+                g[:, xa, xb] = g[:, ya, yb] = re
+                g[:, xa, yb] = g[:, yb, xa] = im
+                g[:, ya, xb] = g[:, xb, ya] = -1.0 * im
+        return jets.Jet(d2.space, g)
 
     def omega_values(self, x):
         g = self.values_at(x)
@@ -118,6 +122,8 @@ def _fubini_study():
 
 def _eguchi_hanson(a=1.0):
     a = float(a)
+    if a <= 0:
+        raise GeometryError("eguchi_hanson parameter a must be positive")
     a2, a4 = a * a, a**4
 
     def phi(xj):
@@ -184,21 +190,22 @@ def get_fixture(name: str, **params) -> MetricField:
 class AdaptedFrame:
     """Orthonormal frame with e2 = I e1, e4 = I e3, as jets and values.
 
-    ``jets_`` is a (4, 4) object array: row a holds the components of e_a.
+    ``jets_`` is a stacked (4, 4) jet: row a holds the components of e_a.
     """
 
-    jets_: np.ndarray
+    jets_: jets.Jet
     matrix: np.ndarray
 
     @functools.cached_property
     def sd(self) -> jets.Jet:
         """(s1, s2, s3) self-dual basis as one stacked jet, tensor axes
         [q, i, j]; built on first use and shared by every consumer."""
-        return _self_dual(jets.stack(self.jets_))
+        return _self_dual(self.jets_)
 
-    def sd_jets(self):
-        """(s1, s2, s3) self-dual basis as (4,4) object arrays of jets."""
-        return tuple(jets.unstack(s, 2) for s in jets.unstack(self.sd, 1))
+
+def _flat_indices(*shape):
+    """Index arrays of every entry of ``shape``, in C (loop) order."""
+    return tuple(ix.ravel() for ix in np.indices(shape))
 
 
 # frame rows (a, b) of the two wedges e_a ^ e_b that sum to each of s1, s2, s3
@@ -222,43 +229,38 @@ def _self_dual(e: jets.Jet) -> jets.Jet:
     return jets.Jet(space, out.reshape((space.ncoef, 3, DIM, DIM) + batch))
 
 
-def _jet_dot(gjets, u, v):
-    acc = None
-    for i in range(DIM):
-        for j in range(DIM):
-            term = gjets[i, j] * u[i] * v[j]
-            acc = term if acc is None else acc + term
-    return acc
+def _dot(g: jets.Jet, u: jets.Jet, v: jets.Jet) -> jets.Jet:
+    """g(u, v) = sum_ij (g_ij u^i) v^j, summed in (i, j) order."""
+    return jets.contract("ij,i,j->", g, u, v)
 
 
-def adapted_frame(gjets: np.ndarray) -> AdaptedFrame:
+def _apply_I(u: jets.Jet, zero: jets.Jet) -> jets.Jet:
+    """(I u)^i = zero + u^k I[i, k] for the one k with I[i, k] != 0."""
+    return zero[None] + u[_I_SWAP] * _I_ROW.reshape((DIM,) + (1,) * (u.coeffs.ndim - 2))
+
+
+def adapted_frame(gjets: jets.Jet) -> AdaptedFrame:
     """Gram-Schmidt frame seeded on (d_1, I d_1, d_3, I d_3), as jets of the
-    order of the metric jets ``gjets``; smooth in x."""
+    order of the stacked metric jets ``gjets``; smooth in x."""
     zero = gjets[0, 0] * 0.0
+    zeros = jets.stack([zero] * DIM)
 
-    def apply_I(u):
-        return [sum((u[k] * I_MATRIX[i, k] for k in range(DIM) if I_MATRIX[i, k] != 0.0), zero)
-                for i in range(DIM)]
+    def unit(i):  # zero + 1.0 in component i, zero + 0.0 in the others
+        return zeros + np.eye(DIM)[i].reshape((DIM,) + (1,) * zero.value.ndim)
 
-    e1 = [zero + (1.0 if i == 0 else 0.0) for i in range(DIM)]
-    n1 = jets.sqrt(_jet_dot(gjets, e1, e1))
-    e1 = [c / n1 for c in e1]
-    e2 = apply_I(e1)
-    v = [zero + (1.0 if i == 2 else 0.0) for i in range(DIM)]
+    e1 = unit(0)
+    e1 = e1 * (1.0 / jets.sqrt(_dot(gjets, e1, e1)))[None]
+    e2 = _apply_I(e1, zero)
+    v = unit(2)
     for e in (e1, e2):
-        c = _jet_dot(gjets, v, e)
-        v = [vi - c * ei for vi, ei in zip(v, e)]
-    nv_sq = _jet_dot(gjets, v, v)
+        v = v - _dot(gjets, v, e)[None] * e
+    nv_sq = _dot(gjets, v, v)
     if np.any(nv_sq.value < 1e-20):
         raise FrameError(f"frame seed degenerate (|v|^2 = {np.min(nv_sq.value):.3e})")
-    nv = jets.sqrt(nv_sq)
-    e3 = [c / nv for c in v]
-    e4 = apply_I(e3)
-    fj = np.empty((DIM, DIM), dtype=object)
-    for i, row in enumerate((e1, e2, e3, e4)):
-        for j in range(DIM):
-            fj[i, j] = row[j]
-    return AdaptedFrame(fj, values_of(fj))
+    e3 = v * (1.0 / jets.sqrt(nv_sq))[None]
+    e4 = _apply_I(e3, zero)
+    fj = jets.stack([e1, e2, e3, e4])
+    return AdaptedFrame(fj, tensor_values(fj, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +271,7 @@ def adapted_frame(gjets: np.ndarray) -> AdaptedFrame:
 class ConnectionOneForm:
     """beta with nabla s2 = beta s3, nabla s3 = -beta s2; jets + values."""
 
-    jets_: np.ndarray  # shape (4,) object array, component beta_k
+    jets_: jets.Jet  # stacked (4,), component beta_k
     values: np.ndarray
 
 
@@ -295,81 +297,48 @@ def _two_vector_nabla(gamma: jets.Jet, s: jets.Jet) -> jets.Jet:
     return jets.Jet(low, out)
 
 
-def _inner_jets(g: jets.Jet, a: jets.Jet, b: jets.Jet) -> jets.Jet:
-    """Stacked sum_{ijkl} ((a^{ij} b^{kl}) g_ik) g_jl over the last two
-    tensor axes of ``a`` ([m, i, j]), terms summed in (i, j, k, l) order;
-    ``b`` and ``g`` are stacked (4, 4) jets.  Tensor axis [m]."""
-    space, A, B, G = a.space, a.coeffs, b.coeffs, g.coeffs
-    batch = B.shape[3:]
-    i, j, k, l = _flat_indices(DIM, DIM, DIM, DIM)
-    acc = None
-    for c in space.chunks(i.size, A.shape[1] * int(np.prod(batch))):
-        p = space.multiply(A[:, :, i[c], j[c]], B[:, None, k[c], l[c]])
-        p = space.multiply(p, G[:, None, i[c], k[c]])
-        p = space.multiply(p, G[:, None, j[c], l[c]])
-        acc = jets.fold(p, 2, acc)
-    return jets.Jet(space, acc)
-
-
-def beta_form(gjets: np.ndarray, frame: AdaptedFrame) -> ConnectionOneForm:
-    """beta_k = < nabla_k s2, s3 > as jets one order below the metric jets
-    ``gjets``; ``frame`` is the adapted frame built from the same jets."""
-    gamma = jets.stack(christoffel_jets(gjets))
-    _, s2, s3 = jets.unstack(frame.sd, 1)
-    ns2 = _two_vector_nabla(gamma, s2)
+def beta_form(gjets: jets.Jet, frame: AdaptedFrame) -> ConnectionOneForm:
+    """beta_k = < nabla_k s2, s3 > as jets one order below the stacked metric
+    jets ``gjets``; ``frame`` is the adapted frame built from the same jets."""
+    gamma = christoffel_jets(gjets)
+    ns2 = _two_vector_nabla(gamma, frame.sd[1])
     low = gamma.space
     del gamma  # lowers the peak memory of large batches
-    g_low = jets.stack(gjets).truncate(low.order)
-    comps = _inner_jets(g_low, ns2, s3.truncate(low.order)) * 0.25
-    return ConnectionOneForm(jets.unstack(comps, 1), tensor_values(comps, 1))
+    # sum_{ijkl} ((nabla_k s2^{ij} s3^{kl}) g_ik) g_jl, in (i, j, k, l) order
+    g_low = gjets.truncate(low.order)
+    comps = jets.contract("mij,kl,ik,jl->m", ns2, frame.sd[2].truncate(low.order),
+                          g_low, g_low) * 0.25
+    return ConnectionOneForm(comps, tensor_values(comps, 1))
 
 
 # ---------------------------------------------------------------------------
 # Kahler certification helpers
 # ---------------------------------------------------------------------------
 
-def _omega_jets(gjets):
-    """Kahler form omega_{ij} = g(I d_i, d_j) as jets of the order of ``gjets``."""
-    omega = np.empty((DIM, DIM), dtype=object)
-    for i in range(DIM):
-        for j in range(DIM):
-            acc = None
-            for k in range(DIM):
-                if I_MATRIX[k, i] != 0.0:
-                    t = gjets[k, j] * I_MATRIX[k, i]
-                    acc = t if acc is None else acc + t
-            omega[i, j] = acc
-    return omega
+def _omega_jets(gjets: jets.Jet) -> jets.Jet:
+    """Stacked Kahler form omega_{ij} = g(I d_i, d_j) = g_kj I[k, i] for the
+    one k with I[k, i] != 0, of the order of ``gjets``."""
+    col = _I_COL.reshape((DIM,) + (1,) * (gjets.coeffs.ndim - 2))
+    return jets.Jet(gjets.space, gjets.coeffs[:, _I_SWAP] * col)
 
 
-def nabla_omega_residual(gjets: np.ndarray) -> float:
+def nabla_omega_residual(data: CurvatureData) -> float:
     """sup |(nabla_k omega)_{ij}|: zero iff the structure is Kahler."""
-    gamma = values_of(christoffel_jets(gjets))
-    omega = _omega_jets(gjets)
-    om = values_of(omega)
-    dom = np.empty(om.shape[:-2] + (DIM, DIM, DIM))
-    for k in range(DIM):
-        for i in range(DIM):
-            for j in range(DIM):
-                dom[..., k, i, j] = omega[i, j].deriv(k).value
+    omega = _omega_jets(data.gjets)
+    om = tensor_values(omega, 2)
     nab = (
-        dom
-        - np.einsum("...mki,...mj->...kij", gamma, om)
-        - np.einsum("...mkj,...im->...kij", gamma, om)
+        tensor_partials(omega, 2)
+        - np.einsum("...mki,...mj->...kij", data.gamma, om)
+        - np.einsum("...mkj,...im->...kij", data.gamma, om)
     )
     return float(np.max(np.abs(nab)))
 
 
-def d_omega_residual(gjets: np.ndarray) -> float:
+def d_omega_residual(gjets: jets.Jet) -> float:
     """sup |(d omega)_{kij}| over antisymmetrized index triples."""
-    omega = _omega_jets(gjets)
-    worst = 0.0
-    for k in range(DIM):
-        for i in range(DIM):
-            for j in range(DIM):
-                val = omega[i, j].deriv(k).value + omega[j, k].deriv(i).value + omega[k, i].deriv(j).value
-                worst = max(worst, float(np.max(np.abs(val))))
-    return worst
+    dom = _omega_jets(gjets).partials()  # [k, i, j] = d_k omega_ij
+    val = dom + np.einsum("ijk...->kij...", dom) + np.einsum("jki...->kij...", dom)
+    return float(np.max(np.abs(val)))
 
 
 def curvature_s_residuals(data: CurvatureData, basis):

@@ -97,6 +97,9 @@ class SuiteConfig:
         self.fiber = fib = dict(_FIBER_KEYS, **self.fiber)
         for key in ("c", "p", "a", "b"):
             _check_real(f"fiber.{key}", fib[key])
+        for key in ("a", "b"):
+            if fib[key] <= 0:
+                raise ConfigurationError(f"fiber.{key} (cone parameter) must be positive, got {fib[key]!r}")
         for key, allowed in (("profile", sorted(fibermap.PROFILES)),
                              ("branch", list(fibermap.BRANCHES)), ("h_family", ["power_pole"])):
             if not isinstance(fib[key], str) or fib[key] not in allowed:
@@ -200,7 +203,7 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
                 "curvature pairing of the parallel 2-vector equals -Scal/2",
                 n, np.max(np.abs(ray + data.scal / 2.0)), 1e-8)
         rec.add("kahler.nabla_omega", "fundamental 2-form is parallel",
-                n, kahler.nabla_omega_residual(data.gjets), 1e-8)
+                n, kahler.nabla_omega_residual(data), 1e-8)
     # rho duality spot check
     data1 = geometry.curvature_data(metric, pts[0])
     fr1 = kahler.adapted_frame(data1.gjets)

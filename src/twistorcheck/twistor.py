@@ -32,8 +32,13 @@ a (chart, point) pair: build one ``ChartEval(chart, points)`` per point
 set and pass it to every check on that set, so J, h, beta and the lazily
 derived fields (Christoffel symbols, Nijenhuis tensor, fundamental form)
 are computed once.  Results keep the batch axis, also for a single point.
+Every tensor field of a ChartEval (g, the self-dual basis S, beta, J, h,
+Omega, tau) is one stacked jet in the 6-variable space, assembled with
+:func:`jets.contract` in the products and summation order of the scalar
+loops it replaced, so the coefficients are those of the loops bit for bit.
 A form is the dict of jet components (sorted index tuple -> jet) that a
-builder such as :func:`omega_ab_field` returns from a ``ChartEval``.
+builder such as :func:`omega_ab_field` returns from a ``ChartEval``; the
+components are views of those stacked jets.
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ from .geometry import (
     curvature_two_vector_action,
     rho_apply,
     sd_basis,
+    tensor_partials,
     tensor_values,
-    values_of,
     _curvature_from_jets,
     _inner_kernel,
     _star_kernel,
@@ -176,7 +181,8 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
         from one evaluation of the metric."""
         gjets = metric.jets_at(x, 2)
         fr = adapted_frame(gjets)
-        return values_of(gjets), values_of(christoffel_jets(gjets)), fr, beta_form(gjets, fr).values[k]
+        return (tensor_values(gjets, 2), tensor_values(christoffel_jets(gjets), 3), fr,
+                beta_form(gjets, fr).values[k])
 
     def gamma_action(G, S):
         return -direction * (np.einsum("im,mj->ij", G[:, k, :], S)
@@ -189,7 +195,7 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
     for _ in range(steps):
         xm = x.copy(); xm[k] += direction * h / 2
         xe = x.copy(); xe[k] += direction * h
-        Gm = values_of(christoffel_jets(metric.jets_at(xm, 1)))
+        Gm = tensor_values(christoffel_jets(metric.jets_at(xm, 1)), 3)
         g, Ge, fr, b_next = probe(xe)
         k1 = gamma_action(G, S)
         k2 = gamma_action(Gm, S + h / 2 * k1)
@@ -258,17 +264,17 @@ class ChartEval:
     # -- base fields ------------------------------------------------------
     def _build_base(self, order):
         self.gjets4 = gj4 = self.chart.base.jets_at(self.x4, order)
-        self.gvals = values_of(gj4)
+        self.gvals = tensor_values(gj4, 2)
         check_spd(self.gvals, self.x4)
         frame = adapted_frame(gj4)
         beta = beta_form(gj4, frame)
         self.beta_vals = beta.values
-        self.svals = [tensor_values(s, 2) for s in jets.unstack(frame.sd, 1)]
+        self.svals = [tensor_values(frame.sd[q], 2) for q in range(3)]
 
         emb = lambda j: j.truncate(self.W).embed(self.space, (0, 1, 2, 3))
-        self.g = jets.unstack(emb(jets.stack(gj4)), 2)
-        self.S = [jets.unstack(s, 2) for s in jets.unstack(emb(frame.sd), 1)]
-        self.beta = jets.unstack(emb(jets.stack(beta.jets_)), 1)
+        self.g = emb(gj4)
+        self.S = emb(frame.sd)
+        self.beta = emb(beta.jets_)
         self.zero = self.g[0, 0] * 0.0
         self.one = self.zero + 1.0
 
@@ -300,78 +306,56 @@ class ChartEval:
         self.r_img = jets.sqrt(1.0 - phi_sq)
 
     # -- assembled structures ---------------------------------------------
-    def _two_vector_field(self, a1, a2, a3):
-        """a1 s1 + a2 s2 + a3 s3 as a 4x4 object matrix of jets."""
-        out = np.empty((4, 4), dtype=object)
-        for i in range(4):
-            for j in range(4):
-                out[i, j] = a1 * self.S[0][i, j] + a2 * self.S[1][i, j] + a3 * self.S[2][i, j]
-        return out
+    def _zeros(self, *shape) -> jets.Jet:
+        """A stacked jet of tensor shape ``shape`` with every component ``zero``."""
+        z = self.zero.coeffs
+        return jets.Jet(self.space, np.broadcast_to(
+            z[(slice(None),) + (None,) * len(shape)], z.shape[:1] + shape + z.shape[1:]).copy())
 
     def _build_J_h(self):
         eps = self.eps
         cw, sw = self.cw, self.sw
-        self.P_img = self._two_vector_field(self.phi, self.r_img * cw, self.r_img * sw)
-        self.P_surf = self._two_vector_field(self.vjet, self.rho * cw, self.rho * sw)
+        # P = a1 s1 + a2 s2 + a3 s3 for the image point and the surface point
+        coef = jets.stack([[self.phi, self.r_img * cw, self.r_img * sw],
+                           [self.vjet, self.rho * cw, self.rho * sw]])
+        P = jets.contract("fq,qij->fij", coef, self.S)
+        self.P_img, self.P_surf = P[0], P[1]
         # K = -P g (as an endomorphism K^m_j)
-        K = np.empty((4, 4), dtype=object)
-        for m in range(4):
-            for j in range(4):
-                acc = None
-                for i in range(4):
-                    t = self.P_img[m, i] * self.g[i, j]
-                    acc = t if acc is None else acc + t
-                K[m, j] = -1.0 * acc
-        self.K = K
+        self.K = K = -1.0 * jets.contract("mi,ij->mj", self.P_img, self.g)
         m_len = jets.sqrt(self.rho_p * self.rho_p + 1.0)  # meridian speed
         c_vw = -1.0 * m_len / self.rho   # J d_v = c_vw d_w
         c_wv = self.rho / m_len          # J d_w = c_wv d_v
-        J = np.empty((TOTAL_DIM, TOTAL_DIM), dtype=object)
-        for m in range(TOTAL_DIM):
-            for a in range(TOTAL_DIM):
-                J[m, a] = self.zero
-        for k in range(4):
-            for m in range(4):
-                J[m, k] = K[m, k]
-            J[IDX_V, k] = (eps * c_wv) * self.beta[k]
-            acc = None
-            for m in range(4):
-                t = K[m, k] * self.beta[m]
-                acc = t if acc is None else acc + t
-            J[IDX_W, k] = (-eps) * acc
-        J[IDX_W, IDX_V] = c_vw
-        J[IDX_V, IDX_W] = c_wv
+        J = self._zeros(TOTAL_DIM, TOTAL_DIM)
+        J.coeffs[:, :4, :4] = K.coeffs
+        J.coeffs[:, IDX_V, :4] = jets.contract(",k->k", eps * c_wv, self.beta).coeffs
+        J.coeffs[:, IDX_W, :4] = ((-eps) * jets.contract("mk,m->k", K, self.beta)).coeffs
+        J.coeffs[:, IDX_W, IDX_V] = c_vw.coeffs
+        J.coeffs[:, IDX_V, IDX_W] = c_wv.coeffs
         self.J = J
 
-        h = np.empty((TOTAL_DIM, TOTAL_DIM), dtype=object)
         rho_sq = self.rho * self.rho
-        for i in range(4):
-            for j in range(4):
-                h[i, j] = self.g[i, j] + self.beta[i] * self.beta[j] * rho_sq
-            h[i, IDX_V] = self.zero
-            h[IDX_V, i] = self.zero
-            h[i, IDX_W] = (eps * 1.0) * self.beta[i] * rho_sq
-            h[IDX_W, i] = h[i, IDX_W]
-        h[IDX_V, IDX_V] = m_len * m_len
-        h[IDX_W, IDX_W] = rho_sq
-        h[IDX_V, IDX_W] = self.zero
-        h[IDX_W, IDX_V] = self.zero
+        h = self._zeros(TOTAL_DIM, TOTAL_DIM)
+        h.coeffs[:, :4, :4] = (self.g + jets.contract("i,j,->ij", self.beta, self.beta, rho_sq)).coeffs
+        h.coeffs[:, :4, IDX_W] = h.coeffs[:, IDX_W, :4] = jets.contract(
+            "i,->i", (eps * 1.0) * self.beta, rho_sq).coeffs
+        h.coeffs[:, IDX_V, IDX_V] = (m_len * m_len).coeffs
+        h.coeffs[:, IDX_W, IDX_W] = rho_sq.coeffs
         self.h = h
 
     # -- values and lazy derived fields ------------------------------------
     @property
     def J_values(self):
-        return values_of(self.J)
+        return tensor_values(self.J, 2)
 
     @property
     def h_values(self):
-        return values_of(self.h)
+        return tensor_values(self.h, 2)
 
     @property
     def gamma_h(self):
         """Christoffel values of h in chart coordinates, Gamma^m_{ab}."""
         if self._gamma_h is None:
-            self._gamma_h = values_of(christoffel_jets(self.h))
+            self._gamma_h = tensor_values(christoffel_jets(self.h), 3)
         return self._gamma_h
 
     @property
@@ -383,24 +367,18 @@ class ChartEval:
 
     @property
     def tau(self):
-        """Tautological 2-form components tau_{ij} (i < j) as jets."""
+        """Tautological 2-form components tau_{ij} (i < j) as jets (views
+        of one stacked jet)."""
         if self._tau is None:
             self._tau = _tau_comps(self)
         return self._tau
 
     @property
     def omega_jets(self):
-        """Fundamental form Omega_{ab} = h(J d_a, d_b) as jets."""
+        """Fundamental form Omega_{ab} = sum_m J^m_a h_{mb} = h(J d_a, d_b)
+        as a stacked (6, 6) jet."""
         if self._omega_jets is None:
-            om = np.empty((TOTAL_DIM, TOTAL_DIM), dtype=object)
-            for a in range(TOTAL_DIM):
-                for b in range(TOTAL_DIM):
-                    acc = None
-                    for m in range(TOTAL_DIM):
-                        t = self.J[m, a] * self.h[m, b]
-                        acc = t if acc is None else acc + t
-                    om[a, b] = acc
-            self._omega_jets = om
+            self._omega_jets = jets.contract("ma,mb->ab", self.J, self.h)
         return self._omega_jets
 
     @property
@@ -482,11 +460,7 @@ def _nijenhuis_values(ctx: ChartEval) -> np.ndarray:
     """N^m_{ab} on coordinate fields (batch leading); read it through
     :attr:`ChartEval.nijenhuis`, which computes it once per ChartEval."""
     Jv = ctx.J_values
-    dJ = np.empty(Jv.shape[:-2] + (TOTAL_DIM,) * 3)  # [..., k, m, a] = d_k J^m_a
-    for k in range(TOTAL_DIM):
-        for m in range(TOTAL_DIM):
-            for a in range(TOTAL_DIM):
-                dJ[..., k, m, a] = ctx.J[m, a].deriv(k).value
+    dJ = tensor_partials(ctx.J, 2)  # [..., k, m, a] = d_k J^m_a
     t1 = np.einsum("...ka,...kmb->...mab", Jv, dJ)
     t2 = np.einsum("...kb,...kma->...mab", Jv, dJ)
     t3 = np.einsum("...mk,...bka->...mab", Jv, dJ)
@@ -501,13 +475,8 @@ def nijenhuis_max(ctx: ChartEval) -> np.ndarray:
 
 def _covariant_domega(ctx: ChartEval) -> np.ndarray:
     """(D_k Omega)_{ab} values from the Levi-Civita connection of h."""
-    om = ctx.omega_jets
-    omv = values_of(om)
-    dom = np.empty(omv.shape[:-2] + (TOTAL_DIM,) * 3)
-    for k in range(TOTAL_DIM):
-        for a in range(TOTAL_DIM):
-            for b in range(TOTAL_DIM):
-                dom[..., k, a, b] = om[a, b].deriv(k).value
+    omv = tensor_values(ctx.omega_jets, 2)
+    dom = tensor_partials(ctx.omega_jets, 2)  # [..., k, a, b] = d_k Omega_ab
     gh = ctx.gamma_h
     return (
         dom
@@ -602,18 +571,11 @@ def verify_structure_identities(ctx: ChartEval, n_random: int = 6,
     Kp = -np.einsum("...mi,...ij->...mj", p2v, ctx.gvals)
 
     gamma_h = ctx.gamma_h
-    Hj = np.empty((TOTAL_DIM, 4), dtype=object)  # H_j field components
-    for j in range(4):
-        for m in range(TOTAL_DIM):
-            Hj[m, j] = ctx.zero
-        Hj[j, j] = ctx.one
-        Hj[IDX_W, j] = (-ctx.eps) * ctx.beta[j]
-    Hv = values_of(Hj)
-    dH = np.zeros(Hv.shape[:-2] + (TOTAL_DIM, TOTAL_DIM, 4))
-    for a in range(TOTAL_DIM):
-        for m in range(TOTAL_DIM):
-            for j in range(4):
-                dH[..., a, m, j] = Hj[m, j].deriv(a).value
+    Hj = ctx._zeros(TOTAL_DIM, 4)  # [m, j]: components of the field H_j
+    Hj.coeffs[:, range(4), range(4)] = ctx.one.coeffs[:, None]
+    Hj.coeffs[:, IDX_W] = ((-ctx.eps) * ctx.beta).coeffs
+    Hv = tensor_values(Hj, 2)
+    dH = tensor_partials(Hj, 2)  # [..., a, m, j] = d_a H_j^m
     # covDH[..., a, m, j] = (D_a H_j)^m
     covDH = dH + np.einsum("...man,...nj->...amj", gamma_h, Hv)
 
@@ -700,7 +662,7 @@ def horizontal_nijenhuis_residual(ctx: ChartEval, n_random: int = 6,
     data = ctx.data4
     t_v, t_w, eps3 = ctx.fiber_tangents()
     p3 = ctx.fiber_point()
-    Kv = values_of(ctx.K)
+    Kv = tensor_values(ctx.K, 2)
     rng = np.random.default_rng(seed)
 
     def wedge(A, B):
@@ -874,25 +836,20 @@ def _form_values(comps: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _tau_comps(ctx: ChartEval) -> dict:
-    """Tautological 2-form tau(A,B) = 2 g(F(p), dpi A ^ dpi B) as jets."""
-    gPg = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            acc = None
-            for m in range(4):
-                for n in range(4):
-                    t = ctx.g[i, m] * ctx.P_img[m, n] * ctx.g[n, j]
-                    acc = t if acc is None else acc + t
-            gPg[i, j] = acc
-    return {(i, j): gPg[i, j] for i in range(4) for j in range(i + 1, 4)}
+    """Tautological 2-form tau(A,B) = 2 g(F(p), dpi A ^ dpi B) as jets:
+    (g P g)_{ij} for the index pairs p = (i, j), i < j."""
+    i, j = np.triu_indices(4, 1)  # the pairs i < j, in row order
+    gPg = jets.contract("pm,mn,np->p", ctx.g[i], ctx.P_img, ctx.g[:, j])
+    return {(a, b): gPg[p] for p, (a, b) in enumerate(zip(i.tolist(), j.tolist()))}
 
 
 def _fiber_area_comps(ctx: ChartEval, weight) -> dict:
     """weight * f^*((dw + eps beta) ^ dv) with the outward orientation."""
     wphi = weight * ctx.phi_p
     out = {(IDX_V, IDX_W): -1.0 * wphi}
+    beta_w = jets.contract("k,->k", (ctx.eps * 1.0) * ctx.beta, wphi)
     for k in range(4):
-        out[(k, IDX_V)] = (ctx.eps * 1.0) * ctx.beta[k] * wphi
+        out[(k, IDX_V)] = beta_w[k]
     return out
 
 

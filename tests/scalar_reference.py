@@ -1,14 +1,97 @@
-"""Scalar-loop reference for the stacked jet code of geometry and kahler.
+"""Scalar-loop reference for the stacked jet code of geometry, kahler and
+twistor.
 
 Each function walks object arrays of scalar ``Jet``s one product at a time,
 in the association and summation order that the stacked code keeps, so
-the tests can demand bit-identical coefficients.  Nothing in ``src/`` uses
-this module.
+the tests can demand bit-identical coefficients.  It covers the whole
+pipeline: potential -> metric jets, the adapted frame, the self-dual basis,
+the inverse and Christoffel symbols, beta, and the ChartEval fields P, K,
+J, h, Omega and tau.  Nothing in ``src/`` uses this module.
 """
 
 import numpy as np
 
+from twistorcheck import jets
+from twistorcheck.kahler import I_MATRIX, KahlerPotentialMetric
+
 DIM = 4
+TOTAL_DIM = 6
+IDX_V, IDX_W = 4, 5
+
+
+def to_objects(stacked, ndim):
+    """Object array of the component jets (views) of the first ``ndim``
+    tensor axes of a stacked jet."""
+    shape = stacked.coeffs.shape[1:1 + ndim]
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = jets.Jet(stacked.space, stacked.coeffs[(slice(None),) + idx])
+    return out
+
+
+def metric_jets(metric, x, order):
+    """(4, 4) object array of the g_{ij} jets of ``metric`` at ``x``."""
+    g = np.empty((DIM, DIM), dtype=object)
+    if not isinstance(metric, KahlerPotentialMetric):
+        raw = metric._fn(jets.seed_raw(np.asarray(x, dtype=float), order))
+        for i in range(DIM):
+            for j in range(DIM):
+                g[i, j] = raw[i][j]
+        return g
+    phi = metric.potential(jets.seed_raw(np.asarray(x, dtype=float), order + 2))
+    d2 = np.empty((DIM, DIM), dtype=object)
+    for a in range(DIM):
+        da = phi.deriv(a)
+        for b in range(a, DIM):
+            d2[a, b] = da.deriv(b)
+            d2[b, a] = d2[a, b]
+    for a in range(2):
+        for b in range(2):
+            xa, ya, xb, yb = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
+            re = (d2[xa, xb] + d2[ya, yb]) * 0.25
+            im = (d2[xa, yb] - d2[ya, xb]) * 0.25
+            g[xa, xb] = re
+            g[ya, yb] = re
+            g[xa, yb] = im
+            g[yb, xa] = im
+            g[ya, xb] = -1.0 * im
+            g[xb, ya] = -1.0 * im
+    return g
+
+
+def _jet_dot(gjets, u, v):
+    acc = None
+    for i in range(DIM):
+        for j in range(DIM):
+            term = gjets[i, j] * u[i] * v[j]
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def adapted_frame(gjets):
+    """(4, 4) object array of the Gram-Schmidt frame jets (row a = e_a)."""
+    zero = gjets[0, 0] * 0.0
+
+    def apply_I(u):
+        return [sum((u[k] * I_MATRIX[i, k] for k in range(DIM) if I_MATRIX[i, k] != 0.0), zero)
+                for i in range(DIM)]
+
+    e1 = [zero + (1.0 if i == 0 else 0.0) for i in range(DIM)]
+    n1 = jets.sqrt(_jet_dot(gjets, e1, e1))
+    e1 = [c / n1 for c in e1]
+    e2 = apply_I(e1)
+    v = [zero + (1.0 if i == 2 else 0.0) for i in range(DIM)]
+    for e in (e1, e2):
+        c = _jet_dot(gjets, v, e)
+        v = [vi - c * ei for vi, ei in zip(v, e)]
+    nv = jets.sqrt(_jet_dot(gjets, v, v))
+    e3 = [c / nv for c in v]
+    e4 = apply_I(e3)
+    fj = np.empty((DIM, DIM), dtype=object)
+    for i, row in enumerate((e1, e2, e3, e4)):
+        for j in range(DIM):
+            fj[i, j] = row[j]
+    return fj
 
 
 def jet_matrix_inverse(m):
@@ -122,3 +205,85 @@ def beta_jets(gjets, frame_jets):
     for k in range(DIM):
         comps[k] = inner_jets(g_low, two_vector_nabla(gamma, s2, k), s3_low)
     return comps
+
+
+def chart_fields(ctx):
+    """P_img, P_surf, K, J, h, Omega and tau of a ChartEval, from its
+    embedded base fields (g, S, beta) and fiber jets, one scalar product at
+    a time; tau is the (4, 4) g P g whose i < j entries form the 2-form."""
+    g = to_objects(ctx.g, 2)
+    S = [to_objects(ctx.S[q], 2) for q in range(3)]
+    beta = to_objects(ctx.beta, 1)
+    zero, eps = ctx.zero, ctx.eps
+
+    def two_vector_field(a1, a2, a3):
+        out = np.empty((DIM, DIM), dtype=object)
+        for i in range(DIM):
+            for j in range(DIM):
+                out[i, j] = a1 * S[0][i, j] + a2 * S[1][i, j] + a3 * S[2][i, j]
+        return out
+
+    cw, sw = ctx.cw, ctx.sw
+    P_img = two_vector_field(ctx.phi, ctx.r_img * cw, ctx.r_img * sw)
+    P_surf = two_vector_field(ctx.vjet, ctx.rho * cw, ctx.rho * sw)
+    K = np.empty((DIM, DIM), dtype=object)
+    for m in range(DIM):
+        for j in range(DIM):
+            acc = None
+            for i in range(DIM):
+                t = P_img[m, i] * g[i, j]
+                acc = t if acc is None else acc + t
+            K[m, j] = -1.0 * acc
+    m_len = jets.sqrt(ctx.rho_p * ctx.rho_p + 1.0)
+    c_vw = -1.0 * m_len / ctx.rho
+    c_wv = ctx.rho / m_len
+    J = np.empty((TOTAL_DIM, TOTAL_DIM), dtype=object)
+    for m in range(TOTAL_DIM):
+        for a in range(TOTAL_DIM):
+            J[m, a] = zero
+    for k in range(DIM):
+        for m in range(DIM):
+            J[m, k] = K[m, k]
+        J[IDX_V, k] = (eps * c_wv) * beta[k]
+        acc = None
+        for m in range(DIM):
+            t = K[m, k] * beta[m]
+            acc = t if acc is None else acc + t
+        J[IDX_W, k] = (-eps) * acc
+    J[IDX_W, IDX_V] = c_vw
+    J[IDX_V, IDX_W] = c_wv
+
+    h = np.empty((TOTAL_DIM, TOTAL_DIM), dtype=object)
+    rho_sq = ctx.rho * ctx.rho
+    for i in range(DIM):
+        for j in range(DIM):
+            h[i, j] = g[i, j] + beta[i] * beta[j] * rho_sq
+        h[i, IDX_V] = zero
+        h[IDX_V, i] = zero
+        h[i, IDX_W] = (eps * 1.0) * beta[i] * rho_sq
+        h[IDX_W, i] = h[i, IDX_W]
+    h[IDX_V, IDX_V] = m_len * m_len
+    h[IDX_W, IDX_W] = rho_sq
+    h[IDX_V, IDX_W] = zero
+    h[IDX_W, IDX_V] = zero
+
+    omega = np.empty((TOTAL_DIM, TOTAL_DIM), dtype=object)
+    for a in range(TOTAL_DIM):
+        for b in range(TOTAL_DIM):
+            acc = None
+            for m in range(TOTAL_DIM):
+                t = J[m, a] * h[m, b]
+                acc = t if acc is None else acc + t
+            omega[a, b] = acc
+
+    tau = np.empty((DIM, DIM), dtype=object)
+    for i in range(DIM):
+        for j in range(DIM):
+            acc = None
+            for m in range(DIM):
+                for n in range(DIM):
+                    t = g[i, m] * P_img[m, n] * g[n, j]
+                    acc = t if acc is None else acc + t
+            tau[i, j] = acc
+    return {"P_img": P_img, "P_surf": P_surf, "K": K, "J": J, "h": h,
+            "omega": omega, "tau": tau}

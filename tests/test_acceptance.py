@@ -70,7 +70,7 @@ def test_criterion_2a_scalar_flat_certification():
         worst[name] = {
             "scal": float(np.max(np.abs(data.scal))),
             "wplus": float(np.max(np.abs(op.wplus))),
-            "nabla_omega": kahler.nabla_omega_residual(data.gjets),
+            "nabla_omega": kahler.nabla_omega_residual(data),
             "r_s2_s3": float(max(np.max(r2), np.max(r3))),
         }
     ok = all(v["scal"] < 1e-7 and v["wplus"] < 1e-7 and v["nabla_omega"] < 1e-8

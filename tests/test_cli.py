@@ -53,6 +53,8 @@ class TestSuiteConfig:
                     {"fiber": {"profile": "nope"}}, {"fiber": {"branch": "nope"}},
                     {"fiber": {"sign": 5}}, {"fiber": {"sign": True}},
                     {"fiber": {"h_family": "nope"}},
+                    {"metric": "flat", "suite": "cone", "fiber": {"a": -1}},
+                    {"metric": "flat", "suite": "cone", "fiber": {"b": 0}},
                     {"fiber": 3}, {"tolerances": []}):
             with pytest.raises(ConfigurationError):
                 SuiteConfig.from_dict(raw)
@@ -203,6 +205,11 @@ class TestCliCommands:
         for params in ({"q": 3}, {"m": 0}):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"metric": "burns", "suite": "completeness",
+                                       "params": params}))
+            assert main(["verify", "--config", str(cfg), "--report", out]) == 2, params
+        for params in ({"a": 0}, {"a": -1}):  # only a^2 and a^4 enter the potential
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"metric": "eguchi_hanson", "suite": "completeness",
                                        "params": params}))
             assert main(["verify", "--config", str(cfg), "--report", out]) == 2, params
         cfg = tmp_path / "cfg.json"

@@ -53,8 +53,8 @@ class TestChristoffel:
     def test_metric_compatibility(self, burns, rng):
         x = burns.chart.sample(3, rng)
         gjets = burns.jets_at(x, 1)
-        gvals = geo.values_of(gjets)
-        gamma = geo.values_of(geo.christoffel_jets(gjets))
+        gvals = geo.tensor_values(gjets, 2)
+        gamma = geo.tensor_values(geo.christoffel_jets(gjets), 3)
         dg = np.empty(gvals.shape[:-2] + (4, 4, 4))
         for k in range(4):
             for i in range(4):

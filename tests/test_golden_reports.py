@@ -21,7 +21,8 @@ def _rows(rep):
     return [(c["check_id"], c["mode"], c["pass"]) for c in rep["checks"]]
 
 
-@pytest.mark.parametrize("metric", ("burns", "conformal_hermitian"))
+@pytest.mark.parametrize("metric", ("flat", "eguchi_hanson", "burns", "fubini_study",
+                                    "conformal_hermitian"))
 def test_suite_all_matches_golden(metric):
     golden = json.loads((GOLDEN / f"suite_all_{metric}_2024.json").read_text())
     rep = json.loads(report.report_to_json(

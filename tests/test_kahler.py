@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistorcheck import geometry as geo, jets, kahler
+from twistorcheck import geometry as geo, kahler
 from twistorcheck.errors import GeometryError
 
 
@@ -27,7 +27,7 @@ class TestPotentialMetrics:
     def test_metric_positive_definite_on_samples(self, all_fixtures, rng):
         for m in all_fixtures.values():
             pts = m.chart.sample(10, rng)
-            ev = np.linalg.eigvalsh(geo.values_of(m.jets_at(pts, 0)))
+            ev = np.linalg.eigvalsh(m.values_at(pts))
             assert np.all(ev > 0)
 
     def test_degenerate_potential_rejected(self):
@@ -43,14 +43,13 @@ class TestPotentialMetrics:
     def test_kahler_two_form_closed_and_parallel(self, all_fixtures, rng):
         for name, m in all_fixtures.items():
             pts = m.chart.sample(8, rng)
-            gjets = m.jets_at(pts, 1)
-            assert kahler.d_omega_residual(gjets) < 1e-9, name
-            assert kahler.nabla_omega_residual(gjets) < 1e-8, name
+            assert kahler.d_omega_residual(m.jets_at(pts, 1)) < 1e-9, name
+            assert kahler.nabla_omega_residual(geo.curvature_data(m, pts)) < 1e-8, name
 
     def test_non_kahler_control_detected(self, rng):
         m = kahler.get_fixture("conformal_hermitian")
         pts = m.chart.sample(8, rng)
-        assert kahler.nabla_omega_residual(m.jets_at(pts, 1)) > 1e-3
+        assert kahler.nabla_omega_residual(geo.curvature_data(m, pts)) > 1e-3
 
 
 class TestAdaptedFrame:
@@ -62,7 +61,7 @@ class TestAdaptedFrame:
         for m in all_fixtures.values():
             pts = m.chart.sample(5, rng)
             fr = kahler.adapted_frame(m.jets_at(pts, 2))
-            g = geo.values_of(m.jets_at(pts, 0))
+            g = m.values_at(pts)
             gram = np.einsum("...ai,...ij,...bj->...ab", fr.matrix, g, fr.matrix)
             assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
@@ -100,10 +99,9 @@ class TestBetaForm:
         gjets = burns.jets_at(pts, 2)
         fr = kahler.adapted_frame(gjets)
         beta = kahler.beta_form(gjets, fr)
-        gamma = jets.stack(geo.christoffel_jets(gjets))
-        s1j, s2j, s3j = jets.unstack(fr.sd, 1)
-        s2v, s3v = geo.tensor_values(s2j, 2), geo.tensor_values(s3j, 2)
-        nabla = [geo.tensor_values(kahler._two_vector_nabla(gamma, s), 3) for s in (s1j, s2j, s3j)]
+        gamma = geo.christoffel_jets(gjets)
+        s2v, s3v = geo.tensor_values(fr.sd[1], 2), geo.tensor_values(fr.sd[2], 2)
+        nabla = [geo.tensor_values(kahler._two_vector_nabla(gamma, fr.sd[q]), 3) for q in range(3)]
         for k in range(4):
             ns1, ns2, ns3 = (n[..., k, :, :] for n in nabla)
             bk = beta.values[..., k, None, None]
@@ -116,11 +114,10 @@ class TestBetaForm:
         pts = fubini_study.chart.sample(5, rng)
         gjets = fubini_study.jets_at(pts, 2)
         fr = kahler.adapted_frame(gjets)
-        gamma = jets.stack(geo.christoffel_jets(gjets))
-        _, s2j, _ = jets.unstack(fr.sd, 1)
-        g = geo.values_of(gjets)
-        s2v = geo.tensor_values(s2j, 2)
-        nabla = geo.tensor_values(kahler._two_vector_nabla(gamma, s2j), 3)
+        gamma = geo.christoffel_jets(gjets)
+        g = geo.tensor_values(gjets, 2)
+        s2v = geo.tensor_values(fr.sd[1], 2)
+        nabla = geo.tensor_values(kahler._two_vector_nabla(gamma, fr.sd[1]), 3)
         for k in range(4):
             ns2 = nabla[..., k, :, :]
             assert np.max(np.abs(geo._inner_kernel(g, ns2, s2v))) < 1e-10
