@@ -21,8 +21,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import fibermap
 from .errors import ConfigurationError, TwistorCheckError
 from .report import SuiteConfig, _check_real, report_to_json, run_suite
@@ -85,7 +83,7 @@ def _cmd_verify(args) -> int:
     report = run_suite(config)
     write(report_to_json(report))
     for check in report["checks"]:
-        status = "PASS" if check["pass"] else ("SKIP" if check["mode"] == "skipped" else "FAIL")
+        status = "SKIP" if check["mode"] == "skipped" else ("PASS" if check["pass"] else "FAIL")
         print(f"[{status}] {check['check_id']}: residual={check['max_residual']} "
               f"threshold={check['threshold']} ({check['mode']})")
     print(f"report written to {out}")
@@ -101,25 +99,14 @@ def _cmd_solve_map(args) -> int:
     write = _output(out)
     profile = fibermap.get_profile(args.profile)
     emap = fibermap.solve_phi(profile, c=args.c, sign=args.sign, branch=args.branch)
-    lo, hi = emap.domain
-    pad = 1e-3 * (hi - lo)
-    zs = np.linspace(lo + pad, hi - pad, args.samples)
-    j = emap.phi_jet(zs, 1)
-    phi = np.asarray(j.value)
-    dphi = np.asarray(j.deriv(0).value)
-    rho = profile.rho_values(zs)
-    rp = profile.rho_prime(zs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_par = np.sqrt(1.0 - phi * phi) / rho
-        s_mer = np.abs(dphi) / np.sqrt(1.0 - phi * phi) / np.sqrt(rp * rp + 1.0)
-        aniso = np.abs(s_mer / s_par - 1.0)
+    samples = fibermap.anisotropy_samples(profile, emap, args.samples)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["z", "phi", "anisotropy"])
-    for row in zip(zs, phi, aniso):
+    for row in zip(samples.z, samples.phi, samples.anisotropy):
         writer.writerow([f"{v:.16g}" for v in row])
     write(buf.getvalue())
-    rep = fibermap.conformality_check(profile, emap, sample_count=args.samples)
+    rep = fibermap.conformality_report(samples)
     print(f"profile={args.profile} branch={args.branch} c={args.c} "
           f"degenerate={emap.degenerate} max_anisotropy={rep.max_anisotropy} "
           f"orientation={rep.orientation}")

@@ -25,7 +25,7 @@ closed form degenerates to a constant there) and the verifier reports it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from . import jets
 from .errors import DomainError, InputError, NumericError
 
 POLE_MARGIN = 1e-3  # exclusion margin in |phi| for fiber-map evaluations
+SAMPLE_MARGIN = 1e-3  # z samples keep this fraction of the map's domain clear
 QUAD_NODES = 30     # Gauss-Legendre nodes per panel
 QUAD_PANELS = 64    # panels on [a, b]; the error estimate uses half as many
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_NODES)
@@ -60,16 +61,13 @@ class SurfaceProfile:
         j = self.rho_jet(z, 1)
         return np.asarray(j.deriv(0).value)
 
-    def interior(self, z, margin=1e-9) -> bool:
-        return self.z_minus + margin < z < self.z_plus - margin
-
 
 def sphere_profile() -> SurfaceProfile:
     return SurfaceProfile(lambda zj: jets.sqrt(1.0 - zj * zj), (-1.0, 1.0), name="sphere")
 
 
-def cylinder_profile(half_length: float = 2.0) -> SurfaceProfile:
-    return SurfaceProfile(lambda zj: zj * 0.0 + 1.0, (-half_length, half_length), name="cylinder")
+def cylinder_profile() -> SurfaceProfile:
+    return SurfaceProfile(lambda zj: zj * 0.0 + 1.0, (-2.0, 2.0), name="cylinder")
 
 
 def cosh_profile() -> SurfaceProfile:
@@ -78,12 +76,6 @@ def cosh_profile() -> SurfaceProfile:
         return (e + 1.0 / e) * 0.5
 
     return SurfaceProfile(rho, (-1.0, 1.0), name="cosh")
-
-
-def constant_profile(value: float, half_length: float = 1.0) -> SurfaceProfile:
-    if value <= 0:
-        raise InputError("constant profile must be positive")
-    return SurfaceProfile(lambda zj: zj * 0.0 + value, (-half_length, half_length), name=f"constant_{value}")
 
 
 PROFILES = {
@@ -97,35 +89,6 @@ def get_profile(name: str) -> SurfaceProfile:
     if name not in PROFILES:
         raise InputError(f"unknown profile '{name}' (have {sorted(PROFILES)})")
     return PROFILES[name]()
-
-
-# ---------------------------------------------------------------------------
-# Gauss map
-# ---------------------------------------------------------------------------
-
-def surface_point(profile: SurfaceProfile, z, theta):
-    rho = profile.rho_values(z)
-    return np.stack([rho * np.cos(theta), rho * np.sin(theta), np.asarray(z, float) + 0 * rho], axis=-1)
-
-
-def surface_tangents(profile: SurfaceProfile, z, theta):
-    """(d/dz, d/dtheta) of the embedding, as R^3 vectors."""
-    rho = profile.rho_values(z)
-    rs = profile.rho_prime(z)
-    c, s = np.cos(theta), np.sin(theta)
-    one = np.ones_like(rho)
-    t_z = np.stack([rs * c, rs * s, one], axis=-1)
-    t_th = np.stack([-rho * s, rho * c, 0 * one], axis=-1)
-    return t_z, t_th
-
-
-def gauss_map(profile: SurfaceProfile, z, theta):
-    """Outward unit normal of the rotational surface at (z, theta)."""
-    if np.ndim(z) == 0 and not profile.interior(z):
-        raise DomainError(f"z={z} is on the boundary of the profile interval")
-    t_z, t_th = surface_tangents(profile, z, theta)
-    n = np.cross(t_th, t_z)
-    return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +202,7 @@ def _scan_domain(profile, valid, n=512):
 
 
 def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
-              branch: str = "quadrature", z0: Optional[float] = None) -> EquivariantMap:
+              branch: str = "quadrature") -> EquivariantMap:
     """Solve for the equivariant fiber map phi on the given profile.
 
     branches:
@@ -247,6 +210,7 @@ def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
     * ``flat_meridian_closed_form``      phi = sign * sqrt(1 - e^c rho^-2)
     * ``alternate_closed_form``  phi = sign * sqrt(1 - e^c rho^2)
     * ``quadrature``             phi = tanh(l(z) + c) with the isothermal l
+      measured from the midpoint of the profile interval
 
     Only the quadrature branch is guaranteed conformal in the embedding
     metrics; run :func:`conformality_check` to adjudicate.
@@ -258,8 +222,7 @@ def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
     ec = float(np.exp(c))
 
     if branch == "quadrature":
-        if z0 is None:
-            z0 = 0.5 * (profile.z_minus + profile.z_plus)
+        z0 = 0.5 * (profile.z_minus + profile.z_plus)
 
         def phi(zj):
             # build phi's Taylor series at the evaluation value, then compose
@@ -327,39 +290,61 @@ class ConformalityReport:
         return (not self.degenerate) and self.max_anisotropy < 1e-6 and self.orientation > 0
 
 
-def conformality_check(profile: SurfaceProfile, emap: EquivariantMap,
-                       sample_count: int = 100, margin: float = 1e-3) -> ConformalityReport:
-    """Compare the two singular values of df in the embedding metrics.
+class AnisotropySamples(NamedTuple):
+    z: np.ndarray
+    phi: np.ndarray
+    dphi: np.ndarray
+    anisotropy: np.ndarray
+
+
+def anisotropy_samples(profile: SurfaceProfile, emap: EquivariantMap,
+                       sample_count: int) -> AnisotropySamples:
+    """phi, phi' and the anisotropy |sigma_meridian / sigma_parallel - 1| of
+    df at ``sample_count`` evenly spaced z, SAMPLE_MARGIN of the map's
+    domain clear of either end.
 
     Meridian norms: sqrt(rho'^2 + 1) on the surface, 1/sqrt(1 - zeta^2) on
-    the sphere; parallel norms rho and sqrt(1 - zeta^2).  A pole-proximate
-    sample (|phi| within POLE_MARGIN of 1) is skipped and counted.
+    the sphere; parallel norms rho and sqrt(1 - zeta^2).  Where |phi| = 1
+    the anisotropy is not finite.
     """
     lo, hi = emap.domain
-    pad = margin * (hi - lo)
+    pad = SAMPLE_MARGIN * (hi - lo)
     zs = np.linspace(lo + pad, hi - pad, sample_count)
     j = emap.phi_jet(zs, 1)
     phi = np.asarray(j.value)
     dphi = np.asarray(j.deriv(0).value)
-    keep = np.abs(phi) < 1.0 - POLE_MARGIN
-    skipped = int(np.sum(~keep))
-    zs, phi, dphi = zs[keep], phi[keep], dphi[keep]
-    if zs.size == 0:
-        raise DomainError("all samples are pole-proximate; nothing to check")
-    if np.max(np.abs(dphi)) < 1e-12:
-        return ConformalityReport(np.nan, 0, int(zs.size), skipped, True)
     rho = profile.rho_values(zs)
     rp = profile.rho_prime(zs)
-    sigma_parallel = np.sqrt(1.0 - phi * phi) / rho
-    sigma_meridian = np.abs(dphi) / np.sqrt(1.0 - phi * phi) / np.sqrt(rp * rp + 1.0)
-    aniso = np.abs(sigma_meridian / sigma_parallel - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma_parallel = np.sqrt(1.0 - phi * phi) / rho
+        sigma_meridian = np.abs(dphi) / np.sqrt(1.0 - phi * phi) / np.sqrt(rp * rp + 1.0)
+        aniso = np.abs(sigma_meridian / sigma_parallel - 1.0)
+    return AnisotropySamples(zs, phi, dphi, aniso)
+
+
+def conformality_report(samples: AnisotropySamples) -> ConformalityReport:
+    """Verdict on :func:`anisotropy_samples`.  A pole-proximate sample (|phi|
+    within POLE_MARGIN of 1) is skipped and counted."""
+    keep = np.abs(samples.phi) < 1.0 - POLE_MARGIN
+    skipped = int(np.sum(~keep))
+    dphi, aniso = samples.dphi[keep], samples.anisotropy[keep]
+    if dphi.size == 0:
+        raise DomainError("all samples are pole-proximate; nothing to check")
+    if np.max(np.abs(dphi)) < 1e-12:
+        return ConformalityReport(np.nan, 0, int(dphi.size), skipped, True)
     if np.all(dphi > 0):
         orientation = +1
     elif np.all(dphi < 0):
         orientation = -1
     else:
         orientation = 0
-    return ConformalityReport(float(np.max(aniso)), orientation, int(zs.size), skipped, False)
+    return ConformalityReport(float(np.max(aniso)), orientation, int(dphi.size), skipped, False)
+
+
+def conformality_check(profile: SurfaceProfile, emap: EquivariantMap,
+                       sample_count: int = 100) -> ConformalityReport:
+    """Compare the two singular values of df in the embedding metrics."""
+    return conformality_report(anisotropy_samples(profile, emap, sample_count))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Evaluates metrics and their curvature through jet arithmetic: Christoffel
 symbols, the full Riemann tensor, the half-determinant inner product on
-2-vectors, the Hodge star, self-dual / anti-self-dual bases, and the
-curvature operator in block form.
+2-vectors, self-dual / anti-self-dual bases, and the curvature operator in
+block form.
 
 A metric is evaluated once per point set: :meth:`MetricField.jets_at`
 returns the metric jets as one stacked (4, 4) jet, and :func:`curvature_data`
@@ -42,42 +42,29 @@ from . import jets
 from .errors import ConfigurationError, FrameError, GeometryError, UsageError
 
 DIM = 4
-
-# permutation symbol on 4 indices, built once
-_EPS4 = np.zeros((4, 4, 4, 4))
-for _p in __import__("itertools").permutations(range(4)):
-    _sign = 1.0
-    _pl = list(_p)
-    for _i in range(4):
-        for _j in range(_i + 1, 4):
-            if _pl[_i] > _pl[_j]:
-                _sign = -_sign
-    _EPS4[_p] = _sign
+SAMPLE_MARGIN = 1e-2  # chart sampling keeps this fraction of each side clear
 
 
 class ChartDomain:
     """A coordinate box with an optional excluded region.
 
     ``exclusion`` returns True on points that must be rejected (e.g. the
-    puncture of a Burns chart).  Sampling shrinks the box by ``margin``
-    (a fraction of each side) and rejects excluded points.
+    puncture of a Burns chart).  Sampling shrinks the box by
+    :data:`SAMPLE_MARGIN` of each side and rejects excluded points.
     """
 
-    def __init__(self, box, exclusion: Optional[Callable] = None, margin: float = 1e-2,
-                 orientation: float = +1.0):
+    def __init__(self, box, exclusion: Optional[Callable] = None):
         self.box = np.asarray(box, dtype=float)
         if self.box.shape != (DIM, 2) or np.any(self.box[:, 1] <= self.box[:, 0]):
             raise ConfigurationError("box must be 4 nonempty intervals")
         self.exclusion = exclusion
-        self.margin = margin
-        self.orientation = orientation
 
     def sample(self, n: int, rng) -> np.ndarray:
         """Draw ``n`` admissible points; deterministic for a seeded rng."""
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(rng)
-        lo = self.box[:, 0] + self.margin * (self.box[:, 1] - self.box[:, 0])
-        hi = self.box[:, 1] - self.margin * (self.box[:, 1] - self.box[:, 0])
+        lo = self.box[:, 0] + SAMPLE_MARGIN * (self.box[:, 1] - self.box[:, 0])
+        hi = self.box[:, 1] - SAMPLE_MARGIN * (self.box[:, 1] - self.box[:, 0])
         out = np.empty((n, DIM))
         for i in range(n):
             for _ in range(1000):
@@ -108,9 +95,6 @@ class MetricField:
     def jets_at(self, x, order: int) -> jets.Jet:
         """The g_{ij} jets of order ``order`` at ``x``, stacked (4, 4)."""
         return jets.stack(self._fn(jets.seed_raw(np.asarray(x, dtype=float), order)))
-
-    def values_at(self, x):
-        return tensor_values(self.jets_at(x, 0), 2)
 
 
 def _batch_leading(arr: np.ndarray, ndim: int) -> np.ndarray:
@@ -153,11 +137,11 @@ def _inverse(m: jets.Jet) -> jets.Jet:
     return jets.Jet(space, a[:, :, n:].copy())
 
 
-def check_spd(gvals: np.ndarray, x=None, tol: float = 0.0):
+def check_spd(gvals: np.ndarray, x=None):
     """Raise GeometryError (naming the point) unless g is SPD."""
     ev = np.linalg.eigvalsh(gvals)
-    if np.any(ev <= tol):
-        bad = np.argwhere(ev <= tol)
+    if np.any(ev <= 0.0):
+        bad = np.argwhere(ev <= 0.0)
         where = "" if x is None else f" at x={np.asarray(x)[bad[0][0]] if np.asarray(x).ndim > 1 else x}"
         raise GeometryError(f"metric is not positive definite{where} (eigenvalues {ev[tuple(bad[0][:-1])]})")
 
@@ -188,22 +172,17 @@ def christoffel_jets(gjets: jets.Jet) -> jets.Jet:
     return gamma
 
 
-def christoffel(metric: MetricField, x) -> np.ndarray:
-    """Levi-Civita symbols Gamma^k_{ij} at x (batch axes leading)."""
-    gjets = metric.jets_at(x, 1)
-    check_spd(tensor_values(gjets, 2), x)
-    return tensor_values(christoffel_jets(gjets), 3)
-
-
 @dataclass
 class CurvatureData:
     """Evaluated curvature bundle reused across higher-level checks; its
-    stacked ``gjets`` and Christoffel values ``gamma`` serve the adapted
-    frame and the Kahler residuals as well."""
+    stacked ``gjets``, their Christoffel jets ``gamma_jets`` and the values
+    ``gamma`` of those serve the adapted frame, beta and the Kahler
+    residuals as well."""
 
     gvals: np.ndarray
     ginv: np.ndarray
     gjets: jets.Jet
+    gamma_jets: jets.Jet
     gamma: np.ndarray
     rlow: np.ndarray
     ric: np.ndarray
@@ -216,12 +195,12 @@ def curvature_data(metric: MetricField, x) -> CurvatureData:
     gjets = metric.jets_at(x, 2)
     gvals = tensor_values(gjets, 2)
     check_spd(gvals, x)
-    return _curvature_from_jets(gjets, gvals)
+    return _curvature_from_jets(gjets, gvals, christoffel_jets(gjets))
 
 
-def _curvature_from_jets(gjets, gvals) -> CurvatureData:
-    """Curvature of metric jets of order >= 2 whose values ``gvals`` are SPD."""
-    gamma_jets = christoffel_jets(gjets)
+def _curvature_from_jets(gjets, gvals, gamma_jets) -> CurvatureData:
+    """Curvature of metric jets of order >= 2 whose values ``gvals`` are SPD,
+    from their Christoffel jets ``gamma_jets`` (:func:`christoffel_jets`)."""
     gamma = tensor_values(gamma_jets, 3)
     dgamma = tensor_partials(gamma_jets, 3)  # [..., i, l, j, k] = d_i Gamma^l_{jk}
     # R(d_i, d_j) d_k = Rup[..., l, k, i, j] d_l
@@ -236,7 +215,7 @@ def _curvature_from_jets(gjets, gvals) -> CurvatureData:
     ginv = np.linalg.inv(gvals)
     scal = np.einsum("...ij,...ij->...", ginv, ric)
     # the curvature actions consume Rup raised back from Rlow
-    return CurvatureData(gvals, ginv, gjets, gamma, rlow, ric, scal,
+    return CurvatureData(gvals, ginv, gjets, gamma_jets, gamma, rlow, ric, scal,
                          np.einsum("...lm,...ijkm->...lkij", ginv, rlow))
 
 
@@ -282,39 +261,14 @@ def _inner_kernel(gvals, B1, B2):
     return 0.25 * np.einsum("...ij,...kl,...ik,...jl->...", B1, B2, gvals, gvals)
 
 
-def two_vector_inner(metric: MetricField, x, b1: TwoVector, b2: TwoVector):
-    """Half-determinant metric on 2-vectors, extended bilinearly."""
-    g = metric.values_at(x)
-    return _inner_kernel(g, b1.comps, b2.comps)
-
-
-def _star_kernel(gvals, B, orientation=+1.0):
-    low = np.einsum("...ik,...kl,...lj->...ij", gvals, B, gvals)
-    det = np.linalg.det(gvals)
-    return orientation * np.einsum("ijkl,...kl->...ij", _EPS4, low) / (2.0 * np.sqrt(det)[..., None, None])
-
-
-def hodge_star_2(metric: MetricField, x, b: TwoVector, orientation: float | None = None):
-    """Hodge star on 2-vectors; an involutive isometry in dimension 4."""
-    g = metric.values_at(x)
-    if orientation is None:
-        orientation = metric.chart.orientation
-    return TwoVector(_star_kernel(g, b.comps, orientation))
-
-
-def sd_basis(frame, gvals=None):
-    """Orthonormal basis (s1,s2,s3,t1,t2,t3) of Lambda2+ + Lambda2-.
-
-    ``frame`` is an object with a ``matrix`` attribute (rows = frame vector
-    components) or a plain (...,4,4) array.  When metric values are passed,
-    orthonormality of the frame is validated to 1e-10.
-    """
-    E = frame.matrix if hasattr(frame, "matrix") else np.asarray(frame, float)
-    if gvals is not None:
-        gram = np.einsum("...ai,...ij,...bj->...ab", E, gvals, E)
-        resid = np.max(np.abs(gram - np.eye(DIM)))
-        if resid > 1e-10:
-            raise FrameError(f"frame is not orthonormal (Gram residual {resid:.3e})")
+def sd_basis(E: np.ndarray, gvals: np.ndarray):
+    """Orthonormal basis (s1,s2,s3,t1,t2,t3) of Lambda2+ + Lambda2- from the
+    frame ``E`` (rows = frame vector components, (..., 4, 4)), whose
+    orthonormality in the metric values ``gvals`` is validated to 1e-10."""
+    gram = np.einsum("...ai,...ij,...bj->...ab", E, gvals, E)
+    resid = np.max(np.abs(gram - np.eye(DIM)))
+    if resid > 1e-10:
+        raise FrameError(f"frame is not orthonormal (Gram residual {resid:.3e})")
     e = [E[..., a, :] for a in range(DIM)]
     w = TwoVector.wedge
     s1 = w(e[0], e[1]) + w(e[2], e[3])
@@ -403,8 +357,3 @@ def curvature_operator(data: CurvatureData, basis) -> CurvatureOperator:
         for b in range(n):
             M[..., a, b] = -0.5 * _inner_kernel(data.gvals, va, comps[b])
     return CurvatureOperator(M)
-
-
-def lambda_plus_cross(u3, v3):
-    """Cross product on Lambda2+ in an orthonormal (s1,s2,s3) coordinate frame."""
-    return np.cross(u3, v3)

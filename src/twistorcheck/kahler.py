@@ -37,7 +37,6 @@ from .geometry import (
     ChartDomain,
     CurvatureData,
     MetricField,
-    christoffel_jets,
     curvature_two_vector_action,
     tensor_partials,
     tensor_values,
@@ -84,23 +83,6 @@ class KahlerPotentialMetric(MetricField):
                 g[:, ya, xb] = g[:, xb, ya] = -1.0 * im
         return jets.Jet(d2.space, g)
 
-    def omega_values(self, x):
-        g = self.values_at(x)
-        return np.einsum("ki,...kj->...ij", I_MATRIX, g)
-
-
-def metric_from_potential(potential, chart: ChartDomain, name="potential", params=None,
-                          validate_points=None) -> KahlerPotentialMetric:
-    """Build a potential metric; optionally validate SPD at given points."""
-    m = KahlerPotentialMetric(chart, potential, name=name, params=params)
-    if validate_points is not None:
-        for x in np.atleast_2d(validate_points):
-            g = m.values_at(x)
-            ev = np.linalg.eigvalsh(g)
-            if np.any(ev <= 0):
-                raise GeometryError(f"potential Hessian is degenerate at x={x} (eigenvalues {ev})")
-    return m
-
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -112,12 +94,12 @@ def _u_of(xj):
 
 def _flat():
     chart = ChartDomain([[-1, 1]] * 4)
-    return metric_from_potential(_u_of, chart, name="flat")
+    return KahlerPotentialMetric(chart, _u_of, name="flat")
 
 
 def _fubini_study():
     chart = ChartDomain([[-0.7, 0.7]] * 4)
-    return metric_from_potential(lambda xj: jets.log(1.0 + _u_of(xj)), chart, name="fubini_study")
+    return KahlerPotentialMetric(chart, lambda xj: jets.log(1.0 + _u_of(xj)), name="fubini_study")
 
 
 def _eguchi_hanson(a=1.0):
@@ -132,7 +114,7 @@ def _eguchi_hanson(a=1.0):
         return r - a2 * jets.log(a2 + r) + a2 * jets.log(u)
 
     chart = ChartDomain([[0.25, 1.05]] * 4, exclusion=lambda x: np.sum(x * x) < 0.1)
-    return metric_from_potential(phi, chart, name="eguchi_hanson", params={"a": a})
+    return KahlerPotentialMetric(chart, phi, name="eguchi_hanson", params={"a": a})
 
 
 def _burns(m=1.0):
@@ -145,7 +127,7 @@ def _burns(m=1.0):
         return u + m * jets.log(u)
 
     chart = ChartDomain([[0.25, 1.05]] * 4, exclusion=lambda x: np.sum(x * x) < 0.1)
-    return metric_from_potential(phi, chart, name="burns", params={"m": m})
+    return KahlerPotentialMetric(chart, phi, name="burns", params={"m": m})
 
 
 def _conformal_hermitian():
@@ -157,9 +139,7 @@ def _conformal_hermitian():
         zero = c * 0.0
         return [[c if i == j else zero for j in range(DIM)] for i in range(DIM)]
 
-    m = MetricField(chart, fn, name="conformal_hermitian")
-    m.omega_values = lambda x: np.einsum("ki,...kj->...ij", I_MATRIX, m.values_at(x))
-    return m
+    return MetricField(chart, fn, name="conformal_hermitian")
 
 
 FIXTURES = {
@@ -297,13 +277,12 @@ def _two_vector_nabla(gamma: jets.Jet, s: jets.Jet) -> jets.Jet:
     return jets.Jet(low, out)
 
 
-def beta_form(gjets: jets.Jet, frame: AdaptedFrame) -> ConnectionOneForm:
+def beta_form(gjets: jets.Jet, frame: AdaptedFrame, gamma: jets.Jet) -> ConnectionOneForm:
     """beta_k = < nabla_k s2, s3 > as jets one order below the stacked metric
-    jets ``gjets``; ``frame`` is the adapted frame built from the same jets."""
-    gamma = christoffel_jets(gjets)
+    jets ``gjets``; ``frame`` is the adapted frame and ``gamma`` the
+    Christoffel jets (:func:`geometry.christoffel_jets`) of the same jets."""
     ns2 = _two_vector_nabla(gamma, frame.sd[1])
     low = gamma.space
-    del gamma  # lowers the peak memory of large batches
     # sum_{ijkl} ((nabla_k s2^{ij} s3^{kl}) g_ik) g_jl, in (i, j, k, l) order
     g_low = gjets.truncate(low.order)
     comps = jets.contract("mij,kl,ik,jl->m", ns2, frame.sd[2].truncate(low.order),
@@ -332,13 +311,6 @@ def nabla_omega_residual(data: CurvatureData) -> float:
         - np.einsum("...mkj,...im->...kij", data.gamma, om)
     )
     return float(np.max(np.abs(nab)))
-
-
-def d_omega_residual(gjets: jets.Jet) -> float:
-    """sup |(d omega)_{kij}| over antisymmetrized index triples."""
-    dom = _omega_jets(gjets).partials()  # [k, i, j] = d_k omega_ij
-    val = dom + np.einsum("ijk...->kij...", dom) + np.einsum("jki...->kij...", dom)
-    return float(np.max(np.abs(val)))
 
 
 def curvature_s_residuals(data: CurvatureData, basis):

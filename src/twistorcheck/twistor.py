@@ -22,7 +22,7 @@ Conventions fixed here and exercised by the tests:
   sin w s3) the equivariant fiber-map image (identity on plain charts).
 * the fundamental 2-form convention is Omega(X, Y) = h(J X, Y), making
   Omega(X, JX) = |JX|^2 > 0 and the four-term Nijenhuis/D-Omega identity
-  hold with the signs used in :func:`nijenhuis_domega`.
+  hold with the signs used in :func:`nijenhuis_route_agreement`.
 * orientation: base complex orientation times the outward fiber
   orientation (d_w, d_v); the coordinate frame (x, v, w) is negatively
   oriented, so the volume component on dx^0123 ^ dv ^ dw is -sqrt(det h).
@@ -65,7 +65,6 @@ from .geometry import (
     tensor_values,
     _curvature_from_jets,
     _inner_kernel,
-    _star_kernel,
 )
 from .kahler import adapted_frame, beta_form
 
@@ -74,6 +73,7 @@ IDX_V, IDX_W = 4, 5
 
 # sign of the connection correction in the vertical coframe {dv, dw + EPS beta}
 EPS = +1
+FIBER_MARGIN = 1e-2  # fiber sampling keeps this fraction of the interval clear
 
 
 # ---------------------------------------------------------------------------
@@ -91,31 +91,29 @@ class TwistorChart:
     """
 
     def __init__(self, base: MetricField, profile: SurfaceProfile,
-                 fmap: Optional[EquivariantMap] = None,
-                 pole_margin: float = 1e-2, eps: int = EPS):
+                 fmap: Optional[EquivariantMap] = None, eps: int = EPS):
         self.base = base
         self.profile = profile
         self.fmap = fmap if fmap is not None else identity_sphere_map()
-        self.pole_margin = pole_margin
         self.eps = eps
 
     @classmethod
-    def twistor(cls, base: MetricField, **kw) -> "TwistorChart":
-        return cls(base, sphere_profile(), None, **kw)
+    def twistor(cls, base: MetricField) -> "TwistorChart":
+        return cls(base, sphere_profile(), None)
 
     @classmethod
     def modified(cls, base: MetricField, profile: SurfaceProfile,
-                 fmap: EquivariantMap, **kw) -> "TwistorChart":
-        return cls(base, profile, fmap, **kw)
+                 fmap: EquivariantMap) -> "TwistorChart":
+        return cls(base, profile, fmap)
 
     def with_eps(self, eps: int) -> "TwistorChart":
-        return TwistorChart(self.base, self.profile, self.fmap, self.pole_margin, eps)
+        return TwistorChart(self.base, self.profile, self.fmap, eps)
 
     def fiber_interval(self):
         lo, hi = self.fmap.domain if self.fmap.domain else (self.profile.z_minus, self.profile.z_plus)
         lo = max(lo, self.profile.z_minus)
         hi = min(hi, self.profile.z_plus)
-        pad = self.pole_margin * (hi - lo)
+        pad = FIBER_MARGIN * (hi - lo)
         return lo + pad, hi - pad
 
     def sample(self, n: int, rng) -> np.ndarray:
@@ -156,7 +154,7 @@ def calibrate_epsilon(metric: MetricField, seed: int = 2024, steps: int = 24,
     ranked = []
     for x in probes:
         gjets = metric.jets_at(x, 2)
-        b = beta_form(gjets, adapted_frame(gjets)).values
+        b = beta_form(gjets, adapted_frame(gjets), christoffel_jets(gjets)).values
         k = int(np.argmax(np.abs(b)))
         ranked.append((abs(b[k]), k, x))
     ranked.sort(key=lambda t: -t[0])
@@ -181,8 +179,9 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
         from one evaluation of the metric."""
         gjets = metric.jets_at(x, 2)
         fr = adapted_frame(gjets)
-        return (tensor_values(gjets, 2), tensor_values(christoffel_jets(gjets), 3), fr,
-                beta_form(gjets, fr).values[k])
+        gamma = christoffel_jets(gjets)
+        return (tensor_values(gjets, 2), tensor_values(gamma, 3), fr,
+                beta_form(gjets, fr, gamma).values[k])
 
     def gamma_action(G, S):
         return -direction * (np.einsum("im,mj->ij", G[:, k, :], S)
@@ -232,7 +231,8 @@ class ChartEval:
     in checking d d = 0) builds its ChartEval at order 2.  The base metric
     jets are taken one order higher, because the connection form beta
     consumes one order; the frame, beta and :attr:`data4` all come from
-    that one evaluation, and beta and :attr:`S` share the frame's one
+    that one evaluation, beta and :attr:`data4` from its one set of
+    Christoffel jets, and beta and :attr:`S` share the frame's one
     self-dual basis (:attr:`AdaptedFrame.sd`).
 
     This is the only place a chart is evaluated at points: every field
@@ -267,7 +267,8 @@ class ChartEval:
         self.gvals = tensor_values(gj4, 2)
         check_spd(self.gvals, self.x4)
         frame = adapted_frame(gj4)
-        beta = beta_form(gj4, frame)
+        self._gamma4 = christoffel_jets(gj4)
+        beta = beta_form(gj4, frame, self._gamma4)
         self.beta_vals = beta.values
         self.svals = [tensor_values(frame.sd[q], 2) for q in range(3)]
 
@@ -315,11 +316,9 @@ class ChartEval:
     def _build_J_h(self):
         eps = self.eps
         cw, sw = self.cw, self.sw
-        # P = a1 s1 + a2 s2 + a3 s3 for the image point and the surface point
-        coef = jets.stack([[self.phi, self.r_img * cw, self.r_img * sw],
-                           [self.vjet, self.rho * cw, self.rho * sw]])
-        P = jets.contract("fq,qij->fij", coef, self.S)
-        self.P_img, self.P_surf = P[0], P[1]
+        # P = a1 s1 + a2 s2 + a3 s3 for the image point F(p)
+        coef = jets.stack([self.phi, self.r_img * cw, self.r_img * sw])
+        self.P_img = jets.contract("q,qij->ij", coef, self.S)
         # K = -P g (as an endomorphism K^m_j)
         self.K = K = -1.0 * jets.contract("mi,ij->mj", self.P_img, self.g)
         m_len = jets.sqrt(self.rho_p * self.rho_p + 1.0)  # meridian speed
@@ -385,7 +384,7 @@ class ChartEval:
     def data4(self):
         """Base curvature at the points, from the base metric jets above."""
         if self._data4 is None:
-            self._data4 = _curvature_from_jets(self.gjets4, self.gvals)
+            self._data4 = _curvature_from_jets(self.gjets4, self.gvals, self._gamma4)
         return self._data4
 
     def horizontal_lift_values(self, X):
@@ -434,25 +433,6 @@ class ChartEval:
 
 
 # ---------------------------------------------------------------------------
-# public field operations
-# ---------------------------------------------------------------------------
-
-def K_operator(a: TwoVector, metric: MetricField, x) -> np.ndarray:
-    """Almost-complex structure K_a with g(K_a X, Y) = 2 g(a, X ^ Y).
-
-    ``a`` must be a unit self-dual 2-vector (checked to 1e-8).
-    """
-    g = metric.values_at(x)
-    norm = _inner_kernel(g, a.comps, a.comps)
-    if np.any(np.abs(norm - 1.0) > 1e-8):
-        raise InputError(f"K operator needs a unit 2-vector, got |a|^2 = {norm}")
-    star = _star_kernel(g, a.comps, metric.chart.orientation)
-    if np.max(np.abs(star - a.comps)) > 1e-8 * max(1.0, float(np.max(np.abs(a.comps)))):
-        raise InputError("K operator needs a self-dual 2-vector")
-    return -np.einsum("...mi,...ij->...mj", a.comps, g)
-
-
-# ---------------------------------------------------------------------------
 # Nijenhuis tensor, two routes
 # ---------------------------------------------------------------------------
 
@@ -493,20 +473,6 @@ def _nijenhuis_from_domega(covd, A, JA, B, JB, C) -> np.ndarray:
         return np.einsum("...kab,...k,...a,...b->...", covd, X, Y, Z)
 
     return term(A, JB, C) - term(JB, A, C) - term(B, JA, C) + term(JA, B, C)
-
-
-def nijenhuis_domega(ctx: ChartEval, A, B, C) -> np.ndarray:
-    """h(N(A,B),C) per point through the four-term D-Omega formula
-    (independent route: uses the Levi-Civita connection of h, not
-    brackets)."""
-    covd = _covariant_domega(ctx)
-    Jv = ctx.J_values
-    A = np.asarray(A, float)
-    B = np.asarray(B, float)
-    C = np.asarray(C, float)
-    JA = np.einsum("...ma,...a->...m", Jv, A)
-    JB = np.einsum("...ma,...a->...m", Jv, B)
-    return _nijenhuis_from_domega(covd, A, JA, B, JB, C)
 
 
 def nijenhuis_route_agreement(ctx: ChartEval, n_triples: int = 20, seed: int = 0) -> float:
@@ -747,11 +713,6 @@ class FormValue:
     degree: int
     comps: dict  # sorted index tuple -> coefficient (scalar or batch array)
 
-    def max_abs(self) -> float:
-        if not self.comps:
-            return 0.0
-        return float(max(np.max(np.abs(c)) for c in self.comps.values()))
-
     def __call__(self, *vectors):
         """Evaluate on ``degree`` many 6-vectors (full antisymmetrization)."""
         if len(vectors) != self.degree:
@@ -798,7 +759,10 @@ def wedge_dicts(c1: dict, c2: dict) -> dict:
 
 
 def d_dict(comps: dict, to_values: bool = True) -> dict:
-    """Exterior derivative of jet-valued components."""
+    """Exterior derivative of jet-valued components, as values at the points
+    of the ChartEval the components were built on, or as jets one order
+    lower (``to_values=False``).  Taking d of a form that was itself built
+    with one d needs a ChartEval at order 2."""
     out = {}
     for key, cj in comps.items():
         for k in range(TOTAL_DIM):
@@ -811,19 +775,6 @@ def d_dict(comps: dict, to_values: bool = True) -> dict:
             val = dkc.value if to_values else dkc
             out[new] = out.get(new, 0.0) + sign * val
     return out
-
-
-def exterior_derivative(comps: dict) -> FormValue:
-    """d of a form given by its jet components, as values at the points
-    of the ChartEval the components were built on.  Taking d of a form
-    that was itself built with one d needs a ChartEval at order 2."""
-    degrees = {len(key) for key in comps}
-    if len(degrees) != 1:
-        raise UsageError("a form needs components, all of one degree")
-    degree = degrees.pop()
-    if degree > 5:
-        raise UsageError("cannot take d of a form of degree > 5")
-    return FormValue(degree + 1, d_dict(comps))
 
 
 def _form_values(comps: dict) -> dict:

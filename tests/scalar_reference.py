@@ -208,7 +208,7 @@ def beta_jets(gjets, frame_jets):
 
 
 def chart_fields(ctx):
-    """P_img, P_surf, K, J, h, Omega and tau of a ChartEval, from its
+    """P_img, K, J, h, Omega and tau of a ChartEval, from its
     embedded base fields (g, S, beta) and fiber jets, one scalar product at
     a time; tau is the (4, 4) g P g whose i < j entries form the 2-form."""
     g = to_objects(ctx.g, 2)
@@ -225,7 +225,6 @@ def chart_fields(ctx):
 
     cw, sw = ctx.cw, ctx.sw
     P_img = two_vector_field(ctx.phi, ctx.r_img * cw, ctx.r_img * sw)
-    P_surf = two_vector_field(ctx.vjet, ctx.rho * cw, ctx.rho * sw)
     K = np.empty((DIM, DIM), dtype=object)
     for m in range(DIM):
         for j in range(DIM):
@@ -285,5 +284,5 @@ def chart_fields(ctx):
                     t = g[i, m] * P_img[m, n] * g[n, j]
                     acc = t if acc is None else acc + t
             tau[i, j] = acc
-    return {"P_img": P_img, "P_surf": P_surf, "K": K, "J": J, "h": h,
+    return {"P_img": P_img, "K": K, "J": J, "h": h,
             "omega": omega, "tau": tau}

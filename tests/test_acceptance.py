@@ -107,7 +107,7 @@ def test_criterion_2b_fubini_study_rayleigh_literal():
     _, _, ray = kahler.curvature_s_residuals(data, basis)
     op = geo.curvature_operator(data, basis)
     # |s1|^2 in the Gram-determinant metric: twice the half-determinant one
-    s1_sq = 2.0 * geo.two_vector_inner(m, pts, basis[0], basis[0])
+    s1_sq = 2.0 * geo._inner_kernel(data.gvals, basis[0].comps, basis[0].comps)
     wplus_ray = s1_sq * (-0.5 * np.asarray(ray) - scal / 12.0)
     wplus_op = s1_sq * op.wplus[..., 0, 0]
     r_op = s1_sq * op.matrix[..., 0, 0]

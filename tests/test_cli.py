@@ -269,6 +269,42 @@ class TestCliCommands:
         assert np.max(np.abs(phi - np.tanh(z))) < 1e-10
         assert np.max(aniso) < 1e-6
 
+    def test_solve_map_evaluates_phi_once(self, tmp_path, monkeypatch):
+        # the CSV and the conformality verdict come from one evaluation of
+        # phi on the z grid; the other quadrature is solve_phi's own
+        # degeneracy scan on 64 points
+        from twistorcheck import fibermap
+
+        sizes = []
+        orig = fibermap.quad
+
+        def counted(f, a, b):
+            sizes.append(np.size(b))
+            return orig(f, a, b)
+
+        monkeypatch.setattr(fibermap, "quad", counted)
+        rc = main(["solve-map", "--profile", "cosh", "--samples", "25",
+                   "--csv", str(tmp_path / "map.csv")])
+        assert rc == 0
+        assert sizes == [64, 25]
+
+    def test_cone_constancy_needs_two_points(self, tmp_path, capsys):
+        # one point makes every ratio its own mean: constancy is skipped, not
+        # passed with residual 0
+        modes = {}
+        for points in ("1", "2"):
+            out = tmp_path / f"cone_{points}.json"
+            rc = main(["verify", "--metric", "burns", "--suite", "cone", "--points", points,
+                       "--report", str(out)])
+            assert rc == 0
+            checks = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+            modes[points] = checks["cone.constancy"]["mode"]
+            if points == "1":
+                assert checks["cone.constancy"]["detail"]["reason"]
+                assert checks["cone.values"]["mode"] == "below"
+        assert modes == {"1": "skipped", "2": "below"}
+        assert "[SKIP] cone.constancy" in capsys.readouterr().out
+
     def test_classify_completeness_output(self, capsys):
         rc = main(["classify-completeness", "--family", "power_pole", "--p", "1.1"])
         assert rc == 0

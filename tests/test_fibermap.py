@@ -1,43 +1,55 @@
 import numpy as np
 import pytest
 
-from twistorcheck import fibermap as fm
+from twistorcheck import fibermap as fm, kahler, twistor as tw
 from twistorcheck.errors import DomainError, InputError, NumericError
 
 
+def fiber_eval(profile_name, v, w):
+    """The ChartEval of a twistor chart with the named fiber profile (its
+    quadrature fiber map; the plain chart for the sphere) over the flat base,
+    at fiber coordinates (v, w) above one base point."""
+    base = kahler.get_fixture("flat")
+    prof = fm.get_profile(profile_name)
+    chart = (tw.TwistorChart.twistor(base) if profile_name == "sphere" else
+             tw.TwistorChart.modified(base, prof, fm.solve_phi(prof, branch="quadrature")))
+    v, w = np.broadcast_arrays(np.asarray(v, float), np.asarray(w, float))
+    pts = np.zeros((v.size, 6))
+    pts[:, :4] = 0.1
+    pts[:, 4], pts[:, 5] = v.ravel(), w.ravel()
+    return tw.ChartEval(chart, pts)
+
+
 class TestProfilesAndGauss:
+    # the Gauss map is the outward normal eps3 of ChartEval.fiber_tangents,
+    # in (s1, s2, s3) coordinates with the rotation axis s1 first
     def test_sphere_normal_is_point(self):
-        sp = fm.sphere_profile()
-        for z, th in ((0.3, 0.7), (-0.5, 2.0), (0.0, 4.5)):
-            assert np.allclose(fm.gauss_map(sp, z, th), fm.surface_point(sp, z, th), atol=1e-13)
+        ctx = fiber_eval("sphere", [0.3, -0.5, 0.0], [0.7, 2.0, 4.5])
+        assert np.allclose(ctx.fiber_tangents()[2], ctx.fiber_point(), atol=1e-13)
 
     def test_cylinder_normal_is_radial(self):
-        cy = fm.cylinder_profile()
-        n = fm.gauss_map(cy, 0.2, 0.7)
-        assert np.allclose(n, [np.cos(0.7), np.sin(0.7), 0.0], atol=1e-14)
+        n = fiber_eval("cylinder", 0.2, 0.7).fiber_tangents()[2][0]
+        assert np.allclose(n, [0.0, np.cos(0.7), np.sin(0.7)], atol=1e-14)
 
     def test_normal_orthogonal_to_tangents(self, rng):
-        for prof in (fm.sphere_profile(), fm.cosh_profile(), fm.cylinder_profile()):
+        for name in ("sphere", "cosh", "cylinder"):
+            prof = fm.get_profile(name)
             lo, hi = prof.z_minus, prof.z_plus
-            for _ in range(10):
-                z = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-                th = rng.uniform(0, 2 * np.pi)
-                n = fm.gauss_map(prof, z, th)
-                t_z, t_th = fm.surface_tangents(prof, z, th)
-                assert abs(np.dot(n, t_z)) < 1e-12
-                assert abs(np.dot(n, t_th)) < 1e-12
-                assert abs(np.linalg.norm(n) - 1.0) < 1e-12
+            z = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), size=10)
+            th = rng.uniform(0, 2 * np.pi, size=10)
+            t_v, t_w, n = fiber_eval(name, z, th).fiber_tangents()
+            assert np.max(np.abs(np.einsum("...i,...i->...", n, t_v))) < 1e-12
+            assert np.max(np.abs(np.einsum("...i,...i->...", n, t_w))) < 1e-12
+            assert np.max(np.abs(np.linalg.norm(n, axis=-1) - 1.0)) < 1e-12
 
     def test_outward_orientation_where_rho_prime_zero(self):
         # at the cosh waist's critical point the normal points radially out
-        prof = fm.cosh_profile()
-        n = fm.gauss_map(prof, 0.0, 0.0)
-        assert n[0] > 0.9
+        n = fiber_eval("cosh", 0.0, 0.0).fiber_tangents()[2][0]
+        assert n[1] > 0.9
 
     def test_boundary_rejected(self):
-        sp = fm.sphere_profile()
         with pytest.raises(DomainError):
-            fm.gauss_map(sp, 1.0, 0.0)
+            fiber_eval("sphere", 1.0, 0.0)
 
     def test_bad_profile_rejected(self):
         with pytest.raises(InputError):
@@ -55,7 +67,7 @@ class TestSolvePhi:
 
     def test_cylinder_quadrature_matches_tanh(self):
         cy = fm.cylinder_profile()
-        m = fm.solve_phi(cy, c=0.0, branch="quadrature", z0=0.0)
+        m = fm.solve_phi(cy, c=0.0, branch="quadrature")  # l(0) = 0
         zs = np.linspace(-1.8, 1.8, 25)
         assert np.max(np.abs(m.phi_values(zs) - np.tanh(zs))) < 1e-10
         assert np.max(np.abs(m.phi_prime(zs) - 1.0 / np.cosh(zs) ** 2)) < 1e-10
@@ -67,7 +79,7 @@ class TestSolvePhi:
         assert np.max(np.abs(m.phi_values(zs) - zs)) < 1e-10
 
     def test_constant_profile_flat_branch_degenerate(self):
-        cp = fm.constant_profile(np.sqrt(2.0))
+        cp = fm.SurfaceProfile(lambda zj: zj * 0.0 + np.sqrt(2.0), (-1.0, 1.0))
         m = fm.solve_phi(cp, c=0.0, branch="flat_meridian_closed_form")
         assert m.degenerate
         assert np.allclose(m.phi_values(np.array([0.0, 0.3])), 1 / np.sqrt(2), atol=1e-14)
@@ -98,7 +110,7 @@ class TestSolvePhi:
 
     def test_phi_jets_match_finite_differences(self):
         cy = fm.cylinder_profile()
-        m = fm.solve_phi(cy, c=0.3, branch="quadrature", z0=0.0)
+        m = fm.solve_phi(cy, c=0.3, branch="quadrature")
         z0, h = 0.4, 1e-5
         j = m.phi_jet(np.array([z0]), 3)
         fd1 = (m.phi_values(z0 + h) - m.phi_values(z0 - h)) / (2 * h)

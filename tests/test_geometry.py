@@ -1,8 +1,39 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from twistorcheck import geometry as geo, jets, kahler
 from twistorcheck.errors import ConfigurationError, FrameError, GeometryError, UsageError
+
+# permutation symbol on 4 indices
+EPS4 = np.zeros((4, 4, 4, 4))
+for _p in itertools.permutations(range(4)):
+    EPS4[_p] = np.linalg.det(np.eye(4)[list(_p)])
+
+
+def values_at(metric, x):
+    """Metric values g_{ij} at x (batch axes leading), from order-0 jets."""
+    return geo.tensor_values(metric.jets_at(x, 0), 2)
+
+
+def christoffel(metric, x):
+    """Gamma^k_{ij} values at x (batch axes leading), from order-1 metric jets."""
+    return geo.tensor_values(geo.christoffel_jets(metric.jets_at(x, 1)), 3)
+
+
+def two_vector_inner(metric, x, b1, b2):
+    """Half-determinant metric on 2-vectors at x, extended bilinearly."""
+    return geo._inner_kernel(values_at(metric, x), b1.comps, b2.comps)
+
+
+def hodge_star(gvals, B):
+    """Hodge star of 2-vector components B^{ij} in the metric values ``gvals``
+    for the chart's complex orientation; an involutive isometry in
+    dimension 4.  The oracle for self-duality of the s-basis."""
+    low = np.einsum("...ik,...kl,...lj->...ij", gvals, B, gvals)
+    det = np.linalg.det(gvals)
+    return np.einsum("ijkl,...kl->...ij", EPS4, low) / (2.0 * np.sqrt(det)[..., None, None])
 
 
 def conformal_metric():
@@ -22,9 +53,10 @@ class TestChartDomain:
             geo.ChartDomain([[0, 0]] * 4)
 
     def test_sampling_respects_margin_and_exclusion(self, rng):
-        dom = geo.ChartDomain([[0, 1]] * 4, exclusion=lambda x: x[0] < 0.5, margin=0.05)
+        dom = geo.ChartDomain([[0, 1]] * 4, exclusion=lambda x: x[0] < 0.5)
         pts = dom.sample(40, rng)
-        assert np.all(pts >= 0.05) and np.all(pts <= 0.95)
+        m = geo.SAMPLE_MARGIN
+        assert np.all(pts >= m) and np.all(pts <= 1.0 - m)
         assert np.all(pts[:, 0] >= 0.5)
 
     def test_sampling_deterministic(self):
@@ -34,20 +66,20 @@ class TestChartDomain:
 
 class TestChristoffel:
     def test_flat_is_zero(self, flat):
-        G = geo.christoffel(flat, np.array([0.2, -0.1, 0.4, 0.0]))
+        G = christoffel(flat, np.array([0.2, -0.1, 0.4, 0.0]))
         assert np.max(np.abs(G)) < 1e-14
 
     def test_conformal_oracle(self):
         # g = e^{2 x0} delta: Gamma^k_ij = d_i(x0) dkj + d_j(x0) dki - d^k(x0) dij
         m = conformal_metric()
-        G = geo.christoffel(m, np.array([0.2, 0.1, 0.0, 0.3]))
+        G = christoffel(m, np.array([0.2, 0.1, 0.0, 0.3]))
         assert G[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert G[0, 1, 1] == pytest.approx(-1.0, abs=1e-12)
         assert G[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
         assert G[2, 2, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_fubini_study_origin(self, fubini_study):
-        G = geo.christoffel(fubini_study, np.zeros(4))
+        G = christoffel(fubini_study, np.zeros(4))
         assert np.max(np.abs(G)) < 1e-14
 
     def test_metric_compatibility(self, burns, rng):
@@ -75,7 +107,7 @@ class TestChristoffel:
 
         bad = geo.MetricField(chart, fn, name="bad")
         with pytest.raises(GeometryError):
-            geo.christoffel(bad, np.zeros(4))
+            geo.curvature_data(bad, np.zeros(4))
 
 
 class TestRiemann:
@@ -113,14 +145,14 @@ class TestTwoVectors:
         x0 = np.zeros(4)
         w12 = geo.TwoVector.wedge(e[0], e[1])
         w34 = geo.TwoVector.wedge(e[2], e[3])
-        assert geo.two_vector_inner(flat, x0, w12, w12) == pytest.approx(0.5)
-        assert geo.two_vector_inner(flat, x0, w12, w34) == pytest.approx(0.0)
+        assert two_vector_inner(flat, x0, w12, w12) == pytest.approx(0.5)
+        assert two_vector_inner(flat, x0, w12, w34) == pytest.approx(0.0)
         s1 = w12 + w34
-        assert geo.two_vector_inner(flat, x0, s1, s1) == pytest.approx(1.0)
+        assert two_vector_inner(flat, x0, s1, s1) == pytest.approx(1.0)
 
     def test_bilinear_symmetric(self, burns, rng):
         x = burns.chart.sample(1, rng)[0]
-        g = burns.values_at(x)
+        g = values_at(burns, x)
         a, b, c = [geo.TwoVector(m - m.T) for m in rng.normal(size=(3, 4, 4))]
         lhs = geo._inner_kernel(g, (a + b).comps, c.comps)
         rhs = geo._inner_kernel(g, a.comps, c.comps) + geo._inner_kernel(g, b.comps, c.comps)
@@ -139,58 +171,53 @@ class TestHodge:
         x0 = np.zeros(4)
         w12 = geo.TwoVector.wedge(e[0], e[1])
         w34 = geo.TwoVector.wedge(e[2], e[3])
-        star = geo.hodge_star_2(flat, x0, w12)
-        assert np.allclose(star.comps, w34.comps, atol=1e-14)
+        g = values_at(flat, x0)
+        star = hodge_star(g, w12.comps)
+        assert np.allclose(star, w34.comps, atol=1e-14)
         s1 = w12 + w34
-        assert np.allclose(geo.hodge_star_2(flat, x0, s1).comps, s1.comps, atol=1e-14)
+        assert np.allclose(hodge_star(g, s1.comps), s1.comps, atol=1e-14)
         t1 = w12 - w34
-        assert np.allclose(geo.hodge_star_2(flat, x0, t1).comps, -t1.comps, atol=1e-14)
+        assert np.allclose(hodge_star(g, t1.comps), -t1.comps, atol=1e-14)
 
     def test_involution_and_isometry_curved(self, eguchi_hanson, rng):
         x = eguchi_hanson.chart.sample(1, rng)[0]
-        g = eguchi_hanson.values_at(x)
+        g = values_at(eguchi_hanson, x)
         m = rng.normal(size=(4, 4))
         b = geo.TwoVector(m - m.T)
-        ss = geo._star_kernel(g, geo._star_kernel(g, b.comps))
+        ss = hodge_star(g, hodge_star(g, b.comps))
         assert np.max(np.abs(ss - b.comps)) < 1e-12
         n1 = geo._inner_kernel(g, b.comps, b.comps)
-        sb = geo._star_kernel(g, b.comps)
+        sb = hodge_star(g, b.comps)
         n2 = geo._inner_kernel(g, sb, sb)
         assert n1 == pytest.approx(n2, rel=1e-12)
 
 
 class TestSdBasis:
     def test_flat_components(self, flat):
-        basis = geo.sd_basis(np.eye(4))
+        basis = geo.sd_basis(np.eye(4), values_at(flat, np.zeros(4)))
         s1 = basis[0]
         assert s1.comps[0, 1] == 1.0 and s1.comps[2, 3] == 1.0
 
     def test_orthonormality_and_duality(self, burns, rng):
         x = burns.chart.sample(1, rng)[0]
-        g = burns.values_at(x)
+        g = values_at(burns, x)
         fr = kahler.adapted_frame(burns.jets_at(x, 2))
         basis = geo.sd_basis(fr.matrix, g)
         gram = np.array([[geo._inner_kernel(g, a.comps, b.comps) for b in basis] for a in basis])
         assert np.max(np.abs(gram - np.eye(6))) < 1e-12
         for i in range(3):
-            assert np.max(np.abs(geo._star_kernel(g, basis[i].comps) - basis[i].comps)) < 1e-10
-            assert np.max(np.abs(geo._star_kernel(g, basis[3 + i].comps) + basis[3 + i].comps)) < 1e-10
+            assert np.max(np.abs(hodge_star(g, basis[i].comps) - basis[i].comps)) < 1e-10
+            assert np.max(np.abs(hodge_star(g, basis[3 + i].comps) + basis[3 + i].comps)) < 1e-10
 
     def test_non_orthonormal_frame_rejected(self, flat):
         with pytest.raises(FrameError):
-            geo.sd_basis(2.0 * np.eye(4), flat.values_at(np.zeros(4)))
-
-    def test_cross_product_cyclic(self):
-        e = np.eye(3)
-        assert np.allclose(geo.lambda_plus_cross(e[0], e[1]), e[2])
-        assert np.allclose(geo.lambda_plus_cross(e[1], e[2]), e[0])
-        assert np.allclose(geo.lambda_plus_cross(e[2], e[0]), e[1])
+            geo.sd_basis(2.0 * np.eye(4), values_at(flat, np.zeros(4)))
 
 
 class TestCurvatureOperator:
     def test_flat_zero(self, flat):
         x = np.zeros(4)
-        basis = geo.sd_basis(np.eye(4))
+        basis = geo.sd_basis(np.eye(4), values_at(flat, x))
         op = geo.curvature_operator(geo.curvature_data(flat, x), basis)
         assert np.max(np.abs(op.matrix)) == 0.0
 

@@ -5,18 +5,36 @@ from twistorcheck import geometry as geo, kahler
 from twistorcheck.errors import GeometryError
 
 
+def values_at(metric, x):
+    """Metric values g_{ij} at x (batch axes leading), from order-0 jets."""
+    return geo.tensor_values(metric.jets_at(x, 0), 2)
+
+
+def omega_values(metric, x):
+    """Kahler form omega_{ij} = g(I d_i, d_j) at x, from the package's jets."""
+    return geo.tensor_values(kahler._omega_jets(metric.jets_at(x, 0)), 2)
+
+
+def d_omega_residual(gjets):
+    """sup |(d omega)_{kij}| over the cyclic index triples, from the first
+    partials of the Kahler form of the metric jets ``gjets``."""
+    dom = kahler._omega_jets(gjets).partials()  # [k, i, j] = d_k omega_ij
+    val = dom + np.einsum("ijk...->kij...", dom) + np.einsum("jki...->kij...", dom)
+    return float(np.max(np.abs(val)))
+
+
 class TestPotentialMetrics:
     def test_flat_potential_gives_delta(self, flat):
         x = np.array([0.3, -0.2, 0.5, 0.1])
-        assert np.allclose(flat.values_at(x), np.eye(4), atol=1e-14)
-        omega = flat.omega_values(x)
+        assert np.allclose(values_at(flat, x), np.eye(4), atol=1e-14)
+        omega = omega_values(flat, x)
         expect = np.zeros((4, 4))
         expect[0, 1] = expect[2, 3] = 1.0
         expect -= expect.T
         assert np.allclose(omega, expect, atol=1e-14)
 
     def test_fubini_study_origin_identity(self, fubini_study):
-        g0 = fubini_study.values_at(np.zeros(4))
+        g0 = values_at(fubini_study, np.zeros(4))
         assert np.allclose(g0, np.eye(4), atol=1e-14)
 
     def test_burns_scalar_flat(self, burns, rng):
@@ -27,7 +45,7 @@ class TestPotentialMetrics:
     def test_metric_positive_definite_on_samples(self, all_fixtures, rng):
         for m in all_fixtures.values():
             pts = m.chart.sample(10, rng)
-            ev = np.linalg.eigvalsh(m.values_at(pts))
+            ev = np.linalg.eigvalsh(values_at(m, pts))
             assert np.all(ev > 0)
 
     def test_degenerate_potential_rejected(self):
@@ -37,13 +55,14 @@ class TestPotentialMetrics:
             u = xj[0] * xj[0] + xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3]
             return u - 0.5 * u * u
 
+        m = kahler.KahlerPotentialMetric(chart, phi)
         with pytest.raises(GeometryError):
-            kahler.metric_from_potential(phi, chart, validate_points=[[0.9, 0.9, 0.9, 0.9]])
+            geo.curvature_data(m, np.array([[0.9, 0.9, 0.9, 0.9]]))
 
     def test_kahler_two_form_closed_and_parallel(self, all_fixtures, rng):
         for name, m in all_fixtures.items():
             pts = m.chart.sample(8, rng)
-            assert kahler.d_omega_residual(m.jets_at(pts, 1)) < 1e-9, name
+            assert d_omega_residual(m.jets_at(pts, 1)) < 1e-9, name
             assert kahler.nabla_omega_residual(geo.curvature_data(m, pts)) < 1e-8, name
 
     def test_non_kahler_control_detected(self, rng):
@@ -61,7 +80,7 @@ class TestAdaptedFrame:
         for m in all_fixtures.values():
             pts = m.chart.sample(5, rng)
             fr = kahler.adapted_frame(m.jets_at(pts, 2))
-            g = m.values_at(pts)
+            g = values_at(m, pts)
             gram = np.einsum("...ai,...ij,...bj->...ab", fr.matrix, g, fr.matrix)
             assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
@@ -76,9 +95,9 @@ class TestAdaptedFrame:
 
     def test_s1_is_metric_dual_of_omega(self, eguchi_hanson, rng):
         x = eguchi_hanson.chart.sample(1, rng)[0]
-        g = eguchi_hanson.values_at(x)
+        g = values_at(eguchi_hanson, x)
         ginv = np.linalg.inv(g)
-        omega = eguchi_hanson.omega_values(x)
+        omega = omega_values(eguchi_hanson, x)
         omega_sharp = np.einsum("ik,jl,kl->ij", ginv, ginv, omega)
         fr = kahler.adapted_frame(eguchi_hanson.jets_at(x, 2))
         s1 = geo.sd_basis(fr.matrix, g)[0]
@@ -90,7 +109,7 @@ class TestBetaForm:
     def test_flat_beta_zero(self, flat):
         x = np.array([0.2, 0.0, -0.3, 0.5])
         gjets = flat.jets_at(x, 2)
-        beta = kahler.beta_form(gjets, kahler.adapted_frame(gjets))
+        beta = kahler.beta_form(gjets, kahler.adapted_frame(gjets), geo.christoffel_jets(gjets))
         assert np.max(np.abs(beta.values)) < 1e-14
 
     def test_connection_relations(self, burns, rng):
@@ -98,8 +117,8 @@ class TestBetaForm:
         pts = burns.chart.sample(20, rng)
         gjets = burns.jets_at(pts, 2)
         fr = kahler.adapted_frame(gjets)
-        beta = kahler.beta_form(gjets, fr)
         gamma = geo.christoffel_jets(gjets)
+        beta = kahler.beta_form(gjets, fr, gamma)
         s2v, s3v = geo.tensor_values(fr.sd[1], 2), geo.tensor_values(fr.sd[2], 2)
         nabla = [geo.tensor_values(kahler._two_vector_nabla(gamma, fr.sd[q]), 3) for q in range(3)]
         for k in range(4):
@@ -125,7 +144,7 @@ class TestBetaForm:
     def test_beta_nontrivial_on_burns(self, burns, rng):
         pts = burns.chart.sample(5, rng)
         gjets = burns.jets_at(pts, 2)
-        beta = kahler.beta_form(gjets, kahler.adapted_frame(gjets))
+        beta = kahler.beta_form(gjets, kahler.adapted_frame(gjets), geo.christoffel_jets(gjets))
         assert np.max(np.abs(beta.values)) > 1e-3
 
 
