@@ -25,6 +25,7 @@ closed form degenerates to a constant there) and the verifier reports it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -55,11 +56,6 @@ class SurfaceProfile:
     def rho_values(self, z):
         z = np.asarray(z, dtype=float)
         return np.asarray(self.rho_jet(z, 0).value)
-
-    def rho_prime(self, z):
-        z = np.asarray(z, dtype=float)
-        j = self.rho_jet(z, 1)
-        return np.asarray(j.deriv(0).value)
 
 
 def sphere_profile() -> SurfaceProfile:
@@ -108,7 +104,6 @@ class EquivariantMap:
     branch: str
     sign: int = +1
     domain: tuple = None
-    degenerate: bool = False
 
     def phi_jet(self, z, order: int):
         return self.phi(jets.seed_univariate(z, order))
@@ -119,6 +114,16 @@ class EquivariantMap:
     def phi_prime(self, z):
         return np.asarray(self.phi_jet(z, 1).deriv(0).value)
 
+    @cached_property
+    def degenerate(self) -> bool:
+        """Whether phi is constant: |phi'| < 1e-12 at 64 evenly spaced z,
+        SAMPLE_MARGIN of the domain clear of either end.  Computed on first
+        read, since it costs a quadrature on a quadrature map."""
+        lo, hi = self.domain
+        pad = SAMPLE_MARGIN * (hi - lo)
+        zs = np.linspace(lo + pad, hi - pad, 64)
+        return bool(np.max(np.abs(self.phi_prime(zs))) < 1e-12)
+
     def perturbed(self, amount: float) -> "EquivariantMap":
         """phi -> phi + amount * (1 - phi^2): breaks conformality, keeps |phi|<1."""
         base = self.phi
@@ -128,7 +133,7 @@ class EquivariantMap:
             return p + amount * (1.0 - p * p)
 
         return EquivariantMap(self.profile, phi, self.c, self.branch + "+perturbed",
-                              self.sign, self.domain, False)
+                              self.sign, self.domain)
 
 
 def identity_sphere_map() -> EquivariantMap:
@@ -239,9 +244,7 @@ def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
             phi_series = jets.tanh(ell + c)
             return jets.compose_univariate(phi_series, zj)
 
-        m = EquivariantMap(profile, phi, c, branch, sign, (profile.z_minus, profile.z_plus))
-        _flag_degenerate(m)
-        return m
+        return EquivariantMap(profile, phi, c, branch, sign, (profile.z_minus, profile.z_plus))
 
     if branch == "flat_meridian_closed_form":
         radicand = lambda rho: 1.0 - ec / (rho * rho)
@@ -257,20 +260,11 @@ def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
     def phi(zj):
         return sign * jets.sqrt(radicand(profile.rho(zj)))
 
-    m = EquivariantMap(profile, phi, c, branch, sign, dom)
-    _flag_degenerate(m)
-    return m
+    return EquivariantMap(profile, phi, c, branch, sign, dom)
 
 
 def _reseed(zj, order):
     return jets.seed_univariate(zj.value, order)
-
-
-def _flag_degenerate(m: EquivariantMap, n: int = 64, tol: float = 1e-12):
-    lo, hi = m.domain
-    pad = 1e-3 * (hi - lo)
-    zs = np.linspace(lo + pad, hi - pad, n)
-    m.degenerate = bool(np.max(np.abs(m.phi_prime(zs))) < tol)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +307,9 @@ def anisotropy_samples(profile: SurfaceProfile, emap: EquivariantMap,
     j = emap.phi_jet(zs, 1)
     phi = np.asarray(j.value)
     dphi = np.asarray(j.deriv(0).value)
-    rho = profile.rho_values(zs)
-    rp = profile.rho_prime(zs)
+    rj = profile.rho_jet(zs, 1)
+    rho = np.asarray(rj.value)
+    rp = np.asarray(rj.deriv(0).value)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma_parallel = np.sqrt(1.0 - phi * phi) / rho
         sigma_meridian = np.abs(dphi) / np.sqrt(1.0 - phi * phi) / np.sqrt(rp * rp + 1.0)

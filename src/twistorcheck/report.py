@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -24,17 +24,6 @@ SUITES = ("curvature", "integrability", "structure_identities", "balanced",
           "cone", "fibermap", "completeness", "all")
 
 TOL_TIERS = {"strict": 1.0, "loose": 100.0}
-
-_CONFIG_KEYS = {
-    "metric": "eguchi_hanson",
-    "params": {},
-    "suite": "all",
-    "sample_count": None,
-    "seed": 2024,
-    "tol_tier": "strict",
-    "tolerances": {},
-    "fiber": {},
-}
 
 _FIBER_KEYS = {
     "profile": "cylinder",
@@ -61,10 +50,10 @@ class SuiteConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SuiteConfig":
-        unknown = set(raw) - set(_CONFIG_KEYS)
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**dict(_CONFIG_KEYS, **raw))
+        cfg = cls(**raw)
         cfg.validate()
         return cfg
 
@@ -170,7 +159,7 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
     )
     rec.add("curvature.riemann_symmetries", "Riemann tensor pair/antisymmetry and first Bianchi",
             n, sym, 1e-10)
-    frame = kahler.adapted_frame(data.gjets)
+    frame = kahler.adapted_frame(data.gjets.truncate(0))  # only frame values are read
     basis = geometry.sd_basis(frame.matrix, data.gvals)
     op = geometry.curvature_operator(data, basis)
     rec.add("curvature.block_symmetry", "curvature operator is self-adjoint on the 2-vector basis",
@@ -206,7 +195,7 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
                 n, kahler.nabla_omega_residual(data), 1e-8)
     # rho duality spot check
     data1 = geometry.curvature_data(metric, pts[0])
-    fr1 = kahler.adapted_frame(data1.gjets)
+    fr1 = kahler.adapted_frame(data1.gjets.truncate(0))
     b1 = geometry.sd_basis(fr1.matrix, data1.gvals)
     worst = 0.0
     for _ in range(20):
@@ -269,11 +258,9 @@ def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
                 mode="exceeds")
     # any sign works where beta vanishes, as in calibrate_epsilon
     if np.max(np.abs(ctx.beta_vals)) >= 1e-10:
-        flipped = chart.with_eps(-chart.eps)
         rec.add("integrability.connection_sign",
                 "flipping the connection-correction sign breaks integrability",
-                n, np.max(twistor.nijenhuis_max(twistor.ChartEval(flipped, pts))), 1e-3,
-                mode="exceeds")
+                n, np.max(twistor.nijenhuis_max(ctx.flipped())), 1e-3, mode="exceeds")
     else:
         rec.skip("integrability.connection_sign",
                  "flipping the connection-correction sign breaks integrability",
@@ -284,7 +271,7 @@ def _run_structure_identities(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(20)
     chart = twistor.TwistorChart.twistor(metric)
     pts = chart.sample(n, config.seed)
-    ctx = twistor.ChartEval(chart, pts)  # the identities and the horizontal check share it
+    ctx = twistor.ChartEval(chart, pts)  # every check of the suite shares it
     res = twistor.verify_structure_identities(ctx, n_random=6, seed=config.seed)
     for cid, anchor, val in (
         ("identities.cross_k_pairing", "pairing of the vertical cross action with the K wedge", res.cross_k_pairing),
@@ -295,8 +282,7 @@ def _run_structure_identities(rec: _Recorder, metric, config: SuiteConfig):
         ("identities.horizontal_domega", "covariant derivative of the fundamental form kills horizontal triples", res.horizontal_domega),
     ):
         rec.add(cid, anchor, n, val, 1e-6)
-    agree = twistor.nijenhuis_route_agreement(twistor.ChartEval(chart, pts[: min(n, 5)]),
-                                              n_triples=20, seed=config.seed)
+    agree = np.max(twistor.nijenhuis_route_agreement(ctx, n_triples=20, seed=config.seed)[:5])
     rec.add("identities.nijenhuis_routes", "bracket and connection routes to the Nijenhuis tensor agree",
             20, agree, 1e-6)
     hn = twistor.horizontal_nijenhuis_residual(ctx, n_random=6, seed=config.seed)

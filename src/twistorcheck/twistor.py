@@ -29,9 +29,11 @@ Conventions fixed here and exercised by the tests:
 
 Field operations take a :class:`ChartEval` as their first argument, never
 a (chart, point) pair: build one ``ChartEval(chart, points)`` per point
-set and pass it to every check on that set, so J, h, beta and the lazily
-derived fields (Christoffel symbols, Nijenhuis tensor, fundamental form)
-are computed once.  Results keep the batch axis, also for a single point.
+set and pass it to every check on that set, so each field is computed at
+most once per point set, and only when a check reads it.  The sign eps
+lives on the evaluation: :meth:`ChartEval.flipped` gives the negative
+control on the same points without evaluating the base again.  Results
+keep the batch axis, also for a single point.
 Every tensor field of a ChartEval (g, the self-dual basis S, beta, J, h,
 Omega, tau) is one stacked jet in the 6-variable space, assembled with
 :func:`jets.contract` in the products and summation order of the scalar
@@ -43,15 +45,18 @@ components are views of those stacked jets.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import jets
 from .errors import DomainError, InputError, NumericError, UsageError
-from .fibermap import EquivariantMap, SurfaceProfile, identity_sphere_map, sphere_profile
+from .fibermap import (POLE_MARGIN, EquivariantMap, SurfaceProfile, identity_sphere_map,
+                       sphere_profile)
 from .geometry import (
     MetricField,
     TwoVector,
@@ -85,17 +90,15 @@ class TwistorChart:
 
     Plain twistor charts use the sphere profile with the identity fiber map;
     modified charts carry an arbitrary rotational profile and an equivariant
-    fiber map phi.  ``eps`` is the sign of the connection correction in the
-    vertical coframe {dv, dw + eps beta}: :data:`EPS`, or its negative for
-    the negative control built by :meth:`with_eps`.
+    fiber map phi.  The sign eps of the connection correction is not part of
+    the chart; it lives on :class:`ChartEval`.
     """
 
     def __init__(self, base: MetricField, profile: SurfaceProfile,
-                 fmap: Optional[EquivariantMap] = None, eps: int = EPS):
+                 fmap: Optional[EquivariantMap] = None):
         self.base = base
         self.profile = profile
         self.fmap = fmap if fmap is not None else identity_sphere_map()
-        self.eps = eps
 
     @classmethod
     def twistor(cls, base: MetricField) -> "TwistorChart":
@@ -105,9 +108,6 @@ class TwistorChart:
     def modified(cls, base: MetricField, profile: SurfaceProfile,
                  fmap: EquivariantMap) -> "TwistorChart":
         return cls(base, profile, fmap)
-
-    def with_eps(self, eps: int) -> "TwistorChart":
-        return TwistorChart(self.base, self.profile, self.fmap, eps)
 
     def fiber_interval(self):
         lo, hi = self.fmap.domain if self.fmap.domain else (self.profile.z_minus, self.profile.z_plus)
@@ -131,7 +131,7 @@ class TwistorChart:
             u = rng.uniform(size=(todo.size, 2))
             out[todo, IDX_V] = lo + (hi - lo) * u[:, 0]
             out[todo, IDX_W] = 2.0 * np.pi * u[:, 1]
-            todo = todo[~(np.abs(self.fmap.phi_values(out[todo, IDX_V])) < 1.0 - 1e-3)]
+            todo = todo[~(np.abs(self.fmap.phi_values(out[todo, IDX_V])) < 1.0 - POLE_MARGIN)]
             if not todo.size:
                 return out
         raise DomainError("could not sample a pole-safe fiber point")
@@ -238,9 +238,11 @@ class ChartEval:
     This is the only place a chart is evaluated at points: every field
     operation of this module takes a ChartEval (and reads the chart from
     :attr:`chart` when it needs it), so one ChartEval per point set serves
-    every check on that set.  Derived fields (:attr:`gamma_h`,
-    :attr:`nijenhuis`, :attr:`tau`, :attr:`omega_jets`, :attr:`data4`) are
-    computed on first use and kept."""
+    every check on that set.  The base and fiber fields built on
+    construction do not depend on the sign ``eps`` (:data:`EPS`); every
+    other field (P, K, J, h and the meridian speed they share, the
+    Christoffel symbols of h, the Nijenhuis tensor, tau, Omega and
+    :attr:`data4`) is computed on first read and kept."""
 
     def __init__(self, chart: TwistorChart, points, order: int = 1):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -251,15 +253,20 @@ class ChartEval:
         self.w = pts[:, IDX_W]
         self.W = order
         self.space = jets.get_space(TOTAL_DIM, order)
-        self.eps = chart.eps
+        self.eps = EPS
         self._build_base(order + 1)
         self._build_fiber()
-        self._build_J_h()
-        self._gamma_h = None
-        self._nijenhuis = None
-        self._tau = None
-        self._omega_jets = None
-        self._data4 = None
+
+    def flipped(self) -> "ChartEval":
+        """The same points with eps negated (the connection-sign negative
+        control): shares the fields built on construction, recomputes the
+        rest on first read."""
+        out = copy.copy(self)
+        for name, attr in vars(ChartEval).items():
+            if isinstance(attr, cached_property):
+                out.__dict__.pop(name, None)
+        out.eps = -self.eps
+        return out
 
     # -- base fields ------------------------------------------------------
     def _build_base(self, order):
@@ -306,42 +313,55 @@ class ChartEval:
             raise DomainError("fiber-map image touches a pole at a sampled point")
         self.r_img = jets.sqrt(1.0 - phi_sq)
 
-    # -- assembled structures ---------------------------------------------
+    # -- assembled structures, computed on first read ----------------------
     def _zeros(self, *shape) -> jets.Jet:
         """A stacked jet of tensor shape ``shape`` with every component ``zero``."""
         z = self.zero.coeffs
         return jets.Jet(self.space, np.broadcast_to(
             z[(slice(None),) + (None,) * len(shape)], z.shape[:1] + shape + z.shape[1:]).copy())
 
-    def _build_J_h(self):
-        eps = self.eps
-        cw, sw = self.cw, self.sw
-        # P = a1 s1 + a2 s2 + a3 s3 for the image point F(p)
-        coef = jets.stack([self.phi, self.r_img * cw, self.r_img * sw])
-        self.P_img = jets.contract("q,qij->ij", coef, self.S)
-        # K = -P g (as an endomorphism K^m_j)
-        self.K = K = -1.0 * jets.contract("mi,ij->mj", self.P_img, self.g)
-        m_len = jets.sqrt(self.rho_p * self.rho_p + 1.0)  # meridian speed
-        c_vw = -1.0 * m_len / self.rho   # J d_v = c_vw d_w
-        c_wv = self.rho / m_len          # J d_w = c_wv d_v
+    @cached_property
+    def m_len(self):
+        """Meridian speed sqrt(rho'^2 + 1) of the fiber surface."""
+        return jets.sqrt(self.rho_p * self.rho_p + 1.0)
+
+    @cached_property
+    def P_img(self):
+        """The image point F(p) = a1 s1 + a2 s2 + a3 s3 as a 2-vector."""
+        coef = jets.stack([self.phi, self.r_img * self.cw, self.r_img * self.sw])
+        return jets.contract("q,qij->ij", coef, self.S)
+
+    @cached_property
+    def K(self):
+        """K = -P g, the action of J on the base, as an endomorphism K^m_j."""
+        return -1.0 * jets.contract("mi,ij->mj", self.P_img, self.g)
+
+    @cached_property
+    def J(self):
+        """The almost-complex structure J^m_a as a stacked (6, 6) jet."""
+        eps, K = self.eps, self.K
+        c_vw = -1.0 * self.m_len / self.rho   # J d_v = c_vw d_w
+        c_wv = self.rho / self.m_len          # J d_w = c_wv d_v
         J = self._zeros(TOTAL_DIM, TOTAL_DIM)
         J.coeffs[:, :4, :4] = K.coeffs
         J.coeffs[:, IDX_V, :4] = jets.contract(",k->k", eps * c_wv, self.beta).coeffs
         J.coeffs[:, IDX_W, :4] = ((-eps) * jets.contract("mk,m->k", K, self.beta)).coeffs
         J.coeffs[:, IDX_W, IDX_V] = c_vw.coeffs
         J.coeffs[:, IDX_V, IDX_W] = c_wv.coeffs
-        self.J = J
+        return J
 
+    @cached_property
+    def h(self):
+        """The total-space metric h_{ab} as a stacked (6, 6) jet."""
         rho_sq = self.rho * self.rho
         h = self._zeros(TOTAL_DIM, TOTAL_DIM)
         h.coeffs[:, :4, :4] = (self.g + jets.contract("i,j,->ij", self.beta, self.beta, rho_sq)).coeffs
         h.coeffs[:, :4, IDX_W] = h.coeffs[:, IDX_W, :4] = jets.contract(
-            "i,->i", (eps * 1.0) * self.beta, rho_sq).coeffs
-        h.coeffs[:, IDX_V, IDX_V] = (m_len * m_len).coeffs
+            "i,->i", (self.eps * 1.0) * self.beta, rho_sq).coeffs
+        h.coeffs[:, IDX_V, IDX_V] = (self.m_len * self.m_len).coeffs
         h.coeffs[:, IDX_W, IDX_W] = rho_sq.coeffs
-        self.h = h
+        return h
 
-    # -- values and lazy derived fields ------------------------------------
     @property
     def J_values(self):
         return tensor_values(self.J, 2)
@@ -350,42 +370,32 @@ class ChartEval:
     def h_values(self):
         return tensor_values(self.h, 2)
 
-    @property
+    @cached_property
     def gamma_h(self):
         """Christoffel values of h in chart coordinates, Gamma^m_{ab}."""
-        if self._gamma_h is None:
-            self._gamma_h = tensor_values(christoffel_jets(self.h), 3)
-        return self._gamma_h
+        return tensor_values(christoffel_jets(self.h), 3)
 
-    @property
+    @cached_property
     def nijenhuis(self):
         """Nijenhuis values N^m_{ab} on coordinate fields (batch leading)."""
-        if self._nijenhuis is None:
-            self._nijenhuis = _nijenhuis_values(self)
-        return self._nijenhuis
+        return _nijenhuis_values(self)
 
-    @property
+    @cached_property
     def tau(self):
         """Tautological 2-form components tau_{ij} (i < j) as jets (views
         of one stacked jet)."""
-        if self._tau is None:
-            self._tau = _tau_comps(self)
-        return self._tau
+        return _tau_comps(self)
 
-    @property
+    @cached_property
     def omega_jets(self):
         """Fundamental form Omega_{ab} = sum_m J^m_a h_{mb} = h(J d_a, d_b)
         as a stacked (6, 6) jet."""
-        if self._omega_jets is None:
-            self._omega_jets = jets.contract("ma,mb->ab", self.J, self.h)
-        return self._omega_jets
+        return jets.contract("ma,mb->ab", self.J, self.h)
 
-    @property
+    @cached_property
     def data4(self):
         """Base curvature at the points, from the base metric jets above."""
-        if self._data4 is None:
-            self._data4 = _curvature_from_jets(self.gjets4, self.gvals, self._gamma4)
-        return self._data4
+        return _curvature_from_jets(self.gjets4, self.gvals, self._gamma4)
 
     def horizontal_lift_values(self, X):
         X = np.asarray(X, dtype=float)
@@ -475,14 +485,14 @@ def _nijenhuis_from_domega(covd, A, JA, B, JB, C) -> np.ndarray:
     return term(A, JB, C) - term(JB, A, C) - term(B, JA, C) + term(JA, B, C)
 
 
-def nijenhuis_route_agreement(ctx: ChartEval, n_triples: int = 20, seed: int = 0) -> float:
-    """max |bracket route - D-Omega route| over random vector triples."""
+def nijenhuis_route_agreement(ctx: ChartEval, n_triples: int = 20, seed: int = 0) -> np.ndarray:
+    """Per-point max |bracket route - D-Omega route| over random vector triples."""
     N = ctx.nijenhuis
     hv = ctx.h_values
     covd = _covariant_domega(ctx)
     Jv = ctx.J_values
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = np.zeros(len(ctx.points))
     for _ in range(n_triples):
         A, B, C = rng.normal(size=(3, TOTAL_DIM))
         r1 = np.einsum("...mab,a,b,...mc,c->...", N, A, B, hv, C)
@@ -492,7 +502,7 @@ def nijenhuis_route_agreement(ctx: ChartEval, n_triples: int = 20, seed: int = 0
         Bb = np.broadcast_to(B, JB.shape)
         Cb = np.broadcast_to(C, JB.shape)
         r2 = _nijenhuis_from_domega(covd, Ab, JA, Bb, JB, Cb)
-        worst = max(worst, float(np.max(np.abs(r1 - r2))))
+        worst = np.maximum(worst, np.abs(r1 - r2))
     return worst
 
 

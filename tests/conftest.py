@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistorcheck import jets, kahler, twistor
+from twistorcheck import fibermap, jets, kahler, twistor
 
 _ACCEPTANCE_RESULTS = {}
 
@@ -91,4 +91,19 @@ def multiply_calls(monkeypatch):
         return orig(self, a, b)
 
     monkeypatch.setattr(jets.JetSpace, "multiply", counted)
+    return calls
+
+
+@pytest.fixture()
+def quad_calls(monkeypatch):
+    """Numbers of upper limits of the fibermap.quad calls (fiber-map
+    quadratures) a test makes, one entry per call."""
+    calls = []
+    orig = fibermap.quad
+
+    def counted(f, a, b):
+        calls.append(np.size(b))
+        return orig(f, a, b)
+
+    monkeypatch.setattr(fibermap, "quad", counted)
     return calls

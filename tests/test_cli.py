@@ -127,18 +127,39 @@ class TestRunSuite:
         assert len(jets_at_calls) == 2
 
     def test_twistor_suites_evaluate_each_point_set_once(self, chart_evals):
-        # one ChartEval per (chart, point set): the identities and the horizontal
-        # Nijenhuis check share the n-point one and the route agreement has its
-        # own on 5 points; the four balanced checks share one; the cone has one
-        # at n points and one for the (a, b) grid at 10
+        # one ChartEval per (chart, point set): the identities, the route
+        # agreement and the horizontal Nijenhuis check share one; the four
+        # balanced checks share one; the cone has one at n points and one for
+        # the (a, b) grid at 10; integrability has the plain, modified and
+        # perturbed charts, and its sign control flips the plain one
         sizes = {}
-        for suite in ("structure_identities", "balanced", "cone"):
+        for metric, suite in (("eguchi_hanson", "structure_identities"),
+                              ("eguchi_hanson", "balanced"), ("eguchi_hanson", "cone"),
+                              ("burns", "integrability")):
             chart_evals.clear()
             rep = run_suite(SuiteConfig.from_dict(
-                {"metric": "eguchi_hanson", "suite": suite, "sample_count": 6}))
+                {"metric": metric, "suite": suite, "sample_count": 6}))
             assert rep["overall_pass"], suite
             sizes[suite] = list(chart_evals)
-        assert sizes == {"structure_identities": [6, 5], "balanced": [6], "cone": [6, 10]}
+        assert sizes == {"structure_identities": [6], "balanced": [6], "cone": [6, 10],
+                         "integrability": [6, 6, 6]}
+
+    def test_fibermap_suite_runs_one_quadrature_per_map(self, quad_calls):
+        # the three quadrature maps are evaluated once each, on the
+        # conformality grid; nothing reads their degeneracy flags
+        rep = run_suite(SuiteConfig.from_dict(
+            {"metric": "flat", "suite": "fibermap", "sample_count": 10}))
+        assert rep["overall_pass"]
+        assert quad_calls == [10, 10, 10]
+
+    def test_configs_do_not_share_defaults(self):
+        # a config's default params and tolerances are its own dicts
+        first = SuiteConfig.from_dict({"metric": "flat"})
+        first.tolerances["curvature.riemann_symmetries"] = 1e-30
+        second = SuiteConfig.from_dict({"metric": "burns", "suite": "curvature",
+                                        "sample_count": 5})
+        assert second.tolerances == {} and second.params is not first.params
+        assert run_suite(second)["overall_pass"]
 
     def test_tolerance_override_and_failure_exit(self, tmp_path):
         raw = {"metric": "flat", "suite": "integrability", "sample_count": 5, "seed": 3,
@@ -269,24 +290,14 @@ class TestCliCommands:
         assert np.max(np.abs(phi - np.tanh(z))) < 1e-10
         assert np.max(aniso) < 1e-6
 
-    def test_solve_map_evaluates_phi_once(self, tmp_path, monkeypatch):
+    def test_solve_map_evaluates_phi_once(self, tmp_path, quad_calls):
         # the CSV and the conformality verdict come from one evaluation of
-        # phi on the z grid; the other quadrature is solve_phi's own
-        # degeneracy scan on 64 points
-        from twistorcheck import fibermap
-
-        sizes = []
-        orig = fibermap.quad
-
-        def counted(f, a, b):
-            sizes.append(np.size(b))
-            return orig(f, a, b)
-
-        monkeypatch.setattr(fibermap, "quad", counted)
+        # phi on the z grid; the other quadrature is the degeneracy scan on
+        # 64 points, run when the printed line reads the flag
         rc = main(["solve-map", "--profile", "cosh", "--samples", "25",
                    "--csv", str(tmp_path / "map.csv")])
         assert rc == 0
-        assert sizes == [64, 25]
+        assert quad_calls == [25, 64]
 
     def test_cone_constancy_needs_two_points(self, tmp_path, capsys):
         # one point makes every ratio its own mean: constancy is skipped, not

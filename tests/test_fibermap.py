@@ -84,6 +84,12 @@ class TestSolvePhi:
         assert m.degenerate
         assert np.allclose(m.phi_values(np.array([0.0, 0.3])), 1 / np.sqrt(2), atol=1e-14)
 
+    def test_quadrature_map_scans_for_degeneracy_on_first_read(self, quad_calls):
+        m = fm.solve_phi(fm.cosh_profile(), c=0.0, branch="quadrature")
+        assert quad_calls == []
+        assert not m.degenerate and not m.degenerate
+        assert quad_calls == [64]
+
     def test_domain_scan_evaluates_predicate_once(self):
         sp = fm.sphere_profile()
         shapes = []

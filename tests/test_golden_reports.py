@@ -1,9 +1,11 @@
 """``suite=all`` reports against golden files at seed 2024.
 
 The files under tests/golden/ are whole reports written by
-``report.report_to_json``.  Check ids, modes and verdicts must match
-exactly; residuals may move by at most 1e-14 * max(1, |r|).  A change that
-moves a row on purpose regenerates the file and says so.
+``report.report_to_json``.  Every field of every check record must match:
+check id, anchor, points tested, mode, verdict and every entry of the
+detail exactly, and each float (residual, threshold, float detail entries)
+to within 1e-14 * max(1, |x|).  A change that moves a row on purpose
+regenerates the file and says so.
 """
 
 import json
@@ -21,6 +23,19 @@ def _rows(rep):
     return [(c["check_id"], c["mode"], c["pass"]) for c in rep["checks"]]
 
 
+def _assert_matches(new, old, where):
+    """``new`` equals ``old``, except that floats may move by REL_TOL."""
+    if isinstance(old, dict):
+        assert isinstance(new, dict) and sorted(new) == sorted(old), where
+        for key in old:
+            _assert_matches(new[key], old[key], f"{where}.{key}")
+    elif isinstance(old, float):
+        assert isinstance(new, float), where
+        assert abs(new - old) <= REL_TOL * max(1.0, abs(old)), where
+    else:  # str ("inf" / "nan" included), int, bool, None
+        assert type(new) is type(old) and new == old, where
+
+
 @pytest.mark.parametrize("metric", ("flat", "eguchi_hanson", "burns", "fubini_study",
                                     "conformal_hermitian"))
 def test_suite_all_matches_golden(metric):
@@ -30,8 +45,4 @@ def test_suite_all_matches_golden(metric):
     assert _rows(rep) == _rows(golden)
     assert rep["overall_pass"] == golden["overall_pass"]
     for new, old in zip(rep["checks"], golden["checks"]):
-        r_new, r_old = new["max_residual"], old["max_residual"]
-        if isinstance(r_old, str):  # "inf" / "nan"
-            assert r_new == r_old, new["check_id"]
-        else:
-            assert abs(r_new - r_old) <= REL_TOL * max(1.0, abs(r_old)), new["check_id"]
+        _assert_matches(new, old, new["check_id"])

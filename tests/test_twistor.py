@@ -167,9 +167,9 @@ class TestNijenhuis:
 
     def test_wrong_epsilon_breaks_integrability(self, charts, rng):
         chart = charts["burns"]
-        pts = chart.sample(10, rng)
-        flipped = chart.with_eps(-chart.eps)
-        assert np.max(tw.nijenhuis_max(tw.ChartEval(flipped, pts))) > 1e-3
+        ctx = tw.ChartEval(chart, chart.sample(10, rng))
+        assert ctx.flipped().eps == -tw.EPS
+        assert np.max(tw.nijenhuis_max(ctx.flipped())) > 1e-3
 
     def test_antisymmetry(self, charts, rng):
         pts = charts["fubini_study"].sample(3, rng)
@@ -189,7 +189,17 @@ class TestNijenhuisRoutes:
             pts = charts[name].sample(3, rng)
             agree = tw.nijenhuis_route_agreement(tw.ChartEval(charts[name], pts),
                                                  n_triples=20, seed=11)
-            assert agree < 1e-6, name
+            assert agree.shape == (3,)
+            assert np.max(agree) < 1e-6, name
+
+    def test_per_point_agreement_matches_a_fresh_evaluation(self, charts):
+        # the structure suite reads the first 5 points of its 20-point
+        # ChartEval; a 5-point ChartEval of those points is the oracle
+        for name in ("eguchi_hanson", "burns", "fubini_study"):
+            pts = charts[name].sample(20, 2024)
+            full = tw.nijenhuis_route_agreement(tw.ChartEval(charts[name], pts), seed=3)
+            five = tw.nijenhuis_route_agreement(tw.ChartEval(charts[name], pts[:5]), seed=3)
+            assert np.array_equal(full[:5], five), name
 
     def test_fubini_study_routes_nonzero(self, charts, rng):
         pt = charts["fubini_study"].sample(1, rng)[0]
@@ -452,3 +462,35 @@ class TestOneMetricEvaluation:
         tw.cone_wedge_constants(ctx, 1.0, 2.0)
         assert tw.hermitian_positivity(ctx, n_vectors=3) > 0
         assert calls == [1]
+
+
+def _bits(x):
+    """Coefficients of a jet, or the array itself, with the signs of zero."""
+    arr = np.asarray(getattr(x, "coeffs", x))
+    return arr, np.signbit(arr)
+
+
+class TestFlipped:
+    # the eps = -1 control reuses the evaluation's eps-free fields
+    def test_flipping_twice_reproduces_the_fields(self, charts):
+        ctx = ctx_at(charts["burns"], 4, 5)
+        flip = ctx.flipped()
+        for name in ("gjets4", "gvals", "g", "S", "beta", "beta_vals", "rho", "phi", "r_img"):
+            assert getattr(flip, name) is getattr(ctx, name), name
+        twice = flip.flipped()
+        assert (flip.eps, twice.eps) == (-tw.EPS, tw.EPS)
+        for name in ("J", "h", "nijenhuis"):
+            for a, b in zip(_bits(getattr(ctx, name)), _bits(getattr(twice, name))):
+                assert np.array_equal(a, b), name
+
+    def test_flipping_after_a_read_matches_a_fresh_flip(self, charts, chart_evals):
+        chart = charts["burns"]
+        pts = chart.sample(4, 5)
+        used = tw.ChartEval(chart, pts)
+        before = used.nijenhuis
+        from_used = used.flipped().nijenhuis
+        from_fresh = tw.ChartEval(chart, pts).flipped().nijenhuis
+        assert chart_evals == [4, 4]
+        assert np.array_equal(from_used, from_fresh)
+        assert np.max(np.abs(from_used)) > 1e-3
+        assert used.nijenhuis is before and used.eps == tw.EPS
