@@ -39,8 +39,8 @@ print(f"  positive scalar curvature base (FS)  : {fs.max_residual:.3e}  (not bal
 
 # Hermitian positivity of the family, and the wedge-cone constants.
 ctx = twistor.ChartEval(eh_chart, eh_chart.sample(10, SEED))
-pos = twistor.hermitian_positivity(ctx, weights[1][1], 1.0, 1.0, n_vectors=40)
-print(f"\nmin Omega_h(v, Jv) over random v      : {pos:.4f}  (> 0)")
+pos = twistor.hermitian_positivity(ctx, weights[1][1])
+print(f"\nmin Omega_h(v, Jv) over unit v        : {pos:.4f}  (> 0)")
 for a, b in ((1.0, 1.0), (2.0, 1.0), (2.0, 2.0)):
     r = twistor.cone_wedge_constants(ctx, a, b)
     print(f"a={a} b={b}:  Omega^2^fiber/vol = {r.c1:.6f} (=2a^2)   "

@@ -105,7 +105,7 @@ class JetSpace:
             [float(np.prod([math.factorial(k) for k in a])) for a in self.multi_indices]
         )
         self._build_mul_table()
-        self._deriv_maps = [self._build_deriv_map(i) for i in range(n_vars)]
+        self._deriv_maps = self._build_deriv_maps() if order > 0 else None
 
     def _build_mul_table(self):
         pairs_i, pairs_j, pairs_k = [], [], []
@@ -127,17 +127,13 @@ class JetSpace:
         # every target index occurs (alpha = alpha + 0), so reduceat covers all
         self._mul_starts = np.searchsorted(k_sorted, np.arange(self.ncoef))
 
-    def _build_deriv_map(self, var):
-        lower = get_space(self.n_vars, self.order - 1) if self.order > 0 else None
-        if lower is None:
-            return None
-        src, fac = [], []
-        for alpha in lower.multi_indices:
-            shifted = list(alpha)
-            shifted[var] += 1
-            src.append(self.index[tuple(shifted)])
-            fac.append(float(shifted[var]))
-        return np.array(src), np.array(fac)
+    def _build_deriv_maps(self):
+        """(src, fac), each (n_vars, lower ncoef): coefficient i of d_var is
+        fac[var, i] times coefficient src[var, i], of multi-index i + e_var."""
+        lower = np.array(get_space(self.n_vars, self.order - 1).multi_indices)
+        shifted = lower[None] + np.eye(self.n_vars, dtype=int)[:, None]  # [var, i]
+        src = np.array([[self.index[tuple(a)] for a in row] for row in shifted.tolist()])
+        return src, np.diagonal(shifted, axis1=0, axis2=2).T.astype(float)
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = a[self._mul_i] * b[self._mul_j]
@@ -231,14 +227,16 @@ class Jet:
         i = self.space.index[multi_index]
         return self.coeffs[i] * self.space._factorials[i]
 
-    def deriv(self, var: int) -> "Jet":
-        """Jet of the partial derivative along ``var`` (order drops by one)."""
+    def deriv(self, var, comp=...) -> "Jet":
+        """Jet of the partial derivative along ``var`` (order drops by one).
+        With index arrays ``var`` and ``comp``, the jets d_{var[t]} of the
+        components ``comp[t]`` of a jet with one tensor axis, stacked along
+        that axis: many partial derivatives in one gather."""
         if self.space.order == 0:
             raise UsageError("cannot differentiate an order-0 jet")
-        src, fac = self.space._deriv_maps[var]
+        src, fac = (m[var].T for m in self.space._deriv_maps)
         lower = get_space(self.space.n_vars, self.space.order - 1)
-        coeffs = self.coeffs[src] * _col(fac, self.coeffs.ndim)
-        return Jet(lower, coeffs)
+        return Jet(lower, self.coeffs[src, comp] * _col(fac, self.coeffs.ndim))
 
     def partials(self) -> np.ndarray:
         """Values of the first partials d_k f, k = 0..n_vars-1, on a new
@@ -341,8 +339,9 @@ class Jet:
 
 
 def _col(arr, ndim):
-    """Reshape a 1-d factor so it broadcasts against (ncoef, *batch) coeffs."""
-    return arr.reshape(arr.shape + (1,) * (ndim - 1))
+    """Reshape a factor so it broadcasts against coefficients of ``ndim``
+    axes, matching their leading axes."""
+    return arr.reshape(arr.shape + (1,) * (ndim - arr.ndim))
 
 
 def _series_axis(vals):

@@ -38,9 +38,10 @@ Every tensor field of a ChartEval (g, the self-dual basis S, beta, J, h,
 Omega, tau) is one stacked jet in the 6-variable space, assembled with
 :func:`jets.contract` in the products and summation order of the scalar
 loops it replaced, so the coefficients are those of the loops bit for bit.
-A form is the dict of jet components (sorted index tuple -> jet) that a
-builder such as :func:`omega_ab_field` returns from a ``ChartEval``; the
-components are views of those stacked jets.
+A k-form is a :class:`Form`, one stacked jet over its sorted index tuples.
+:func:`wedge_dicts` (one multiply per chunk of terms) and :func:`d_dict` (one
+derivative gather) fold their terms in the loop order of the dict code they
+replaced, so the coefficients are those of that code bit for bit.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -382,9 +383,8 @@ class ChartEval:
 
     @cached_property
     def tau(self):
-        """Tautological 2-form components tau_{ij} (i < j) as jets (views
-        of one stacked jet)."""
-        return _tau_comps(self)
+        """Tautological 2-form tau as a :class:`Form` on the pairs i < j."""
+        return _tau_form(self)
 
     @cached_property
     def omega_jets(self):
@@ -716,107 +716,123 @@ def mixed_nijenhuis_residual(ctx: ChartEval, X, U_fiber, Z) -> float:
 # differential forms on the chart
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FormValue:
-    """Antisymmetric coordinate components of a k-form at chart point(s)."""
+@dataclass(frozen=True)
+class Form:
+    """A k-form: its components on the sorted index tuples ``keys`` are the
+    stacked jet ``jet``, coefficients ``(ncoef, len(keys), *batch)``; all
+    other components vanish.  Its values are the form truncated to order 0."""
 
-    degree: int
-    comps: dict  # sorted index tuple -> coefficient (scalar or batch array)
+    keys: tuple
+    jet: jets.Jet
 
-    def __call__(self, *vectors):
-        """Evaluate on ``degree`` many 6-vectors (full antisymmetrization)."""
-        if len(vectors) != self.degree:
-            raise UsageError(f"form of degree {self.degree} takes {self.degree} vectors")
-        vs = [np.asarray(v, float) for v in vectors]
-        total = 0.0
-        for perm in itertools.permutations(range(self.degree)):
-            sign = _perm_sign(perm)
-            for idx, c in self.comps.items():
-                term = c
-                for slot, i in enumerate(idx):
-                    term = term * vs[perm[slot]][..., i]
-                total = total + sign * term
-        return total
+    def __getitem__(self, key) -> jets.Jet:
+        """The component on ``key``, as a view."""
+        return self.jet[self.keys.index(key)]
+
+    def truncate(self, order: int) -> "Form":
+        return Form(self.keys, self.jet.truncate(order))
 
 
 def _perm_sign(seq) -> int:
-    sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
 
 
-def _merge_keys(a, b):
-    if set(a) & set(b):
-        return None, 0
-    combined = a + b
-    return tuple(sorted(combined)), _perm_sign(combined)
+class _Table(NamedTuple):
+    """The terms of a wedge or d: output ``keys`` in order of first
+    appearance; ``src`` (two sources per term: the factors' components for
+    a wedge, variable and component for d) and ``sign`` in layer order, the
+    first term of every output, then the second of every output that has
+    one, and so on; each later layer's outputs and slice in ``layers``."""
+
+    keys: tuple
+    src: np.ndarray
+    sign: np.ndarray
+    layers: tuple
 
 
-def wedge_dicts(c1: dict, c2: dict) -> dict:
-    out = {}
-    for ka, va in c1.items():
-        for kb, vb in c2.items():
-            key, sign = _merge_keys(ka, kb)
-            if key is None:
-                continue
-            term = (sign * 1.0) * (va * vb)
-            out[key] = out.get(key, 0.0) + term
-    return {k: v for k, v in out.items()}
+def _table(terms) -> _Table:
+    """The table of ``terms``: (output key, source, source, sign) in loop order."""
+    index, count, outs, rank = {}, {}, [], []
+    for key, *_ in terms:
+        outs.append(index.setdefault(key, len(index)))
+        rank.append(count.get(key, 0))
+        count[key] = rank[-1] + 1
+    order = np.lexsort((outs, rank))
+    outs, rank = np.array(outs, dtype=int)[order], np.array(rank, dtype=int)[order]
+    cols = np.array([t[1:] for t in terms], dtype=int).reshape(-1, 3)[order].T
+    bounds = np.searchsorted(rank, np.arange(max(count.values(), default=0) + 1))
+    layers = tuple((outs[s], s) for s in map(slice, bounds[1:-1], bounds[2:]))
+    return _Table(tuple(index), cols[:2], cols[2], layers)
 
 
-def d_dict(comps: dict, to_values: bool = True) -> dict:
-    """Exterior derivative of jet-valued components, as values at the points
-    of the ChartEval the components were built on, or as jets one order
-    lower (``to_values=False``).  Taking d of a form that was itself built
-    with one d needs a ChartEval at order 2."""
-    out = {}
-    for key, cj in comps.items():
-        for k in range(TOTAL_DIM):
-            if k in key:
-                continue
-            dkc = cj.deriv(k) if isinstance(cj, jets.Jet) else None
-            if dkc is None:
-                raise UsageError("exterior derivative needs jet-valued components")
-            new, sign = _merge_keys((k,), key)
-            val = dkc.value if to_values else dkc
-            out[new] = out.get(new, 0.0) + sign * val
-    return out
+def _fold(terms: jets.Jet, table: _Table) -> Form:
+    """The signed sums of ``terms`` (one tensor axis, in table order), added
+    one at a time per output as :func:`jets.fold` does."""
+    c = terms.coeffs * table.sign.reshape((-1,) + (1,) * (terms.coeffs.ndim - 2))
+    acc = c[:, :len(table.keys)].copy()
+    for outs, s in table.layers:
+        acc[:, outs] += c[:, s]
+    return Form(table.keys, jets.Jet(terms.space, acc))
 
 
-def _form_values(comps: dict) -> dict:
-    """Values of jet components, at the ChartEval's points."""
-    return {k: np.asarray(v.value) for k, v in comps.items()}
+@lru_cache(maxsize=None)
+def _wedge_table(keys_a: tuple, keys_b: tuple) -> _Table:
+    return _table([(tuple(sorted(ka + kb)), ia, ib, _perm_sign(ka + kb))
+                   for ia, ka in enumerate(keys_a) for ib, kb in enumerate(keys_b)
+                   if not set(ka) & set(kb)])
+
+
+@lru_cache(maxsize=None)
+def _d_table(keys: tuple) -> _Table:
+    return _table([(tuple(sorted((k,) + key)), k, c, _perm_sign((k,) + key))
+                   for c, key in enumerate(keys) for k in range(TOTAL_DIM) if k not in key])
+
+
+# named after the dict code it replaced: a perfbench span target
+def wedge_dicts(a: Form, b: Form) -> Form:
+    """a ^ b at the jet order of the two forms (at order 0, of their values):
+    the products of components in one multiply per chunk of CHUNK_DOUBLES."""
+    table = _wedge_table(a.keys, b.keys)
+    ia, ib = table.src
+    space, batch = a.jet.space, np.broadcast_shapes(a.jet.shape[1:], b.jet.shape[1:])
+    terms = np.empty((space.ncoef, len(ia)) + batch)
+    for s in space.chunks(len(ia), int(np.prod(batch))):
+        terms[:, s] = (a.jet[ia[s]] * b.jet[ib[s]]).coeffs
+    return _fold(jets.Jet(space, terms), table)
+
+
+# named after the dict code it replaced: a perfbench span target
+def d_dict(form: Form) -> Form:
+    """Exterior derivative, one jet order lower (so d of an order-0 form
+    raises UsageError)."""
+    table = _d_table(form.keys)
+    return _fold(form.jet.deriv(*table.src), table)
 
 
 # ---------------------------------------------------------------------------
 # the Hermitian family Omega_h / Omega_{a,b}
 # ---------------------------------------------------------------------------
 
-def _tau_comps(ctx: ChartEval) -> dict:
-    """Tautological 2-form tau(A,B) = 2 g(F(p), dpi A ^ dpi B) as jets:
-    (g P g)_{ij} for the index pairs p = (i, j), i < j."""
-    i, j = np.triu_indices(4, 1)  # the pairs i < j, in row order
+def _tau_form(ctx: ChartEval) -> Form:
+    """Tautological 2-form tau(A,B) = 2 g(F(p), dpi A ^ dpi B): (g P g)_{ij}
+    on the index pairs i < j, in row order."""
+    i, j = np.triu_indices(4, 1)
     gPg = jets.contract("pm,mn,np->p", ctx.g[i], ctx.P_img, ctx.g[:, j])
-    return {(a, b): gPg[p] for p, (a, b) in enumerate(zip(i.tolist(), j.tolist()))}
+    return Form(tuple(zip(i.tolist(), j.tolist())), gPg)
 
 
-def _fiber_area_comps(ctx: ChartEval, weight) -> dict:
+def _fiber_area_form(ctx: ChartEval, weight) -> Form:
     """weight * f^*((dw + eps beta) ^ dv) with the outward orientation."""
     wphi = weight * ctx.phi_p
-    out = {(IDX_V, IDX_W): -1.0 * wphi}
     beta_w = jets.contract("k,->k", (ctx.eps * 1.0) * ctx.beta, wphi)
-    for k in range(4):
-        out[(k, IDX_V)] = beta_w[k]
-    return out
+    return Form(((IDX_V, IDX_W),) + tuple((k, IDX_V) for k in range(4)),
+                jets.stack([-1.0 * wphi] + [beta_w[k] for k in range(4)]))
 
 
 def omega_ab_field(ctx: ChartEval, h_func: Optional[Callable], a: float = 1.0,
-                   b: float = 1.0, weight_mode: str = "fiber") -> dict:
-    """Omega = a tau + b e^{h} omega_FS as jet components at ``ctx``.
+                   b: float = 1.0, weight_mode: str = "fiber") -> Form:
+    """Omega = a tau + b e^{h} omega_FS at ``ctx``: the components of tau,
+    then those of the fiber form.
 
     ``h_func`` takes the fiber height jet (the sphere coordinate through the
     fiber map) and returns a jet; None means h = 0.  ``weight_mode``
@@ -825,34 +841,27 @@ def omega_ab_field(ctx: ChartEval, h_func: Optional[Callable], a: float = 1.0,
     """
     if a <= 0 or b <= 0:
         raise InputError("cone parameters a, b must be positive")
-    comps = {k: (a * 1.0) * v for k, v in ctx.tau.items()}
     if weight_mode == "fiber":
-        hval = h_func(ctx.phi) if h_func is not None else None
-        weight = jets.exp(hval) * b if hval is not None else ctx.one * b
+        weight = jets.exp(h_func(ctx.phi)) * b if h_func is not None else ctx.one * b
     elif weight_mode == "x_dependent":
-        xj = jets.Jet.variable(ctx.space, 0, ctx.points[:, 0])
-        weight = jets.exp(xj) * b
+        weight = jets.exp(jets.Jet.variable(ctx.space, 0, ctx.points[:, 0])) * b
     else:
         raise InputError(f"unknown weight_mode '{weight_mode}'")
-    for k, v in _fiber_area_comps(ctx, weight).items():
-        comps[k] = comps.get(k, ctx.zero) + v
-    return comps
+    tau, fiber = ctx.tau, _fiber_area_form(ctx, weight)
+    coeffs = np.concatenate([(a * 1.0) * tau.jet.coeffs, fiber.jet.coeffs], axis=1)
+    return Form(tau.keys + fiber.keys, jets.Jet(ctx.space, coeffs))
 
 
-def hermitian_positivity(ctx: ChartEval, h_func=None, a=1.0, b=1.0,
-                         n_vectors: int = 50, seed: int = 0) -> float:
-    """min over random v != 0 of Omega(v, Jv); positive for a Hermitian form."""
-    fv = FormValue(2, _form_values(omega_ab_field(ctx, h_func, a, b)))
-    Jv = ctx.J_values
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(n_vectors):
-        vec = rng.normal(size=TOTAL_DIM)
-        vec /= np.linalg.norm(vec)
-        jvec = np.einsum("...ma,a->...m", Jv, vec)
-        vals = fv(np.broadcast_to(vec, jvec.shape), jvec)
-        worst = min(worst, float(np.min(vals)))
-    return worst
+def hermitian_positivity(ctx: ChartEval, h_func=None) -> float:
+    """Smallest eigenvalue, over the points of ``ctx``, of the symmetric
+    part of the matrix of Omega_h(., J .): the minimum of Omega_h(v, Jv)
+    over unit vectors v, positive for a Hermitian form."""
+    omega = omega_ab_field(ctx, h_func)
+    i, j = np.array(omega.keys).T
+    A = np.zeros(ctx.J_values.shape)
+    A[..., i, j] = np.moveaxis(omega.jet.value, 0, -1)
+    M = (A - np.swapaxes(A, -1, -2)) @ ctx.J_values  # Omega(v, Jv) = v^T M v
+    return float(np.min(np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))))
 
 
 @dataclass
@@ -863,8 +872,7 @@ class BalancedReport:
     h_label: str
 
 
-def balanced_check(ctx: ChartEval, h_func: Optional[Callable], a: float = 1.0,
-                   b: float = 1.0, weight_mode: str = "fiber",
+def balanced_check(ctx: ChartEval, h_func: Optional[Callable], weight_mode: str = "fiber",
                    h_label: str = "h") -> BalancedReport:
     """Verify d(Omega_h^2) = 0 at the points of ``ctx`` (the balanced
     condition).
@@ -872,16 +880,13 @@ def balanced_check(ctx: ChartEval, h_func: Optional[Callable], a: float = 1.0,
     Also reports the non-closedness of the weighted fiber form wedged with
     tau, the quantity whose cancellation structure carries the proof.
     """
-    comps = omega_ab_field(ctx, h_func, a, b, weight_mode)
-    omega2 = wedge_dicts(comps, comps)
-    d_omega2 = d_dict(omega2)
-    max_resid = max(float(np.max(np.abs(v))) for v in d_omega2.values()) if d_omega2 else 0.0
-
-    fo_comps = {k: v for k, v in comps.items() if IDX_V in k or IDX_W in k}
-    d_fo = d_dict(fo_comps)  # 3-form values
-    proof = wedge_dicts(d_fo, _form_values(ctx.tau))
-    proof_resid = max(float(np.max(np.abs(v))) for v in proof.values()) if proof else 0.0
-    return BalancedReport(max_resid, proof_resid, len(ctx.points), h_label)
+    omega = omega_ab_field(ctx, h_func, weight_mode=weight_mode)
+    d_omega2 = d_dict(wedge_dicts(omega, omega))
+    fiber = [n for n, k in enumerate(omega.keys) if IDX_V in k or IDX_W in k]
+    d_fiber = d_dict(Form(tuple(omega.keys[n] for n in fiber), omega.jet[fiber]))
+    proof = wedge_dicts(d_fiber.truncate(0), ctx.tau.truncate(0))
+    return BalancedReport(float(np.max(np.abs(d_omega2.jet.value))),
+                          float(np.max(np.abs(proof.jet.value))), len(ctx.points), h_label)
 
 
 @dataclass
@@ -900,17 +905,12 @@ def cone_wedge_constants(ctx: ChartEval, a: float, b: float) -> ConeReport:
     Both are constant over the chart; with the conventions here (omega^2 =
     2 vol_g on the base, unit-sphere fiber area) c1 = 2 a^2 and c2 = 4 a b.
     """
-    vals = _form_values(omega_ab_field(ctx, None, a, b))
-    omega2 = wedge_dicts(vals, vals)
-    tau_vals = _form_values(ctx.tau)
-    fs_vals = _form_values(_fiber_area_comps(ctx, ctx.one))
+    omega = omega_ab_field(ctx, None, a, b).truncate(0)
+    omega2 = wedge_dicts(omega, omega)
     top = tuple(range(TOTAL_DIM))
-    hv = ctx.h_values
-    vol = -np.sqrt(np.linalg.det(hv))  # see module docstring on orientation
-    w1 = wedge_dicts(omega2, fs_vals).get(top, 0.0)
-    w2 = wedge_dicts(omega2, tau_vals).get(top, 0.0)
-    c1 = w1 / vol
-    c2 = w2 / vol
+    vol = -np.sqrt(np.linalg.det(ctx.h_values))  # see module docstring on orientation
+    c1 = wedge_dicts(omega2, _fiber_area_form(ctx, ctx.one).truncate(0))[top].value / vol
+    c2 = wedge_dicts(omega2, ctx.tau.truncate(0))[top].value / vol
 
     def relvar(c):
         return float((np.max(c) - np.min(c)) / max(abs(np.mean(c)), 1e-300))

@@ -6,7 +6,8 @@ in the association and summation order that the stacked code keeps, so
 the tests can demand bit-identical coefficients.  It covers the whole
 pipeline: potential -> metric jets, the adapted frame, the self-dual basis,
 the inverse and Christoffel symbols, beta, and the ChartEval fields P, K,
-J, h, Omega and tau.  Nothing in ``src/`` uses this module.
+J, h, Omega and tau; and forms as dicts of components, with the wedge and
+d that loop over them.  Nothing in ``src/`` uses this module.
 """
 
 import numpy as np
@@ -286,3 +287,71 @@ def chart_fields(ctx):
             tau[i, j] = acc
     return {"P_img": P_img, "K": K, "J": J, "h": h,
             "omega": omega, "tau": tau}
+
+
+# -- forms as dicts of components --------------------------------------------
+# A form is a dict {sorted index tuple: component}, the components jets or
+# value arrays; wedge and d walk the component pairs one product at a time.
+
+def perm_sign(seq) -> int:
+    sign = 1
+    seq = list(seq)
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+def merge_keys(a, b):
+    if set(a) & set(b):
+        return None, 0
+    combined = a + b
+    return tuple(sorted(combined)), perm_sign(combined)
+
+
+def wedge_dicts(c1: dict, c2: dict) -> dict:
+    out = {}
+    for ka, va in c1.items():
+        for kb, vb in c2.items():
+            key, sign = merge_keys(ka, kb)
+            if key is None:
+                continue
+            term = (sign * 1.0) * (va * vb)
+            out[key] = out.get(key, 0.0) + term
+    return out
+
+
+def d_dict(comps: dict, to_values: bool = True) -> dict:
+    """Exterior derivative of jet components, as values or (``to_values=False``)
+    as jets one order lower."""
+    out = {}
+    for key, cj in comps.items():
+        for k in range(TOTAL_DIM):
+            if k in key:
+                continue
+            new, sign = merge_keys((k,), key)
+            dkc = cj.deriv(k)
+            out[new] = out.get(new, 0.0) + sign * (dkc.value if to_values else dkc)
+    return out
+
+
+def form_dict(form) -> dict:
+    """The components of a ``twistor.Form`` as a dict of jets (views)."""
+    return {key: form[key] for key in form.keys}
+
+
+def values(comps: dict) -> dict:
+    return {k: np.asarray(v.value) for k, v in comps.items()}
+
+
+def omega_dict(ctx, weight, a=1.0):
+    """a tau + weight omega_FS of a ChartEval as a dict of jets, built one
+    component at a time: tau from ``ctx.tau``, the fiber form from the
+    scalar products of its weight, phi' and beta."""
+    comps = {k: (a * 1.0) * ctx.tau[k] for k in ctx.tau.keys}
+    wphi = weight * ctx.phi_p
+    comps[(IDX_V, IDX_W)] = -1.0 * wphi
+    for k in range(DIM):
+        comps[(k, IDX_V)] = ((ctx.eps * 1.0) * ctx.beta[k]) * wphi
+    return comps

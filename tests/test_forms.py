@@ -1,0 +1,181 @@
+"""Forms as stacked jets against the dict-of-components oracle.
+
+``twistor.Form`` keeps a k-form as one stacked jet over its sorted index
+tuples; ``wedge_dicts`` and ``d_dict`` are one gather, at most one multiply
+and one fold each.  tests/scalar_reference.py keeps the dict code they
+replaced, which loops over the component pairs.  Results must be equal,
+not close: the Hermitian family, Omega ^ Omega, d(Omega^2), the proof wedge
+and the cone's top components, on every fixture, at jet orders 1 and 2.
+Random polynomial forms then check the algebra itself.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import scalar_reference as ref
+from twistorcheck import fibermap, jets, kahler, twistor as tw
+
+FIXTURES = ("flat", "eguchi_hanson", "burns", "fubini_study", "conformal_hermitian")
+H_FUNCS = (("zero", None), ("log_pole", fibermap.power_pole_h(1.0)),
+           ("log_pole_2", fibermap.power_pole_h(2.0)))
+TOP = tuple(range(tw.TOTAL_DIM))
+
+
+def assert_same(new, old):
+    """The Form ``new`` has the keys, in order, and the components of the
+    dict ``old`` (jets, or values when ``new`` is at order 0) exactly."""
+    assert new.keys == tuple(old)
+    for key, comp in old.items():
+        got = new[key].value if new.jet.order == 0 else new[key].coeffs
+        assert np.array_equal(got, getattr(comp, "coeffs", comp)), key
+
+
+def max_abs(comps):
+    return max(float(np.max(np.abs(v))) for v in comps.values())
+
+
+@pytest.fixture(scope="module", params=FIXTURES)
+def chart(request):
+    return tw.TwistorChart.twistor(kahler.get_fixture(request.param))
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("h_func", [h for _, h in H_FUNCS], ids=[n for n, _ in H_FUNCS])
+def test_balanced_forms_match_the_dict_code(chart, order, h_func):
+    ctx = tw.ChartEval(chart, chart.sample(6, 3), order=order)
+    omega = tw.omega_ab_field(ctx, h_func)
+    weight = jets.exp(h_func(ctx.phi)) * 1.0 if h_func is not None else ctx.one * 1.0
+    old = ref.omega_dict(ctx, weight)
+    assert_same(omega, old)
+
+    omega2 = tw.wedge_dicts(omega, omega)
+    old2 = ref.wedge_dicts(old, old)
+    assert_same(omega2, old2)
+    d_omega2 = tw.d_dict(omega2)
+    old_d = ref.d_dict(old2)
+    assert_same(d_omega2.truncate(0), old_d)
+    if order == 2:
+        assert_same(d_omega2, ref.d_dict(old2, to_values=False))
+
+    fiber = {k: v for k, v in old.items() if tw.IDX_V in k or tw.IDX_W in k}
+    d_fiber = tw.d_dict(tw.Form(tuple(fiber), jets.stack([omega[k] for k in fiber])))
+    old_proof = ref.wedge_dicts(ref.d_dict(fiber), ref.values(ref.form_dict(ctx.tau)))
+    assert_same(tw.wedge_dicts(d_fiber.truncate(0), ctx.tau.truncate(0)), old_proof)
+
+    rep = tw.balanced_check(ctx, h_func)
+    assert rep.max_residual == max_abs(old_d)
+    assert rep.proof_step_residual == max_abs(old_proof)
+
+
+@pytest.mark.parametrize("order", (1, 2))
+def test_cone_top_components_match_the_dict_code(chart, order):
+    ctx = tw.ChartEval(chart, chart.sample(6, 4), order=order)
+    a, b = 2.0, 3.0
+    omega = tw.omega_ab_field(ctx, None, a, b).truncate(0)
+    omega2 = tw.wedge_dicts(omega, omega)
+    old = ref.values(ref.omega_dict(ctx, ctx.one * b, a))
+    old2 = ref.wedge_dicts(old, old)
+    assert_same(omega2, old2)
+    fs = tw._fiber_area_form(ctx, ctx.one).truncate(0)
+    vol = -np.sqrt(np.linalg.det(ctx.h_values))
+    tops = []
+    for other in (fs, ctx.tau.truncate(0)):
+        new = tw.wedge_dicts(omega2, other)
+        old_top = ref.wedge_dicts(old2, ref.values(ref.form_dict(other)))
+        assert_same(new, old_top)
+        tops.append(old_top[TOP] / vol)
+    rep = tw.cone_wedge_constants(ctx, a, b)
+    assert (rep.c1, rep.c2) == (float(np.mean(tops[0])), float(np.mean(tops[1])))
+
+
+def test_balanced_check_wedges_in_at_most_three_multiplies(monkeypatch, multiply_calls):
+    # the dict code made one jet product per pair of components: 42
+    chart = tw.TwistorChart.twistor(kahler.get_fixture("eguchi_hanson"))
+    ctx = tw.ChartEval(chart, chart.sample(30, 2024))
+    inside, orig = [], tw.wedge_dicts
+
+    def counted(a, b):
+        before = len(multiply_calls)
+        out = orig(a, b)
+        inside.append(len(multiply_calls) - before)
+        return out
+
+    monkeypatch.setattr(tw, "wedge_dicts", counted)
+    tw.balanced_check(ctx, fibermap.power_pole_h(1.0))
+    assert inside == [1, 1]  # Omega ^ Omega and the proof wedge
+
+
+def test_d_is_a_gather(flat, multiply_calls):
+    chart = tw.TwistorChart.twistor(flat)
+    omega = tw.omega_ab_field(tw.ChartEval(chart, chart.sample(3, 1)), None)
+    multiply_calls.clear()
+    assert tw.d_dict(omega).jet.order == 0
+    assert multiply_calls == []
+
+
+# -- the algebra, on random polynomial forms ----------------------------------
+
+SPACE = jets.get_space(tw.TOTAL_DIM, 2)
+BATCH = 3
+
+
+@st.composite
+def forms(draw):
+    """A form of random degree on a random set of keys, in random order,
+    with random degree-2 polynomial components at BATCH points."""
+    p = draw(st.integers(0, 3))
+    pool = list(itertools.combinations(range(tw.TOTAL_DIM), p))
+    keys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return tw.Form(tuple(keys), jets.Jet(SPACE, rng.normal(size=(SPACE.ncoef, len(keys), BATCH))))
+
+
+def degree(f):
+    return len(f.keys[0])
+
+
+def values(*terms):
+    """{key: value} of the sum of (sign, form) terms; missing keys are 0."""
+    out = {}
+    for sign, f in terms:
+        for key in f.keys:
+            out[key] = out.get(key, 0.0) + sign * f[key].value
+    return out
+
+
+def assert_close(x, y):
+    for key in set(x) | set(y):
+        assert np.max(np.abs(x.get(key, 0.0) - y.get(key, 0.0))) < 1e-12, key
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=forms(), b=forms())
+def test_wedge_is_graded_commutative(a, b):
+    sign = (-1) ** (degree(a) * degree(b))
+    assert_close(values((1, tw.wedge_dicts(a, b))), values((sign, tw.wedge_dicts(b, a))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=forms(), b=forms(), c=forms())
+def test_wedge_is_associative(a, b, c):
+    left = tw.wedge_dicts(tw.wedge_dicts(a, b), c)
+    right = tw.wedge_dicts(a, tw.wedge_dicts(b, c))
+    assert_close(values((1, left)), values((1, right)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=forms(), b=forms())
+def test_d_obeys_the_graded_leibniz_rule(a, b):
+    lhs = tw.d_dict(tw.wedge_dicts(a, b))
+    rhs = values((1, tw.wedge_dicts(tw.d_dict(a), b.truncate(1))),
+                 ((-1) ** degree(a), tw.wedge_dicts(a.truncate(1), tw.d_dict(b))))
+    assert_close(values((1, lhs)), rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=forms())
+def test_d_squared_is_zero(a):
+    assert_close(values((1, tw.d_dict(tw.d_dict(a)))), {})

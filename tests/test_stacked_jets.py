@@ -94,9 +94,8 @@ class TestBaseJets:
         for name in ("P_img", "K", "J", "h"):
             assert_same_jets(getattr(ctx, name), old[name])
         assert_same_jets(ctx.omega_jets, old["omega"])
-        assert list(ctx.tau) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        for (i, j), comp in ctx.tau.items():
-            assert_same_jets(comp[None], old["tau"][i, j:j + 1])
+        assert ctx.tau.keys == tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+        assert_same_jets(ctx.tau.jet, old["tau"][np.triu_indices(4, 1)])
 
 
 @pytest.mark.parametrize("n", (1, 5, 50, 400))

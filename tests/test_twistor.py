@@ -18,9 +18,14 @@ def ctx_at(chart, n, seed):
     return tw.ChartEval(chart, chart.sample(n, seed))
 
 
-def max_abs(comps):
-    """sup of the absolute values of a form's value components (0 for none)."""
-    return max((float(np.max(np.abs(c))) for c in comps.values()), default=0.0)
+def form(comps):
+    """The Form of a dict {sorted index tuple: jet}."""
+    return tw.Form(tuple(comps), jets.stack(list(comps.values())))
+
+
+def max_abs(f):
+    """sup of the absolute values of a form's values (0 for none)."""
+    return float(np.max(np.abs(f.jet.value), initial=0.0))
 
 
 def nijenhuis_domega(ctx, A, B, C):
@@ -278,13 +283,13 @@ class TestForms:
     def test_exterior_derivative_examples(self, charts, rng):
         chart = charts["flat"]
         ctx = tw.ChartEval(chart, chart.sample(3, rng))
-        d1 = tw.d_dict({(1,): jets.Jet.variable(ctx.space, 0, ctx.points[:, 0])})
-        assert np.allclose(d1[(0, 1)], 1.0)
-        assert all(np.allclose(v, 0.0) for k, v in d1.items() if k != (0, 1))
-        assert max_abs(tw.d_dict({(4, 5): ctx.one})) == 0.0
-        # d differentiates jets, so plain numbers are rejected
+        d1 = tw.d_dict(form({(1,): jets.Jet.variable(ctx.space, 0, ctx.points[:, 0])}))
+        assert np.allclose(d1[(0, 1)].value, 1.0)
+        assert all(np.allclose(d1[k].value, 0.0) for k in d1.keys if k != (0, 1))
+        assert max_abs(tw.d_dict(form({(4, 5): ctx.one}))) == 0.0
+        # d differentiates jets, so an order-0 form (values only) is rejected
         with pytest.raises(UsageError):
-            tw.d_dict({(1,): 1.0})
+            tw.d_dict(form({(1,): ctx.one.truncate(0)}))
 
     def test_d_squared_zero(self, charts, rng):
         chart = charts["eguchi_hanson"]
@@ -292,9 +297,10 @@ class TestForms:
 
         def one_form(ctx):
             x = [jets.Jet.variable(ctx.space, i, ctx.points[:, i]) for i in range(6)]
-            return {(0,): x[1] * x[4] * x[2], (3,): x[0] * x[0] * x[5], (4,): x[2] * x[3]}
+            return form({(0,): x[1] * x[4] * x[2], (3,): x[0] * x[0] * x[5], (4,): x[2] * x[3]})
 
-        ddf = tw.d_dict(one_form(ctx), to_values=False)
+        ddf = tw.d_dict(one_form(ctx))
+        assert max_abs(ddf) > 0.1
         assert max_abs(tw.d_dict(ddf)) < 1e-10
 
     def test_d_polynomial_two_form_oracle(self, charts, rng):
@@ -304,11 +310,11 @@ class TestForms:
 
         def two_form(ctx):
             x = [jets.Jet.variable(ctx.space, i, ctx.points[:, i]) for i in range(6)]
-            return {(1, 2): x[0] * x[4]}
+            return form({(1, 2): x[0] * x[4]})
 
         dv = tw.d_dict(two_form(tw.ChartEval(chart, pts)))
-        assert np.allclose(dv[(0, 1, 2)], pts[:, 4])
-        assert np.allclose(dv[(1, 2, 4)], pts[:, 0])
+        assert np.allclose(dv[(0, 1, 2)].value, pts[:, 4])
+        assert np.allclose(dv[(1, 2, 4)].value, pts[:, 0])
 
     def test_omega_h_vertical_coefficient(self, charts, rng):
         chart = charts["eguchi_hanson"]
@@ -319,11 +325,36 @@ class TestForms:
         assert np.allclose(comps[(4, 5)].value, expect, atol=1e-12)
 
     def test_positivity(self, charts, rng):
-        for name in ("flat", "eguchi_hanson", "burns"):
+        for name in charts:
             pts = charts[name].sample(5, rng)
-            worst = tw.hermitian_positivity(tw.ChartEval(charts[name], pts), None, 1.0, 1.0,
-                                            n_vectors=50, seed=4)
+            worst = tw.hermitian_positivity(tw.ChartEval(charts[name], pts))
             assert worst > 0.0, name
+
+    def test_positivity_is_the_minimum_over_unit_vectors(self, charts, rng):
+        # Omega(v, Jv) from the components, sum over i < j of
+        # Omega_ij (v^i (Jv)^j - (Jv)^i v^j), at one point at a time
+        h = lambda z: -1.0 * jets.log(1.0 - z * z)
+        for name in ("flat", "fubini_study"):
+            ctx = tw.ChartEval(charts[name], charts[name].sample(3, rng))
+            omega = tw.omega_ab_field(ctx, h)
+            Jv = ctx.J_values
+            worst = np.inf
+            for p in range(3):
+                def omega_v_jv(v):
+                    jv = Jv[p] @ v
+                    return sum(omega[(i, j)].value[p] * (v[i] * jv[j] - jv[i] * v[j])
+                               for i, j in omega.keys)
+
+                M = np.zeros((6, 6))
+                for i, j in omega.keys:
+                    M[i, j], M[j, i] = omega[(i, j)].value[p], -omega[(i, j)].value[p]
+                M = M @ Jv[p]
+                lam, vecs = np.linalg.eigh(0.5 * (M + M.T))
+                assert omega_v_jv(vecs[:, 0]) == pytest.approx(lam[0], abs=1e-12)
+                for v in rng.normal(size=(200, 6)):
+                    assert omega_v_jv(v / np.linalg.norm(v)) >= lam[0] - 1e-12
+                worst = min(worst, lam[0])
+            assert tw.hermitian_positivity(ctx, h) == pytest.approx(worst, abs=1e-14)
 
     def test_positivity_rejects_bad_parameters(self, charts, rng):
         ctx = tw.ChartEval(charts["flat"], charts["flat"].sample(1, rng))
@@ -454,13 +485,13 @@ class TestOneMetricEvaluation:
         # the Omega family, its balanced and cone checks and positivity
         # share one ChartEval and so one tau
         calls = []
-        orig = tw._tau_comps
-        monkeypatch.setattr(tw, "_tau_comps", lambda ctx: calls.append(1) or orig(ctx))
+        orig = tw._tau_form
+        monkeypatch.setattr(tw, "_tau_form", lambda ctx: calls.append(1) or orig(ctx))
         ctx = ctx_at(charts["eguchi_hanson"], 3, 5)
         assert tw.balanced_check(ctx, None).max_residual < 1e-7
         tw.balanced_check(ctx, fm.power_pole_h(1.0))
         tw.cone_wedge_constants(ctx, 1.0, 2.0)
-        assert tw.hermitian_positivity(ctx, n_vectors=3) > 0
+        assert tw.hermitian_positivity(ctx) > 0
         assert calls == [1]
 
 
