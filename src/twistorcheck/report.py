@@ -449,10 +449,10 @@ def _json_clean(obj):
         return [_json_clean(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         return _json_float(obj)
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is a subclass of int
+        return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from twistorcheck.cli import main
 from twistorcheck.errors import ConfigurationError
-from twistorcheck.report import SuiteConfig, report_to_json, run_suite
+from twistorcheck.report import SuiteConfig, _json_clean, report_to_json, run_suite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -213,6 +213,11 @@ class TestDeterminism:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_booleans_are_written_as_json_booleans(self):
+        detail = {"py": True, "np": np.True_, "int": 1, "np_int": np.int64(1)}
+        assert (json.dumps(_json_clean(detail), sort_keys=True)
+                == '{"int": 1, "np": true, "np_int": 1, "py": true}')
 
 
 class TestCliCommands:
