@@ -790,8 +790,8 @@ def _d_table(keys: tuple) -> _Table:
 
 # named after the dict code it replaced: a perfbench span target
 def wedge_dicts(a: Form, b: Form) -> Form:
-    """a ^ b at the jet order of the two forms (at order 0, of their values):
-    the products of components in one multiply per chunk of CHUNK_DOUBLES."""
+    """a ^ b at the jet order of the two forms (at order 0, of their values);
+    one multiply per chunk of terms (see :meth:`jets.JetSpace.chunks`)."""
     table = _wedge_table(a.keys, b.keys)
     ia, ib = table.src
     space, batch = a.jet.space, np.broadcast_shapes(a.jet.shape[1:], b.jet.shape[1:])
