@@ -30,6 +30,19 @@ Conventions
   time, left to right.  ``np.add.reduce`` does not promise that order:
   along a contiguous axis (batch of one, or no batch axis) it sums
   pairwise, which moves the last bits.
+* ``JetSpace.multiply`` adds the terms ``p0, p1, ...`` of each coefficient
+  in the order of ``np.add.reduceat``, ``p0 + ((p1 + p2) + ...)``: numpy
+  adds the first term to the sum of the others, and sums those left to
+  right while there are fewer than 8 of them, pairwise from 8 on.  So a
+  space where every coefficient has at most LAYERED_MAX_TERMS = 8 terms
+  (orders up to 3, and every univariate order) can add the same terms in
+  the same order one rank at a time across all coefficients, in a few
+  large array operations instead of one inner loop per coefficient and
+  trailing element.  ``reduceat`` still runs on spaces with a coefficient
+  of 9 or more terms (``get_space(4, 4)`` has 16), and on operands of
+  fewer than LAYERED_MIN_TRAILING values per coefficient, where its
+  per-call cost is lower.  Both give the same bits, signs of zero
+  included.
 * Dividing by a jet whose constant term vanishes is an error (no Laurent
   extension).
 """
@@ -70,6 +83,14 @@ MAX_ORDER = 6
 # Doubles one JetSpace.multiply call of a stacked product may form (256 kB);
 # longer products run in chunks of terms (see JetSpace.chunks).
 CHUNK_DOUBLES = 1 << 15
+
+# JetSpace.multiply sums by layers (see "Conventions") where every
+# coefficient has at most LAYERED_MAX_TERMS terms and an operand holds at
+# least LAYERED_MIN_TRAILING values per coefficient.  Summed over eight
+# spaces of 1, 4 and 6 variables up to order 3, the layered sum takes 3.7x
+# the time of reduceat at 1 value, 1.0x at 64, 0.68x at 128, 0.27x at 1000.
+LAYERED_MAX_TERMS = 8
+LAYERED_MIN_TRAILING = 128
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,6 +147,26 @@ class JetSpace:
         k_sorted = k[perm]
         # every target index occurs (alpha = alpha + 0), so reduceat covers all
         self._mul_starts = np.searchsorted(k_sorted, np.arange(self.ncoef))
+        self._layers = self._build_layers()
+
+    def _build_layers(self):
+        """The product table by rank of term, for :meth:`_multiply_layered`:
+        the first term (i, j) of every coefficient; the coefficients with two
+        or more terms, most terms first, so that those with more than r terms
+        are a prefix; and for each rank r >= 1 the pairs of the r-th term of
+        that prefix.  None when a coefficient has more than
+        LAYERED_MAX_TERMS terms."""
+        counts = np.diff(np.append(self._mul_starts, self.npairs))
+        if counts.max() > LAYERED_MAX_TERMS:
+            return None
+        starts = self._mul_starts
+        multi = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts > 1)]
+        layers = [
+            (self._mul_i[rows], self._mul_j[rows])
+            for r in range(1, counts.max())
+            for rows in [starts[multi[: np.count_nonzero(counts > r)]] + r]
+        ]
+        return (self._mul_i[starts], self._mul_j[starts]), multi, layers
 
     def _build_deriv_maps(self):
         """(src, fac), each (n_vars, lower ncoef): coefficient i of d_var is
@@ -136,8 +177,28 @@ class JetSpace:
         return src, np.diagonal(shifted, axis1=0, axis2=2).T.astype(float)
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Coefficients of the product of the jets with coefficients ``a``
+        and ``b``; axes past the first broadcast."""
+        if self._layers is None or max(a.size, b.size) < self.ncoef * LAYERED_MIN_TRAILING:
+            return self._multiply_reduceat(a, b)
+        return self._multiply_layered(a, b)
+
+    def _multiply_reduceat(self, a, b):
         prod = a[self._mul_i] * b[self._mul_j]
         return np.add.reduceat(prod, self._mul_starts, axis=0)
+
+    def _multiply_layered(self, a, b):
+        """The sums of :meth:`_multiply_reduceat`, ``p0 + ((p1 + p2) + ...)``,
+        one rank of term at a time over all coefficients that have it."""
+        (i, j), multi, layers = self._layers
+        out = a[i] * b[j]
+        if layers:
+            (i, j), *rest = layers
+            tail = a[i] * b[j]
+            for i, j in rest:
+                tail[: len(i)] += a[i] * b[j]
+            out[multi] += tail
+        return out
 
     def chunks(self, count: int, term_size: int) -> list:
         """Slices covering ``range(count)`` terms, each small enough that a

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistorcheck import jets
 from twistorcheck.errors import ConfigurationError, UsageError
@@ -177,3 +178,67 @@ def test_antiderivative_and_compose():
     composed = jets.compose_univariate(outer, direct * 1.0)
     plain = jets.tanh(2.0 * jets.atan(z))
     assert np.allclose(composed.coeffs, plain.coeffs, atol=1e-14)
+
+
+# -- ring properties -----------------------------------------------------------
+# Batches below and above jets.LAYERED_MIN_TRAILING, so that JetSpace.multiply
+# runs both of its kernels.
+
+BATCH = st.sampled_from([1, 7, jets.LAYERED_MIN_TRAILING + 5])
+
+
+def _random_jet(space, batch, rng, value=None):
+    coeffs = rng.uniform(-1.0, 1.0, size=(space.ncoef, batch))
+    if value is not None:
+        coeffs[0] = value
+    return jets.Jet(space, coeffs)
+
+
+def assert_close(got, expect):
+    """Equal to 1e-12 relative to the largest coefficient expected."""
+    got, expect = got.coeffs, expect.coeffs
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_vars=st.integers(1, 6), order=st.integers(1, 3), batch=BATCH,
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_deriv_obeys_leibniz(n_vars, order, batch, data, seed):
+    rng = np.random.default_rng(seed)
+    space = jets.get_space(n_vars, order)
+    u, v = _random_jet(space, batch, rng), _random_jet(space, batch, rng)
+    k = data.draw(st.integers(0, n_vars - 1))
+    low = order - 1
+    assert_close((u * v).deriv(k), u.deriv(k) * v.truncate(low) + u.truncate(low) * v.deriv(k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_vars=st.integers(1, 4), order=st.integers(1, 3), batch=BATCH,
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_compose_univariate_obeys_chain_rule(n_vars, order, batch, data, seed):
+    rng = np.random.default_rng(seed)
+    u = _random_jet(jets.get_space(n_vars, order), batch, rng)
+    outer = _random_jet(jets.get_space(1, order + data.draw(st.integers(0, 2))), batch, rng)
+    k = data.draw(st.integers(0, n_vars - 1))
+    chained = jets.compose_univariate(outer.deriv(0), u.truncate(order - 1)) * u.deriv(k)
+    assert_close(jets.compose_univariate(outer, u).deriv(k), chained)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(1, jets.MAX_ORDER), batch=BATCH, seed=st.integers(0, 2**32 - 1))
+def test_deriv_undoes_antiderivative(order, batch, seed):
+    rng = np.random.default_rng(seed)
+    u = _random_jet(jets.get_space(1, order), batch, rng)
+    anti = jets.antiderivative(u, rng.uniform(-1.0, 1.0, size=batch))
+    assert_close(anti.deriv(0), u.truncate(order - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_vars=st.integers(1, 6), order=st.integers(0, 3), batch=BATCH,
+       seed=st.integers(0, 2**32 - 1))
+def test_exp_inverts_log(n_vars, order, batch, seed):
+    rng = np.random.default_rng(seed)
+    space = jets.get_space(n_vars, order)
+    u = _random_jet(space, batch, rng, value=rng.uniform(0.5, 2.0, size=batch))
+    assert_close(jets.exp(jets.log(u)), u)

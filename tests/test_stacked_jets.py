@@ -216,3 +216,77 @@ def test_fold_equals_python_left_fold(shape, data, seed, with_acc):
     got = jets.fold(terms, axis, None if acc is None else acc.copy())
     assert np.array_equal(got, expect)
     assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+# the spaces whose products JetSpace.multiply may sum by layers
+LAYERED_SPACES = [(n, o) for n in range(1, 7) for o in range(jets.MAX_ORDER + 1)
+                  if jets.get_space(n, o)._layers is not None]
+
+
+def _operand_pairs(ncoef, rng):
+    """Broadcast operand pairs as callers pass them: tensor against batch
+    axes, unbatched, size-1 views as in contract, and plain batches on
+    both sides of LAYERED_MIN_TRAILING."""
+    x = _coefficients(rng, (ncoef, 30))
+    y = _coefficients(rng, (ncoef, 4, 7, 30))
+    pairs = [
+        ((ncoef, 3, 1), (ncoef, 1, 400)),
+        ((ncoef,), (ncoef,)),
+        ((ncoef, 1), (ncoef, 5)),
+        ((ncoef, 1), (ncoef, jets.LAYERED_MIN_TRAILING - 1)),
+        ((ncoef, jets.LAYERED_MIN_TRAILING), (ncoef, jets.LAYERED_MIN_TRAILING)),
+        ((ncoef, 2 * jets.LAYERED_MIN_TRAILING + 3), (ncoef, 1)),
+    ]
+    yield from ((_coefficients(rng, sa), _coefficients(rng, sb)) for sa, sb in pairs)
+    yield x[:, None, None], y[:, 1:2]  # a scalar factor against one row of terms
+    yield y[:, :, 2:3], y[:, 1:2]
+
+
+@pytest.mark.parametrize("n_vars,order", LAYERED_SPACES)
+def test_layered_kernel_equals_reduceat(n_vars, order):
+    space = jets.get_space(n_vars, order)
+    rng = np.random.default_rng(97 * n_vars + order)
+    for a, b in _operand_pairs(space.ncoef, rng):
+        summed = space._multiply_reduceat(a, b)
+        layered = space._multiply_layered(a, b)
+        assert layered.shape == summed.shape
+        assert np.array_equal(layered, summed)
+        assert np.array_equal(np.signbit(layered), np.signbit(summed))
+
+
+def test_layered_table_only_up_to_eight_terms():
+    # the coefficient of x0 x1 x2 has 8 terms, one per subset of its
+    # variables; that of x0 x1 x2 x3 has 16, and reduceat sums the 15 after
+    # the first pairwise
+    assert (3, 3) in LAYERED_SPACES and (6, 3) in LAYERED_SPACES and (1, 6) in LAYERED_SPACES
+    assert jets.get_space(4, 4)._layers is None
+    assert (2, 4) not in LAYERED_SPACES  # x0^2 x1^2 has 3 * 3 terms
+
+
+def test_multiply_picks_kernel_by_space_and_trailing_size(monkeypatch):
+    picked = []
+
+    def recording(name):
+        kernel = getattr(jets.JetSpace, name)
+
+        def run(self, a, b):
+            picked.append(name)
+            return kernel(self, a, b)
+        return run
+
+    for name in ("_multiply_reduceat", "_multiply_layered"):
+        monkeypatch.setattr(jets.JetSpace, name, recording(name))
+    cut = jets.LAYERED_MIN_TRAILING
+    cases = [
+        ((4, 2), (cut,), (cut,), "_multiply_layered"),
+        ((4, 2), (1,), (cut,), "_multiply_layered"),
+        ((6, 3), (2, cut // 2), (2, 1), "_multiply_layered"),
+        ((4, 2), (cut - 1,), (cut - 1,), "_multiply_reduceat"),
+        ((4, 2), (), (), "_multiply_reduceat"),
+        ((4, 4), (4 * cut,), (4 * cut,), "_multiply_reduceat"),
+    ]
+    for (n_vars, order), ta, tb, kernel in cases:
+        space = jets.get_space(n_vars, order)
+        picked.clear()
+        space.multiply(np.ones((space.ncoef,) + ta), np.ones((space.ncoef,) + tb))
+        assert picked == [kernel], (n_vars, order, ta, tb)
