@@ -9,10 +9,11 @@ l(z) = integral sqrt(rho'^2 + 1) / rho dz, it is a translation:
 phi = tanh(l(z) + c).
 
 The isothermal coordinate is computed by :func:`quad`, composite
-Gauss-Legendre on fixed panels with the integrand evaluated on the nodes of
-all points at once; its error estimate is the gap to the sum on half as many
-panels.  The derivatives of phi come from the integrand's own jet, so a
-quadrature error in l(z) only shifts which conformal map phi is at z.
+Gauss-Legendre whose fixed panels are summed once, cumulatively, for all
+upper limits, each limit adding one partial panel; its error estimate is
+the gap to the same rule on half as many panels.  The derivatives of phi
+come from the integrand's own jet, so a quadrature error in l(z) only
+shifts which conformal map phi is at z.
 
 Three solution branches are implemented side by side; the first-principles
 conformality verifier (singular values of the differential in the embedding
@@ -36,7 +37,7 @@ from .errors import DomainError, InputError, NumericError
 POLE_MARGIN = 1e-3  # exclusion margin in |phi| for fiber-map evaluations
 SAMPLE_MARGIN = 1e-3  # z samples keep this fraction of the map's domain clear
 QUAD_NODES = 30     # Gauss-Legendre nodes per panel
-QUAD_PANELS = 64    # panels on [a, b]; the error estimate uses half as many
+QUAD_PANELS = 64    # panels on [a, farthest b]; the error estimate uses half as many
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_NODES)
 
 
@@ -118,7 +119,8 @@ class EquivariantMap:
     def degenerate(self) -> bool:
         """Whether phi is constant: |phi'| < 1e-12 at 64 evenly spaced z,
         SAMPLE_MARGIN of the domain clear of either end.  Computed on first
-        read, since it costs a quadrature on a quadrature map."""
+        read: most maps are never asked, and on a quadrature map the scan is
+        a phi evaluation of its own."""
         lo, hi = self.domain
         pad = SAMPLE_MARGIN * (hi - lo)
         zs = np.linspace(lo + pad, hi - pad, 64)
@@ -144,34 +146,52 @@ def identity_sphere_map() -> EquivariantMap:
 
 def quad(f, a: float, b):
     """Integral of a vectorised ``f`` over [a, b] for an array of upper
-    limits ``b``, by composite Gauss-Legendre (Golub & Welsch 1969):
-    QUAD_PANELS equal panels of QUAD_NODES nodes each.
+    limits ``b``, by composite Gauss-Legendre (Golub & Welsch 1969) with
+    QUAD_NODES nodes per panel, each node evaluated once for all limits.
 
-    ``f`` is called twice, each time on the nodes of every limit: once for
-    QUAD_PANELS panels and once for QUAD_PANELS / 2 (one call for both
-    would double the peak memory).  Returns ``(value, err)``, shaped like
-    ``b``: the QUAD_PANELS-panel sum and its gap to the coarser sum.
+    The limits above ``a`` and those below it are two sides.  Each side lays
+    QUAD_PANELS equal panels on [a, its farthest limit] and sums them
+    cumulatively; a limit in panel k is the sum of panels 0..k-1 plus one
+    partial panel of QUAD_NODES nodes on [left edge of panel k, limit].  The
+    error estimate is the gap to the same rule on QUAD_PANELS / 2 panels.
+    ``f`` is called once per side and rule, on all of its nodes.
+    Returns ``(value, err)``, shaped like ``b``; a limit equal to ``a``
+    gives exactly 0 for both, a NaN limit NaN.
     """
     b = np.asarray(b, dtype=float)
-    sums = []
-    for panels in (QUAD_PANELS, QUAD_PANELS // 2):
-        half = (b - a) / (2 * panels)
-        h = half[..., None, None]
-        x = a + h * (2 * np.arange(panels)[:, None] + 1) + h * _GL_NODES  # b.shape + (panels, QUAD_NODES)
-        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-        sums.append(half * (fx @ _GL_WEIGHTS).sum(axis=-1))
-    fine, coarse = sums
-    return fine, np.abs(fine - coarse)
+    value = np.where(b == a, 0.0, np.nan)
+    err = value.copy()
+    for side, farthest in ((b > a, np.max), (b < a, np.min)):
+        if not np.any(side):
+            continue
+        lims = b[side]
+        sums = []
+        for panels in (QUAD_PANELS, QUAD_PANELS // 2):
+            half = (farthest(lims) - a) / (2 * panels)
+            k = np.clip((lims - a) // (2 * half), 0, panels - 1).astype(int)
+            edge = a + 2 * half * k
+            part = (lims - edge) / 2  # half-width of each limit's partial panel
+            # the full panels but the last, which only ever enters partially
+            full = a + half * (2 * np.arange(panels - 1)[:, None] + 1) + half * _GL_NODES
+            x = np.concatenate([full, edge[:, None] + part[:, None] * (1 + _GL_NODES)])
+            fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape) @ _GL_WEIGHTS
+            cum = np.concatenate(([0.0], half * np.cumsum(fx[:panels - 1])))
+            sums.append(cum[k] + part * fx[panels - 1:])
+        fine, coarse = sums
+        value[side] = fine
+        err[side] = np.abs(fine - coarse)
+    return value, err
 
 
 def isothermal_coordinate(profile: SurfaceProfile, z, z0: float):
     """l(z) = integral_{z0}^{z} sqrt(rho'^2+1)/rho dt, for scalar or array z.
 
-    The rule is :func:`quad`: composite Gauss-Legendre with QUAD_PANELS
-    panels of QUAD_NODES nodes, the integrand evaluated on the nodes of all
-    z at once.  The error estimate is the gap to the QUAD_PANELS / 2 panel
-    sum; where it exceeds 1e-6, or the value is not finite (a profile that
-    vanishes inside [z0, z], say), NumericError is raised.
+    The rule is :func:`quad`: panel sums on [z0, farthest z] on each side of
+    z0, taken cumulatively, plus one partial panel per z, so each node of
+    the integrand is evaluated once for all z.  Where the error estimate
+    (the gap to the rule on half as many panels) exceeds 1e-6, or the value
+    is not finite (a profile that vanishes inside [z0, z], say),
+    NumericError is raised naming the worst z.
     """
 
     def integrand(t):
@@ -181,9 +201,15 @@ def isothermal_coordinate(profile: SurfaceProfile, z, z0: float):
 
     zs = np.asarray(z, dtype=float)
     val, err = quad(integrand, z0, zs)
-    bad = ~(np.isfinite(val) & (err <= 1e-6))
-    if np.any(bad):
-        raise NumericError(f"quadrature for the isothermal coordinate failed at z={zs[bad][0]}")
+    finite = np.isfinite(val) & np.isfinite(err)
+    if not np.all(finite):
+        raise NumericError(f"quadrature for the isothermal coordinate from z0={z0} is "
+                           f"not finite at z={zs[~finite].flat[0]}")
+    worst = np.argmax(err)
+    if err.flat[worst] > 1e-6:
+        raise NumericError(f"quadrature for the isothermal coordinate from z0={z0} failed at "
+                           f"z={zs.flat[worst]}: error estimate {err.flat[worst]:.3g} exceeds "
+                           f"the bound 1e-6")
     return val if np.ndim(z) else float(val)
 
 

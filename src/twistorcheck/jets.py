@@ -17,7 +17,12 @@ Conventions
   hold the same field at many chart points; tensor axes, between the
   coefficient axis and the batch axes, hold the components of a tensor
   field, so one ``JetSpace.multiply`` call multiplies all components of a
-  product at once (it indexes axis 0 only and broadcasts the rest).
+  product at once.  It indexes axis 0 only; the axes past the first
+  broadcast numpy-style, aligned from the right.  So an unbatched operand
+  times a batched one needs size-1 axes: coefficients ``(ncoef,)`` times
+  ``(ncoef, 5)`` raise, ``(ncoef, 1)`` times ``(ncoef, 5)`` give
+  ``(ncoef, 5)``, and ``Jet.constant(space, v, (1,))`` builds the padded
+  form.
   Indexing a jet selects tensor components (``g[i, j]`` is a view of one
   component of a stacked metric jet); :func:`stack` builds a stacked jet
   from a nested list of jets, and :meth:`Jet.partials` gathers the first
@@ -178,7 +183,10 @@ class JetSpace:
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coefficients of the product of the jets with coefficients ``a``
-        and ``b``; axes past the first broadcast."""
+        and ``b``.  The axes past the first broadcast numpy-style, aligned
+        from the right: an unbatched operand times a batched one needs
+        size-1 axes, as ``Jet.constant(space, v, batch_shape)`` with a
+        ``batch_shape`` of ones gives."""
         if self._layers is None or max(a.size, b.size) < self.ncoef * LAYERED_MIN_TRAILING:
             return self._multiply_reduceat(a, b)
         return self._multiply_layered(a, b)

@@ -128,6 +128,7 @@ class _Recorder:
         self.config = config
         self.records = []
         self.scale = TOL_TIERS[config.tol_tier]
+        self.plain_evals = {}  # (n, seed) -> ChartEval; see _plain_eval
 
     def add(self, check_id, anchor, points, residual, threshold, mode="below", detail=None):
         thr = float(self.config.tolerances.get(check_id, threshold * (self.scale if mode == "below" else 1.0)))
@@ -222,6 +223,17 @@ def _combine(coefs, basis):
     return acc
 
 
+def _plain_eval(rec: _Recorder, metric, n: int, seed: int) -> twistor.ChartEval:
+    """The ChartEval of the plain twistor chart on its ``n``-point sample at
+    ``seed``, built once per run: the cone and integrability suites evaluate
+    the same point set."""
+    key = (n, seed)
+    if key not in rec.plain_evals:
+        chart = twistor.TwistorChart.twistor(metric)
+        rec.plain_evals[key] = twistor.ChartEval(chart, chart.sample(n, seed))
+    return rec.plain_evals[key]
+
+
 def _modified_charts(metric, config: SuiteConfig):
     fib = config.fiber
     profile = fibermap.get_profile(fib["profile"])
@@ -233,9 +245,7 @@ def _modified_charts(metric, config: SuiteConfig):
 
 def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(50)
-    chart = twistor.TwistorChart.twistor(metric)
-    pts = chart.sample(n, config.seed)
-    ctx = twistor.ChartEval(chart, pts)
+    ctx = _plain_eval(rec, metric, n, config.seed)
     nmax = np.max(twistor.nijenhuis_max(ctx))
     if metric.name in SCALAR_FLAT:
         rec.add("integrability.twistor_vanishing",
@@ -315,11 +325,9 @@ def _run_balanced(rec: _Recorder, metric, config: SuiteConfig):
 
 def _run_cone(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(50)
-    chart = twistor.TwistorChart.twistor(metric)
     fib = config.fiber
     a0, b0 = float(fib["a"]), float(fib["b"])
-    base = twistor.cone_wedge_constants(twistor.ChartEval(chart, chart.sample(n, config.seed)),
-                                        a0, b0)
+    base = twistor.cone_wedge_constants(_plain_eval(rec, metric, n, config.seed), a0, b0)
     constancy = "wedge ratios of the 2-form family are constant over the chart"
     if n >= 2:
         rec.add("cone.constancy", constancy, n, max(base.c1_rel_variation, base.c2_rel_variation),
@@ -328,7 +336,7 @@ def _run_cone(rec: _Recorder, metric, config: SuiteConfig):
         rec.skip("cone.constancy", constancy, "constancy needs at least two sample points")
     rec.add("cone.values", "ratios are 2 a^2 and 4 a b in this volume normalization",
             n, max(abs(base.c1 - 2 * a0**2), abs(base.c2 - 4 * a0 * b0)), 1e-6)
-    grid = twistor.ChartEval(chart, chart.sample(10, config.seed))
+    grid = _plain_eval(rec, metric, 10, config.seed)
     worst = 0.0
     for a in (1.0, 2.0):
         for b in (1.0, 2.0):
@@ -406,7 +414,8 @@ def run_suite(config: SuiteConfig) -> dict:
         except TwistorCheckError as exc:
             rec.records.append(CheckRecord(
                 f"{name}.numeric_failure", "suite aborted by a numerical error",
-                0, float("inf"), 0.0, "below", False, {"error": str(exc)}))
+                0, float("inf"), 0.0, "below", False,
+                {"error": str(exc), "type": type(exc).__name__}))
     checks = [asdict(r) for r in rec.records]
     for c in checks:
         c["max_residual"] = _json_float(c["max_residual"])

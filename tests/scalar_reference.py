@@ -7,12 +7,13 @@ the tests can demand bit-identical coefficients.  It covers the whole
 pipeline: potential -> metric jets, the adapted frame, the self-dual basis,
 the inverse and Christoffel symbols, beta, and the ChartEval fields P, K,
 J, h, Omega and tau; and forms as dicts of components, with the wedge and
-d that loop over them.  Nothing in ``src/`` uses this module.
+d that loop over them.  It also keeps the per-limit quadrature rule that
+``fibermap.quad`` refines.  Nothing in ``src/`` uses this module.
 """
 
 import numpy as np
 
-from twistorcheck import jets
+from twistorcheck import fibermap, jets
 from twistorcheck.kahler import I_MATRIX, KahlerPotentialMetric
 
 DIM = 4
@@ -355,3 +356,20 @@ def omega_dict(ctx, weight, a=1.0):
     for k in range(DIM):
         comps[(k, IDX_V)] = ((ctx.eps * 1.0) * ctx.beta[k]) * wphi
     return comps
+
+
+def quad_per_limit(f, a, b):
+    """Integral of ``f`` over [a, b] for each upper limit ``b`` on its own:
+    fibermap.QUAD_PANELS equal Gauss-Legendre panels on [a, b], and the gap
+    to the sum on half as many as the error estimate.  ``(value, err)``,
+    shaped like ``b``."""
+    b = np.asarray(b, dtype=float)
+    sums = []
+    for panels in (fibermap.QUAD_PANELS, fibermap.QUAD_PANELS // 2):
+        half = (b - a) / (2 * panels)
+        h = half[..., None, None]
+        x = a + h * (2 * np.arange(panels)[:, None] + 1) + h * fibermap._GL_NODES
+        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        sums.append(half * (fx @ fibermap._GL_WEIGHTS).sum(axis=-1))
+    fine, coarse = sums
+    return fine, np.abs(fine - coarse)

@@ -144,6 +144,16 @@ class TestRunSuite:
         assert sizes == {"structure_identities": [6], "balanced": [6], "cone": [6, 10],
                          "integrability": [6, 6, 6]}
 
+    def test_cone_reuses_the_integrability_evaluation(self, chart_evals):
+        # in one run, the cone suite's n-point set is the plain-chart sample
+        # that integrability has evaluated; its 10-point grid is its own
+        rep = run_suite(SuiteConfig.from_dict(
+            {"metric": "eguchi_hanson", "suite": "all", "sample_count": 6}))
+        assert rep["overall_pass"]
+        # integrability: plain, modified, perturbed; structure_identities;
+        # balanced; the cone grid
+        assert chart_evals == [6, 6, 6, 6, 6, 10]
+
     def test_fibermap_suite_runs_one_quadrature_per_map(self, quad_calls):
         # the three quadrature maps are evaluated once each, on the
         # conformality grid; nothing reads their degeneracy flags
@@ -187,6 +197,7 @@ class TestRunSuite:
         assert rec["check_id"] == "curvature.numeric_failure"
         assert not rec["pass"]
         assert "positive definite" in rec["detail"]["error"]
+        assert rec["detail"]["type"] == "GeometryError"
 
     def test_loose_tier_scales_thresholds(self):
         rep = run_suite(SuiteConfig.from_dict(

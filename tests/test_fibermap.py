@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from twistorcheck import fibermap as fm, kahler, twistor as tw
 from twistorcheck.errors import DomainError, InputError, NumericError
 
@@ -145,11 +146,77 @@ class TestIsothermalCoordinate:
 
     def test_vanishing_profile_rejected(self):
         # rho = z^2 vanishes at z0 = 0, so l diverges on [0, z]; a finite
-        # value here would be silently wrong
+        # value here would be silently wrong.  The error names the worst
+        # limit, its error estimate and the bound
         prof = fm.SurfaceProfile(lambda zj: zj * zj, (-1.0, 1.0))
-        for z in (0.5, np.array([0.25, 0.5]), np.array([-0.5])):
-            with pytest.raises(NumericError):
+        for z, worst in ((0.5, 0.5), (np.array([0.25, 0.5]), 0.25), (np.array([-0.5]), -0.5)):
+            with pytest.raises(NumericError, match=rf"at z={worst}: error estimate "
+                                                   r"\S+ exceeds the bound 1e-6"):
                 fm.isothermal_coordinate(prof, z, 0.0)
+
+    def test_non_finite_integrand_rejected(self):
+        prof = fm.SurfaceProfile(lambda zj: zj * np.nan, (-1.0, 1.0))
+        with pytest.raises(NumericError, match=r"not finite at z=0.5"):
+            fm.isothermal_coordinate(prof, np.array([0.0, 0.5]), 0.0)
+
+
+def isothermal_integrand(prof):
+    def integrand(t):
+        j = prof.rho_jet(t, 1)
+        rp = np.asarray(j.deriv(0).value)
+        return np.sqrt(rp * rp + 1.0) / np.asarray(j.value)
+    return integrand
+
+
+class TestCumulativeQuadrature:
+    # the cumulative rule of fibermap.quad against the per-limit rule it
+    # refines (tests/scalar_reference.py), on limits as callers pass them
+
+    @pytest.mark.parametrize("name", ["sphere", "cylinder", "cosh"])
+    @pytest.mark.parametrize("z0", [0.0, 0.37])
+    def test_matches_per_limit_rule(self, name, z0, rng):
+        prof = fm.get_profile(name)
+        pad = 1e-3 * (prof.z_plus - prof.z_minus)
+        grid = np.linspace(prof.z_minus + pad, prof.z_plus - pad, 60)
+        # unsorted, on both sides of z0, with repeats and z0 itself
+        zs = rng.permutation(np.concatenate([grid, grid[[3, 3, 40]], [z0, z0]]))
+        ell = fm.isothermal_coordinate(prof, zs, z0)
+        expect = ref.quad_per_limit(isothermal_integrand(prof), z0, zs)[0]
+        assert ell.shape == zs.shape
+        assert np.all(np.abs(ell - expect) <= 1e-14 * np.maximum(1.0, np.abs(expect)))
+        assert np.all(ell[zs == z0] == 0.0)
+        for z in grid[[3, 40]]:
+            assert np.all(ell[zs == z] == ell[zs == z][0])
+        scalar = fm.isothermal_coordinate(prof, float(zs[0]), z0)
+        assert isinstance(scalar, float)
+        assert abs(scalar - expect[0]) <= 1e-14 * max(1.0, abs(expect[0]))
+        assert fm.isothermal_coordinate(prof, z0, z0) == 0.0
+
+    def test_limit_at_a_gives_zero_and_nan_stays_nan(self):
+        value, err = fm.quad(np.exp, 0.5, np.array([0.5, 0.5]))
+        assert np.array_equal(value, [0.0, 0.0]) and np.array_equal(err, [0.0, 0.0])
+        value, err = fm.quad(np.exp, 0.5, np.array([np.nan, 1.5]))
+        assert np.isnan(value[0]) and abs(value[1] - (np.exp(1.5) - np.exp(0.5))) < 1e-13
+
+    def test_completeness_partial_integral_matches_per_limit_rule(self):
+        for p in (0.5, 1.0, 2.0):
+            h = lambda z, p=p: -p * np.log(1 - z * z)
+            v = fm.completeness_classify("expression", h_expr=h)
+            integrand = lambda lat: np.exp(0.5 * h(np.sin(lat)))
+            for pole, (lo, hi) in (("north", (0.0, np.pi / 2 - 1e-3)),
+                                   ("south", (-np.pi / 2 + 1e-3, 0.0))):
+                expect = float(ref.quad_per_limit(integrand, lo, hi)[0])
+                got = v.detail[pole]["partial_integral"]
+                assert abs(got - expect) <= 1e-14 * max(1.0, abs(expect))
+
+    def test_each_node_is_evaluated_once(self):
+        # 100 limits used to cost 100 x (64 + 32) panels x 30 nodes = 288k
+        prof = fm.sphere_profile()
+        rho, nodes = prof.rho, []
+        prof.rho = lambda zj: (nodes.append(np.size(zj.value)), rho(zj))[1]
+        zs = np.linspace(-0.99, 0.99, 100)
+        fm.isothermal_coordinate(prof, zs, 0.0)
+        assert sum(nodes) < 15_000
 
 
 class TestConformality:

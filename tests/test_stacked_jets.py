@@ -254,6 +254,28 @@ def test_layered_kernel_equals_reduceat(n_vars, order):
         assert np.array_equal(np.signbit(layered), np.signbit(summed))
 
 
+@pytest.mark.parametrize("n_vars,order", [(4, 2), (1, 3), (4, 4)])
+@pytest.mark.parametrize("batch", [5, jets.LAYERED_MIN_TRAILING + 3])
+def test_unbatched_times_batched_needs_a_size_one_axis(n_vars, order, batch):
+    # axes past the first broadcast from the right, as in numpy: the bare
+    # (ncoef,) operand does not line up with (ncoef, batch), the padded
+    # (ncoef, 1) one gives the product at every point
+    space = jets.get_space(n_vars, order)
+    rng = np.random.default_rng(31 * n_vars + order + batch)
+    a = _coefficients(rng, (space.ncoef,))
+    b = _coefficients(rng, (space.ncoef, batch))
+    with pytest.raises(ValueError):
+        space.multiply(a, b)
+    padded = space.multiply(a[:, None], b)
+    assert padded.shape == b.shape
+    for t in range(batch):
+        single = space.multiply(a, b[:, t])
+        assert np.array_equal(padded[:, t], single)
+        assert np.array_equal(np.signbit(padded[:, t]), np.signbit(single))
+    two = jets.Jet.constant(space, 2.0, (1,))
+    assert np.array_equal((two * jets.Jet(space, b)).coeffs, 2.0 * b)
+
+
 def test_layered_table_only_up_to_eight_terms():
     # the coefficient of x0 x1 x2 has 8 terms, one per subset of its
     # variables; that of x0 x1 x2 x3 has 16, and reduceat sums the 15 after
