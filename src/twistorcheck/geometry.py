@@ -77,6 +77,17 @@ class ChartDomain:
         return out
 
 
+@dataclass(frozen=True)
+class Hypotheses:
+    """What a metric is declared to satisfy; the suites gate their claims on
+    it.  ``scal`` is a declared nonzero constant scalar curvature."""
+
+    kahler: bool = False
+    scalar_flat: bool = False
+    flat: bool = False
+    scal: Optional[float] = None
+
+
 class MetricField:
     """Smooth metric components over a chart, evaluable on jets.
 
@@ -84,6 +95,8 @@ class MetricField:
     of jets g_{ij}.  Subclasses (potential-derived metrics) may override
     :meth:`jets_at` entirely.
     """
+
+    hypotheses = Hypotheses()  # a bare metric declares nothing; see kahler.FIXTURES
 
     def __init__(self, chart: ChartDomain, component_fn, name: str = "custom",
                  params: Optional[dict] = None):
@@ -138,12 +151,17 @@ def _inverse(m: jets.Jet) -> jets.Jet:
 
 
 def check_spd(gvals: np.ndarray, x=None):
-    """Raise GeometryError (naming the point) unless g is SPD."""
+    """Raise GeometryError (naming the point) unless g is finite and SPD."""
+    def where(bad):  # the first point whose batch index is a row of ``bad``
+        return "" if x is None else f" at x={np.asarray(x)[bad[0][0]] if np.asarray(x).ndim > 1 else x}"
+
+    finite = np.isfinite(gvals).all(axis=(-2, -1))
+    if not np.all(finite):
+        raise GeometryError(f"metric values are not finite{where(np.argwhere(~finite))}")
     ev = np.linalg.eigvalsh(gvals)
     if np.any(ev <= 0.0):
         bad = np.argwhere(ev <= 0.0)
-        where = "" if x is None else f" at x={np.asarray(x)[bad[0][0]] if np.asarray(x).ndim > 1 else x}"
-        raise GeometryError(f"metric is not positive definite{where} (eigenvalues {ev[tuple(bad[0][:-1])]})")
+        raise GeometryError(f"metric is not positive definite{where(bad)} (eigenvalues {ev[tuple(bad[0][:-1])]})")
 
 
 # ---------------------------------------------------------------------------

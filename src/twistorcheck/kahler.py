@@ -36,6 +36,7 @@ from .geometry import (
     DIM,
     ChartDomain,
     CurvatureData,
+    Hypotheses,
     MetricField,
     curvature_two_vector_action,
     tensor_partials,
@@ -106,7 +107,10 @@ def _eguchi_hanson(a=1.0):
     a = float(a)
     if a <= 0:
         raise GeometryError("eguchi_hanson parameter a must be positive")
-    a2, a4 = a * a, a**4
+    try:
+        a2, a4 = a * a, a**4
+    except OverflowError:
+        raise GeometryError(f"eguchi_hanson parameter a = {a!r} is too large (a^4 overflows)") from None
 
     def phi(xj):
         u = _u_of(xj)
@@ -142,24 +146,30 @@ def _conformal_hermitian():
     return MetricField(chart, fn, name="conformal_hermitian")
 
 
+# name -> (builder, the hypotheses its metrics declare); a new fixture needs
+# only an entry here, since the suites gate on the declarations
 FIXTURES = {
-    "flat": _flat,
-    "fubini_study": _fubini_study,
-    "eguchi_hanson": _eguchi_hanson,
-    "burns": _burns,
-    "conformal_hermitian": _conformal_hermitian,
+    "flat": (_flat, Hypotheses(kahler=True, scalar_flat=True, flat=True)),
+    "fubini_study": (_fubini_study, Hypotheses(kahler=True, scal=24.0)),
+    "eguchi_hanson": (_eguchi_hanson, Hypotheses(kahler=True, scalar_flat=True)),
+    "burns": (_burns, Hypotheses(kahler=True, scalar_flat=True)),
+    "conformal_hermitian": (_conformal_hermitian, Hypotheses()),
 }
+DEFAULT_FIXTURE = "eguchi_hanson"
 
 
 def get_fixture(name: str, **params) -> MetricField:
-    """Build a fixture; ``params`` are its builder's keyword parameters."""
+    """Build a fixture, carrying its declared hypotheses; ``params`` are its
+    builder's keyword parameters."""
     if name not in FIXTURES:
         raise GeometryError(f"unknown metric fixture '{name}' (have {sorted(FIXTURES)})")
-    builder = FIXTURES[name]
+    builder, hypotheses = FIXTURES[name]
     unknown = set(params) - set(inspect.signature(builder).parameters)
     if unknown:
         raise GeometryError(f"unknown params {sorted(unknown)} for fixture '{name}'")
-    return builder(**params)
+    metric = builder(**params)
+    metric.hypotheses = hypotheses
+    return metric
 
 
 # ---------------------------------------------------------------------------

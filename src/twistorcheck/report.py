@@ -6,6 +6,11 @@ Affirmative checks pass when the residual stays below the threshold;
 negative controls pass when the residual exceeds it (mode "exceeds"),
 certifying that the machinery can detect the failure it is supposed to
 detect.  Reports are plain dictionaries serializable to byte-stable JSON.
+
+A suite asserts a claim only where the metric declares its hypotheses
+(:class:`geometry.Hypotheses`), and the curvature and Kahler rows certify
+the declarations.  The suites on the plain twistor chart share its one
+evaluation per (point count, seed) in a run.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ _FIBER_KEYS = {
 
 @dataclass
 class SuiteConfig:
-    metric: str = "eguchi_hanson"
+    metric: str = kahler.DEFAULT_FIXTURE
     params: dict = field(default_factory=dict)
     suite: str = "all"
     sample_count: Optional[int] = None
@@ -89,6 +94,10 @@ class SuiteConfig:
         for key in ("a", "b"):
             if fib[key] <= 0:
                 raise ConfigurationError(f"fiber.{key} (cone parameter) must be positive, got {fib[key]!r}")
+        a, b = float(fib["a"]), float(fib["b"])
+        if not np.isfinite(2 * a * a) or not np.isfinite(4 * a * b):
+            raise ConfigurationError(f"fiber.a = {a!r} and fiber.b = {b!r} (cone parameters) are too"
+                                     " large: the cone constants 2 a^2 and 4 a b overflow")
         for key, allowed in (("profile", sorted(fibermap.PROFILES)),
                              ("branch", list(fibermap.BRANCHES)), ("h_family", ["power_pole"])):
             if not isinstance(fib[key], str) or fib[key] not in allowed:
@@ -142,9 +151,6 @@ class _Recorder:
                                         "skipped", True, {"reason": reason}))
 
 
-SCALAR_FLAT = ("flat", "eguchi_hanson", "burns")
-
-
 def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(50)
     rng = np.random.default_rng(config.seed)
@@ -171,21 +177,24 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
     rec.add("curvature.plus_trace_scal", "trace of the self-dual block equals Scal/4",
             n, np.max(np.abs(np.trace(op.plus_block, axis1=-2, axis2=-1) - data.scal / 4.0)), 1e-8)
 
-    name = metric.name
-    if name == "flat":
+    # the strongest declared curvature condition, then the Kahler rows
+    hyp = metric.hypotheses
+    if hyp.flat:
         rec.add("curvature.flat_vanishing", "flat chart has zero curvature",
                 n, np.max(np.abs(rl)), 1e-12)
-    if name in ("eguchi_hanson", "burns"):
+    elif hyp.scalar_flat:
         rec.add("curvature.scalar_flat", "scalar curvature vanishes on the scalar-flat fixtures",
                 n, np.max(np.abs(data.scal)), 1e-7)
-        rec.add("curvature.wplus_vanishing", "self-dual Weyl part vanishes (anti-self-duality)",
-                n, np.max(np.abs(op.wplus)), 1e-7)
-    if name == "fubini_study":
-        rec.add("curvature.scal_oracle", "reference chart has constant scalar curvature 24",
-                n, np.max(np.abs(data.scal - 24.0)), 1e-6)
-        rec.add("curvature.wplus_nonzero", "positive-scalar control has nonvanishing W+",
-                n, np.max(np.abs(op.wplus)), 0.1, mode="exceeds")
-    if name in ("eguchi_hanson", "burns", "fubini_study", "flat"):
+        if hyp.kahler:  # scalar-flat Kahler is anti-self-dual
+            rec.add("curvature.wplus_vanishing", "self-dual Weyl part vanishes (anti-self-duality)",
+                    n, np.max(np.abs(op.wplus)), 1e-7)
+    elif hyp.scal is not None:
+        rec.add("curvature.scal_oracle", f"reference chart has constant scalar curvature {hyp.scal:g}",
+                n, np.max(np.abs(data.scal - hyp.scal)), 1e-6)
+        if hyp.kahler:  # W+ = diag(Scal/6, -Scal/12, -Scal/12) on a Kahler surface
+            rec.add("curvature.wplus_nonzero", "positive-scalar control has nonvanishing W+",
+                    n, np.max(np.abs(op.wplus)), 0.1, mode="exceeds")
+    if hyp.kahler:
         r2, r3, ray = kahler.curvature_s_residuals(data, basis)
         rec.add("kahler.curvature_kills_s2_s3", "curvature annihilates the non-parallel self-dual frame",
                 n, max(np.max(r2), np.max(r3)), 1e-8)
@@ -225,8 +234,8 @@ def _combine(coefs, basis):
 
 def _plain_eval(rec: _Recorder, metric, n: int, seed: int) -> twistor.ChartEval:
     """The ChartEval of the plain twistor chart on its ``n``-point sample at
-    ``seed``, built once per run: the cone and integrability suites evaluate
-    the same point set."""
+    ``seed``, built once per run: every plain-chart suite reads it, so suites
+    with the same point count share one evaluation."""
     key = (n, seed)
     if key not in rec.plain_evals:
         chart = twistor.TwistorChart.twistor(metric)
@@ -247,15 +256,11 @@ def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(50)
     ctx = _plain_eval(rec, metric, n, config.seed)
     nmax = np.max(twistor.nijenhuis_max(ctx))
-    if metric.name in SCALAR_FLAT:
+    hyp = metric.hypotheses
+    if hyp.kahler and hyp.scalar_flat:  # anti-self-dual, so the twistor space is integrable
         rec.add("integrability.twistor_vanishing",
                 "Nijenhuis tensor vanishes over the anti-self-dual base",
                 n, nmax, 1e-6)
-    else:
-        rec.add("integrability.twistor_obstruction",
-                "nonvanishing W+ obstructs integrability (negative control)",
-                n, nmax, 1e-3, mode="exceeds")
-    if metric.name in SCALAR_FLAT:
         chart_s, chart_p = _modified_charts(metric, config)
         pts_s = chart_s.sample(n, config.seed + 1)
         rec.add("integrability.modified_holomorphic",
@@ -266,6 +271,10 @@ def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
                 "perturbing the fiber map breaks integrability (negative control)",
                 n, np.max(twistor.nijenhuis_max(twistor.ChartEval(chart_p, pts_p))), 1e-3,
                 mode="exceeds")
+    else:
+        rec.add("integrability.twistor_obstruction",
+                "nonvanishing W+ obstructs integrability (negative control)",
+                n, nmax, 1e-3, mode="exceeds")
     # any sign works where beta vanishes, as in calibrate_epsilon
     if np.max(np.abs(ctx.beta_vals)) >= 1e-10:
         rec.add("integrability.connection_sign",
@@ -279,9 +288,7 @@ def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
 
 def _run_structure_identities(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(20)
-    chart = twistor.TwistorChart.twistor(metric)
-    pts = chart.sample(n, config.seed)
-    ctx = twistor.ChartEval(chart, pts)  # every check of the suite shares it
+    ctx = _plain_eval(rec, metric, n, config.seed)  # every check of the suite shares it
     res = twistor.verify_structure_identities(ctx, n_random=6, seed=config.seed)
     for cid, anchor, val in (
         ("identities.cross_k_pairing", "pairing of the vertical cross action with the K wedge", res.cross_k_pairing),
@@ -310,8 +317,7 @@ _H_FUNCS = {
 
 def _run_balanced(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(30)
-    chart = twistor.TwistorChart.twistor(metric)
-    ctx = twistor.ChartEval(chart, chart.sample(n, config.seed))
+    ctx = _plain_eval(rec, metric, n, config.seed)
     for key, (hf, label) in _H_FUNCS.items():
         rep = twistor.balanced_check(ctx, hf, h_label=label)
         rec.add(f"balanced.{key}", f"square of the Hermitian form is closed ({label})",

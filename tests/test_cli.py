@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from twistorcheck import kahler
 from twistorcheck.cli import main
 from twistorcheck.errors import ConfigurationError
+from twistorcheck.geometry import Hypotheses
 from twistorcheck.report import SuiteConfig, _json_clean, report_to_json, run_suite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -145,14 +148,41 @@ class TestRunSuite:
                          "integrability": [6, 6, 6]}
 
     def test_cone_reuses_the_integrability_evaluation(self, chart_evals):
-        # in one run, the cone suite's n-point set is the plain-chart sample
-        # that integrability has evaluated; its 10-point grid is its own
+        # in one run, every plain-chart suite at n points reads the sample
+        # that integrability has evaluated; the cone's 10-point grid is its own
         rep = run_suite(SuiteConfig.from_dict(
             {"metric": "eguchi_hanson", "suite": "all", "sample_count": 6}))
         assert rep["overall_pass"]
-        # integrability: plain, modified, perturbed; structure_identities;
-        # balanced; the cone grid
-        assert chart_evals == [6, 6, 6, 6, 6, 10]
+        # integrability: plain (shared with structure_identities, balanced
+        # and cone), modified, perturbed; the cone grid
+        assert chart_evals == [6, 6, 6, 10]
+
+    def test_shared_evaluation_gives_each_suite_its_solo_rows(self):
+        # a suite that changed the shared plain-chart evaluation would make
+        # the suites after it record other rows inside suite=all
+        for metric in ("burns", "fubini_study", "conformal_hermitian"):
+            raw = {"metric": metric, "sample_count": 7, "seed": 11}
+            together = run_suite(SuiteConfig.from_dict(dict(raw, suite="all")))["checks"]
+            for suite in ("integrability", "structure_identities", "balanced", "cone"):
+                alone = run_suite(SuiteConfig.from_dict(dict(raw, suite=suite)))["checks"]
+                prefixes = {c["check_id"].split(".")[0] for c in alone}
+                assert [c for c in together if c["check_id"].split(".")[0] in prefixes] == alone, \
+                    (metric, suite)
+
+    def test_non_finite_metric_is_a_numeric_failure(self, tmp_path):
+        # Burns at m = 1e308 overflows the metric values; every suite that
+        # evaluates the metric records a GeometryError instead of crashing
+        raw = {"metric": "burns", "params": {"m": 1e308}, "sample_count": 2}
+        checks = run_suite(SuiteConfig.from_dict(raw))["checks"]
+        failures = {c["check_id"]: c["detail"] for c in checks if not c["pass"]}
+        assert sorted(failures) == sorted(f"{s}.numeric_failure" for s in (
+            "curvature", "integrability", "structure_identities", "balanced", "cone"))
+        for detail in failures.values():
+            assert detail["type"] == "GeometryError"
+            assert "not finite at x=" in detail["error"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(cfg), "--report", str(tmp_path / "r.json")]) == 1
 
     def test_fibermap_suite_runs_one_quadrature_per_map(self, quad_calls):
         # the three quadrature maps are evaluated once each, on the
@@ -204,6 +234,50 @@ class TestRunSuite:
             {"metric": "flat", "suite": "curvature", "sample_count": 5, "tol_tier": "loose"}))
         rec = rep["checks"][0]
         assert rec["threshold"] == pytest.approx(1e-8)  # 100x the strict 1e-10
+
+
+class TestDeclarations:
+    """The suites gate on the hypotheses a fixture declares, not on its name,
+    and the curvature rows certify the declarations."""
+
+    # each hypothesis and the curvature-suite rows that certify it
+    CERTIFIED_BY = {"kahler": {"kahler.nabla_omega"},
+                    "scalar_flat": {"curvature.scalar_flat", "curvature.flat_vanishing"},
+                    "flat": {"curvature.flat_vanishing"},
+                    "scal": {"curvature.scal_oracle"}}
+
+    @staticmethod
+    def _verdicts(metric):
+        rep = run_suite(SuiteConfig.from_dict(
+            {"metric": metric, "suite": "all", "sample_count": 5, "seed": 7}))
+        return [(c["check_id"], c["mode"], c["pass"]) for c in rep["checks"]]
+
+    def test_a_new_fixture_needs_only_a_registry_entry(self, monkeypatch):
+        burns = kahler.get_fixture("burns")
+
+        def twin():
+            return kahler.KahlerPotentialMetric(burns.chart, burns.potential, name="burns_twin")
+
+        monkeypatch.setitem(kahler.FIXTURES, "burns_twin",
+                            (twin, Hypotheses(kahler=True, scalar_flat=True)))
+        assert self._verdicts("burns_twin") == self._verdicts("burns")
+
+    def test_a_false_declaration_fails_its_rows(self, monkeypatch):
+        build, _ = kahler.FIXTURES["conformal_hermitian"]
+        monkeypatch.setitem(kahler.FIXTURES, "conformal_hermitian",
+                            (build, Hypotheses(kahler=True, scalar_flat=True)))
+        failed = {cid for cid, _, passed in self._verdicts("conformal_hermitian") if not passed}
+        assert {"kahler.nabla_omega", "integrability.twistor_vanishing"} <= failed
+
+    def test_every_declaration_is_certified(self):
+        for name in kahler.FIXTURES:
+            hyp = kahler.get_fixture(name).hypotheses
+            rep = run_suite(SuiteConfig.from_dict(
+                {"metric": name, "suite": "curvature", "sample_count": 5}))
+            passed = {c["check_id"] for c in rep["checks"] if c["pass"] and c["mode"] != "skipped"}
+            for f in fields(Hypotheses):
+                if getattr(hyp, f.name) not in (False, None):
+                    assert self.CERTIFIED_BY[f.name] & passed, (name, f.name)
 
 
 class TestDeterminism:
@@ -258,6 +332,8 @@ class TestCliCommands:
                      '{"tolerances": {"completeness.power_family": "x"}}',
                      '{"fiber": {"profile": "nope"}}', '{"fiber": {"branch": "nope"}}',
                      '{"fiber": {"sign": 5}}', '{"fiber": {"h_family": "nope"}}',
+                     '{"metric": "eguchi_hanson", "params": {"a": 1e200}}',
+                     '{"fiber": {"a": 1e308, "b": 1e308}}', '{"fiber": {"a": 1, "b": 1e308}}',
                      '{"metric": "flat", "suite": "completeness"', '[1, 2]'):
             cfg.write_text(text)
             assert main(["verify", "--config", str(cfg), "--suite", "completeness",

@@ -109,6 +109,15 @@ class TestChristoffel:
         with pytest.raises(GeometryError):
             geo.curvature_data(bad, np.zeros(4))
 
+    def test_non_finite_metric_raises_naming_the_point(self):
+        gvals = np.broadcast_to(np.eye(4), (3, 4, 4)).copy()
+        gvals[1, 2, 3] = np.inf
+        pts = np.arange(12.0).reshape(3, 4)
+        with pytest.raises(GeometryError, match=r"not finite at x=\[4\. 5\. 6\. 7\.\]"):
+            geo.check_spd(gvals, pts)
+        with pytest.raises(GeometryError, match="not finite"):
+            geo.check_spd(np.full((4, 4), np.nan), np.zeros(4))
+
 
 class TestRiemann:
     def test_flat_zero(self, flat):
