@@ -98,16 +98,16 @@ class MetricField:
 
     hypotheses = Hypotheses()  # a bare metric declares nothing; see kahler.FIXTURES
 
-    def __init__(self, chart: ChartDomain, component_fn, name: str = "custom",
-                 params: Optional[dict] = None):
+    def __init__(self, chart: ChartDomain, component_fn, name: str = "custom"):
         self.chart = chart
         self._fn = component_fn
         self.name = name
-        self.params = dict(params or {})
 
     def jets_at(self, x, order: int) -> jets.Jet:
         """The g_{ij} jets of order ``order`` at ``x``, stacked (4, 4)."""
-        return jets.stack(self._fn(jets.seed_raw(np.asarray(x, dtype=float), order)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gjets = jets.stack(self._fn(jets.seed_raw(np.asarray(x, dtype=float), order)))
+        return check_finite(gjets, x)
 
 
 def _batch_leading(arr: np.ndarray, ndim: int) -> np.ndarray:
@@ -150,18 +150,30 @@ def _inverse(m: jets.Jet) -> jets.Jet:
     return jets.Jet(space, a[:, :, n:].copy())
 
 
+def _at(x, bad) -> str:
+    """`` at x=...``, the first point whose batch index is a row of ``bad``."""
+    return "" if x is None else f" at x={np.asarray(x)[bad[0][0]] if np.asarray(x).ndim > 1 else x}"
+
+
+def check_finite(gjets: jets.Jet, x) -> jets.Jet:
+    """``gjets``, the metric jets at ``x``; GeometryError (naming the point)
+    if any coefficient is not finite, as a fixture parameter that overflows
+    inside the potential leaves it."""
+    finite = np.isfinite(gjets.coeffs).all(axis=(0, 1, 2))
+    if not np.all(finite):
+        raise GeometryError(f"metric jets are not finite{_at(x, np.argwhere(~finite))}")
+    return gjets
+
+
 def check_spd(gvals: np.ndarray, x=None):
     """Raise GeometryError (naming the point) unless g is finite and SPD."""
-    def where(bad):  # the first point whose batch index is a row of ``bad``
-        return "" if x is None else f" at x={np.asarray(x)[bad[0][0]] if np.asarray(x).ndim > 1 else x}"
-
     finite = np.isfinite(gvals).all(axis=(-2, -1))
     if not np.all(finite):
-        raise GeometryError(f"metric values are not finite{where(np.argwhere(~finite))}")
+        raise GeometryError(f"metric values are not finite{_at(x, np.argwhere(~finite))}")
     ev = np.linalg.eigvalsh(gvals)
     if np.any(ev <= 0.0):
         bad = np.argwhere(ev <= 0.0)
-        raise GeometryError(f"metric is not positive definite{where(bad)} (eigenvalues {ev[tuple(bad[0][:-1])]})")
+        raise GeometryError(f"metric is not positive definite{_at(x, bad)} (eigenvalues {ev[tuple(bad[0][:-1])]})")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ Conventions
   product at once.  It indexes axis 0 only; the axes past the first
   broadcast numpy-style, aligned from the right.  So an unbatched operand
   times a batched one needs size-1 axes: coefficients ``(ncoef,)`` times
-  ``(ncoef, 5)`` raise, ``(ncoef, 1)`` times ``(ncoef, 5)`` give
+  ``(ncoef, 5)`` (or any operands with different numbers of axes) raise
+  ``ValueError``, ``(ncoef, 1)`` times ``(ncoef, 5)`` give
   ``(ncoef, 5)``, and ``Jet.constant(space, v, (1,))`` builds the padded
   form.
   Indexing a jet selects tensor components (``g[i, j]`` is a view of one
@@ -35,19 +36,19 @@ Conventions
   time, left to right.  ``np.add.reduce`` does not promise that order:
   along a contiguous axis (batch of one, or no batch axis) it sums
   pairwise, which moves the last bits.
-* ``JetSpace.multiply`` adds the terms ``p0, p1, ...`` of each coefficient
-  in the order of ``np.add.reduceat``, ``p0 + ((p1 + p2) + ...)``: numpy
-  adds the first term to the sum of the others, and sums those left to
-  right while there are fewer than 8 of them, pairwise from 8 on.  So a
-  space where every coefficient has at most LAYERED_MAX_TERMS = 8 terms
-  (orders up to 3, and every univariate order) can add the same terms in
-  the same order one rank at a time across all coefficients, in a few
-  large array operations instead of one inner loop per coefficient and
-  trailing element.  ``reduceat`` still runs on spaces with a coefficient
-  of 9 or more terms (``get_space(4, 4)`` has 16), and on operands of
-  fewer than LAYERED_MIN_TRAILING values per coefficient, where its
-  per-call cost is lower.  Both give the same bits, signs of zero
-  included.
+* ``JetSpace.multiply`` adds the terms ``p0, p1, ..., pm`` of each
+  coefficient in the order of ``np.add.reduceat``: ``p0 +`` numpy's
+  pairwise sum of the tail ``p1 ... pm``.  numpy sums a tail of fewer than
+  8 terms left to right, ``(p1 + p2) + ...``; a tail of 8 to 128 terms in
+  eight accumulators ``r_j = p(1+j) + p(9+j) + ...`` over its whole blocks
+  of 8, combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``,
+  then the last m mod 8 terms one at a time.  Every space sums its
+  products in that order by layers: one rank of term (or one block of 8)
+  at a time across all coefficients that have it, in a few large array
+  operations instead of one inner loop per coefficient and trailing
+  element.  ``reduceat`` still runs on operands of fewer than
+  LAYERED_MIN_TRAILING values per coefficient, where its per-call cost is
+  lower.  Both give the same bits, signs of zero included.
 * Dividing by a jet whose constant term vanishes is an error (no Laurent
   extension).
 """
@@ -89,12 +90,11 @@ MAX_ORDER = 6
 # longer products run in chunks of terms (see JetSpace.chunks).
 CHUNK_DOUBLES = 1 << 15
 
-# JetSpace.multiply sums by layers (see "Conventions") where every
-# coefficient has at most LAYERED_MAX_TERMS terms and an operand holds at
-# least LAYERED_MIN_TRAILING values per coefficient.  Summed over eight
-# spaces of 1, 4 and 6 variables up to order 3, the layered sum takes 3.7x
-# the time of reduceat at 1 value, 1.0x at 64, 0.68x at 128, 0.27x at 1000.
-LAYERED_MAX_TERMS = 8
+# JetSpace.multiply sums by layers (see "Conventions") where an operand
+# holds at least LAYERED_MIN_TRAILING values per coefficient.  Summed over
+# eight spaces of 1, 4 and 6 variables up to order 3, the layered sum takes
+# 3.7x the time of reduceat at 1 value, 1.0x at 64, 0.68x at 128, 0.27x at
+# 1000.
 LAYERED_MIN_TRAILING = 128
 
 
@@ -155,23 +155,46 @@ class JetSpace:
         self._layers = self._build_layers()
 
     def _build_layers(self):
-        """The product table by rank of term, for :meth:`_multiply_layered`:
-        the first term (i, j) of every coefficient; the coefficients with two
-        or more terms, most terms first, so that those with more than r terms
-        are a prefix; and for each rank r >= 1 the pairs of the r-th term of
-        that prefix.  None when a coefficient has more than
-        LAYERED_MAX_TERMS terms."""
-        counts = np.diff(np.append(self._mul_starts, self.npairs))
-        if counts.max() > LAYERED_MAX_TERMS:
-            return None
+        """The product table of :meth:`_multiply_layered`.  Its rows are the
+        coefficients with two or more terms ``p0, p1, ..., pm``, most terms
+        first; the first term is ``(0, k)`` in every row and needs no table.
+        A row's tail ``p1 ... pm`` is m = 8 q + s terms, and the table has
+        two parts:
+
+        * ``(rows, short)``, the rows with q = 0;
+        * ``(rows, blocks, ranks)``, the rows with q >= 1: ``blocks[b]`` is
+          ``(n, i, j)``, the pairs (i, j) of terms ``p(8b+1) ... p(8b+8)``
+          of the first n of them, those with q > b, as (n, 8) arrays.
+
+        ``short`` and ``ranks`` list ``(lo, hi, i, j)``, the pairs of term
+        ``p(8q+t+1)`` of the rows lo..hi-1 of their part, those with a
+        given q and s > t: a contiguous range, as rows of one q sort by s.
+        Where a row of the table is a range or a constant, it is a slice.
+        A tail has at most 2**MAX_ORDER - 1 = 63 terms (of x0 x1 ... x5),
+        so numpy sums it in one pairwise block of up to 128."""
         starts = self._mul_starts
-        multi = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts > 1)]
-        layers = [
-            (self._mul_i[rows], self._mul_j[rows])
-            for r in range(1, counts.max())
-            for rows in [starts[multi[: np.count_nonzero(counts > r)]] + r]
-        ]
-        return (self._mul_i[starts], self._mul_j[starts]), multi, layers
+        counts = np.diff(np.append(starts, self.npairs))
+        rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts > 1)]
+        q, s = divmod(counts[rows] - 1, 8)
+        term = starts[rows] + 1  # pair index of p1, by row
+
+        def rest(qv, lo):
+            """The terms after the blocks of the rows with q = qv, which
+            start at row lo of their part."""
+            out = []
+            for t in range(7):
+                n = np.count_nonzero(s[q == qv] > t)
+                if n:
+                    at = term[q == qv][:n] + 8 * qv + t
+                    out.append((lo, lo + n, _as_slice(self._mul_i[at]), _as_slice(self._mul_j[at])))
+            return out
+
+        blocks = []
+        for b in range(q.max(initial=0)):
+            at = term[q > b, None] + 8 * b + np.arange(8)
+            blocks.append((len(at), self._mul_i[at], self._mul_j[at]))
+        ranks = [r for qv in range(1, q.max(initial=0) + 1) for r in rest(qv, np.count_nonzero(q > qv))]
+        return (_as_slice(rows[q == 0]), rest(0, 0)), (_as_slice(rows[q > 0]), blocks, ranks)
 
     def _build_deriv_maps(self):
         """(src, fac), each (n_vars, lower ncoef): coefficient i of d_var is
@@ -186,8 +209,17 @@ class JetSpace:
         and ``b``.  The axes past the first broadcast numpy-style, aligned
         from the right: an unbatched operand times a batched one needs
         size-1 axes, as ``Jet.constant(space, v, batch_shape)`` with a
-        ``batch_shape`` of ones gives."""
-        if self._layers is None or max(a.size, b.size) < self.ncoef * LAYERED_MIN_TRAILING:
+        ``batch_shape`` of ones gives, and operands with different numbers
+        of axes raise ``ValueError``.
+
+        Each coefficient's terms are added as ``np.add.reduceat`` adds them
+        (see "Conventions"): left to right for a tail of fewer than 8 terms,
+        in numpy's eight-accumulator pairwise order for a longer one.  From
+        LAYERED_MIN_TRAILING values per coefficient one layered kernel does
+        it in that order on every space; below, ``reduceat`` itself."""
+        if a.ndim != b.ndim:
+            raise ValueError(f"jet coefficients {a.shape} and {b.shape} do not line up")
+        if max(a.size, b.size) < self.ncoef * LAYERED_MIN_TRAILING:
             return self._multiply_reduceat(a, b)
         return self._multiply_layered(a, b)
 
@@ -196,16 +228,32 @@ class JetSpace:
         return np.add.reduceat(prod, self._mul_starts, axis=0)
 
     def _multiply_layered(self, a, b):
-        """The sums of :meth:`_multiply_reduceat`, ``p0 + ((p1 + p2) + ...)``,
-        one rank of term at a time over all coefficients that have it."""
-        (i, j), multi, layers = self._layers
-        out = a[i] * b[j]
-        if layers:
-            (i, j), *rest = layers
-            tail = a[i] * b[j]
-            for i, j in rest:
-                tail[: len(i)] += a[i] * b[j]
-            out[multi] += tail
+        """The sums of :meth:`_multiply_reduceat`, a few array operations
+        per rank of term (or block of 8 terms) across all coefficients that
+        have it: a short tail left to right; a long one in eight
+        accumulators over its whole blocks of 8, their tree
+        ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then its last
+        terms one at a time; then ``p0 +`` the tail's sum."""
+        (rows, short), (long_rows, blocks, ranks) = self._layers
+        out = a[:1] * b
+        if short:
+            (_, _, i, j), *rest = short
+            tails = a[i] * b[j]
+            for lo, hi, i, j in rest:
+                tails[lo:hi] += a[i] * b[j]
+            out[rows] += tails
+        if blocks:
+            (_, i, j), *rest = blocks
+            acc = a[i] * b[j]
+            for n, i, j in rest:
+                acc[:n] += a[i] * b[j]
+            np.add(acc[:, 0::2], acc[:, 1::2], out=acc[:, 0::2])
+            np.add(acc[:, 0::4], acc[:, 2::4], out=acc[:, 0::4])
+            tails = acc[:, 0]
+            tails += acc[:, 4]
+            for lo, hi, i, j in ranks:
+                tails[lo:hi] += a[i] * b[j]
+            out[long_rows] += tails
         return out
 
     def chunks(self, count: int, term_size: int) -> list:
@@ -226,6 +274,20 @@ class JetSpace:
                 beta[v] = a
             out[i] = self.index[tuple(beta)]
         return out
+
+
+def _as_slice(idx):
+    """``idx`` as a slice where it is a range, or one row where all its
+    entries are equal (which broadcasts against the other operand's
+    rows); otherwise ``idx`` itself."""
+    step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
+    if len(idx) == 0 or np.any(np.diff(idx) != step):
+        return idx
+    start = int(idx[0])
+    if step == 0:
+        return slice(start, start + 1)
+    stop = start + step * len(idx)
+    return slice(start, stop if stop >= 0 else None, step)
 
 
 def _tuple_to_alpha(combo, n_vars):

@@ -42,6 +42,7 @@ from .geometry import (
     tensor_partials,
     tensor_values,
     _inner_kernel,
+    check_finite,
 )
 
 # constant complex structure of a potential chart: I d_{2a} = d_{2a+1}
@@ -60,29 +61,30 @@ _I_COL = I_MATRIX[_I_SWAP, range(DIM)]
 class KahlerPotentialMetric(MetricField):
     """Metric derived from a Kahler potential, with omega attached."""
 
-    def __init__(self, chart: ChartDomain, potential, name="potential", params=None):
-        super().__init__(chart, None, name=name, params=params)
+    def __init__(self, chart: ChartDomain, potential, name="potential"):
+        super().__init__(chart, None, name=name)
         self.potential = potential
 
     def jets_at(self, x, order: int) -> jets.Jet:
         """Stacked (4, 4) g_{ij} jets of order ``order``, from potential jets
         two orders higher."""
-        phi = self.potential(jets.seed_raw(np.asarray(x, dtype=float), order + 2))
-        # second partials of Phi as jets of the requested order, d_a then d_b
-        # for a <= b (one combined factor would round differently)
-        d1 = [phi.deriv(a) for a in range(DIM)]
-        d2 = jets.stack([[d1[min(a, b)].deriv(max(a, b)) for b in range(DIM)]
-                         for a in range(DIM)])
-        g = np.empty(d2.coeffs.shape)
-        for a in range(2):
-            for b in range(2):
-                xa, ya, xb, yb = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
-                re = ((d2[xa, xb] + d2[ya, yb]) * 0.25).coeffs
-                im = ((d2[xa, yb] - d2[ya, xb]) * 0.25).coeffs
-                g[:, xa, xb] = g[:, ya, yb] = re
-                g[:, xa, yb] = g[:, yb, xa] = im
-                g[:, ya, xb] = g[:, xb, ya] = -1.0 * im
-        return jets.Jet(d2.space, g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = self.potential(jets.seed_raw(np.asarray(x, dtype=float), order + 2))
+            # second partials of Phi as jets of the requested order, d_a then d_b
+            # for a <= b (one combined factor would round differently)
+            d1 = [phi.deriv(a) for a in range(DIM)]
+            d2 = jets.stack([[d1[min(a, b)].deriv(max(a, b)) for b in range(DIM)]
+                             for a in range(DIM)])
+            g = np.empty(d2.coeffs.shape)
+            for a in range(2):
+                for b in range(2):
+                    xa, ya, xb, yb = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
+                    re = ((d2[xa, xb] + d2[ya, yb]) * 0.25).coeffs
+                    im = ((d2[xa, yb] - d2[ya, xb]) * 0.25).coeffs
+                    g[:, xa, xb] = g[:, ya, yb] = re
+                    g[:, xa, yb] = g[:, yb, xa] = im
+                    g[:, ya, xb] = g[:, xb, ya] = -1.0 * im
+        return check_finite(jets.Jet(d2.space, g), x)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +120,7 @@ def _eguchi_hanson(a=1.0):
         return r - a2 * jets.log(a2 + r) + a2 * jets.log(u)
 
     chart = ChartDomain([[0.25, 1.05]] * 4, exclusion=lambda x: np.sum(x * x) < 0.1)
-    return KahlerPotentialMetric(chart, phi, name="eguchi_hanson", params={"a": a})
+    return KahlerPotentialMetric(chart, phi, name="eguchi_hanson")
 
 
 def _burns(m=1.0):
@@ -131,7 +133,7 @@ def _burns(m=1.0):
         return u + m * jets.log(u)
 
     chart = ChartDomain([[0.25, 1.05]] * 4, exclusion=lambda x: np.sum(x * x) < 0.1)
-    return KahlerPotentialMetric(chart, phi, name="burns", params={"m": m})
+    return KahlerPotentialMetric(chart, phi, name="burns")
 
 
 def _conformal_hermitian():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -170,19 +171,29 @@ class TestRunSuite:
                     (metric, suite)
 
     def test_non_finite_metric_is_a_numeric_failure(self, tmp_path):
-        # Burns at m = 1e308 overflows the metric values; every suite that
-        # evaluates the metric records a GeometryError instead of crashing
-        raw = {"metric": "burns", "params": {"m": 1e308}, "sample_count": 2}
-        checks = run_suite(SuiteConfig.from_dict(raw))["checks"]
-        failures = {c["check_id"]: c["detail"] for c in checks if not c["pass"]}
-        assert sorted(failures) == sorted(f"{s}.numeric_failure" for s in (
-            "curvature", "integrability", "structure_identities", "balanced", "cone"))
-        for detail in failures.values():
-            assert detail["type"] == "GeometryError"
-            assert "not finite at x=" in detail["error"]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(raw))
-        assert main(["verify", "--config", str(cfg), "--report", str(tmp_path / "r.json")]) == 1
+        # Burns at m = 1e308 overflows the metric jets, Eguchi-Hanson at
+        # a = 1e70 overflows inside the potential and leaves a metric that is
+        # not positive definite; every suite that evaluates the metric
+        # records a GeometryError instead of crashing, and numpy warns of
+        # none of the overflows
+        for raw, error in [
+            ({"metric": "burns", "params": {"m": 1e308}, "sample_count": 2}, "not finite at x="),
+            ({"metric": "eguchi_hanson", "params": {"a": 1e70}, "sample_count": 2},
+             "not positive definite at x="),
+        ]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                checks = run_suite(SuiteConfig.from_dict(raw))["checks"]
+            assert not caught, [str(w.message) for w in caught]
+            failures = {c["check_id"]: c["detail"] for c in checks if not c["pass"]}
+            assert sorted(failures) == sorted(f"{s}.numeric_failure" for s in (
+                "curvature", "integrability", "structure_identities", "balanced", "cone"))
+            for detail in failures.values():
+                assert detail["type"] == "GeometryError"
+                assert error in detail["error"]
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(raw))
+            assert main(["verify", "--config", str(cfg), "--report", str(tmp_path / "r.json")]) == 1
 
     def test_fibermap_suite_runs_one_quadrature_per_map(self, quad_calls):
         # the three quadrature maps are evaluated once each, on the

@@ -118,6 +118,18 @@ class TestChristoffel:
         with pytest.raises(GeometryError, match="not finite"):
             geo.check_spd(np.full((4, 4), np.nan), np.zeros(4))
 
+    def test_non_finite_jet_coefficient_raises_naming_the_point(self):
+        # finite values, but a first-order coefficient overflowed at point 1
+        space = jets.get_space(4, 1)
+        coeffs = np.zeros((space.ncoef, 4, 4, 3))
+        coeffs[0] = np.eye(4)[..., None]
+        coeffs[2, 0, 1, 1] = np.inf
+        pts = np.arange(12.0).reshape(3, 4)
+        with pytest.raises(GeometryError, match=r"jets are not finite at x=\[4\. 5\. 6\. 7\.\]"):
+            geo.check_finite(jets.Jet(space, coeffs), pts)
+        coeffs[2, 0, 1, 1] = 0.0
+        assert geo.check_finite(jets.Jet(space, coeffs), pts).coeffs is coeffs
+
 
 class TestRiemann:
     def test_flat_zero(self, flat):

@@ -218,15 +218,16 @@ def test_fold_equals_python_left_fold(shape, data, seed, with_acc):
     assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
-# the spaces whose products JetSpace.multiply may sum by layers
-LAYERED_SPACES = [(n, o) for n in range(1, 7) for o in range(jets.MAX_ORDER + 1)
-                  if jets.get_space(n, o)._layers is not None]
+# every space has a layered table; JetSpace.multiply runs it from
+# LAYERED_MIN_TRAILING values per coefficient
+LAYERED_SPACES = [(n, o) for n in range(1, 7) for o in range(jets.MAX_ORDER + 1)]
 
 
 def _operand_pairs(ncoef, rng):
     """Broadcast operand pairs as callers pass them: tensor against batch
-    axes, unbatched, size-1 views as in contract, and plain batches on
-    both sides of LAYERED_MIN_TRAILING."""
+    axes, unbatched, size-1 views as in contract, plain batches on both
+    sides of LAYERED_MIN_TRAILING, and zeros of both signs only, where the
+    sign of a zero sum shows how the sum starts."""
     x = _coefficients(rng, (ncoef, 30))
     y = _coefficients(rng, (ncoef, 4, 7, 30))
     pairs = [
@@ -240,6 +241,8 @@ def _operand_pairs(ncoef, rng):
     yield from ((_coefficients(rng, sa), _coefficients(rng, sb)) for sa, sb in pairs)
     yield x[:, None, None], y[:, 1:2]  # a scalar factor against one row of terms
     yield y[:, :, 2:3], y[:, 1:2]
+    yield 0.0 * x, _coefficients(rng, x.shape)
+    yield 0.0 * x, 0.0 * _coefficients(rng, x.shape)
 
 
 @pytest.mark.parametrize("n_vars,order", LAYERED_SPACES)
@@ -266,6 +269,8 @@ def test_unbatched_times_batched_needs_a_size_one_axis(n_vars, order, batch):
     b = _coefficients(rng, (space.ncoef, batch))
     with pytest.raises(ValueError):
         space.multiply(a, b)
+    with pytest.raises(ValueError):  # not even against one point
+        space.multiply(a, b[:, :1])
     padded = space.multiply(a[:, None], b)
     assert padded.shape == b.shape
     for t in range(batch):
@@ -276,13 +281,32 @@ def test_unbatched_times_batched_needs_a_size_one_axis(n_vars, order, batch):
     assert np.array_equal((two * jets.Jet(space, b)).coeffs, 2.0 * b)
 
 
-def test_layered_table_only_up_to_eight_terms():
-    # the coefficient of x0 x1 x2 has 8 terms, one per subset of its
-    # variables; that of x0 x1 x2 x3 has 16, and reduceat sums the 15 after
-    # the first pairwise
-    assert (3, 3) in LAYERED_SPACES and (6, 3) in LAYERED_SPACES and (1, 6) in LAYERED_SPACES
-    assert jets.get_space(4, 4)._layers is None
-    assert (2, 4) not in LAYERED_SPACES  # x0^2 x1^2 has 3 * 3 terms
+def test_every_space_has_a_layered_table():
+    # a coefficient's first term is (0, k); numpy sums the other m terms one
+    # by one below 8, and from 8 on in eight accumulators over blocks of 8,
+    # then the m mod 8 left one by one
+    for n_vars, order in LAYERED_SPACES:
+        space = jets.get_space(n_vars, order)
+        firsts = space._mul_starts
+        assert np.all(space._mul_i[firsts] == 0) and np.all(space._mul_j[firsts] == np.arange(space.ncoef))
+        (_, short), (_, blocks, _) = space._layers
+        # the coefficient of x^alpha has one term per multi-index below alpha
+        longest = max(int(np.prod(np.add(alpha, 1))) for alpha in space.multi_indices) - 1
+        assert len(short) == min(longest, 7) and len(blocks) == longest // 8
+    # order 1: x_k has the terms (0, k) and (k, 0), so the table is slices
+    (rows, [(_, _, i, j)]), _ = jets.get_space(4, 1)._layers
+    assert all(isinstance(idx, slice) for idx in (rows, i, j))
+    # x0 x1 x2 has 8 terms, a tail of 7: no block
+    assert not jets.get_space(3, 3)._layers[1][1]
+    # x0^2 x1^2 has 3 * 3 terms, a tail of one block and no remainder
+    (_, [(n, _, _)], ranks) = jets.get_space(2, 4)._layers[1]
+    assert n == 1 and not ranks
+    # x0 x1 x2 x3 has 16 terms, a tail of one block and 7 more
+    (_, [(n, _, _)], ranks) = jets.get_space(4, 4)._layers[1]
+    assert n == 19 and len(ranks) == 7
+    # tails of 63 (x0 ... x5) and 35 (x0^2 x1^2 x2 x3) take more blocks
+    assert len(jets.get_space(6, 6)._layers[1][1]) == 7
+    assert len(jets.get_space(4, 6)._layers[1][1]) == 4
 
 
 def test_multiply_picks_kernel_by_space_and_trailing_size(monkeypatch):
@@ -305,7 +329,8 @@ def test_multiply_picks_kernel_by_space_and_trailing_size(monkeypatch):
         ((6, 3), (2, cut // 2), (2, 1), "_multiply_layered"),
         ((4, 2), (cut - 1,), (cut - 1,), "_multiply_reduceat"),
         ((4, 2), (), (), "_multiply_reduceat"),
-        ((4, 4), (4 * cut,), (4 * cut,), "_multiply_reduceat"),
+        ((4, 4), (4 * cut,), (4 * cut,), "_multiply_layered"),
+        ((4, 4), (cut - 1,), (cut - 1,), "_multiply_reduceat"),
     ]
     for (n_vars, order), ta, tb, kernel in cases:
         space = jets.get_space(n_vars, order)
