@@ -26,8 +26,8 @@ for name in ("flat", "fubini_study", "eguchi_hanson", "burns"):
     metric = kahler.get_fixture(name)
     x = metric.chart.sample(1, np.random.default_rng(1))[0]
     data = geo.curvature_data(metric, x)  # the one evaluation of the metric
-    frame = kahler.adapted_frame(data.gjets)
-    basis = geo.sd_basis(frame.matrix, data.gvals)
+    frame = geo.tensor_values(kahler.adapted_frame(data.gjets), 2)
+    basis = geo.sd_basis(frame, data.gvals)
     op = geo.curvature_operator(data, basis)
     print(f"=== {name} at x={np.round(x, 3)}")
     print("Scal          :", float(np.round(data.scal, 10)))

@@ -250,7 +250,6 @@ def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
         raise InputError(f"unknown branch '{branch}' (have {BRANCHES})")
     if sign not in (+1, -1):
         raise InputError("sign must be +1 or -1")
-    ec = float(np.exp(c))
 
     if branch == "quadrature":
         z0 = 0.5 * (profile.z_minus + profile.z_plus)
@@ -272,6 +271,8 @@ def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
 
         return EquivariantMap(profile, phi, c, branch, sign, (profile.z_minus, profile.z_plus))
 
+    with np.errstate(over="ignore"):  # e^c is inf from c ~ 709.8 on: an empty domain
+        ec = float(np.exp(c))
     if branch == "flat_meridian_closed_form":
         radicand = lambda rho: 1.0 - ec / (rho * rho)
     else:

@@ -205,9 +205,8 @@ def christoffel_jets(gjets: jets.Jet) -> jets.Jet:
 @dataclass
 class CurvatureData:
     """Evaluated curvature bundle reused across higher-level checks; its
-    stacked ``gjets``, their Christoffel jets ``gamma_jets`` and the values
-    ``gamma`` of those serve the adapted frame, beta and the Kahler
-    residuals as well."""
+    stacked ``gjets`` and the values ``gamma`` of their Christoffel jets
+    ``gamma_jets`` serve the Kahler residuals as well."""
 
     gvals: np.ndarray
     ginv: np.ndarray

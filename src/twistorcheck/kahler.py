@@ -13,20 +13,18 @@ so s1 = e1^e2 + e3^e4 is the metric dual of omega and the self-dual frame
 (s1, s2, s3) diagonalizes the U(1) holonomy: nabla s2 = beta s3,
 nabla s3 = -beta s2 for a 1-form beta computed here from frame jets.
 
-The frame, beta and the Kahler residuals take the stacked (4, 4) metric
-jet of :meth:`MetricField.jets_at` (or a :class:`CurvatureData`), so one
-evaluation of the potential serves them all; their order follows from the
-order of the jets passed in.  Frame, self-dual basis, beta and omega are
-stacked jets too, built with the products and the summation order of the
-scalar loops they replaced (``tests/scalar_reference.py``), so their
-coefficients are those of the loops, bit for bit.
+A :class:`BaseEval` evaluates a metric once at a batch of base points; the
+self-dual basis of the frame, beta, the curvature and so the Kahler
+residuals all come from that one evaluation, at its order.  Frame,
+self-dual basis, beta and omega are stacked jets too, built with the
+products and the summation order of the scalar loops they replaced
+(``tests/scalar_reference.py``), so their coefficients are those of the
+loops, bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +36,15 @@ from .geometry import (
     CurvatureData,
     Hypotheses,
     MetricField,
+    check_finite,
+    check_spd,
+    christoffel_jets,
     curvature_two_vector_action,
+    sd_basis,
     tensor_partials,
     tensor_values,
+    _curvature_from_jets,
     _inner_kernel,
-    check_finite,
 )
 
 # constant complex structure of a potential chart: I d_{2a} = d_{2a+1}
@@ -178,23 +180,6 @@ def get_fixture(name: str, **params) -> MetricField:
 # adapted frames
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AdaptedFrame:
-    """Orthonormal frame with e2 = I e1, e4 = I e3, as jets and values.
-
-    ``jets_`` is a stacked (4, 4) jet: row a holds the components of e_a.
-    """
-
-    jets_: jets.Jet
-    matrix: np.ndarray
-
-    @functools.cached_property
-    def sd(self) -> jets.Jet:
-        """(s1, s2, s3) self-dual basis as one stacked jet, tensor axes
-        [q, i, j]; built on first use and shared by every consumer."""
-        return _self_dual(self.jets_)
-
-
 def _flat_indices(*shape):
     """Index arrays of every entry of ``shape``, in C (loop) order."""
     return tuple(ix.ravel() for ix in np.indices(shape))
@@ -231,9 +216,10 @@ def _apply_I(u: jets.Jet, zero: jets.Jet) -> jets.Jet:
     return zero[None] + u[_I_SWAP] * _I_ROW.reshape((DIM,) + (1,) * (u.coeffs.ndim - 2))
 
 
-def adapted_frame(gjets: jets.Jet) -> AdaptedFrame:
-    """Gram-Schmidt frame seeded on (d_1, I d_1, d_3, I d_3), as jets of the
-    order of the stacked metric jets ``gjets``; smooth in x."""
+def adapted_frame(gjets: jets.Jet) -> jets.Jet:
+    """Gram-Schmidt frame seeded on (d_1, I d_1, d_3, I d_3), as a stacked
+    (4, 4) jet of the order of the stacked metric jets ``gjets`` (row a holds
+    the components of e_a); smooth in x."""
     zero = gjets[0, 0] * 0.0
     zeros = jets.stack([zero] * DIM)
 
@@ -251,21 +237,12 @@ def adapted_frame(gjets: jets.Jet) -> AdaptedFrame:
         raise FrameError(f"frame seed degenerate (|v|^2 = {np.min(nv_sq.value):.3e})")
     e3 = v * (1.0 / jets.sqrt(nv_sq))[None]
     e4 = _apply_I(e3, zero)
-    fj = jets.stack([e1, e2, e3, e4])
-    return AdaptedFrame(fj, tensor_values(fj, 2))
+    return jets.stack([e1, e2, e3, e4])
 
 
 # ---------------------------------------------------------------------------
 # the connection 1-form on Lambda2+
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ConnectionOneForm:
-    """beta with nabla s2 = beta s3, nabla s3 = -beta s2; jets + values."""
-
-    jets_: jets.Jet  # stacked (4,), component beta_k
-    values: np.ndarray
-
 
 def _two_vector_nabla(gamma: jets.Jet, s: jets.Jet) -> jets.Jet:
     """Stacked (nabla_k s)^{ij}, tensor axes [k, i, j], of a stacked 2-vector
@@ -289,17 +266,51 @@ def _two_vector_nabla(gamma: jets.Jet, s: jets.Jet) -> jets.Jet:
     return jets.Jet(low, out)
 
 
-def beta_form(gjets: jets.Jet, frame: AdaptedFrame, gamma: jets.Jet) -> ConnectionOneForm:
-    """beta_k = < nabla_k s2, s3 > as jets one order below the stacked metric
-    jets ``gjets``; ``frame`` is the adapted frame and ``gamma`` the
-    Christoffel jets (:func:`geometry.christoffel_jets`) of the same jets."""
-    ns2 = _two_vector_nabla(gamma, frame.sd[1])
+def beta_form(gjets: jets.Jet, sd: jets.Jet, gamma: jets.Jet) -> jets.Jet:
+    """beta_k = < nabla_k s2, s3 >, with nabla s2 = beta s3 and nabla s3 =
+    -beta s2, as a stacked (4,) jet one order below the stacked metric jets
+    ``gjets``; ``sd`` is the self-dual basis of their adapted frame and
+    ``gamma`` their Christoffel jets (:func:`geometry.christoffel_jets`)."""
+    ns2 = _two_vector_nabla(gamma, sd[1])
     low = gamma.space
     # sum_{ijkl} ((nabla_k s2^{ij} s3^{kl}) g_ik) g_jl, in (i, j, k, l) order
     g_low = gjets.truncate(low.order)
-    comps = jets.contract("mij,kl,ik,jl->m", ns2, frame.sd[2].truncate(low.order),
-                          g_low, g_low) * 0.25
-    return ConnectionOneForm(comps, tensor_values(comps, 1))
+    return jets.contract("mij,kl,ik,jl->m", ns2, sd[2].truncate(low.order), g_low, g_low) * 0.25
+
+
+# ---------------------------------------------------------------------------
+# one evaluation of the base
+# ---------------------------------------------------------------------------
+
+class BaseEval:
+    """A metric evaluated once at a batch of base points ``x``: its stacked
+    (4, 4) jets ``gjets`` of order ``order``, their SPD-checked values
+    ``gvals`` and their Christoffel jets ``gamma_jets``; the only place a
+    metric is evaluated at base points.  :meth:`connection`, :attr:`basis`
+    and :meth:`curvature` are built anew on every read and not kept, so
+    the caller decides how long they live."""
+
+    def __init__(self, metric: MetricField, x, order: int = 2):
+        self.gjets = metric.jets_at(x, order)
+        self.gvals = tensor_values(self.gjets, 2)
+        check_spd(self.gvals, x)
+        self.gamma_jets = christoffel_jets(self.gjets)
+
+    def connection(self) -> tuple:
+        """(sd, beta): the self-dual basis (s1, s2, s3) of the adapted frame,
+        stacked [q, i, j] at the order of :attr:`gjets`, and beta
+        (:func:`beta_form`), stacked (4,) one order lower."""
+        sd = _self_dual(adapted_frame(self.gjets))  # frame jets freed before beta
+        return sd, beta_form(self.gjets, sd, self.gamma_jets)
+
+    @property
+    def basis(self):
+        """The :func:`geometry.sd_basis` of the adapted frame's values."""
+        return sd_basis(tensor_values(adapted_frame(self.gjets.truncate(0)), 2), self.gvals)
+
+    def curvature(self) -> CurvatureData:
+        """The curvature at the points (needs ``order`` >= 2)."""
+        return _curvature_from_jets(self.gjets, self.gvals, self.gamma_jets)
 
 
 # ---------------------------------------------------------------------------

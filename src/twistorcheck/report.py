@@ -157,8 +157,8 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
     # the base part of the plain chart's sample at this seed; drawn here too,
     # as the rho duality spot check continues this generator
     pts = metric.chart.sample(n, rng)
-    ctx = _plain_eval(rec, metric, n, config.seed)
-    data = ctx.data4
+    base = _plain_eval(rec, metric, n, config.seed).base
+    data, basis = base.curvature(), base.basis
     rl = data.rlow
     sym = max(
         float(np.max(np.abs(rl + np.einsum("...jikl->...ijkl", rl)))),
@@ -169,8 +169,6 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
     )
     rec.add("curvature.riemann_symmetries", "Riemann tensor pair/antisymmetry and first Bianchi",
             n, sym, 1e-10)
-    frame = kahler.adapted_frame(data.gjets.truncate(0))  # only frame values are read
-    basis = geometry.sd_basis(frame.matrix, data.gvals)
     op = geometry.curvature_operator(data, basis)
     rec.add("curvature.block_symmetry", "curvature operator is self-adjoint on the 2-vector basis",
             n, np.max(np.abs(op.matrix - np.swapaxes(op.matrix, -1, -2))), 1e-9)
@@ -206,14 +204,10 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
                 n, np.max(np.abs(ray + data.scal / 2.0)), 1e-8)
         rec.add("kahler.nabla_omega", "fundamental 2-form is parallel",
                 n, kahler.nabla_omega_residual(data), 1e-8)
-    # the run keeps this evaluation for later suites, which read no curvature
-    # from it at default point counts: drop the curvature
-    del ctx.data4
     # rho duality spot check, at pts[0] evaluated alone: a slice of data
     # differs from it in the last bits
-    data1 = geometry.curvature_data(metric, pts[0])
-    fr1 = kahler.adapted_frame(data1.gjets.truncate(0))
-    b1 = geometry.sd_basis(fr1.matrix, data1.gvals)
+    base1 = kahler.BaseEval(metric, pts[0])
+    data1, b1 = base1.curvature(), base1.basis
     worst = 0.0
     for _ in range(20):
         cv, cw2 = rng.normal(size=(2, 3))

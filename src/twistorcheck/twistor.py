@@ -30,7 +30,8 @@ Conventions fixed here and exercised by the tests:
 Field operations take a :class:`ChartEval` as their first argument, never
 a (chart, point) pair: build one ``ChartEval(chart, points)`` per point
 set and pass it to every check on that set, so each field is computed at
-most once per point set, and only when a check reads it.  The sign eps
+most once per point set, and only when a check reads it; its base fields
+come from one :class:`kahler.BaseEval`.  The sign eps
 lives on the evaluation: :meth:`ChartEval.flipped` gives the negative
 control on the same points without evaluating the base again.  Results
 keep the batch axis, also for a single point.
@@ -61,18 +62,15 @@ from .fibermap import (POLE_MARGIN, EquivariantMap, SurfaceProfile, identity_sph
 from .geometry import (
     MetricField,
     TwoVector,
-    check_spd,
     christoffel_jets,
     curvature_endomorphism,
     curvature_two_vector_action,
     rho_apply,
-    sd_basis,
     tensor_partials,
     tensor_values,
-    _curvature_from_jets,
     _inner_kernel,
 )
-from .kahler import adapted_frame, beta_form
+from .kahler import BaseEval
 
 TOTAL_DIM = 6
 IDX_V, IDX_W = 4, 5
@@ -154,8 +152,7 @@ def calibrate_epsilon(metric: MetricField, seed: int = 2024, steps: int = 24,
     probes = metric.chart.sample(4, rng)
     ranked = []
     for x in probes:
-        gjets = metric.jets_at(x, 2)
-        b = beta_form(gjets, adapted_frame(gjets), christoffel_jets(gjets)).values
+        b = tensor_values(BaseEval(metric, x).connection()[1], 1)
         k = int(np.argmax(np.abs(b)))
         ranked.append((abs(b[k]), k, x))
     ranked.sort(key=lambda t: -t[0])
@@ -176,27 +173,23 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
     h = t_max / steps
 
     def probe(x):
-        """Metric values, Christoffel values, adapted frame and beta_k at x,
-        from one evaluation of the metric."""
-        gjets = metric.jets_at(x, 2)
-        fr = adapted_frame(gjets)
-        gamma = christoffel_jets(gjets)
-        return (tensor_values(gjets, 2), tensor_values(gamma, 3), fr,
-                beta_form(gjets, fr, gamma).values[k])
+        """The base at x, its Christoffel values and beta_k."""
+        base = BaseEval(metric, x)
+        return base, tensor_values(base.gamma_jets, 3), tensor_values(base.connection()[1], 1)[k]
 
     def gamma_action(G, S):
         return -direction * (np.einsum("im,mj->ij", G[:, k, :], S)
                              + np.einsum("jm,im->ij", G[:, k, :], S))
 
-    g, G, fr, b_here = probe(x0)
-    S = sd_basis(fr.matrix, g)[1].comps.copy()
+    base, G, b_here = probe(x0)
+    S = base.basis[1].comps.copy()
     x = x0.copy()
     beta_int = 0.0
     for _ in range(steps):
         xm = x.copy(); xm[k] += direction * h / 2
         xe = x.copy(); xe[k] += direction * h
-        Gm = tensor_values(christoffel_jets(metric.jets_at(xm, 1)), 3)
-        g, Ge, fr, b_next = probe(xe)
+        Gm = tensor_values(BaseEval(metric, xm, order=1).gamma_jets, 3)
+        base, Ge, b_next = probe(xe)
         k1 = gamma_action(G, S)
         k2 = gamma_action(Gm, S + h / 2 * k1)
         k3 = gamma_action(Gm, S + h / 2 * k2)
@@ -204,7 +197,7 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
         S = S + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         beta_int += direction * h * 0.5 * (b_here + b_next)
         x, G, b_here = xe, Ge, b_next
-    basis1 = sd_basis(fr.matrix, g)
+    g, basis1 = base.gvals, base.basis
     c2 = _inner_kernel(g, S, basis1[1].comps)
     c3 = _inner_kernel(g, S, basis1[2].comps)
     psi = float(np.arctan2(c3, c2))
@@ -229,12 +222,11 @@ class ChartEval:
     ``order``.  Order 1 (values and first derivatives) is all that the
     Nijenhuis tensor, the Christoffel symbols of h and d of a form consume;
     a caller that takes d of a form that was itself built with one d (as
-    in checking d d = 0) builds its ChartEval at order 2.  The base metric
-    jets are taken one order higher, because the connection form beta
-    consumes one order; the frame, beta and :attr:`data4` all come from
-    that one evaluation, beta and :attr:`data4` from its one set of
-    Christoffel jets, and beta and :attr:`S` share the frame's one
-    self-dual basis (:attr:`AdaptedFrame.sd`).
+    in checking d d = 0) builds its ChartEval at order 2.  The base is one
+    :class:`kahler.BaseEval` (:attr:`base`), taken one order higher,
+    because the connection form beta consumes one order: beta and
+    :attr:`S` share its one self-dual basis, and :attr:`data4` is its
+    curvature.
 
     This is the only place a chart is evaluated at points: every field
     operation of this module takes a ChartEval (and reads the chart from
@@ -271,19 +263,16 @@ class ChartEval:
 
     # -- base fields ------------------------------------------------------
     def _build_base(self, order):
-        self.gjets4 = gj4 = self.chart.base.jets_at(self.x4, order)
-        self.gvals = tensor_values(gj4, 2)
-        check_spd(self.gvals, self.x4)
-        frame = adapted_frame(gj4)
-        self._gamma4 = christoffel_jets(gj4)
-        beta = beta_form(gj4, frame, self._gamma4)
-        self.beta_vals = beta.values
-        self.svals = [tensor_values(frame.sd[q], 2) for q in range(3)]
+        self.base = base = BaseEval(self.chart.base, self.x4, order)
+        self.gvals = base.gvals
+        sd, beta = base.connection()
+        self.beta_vals = tensor_values(beta, 1)
+        self.svals = [tensor_values(sd[q], 2) for q in range(3)]
 
         emb = lambda j: j.truncate(self.W).embed(self.space, (0, 1, 2, 3))
-        self.g = emb(gj4)
-        self.S = emb(frame.sd)
-        self.beta = emb(beta.jets_)
+        self.g = emb(base.gjets)
+        self.S = emb(sd)
+        self.beta = emb(beta)
         self.zero = self.g[0, 0] * 0.0
         self.one = self.zero + 1.0
 
@@ -394,8 +383,8 @@ class ChartEval:
 
     @cached_property
     def data4(self):
-        """Base curvature at the points, from the base metric jets above."""
-        return _curvature_from_jets(self.gjets4, self.gvals, self._gamma4)
+        """Base curvature at the points (:meth:`kahler.BaseEval.curvature`)."""
+        return self.base.curvature()
 
     def horizontal_lift_values(self, X):
         X = np.asarray(X, dtype=float)

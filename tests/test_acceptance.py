@@ -39,9 +39,8 @@ def test_criterion_1_curvature_block_structure():
     for name in FIXTURE_NAMES:
         m = _metric(name)
         pts = m.chart.sample(50, np.random.default_rng(SEED))
-        data = geo.curvature_data(m, pts)
-        frame = kahler.adapted_frame(data.gjets)
-        basis = geo.sd_basis(frame.matrix, data.gvals)
+        base = kahler.BaseEval(m, pts)
+        data, basis = base.curvature(), base.basis
         op = geo.curvature_operator(data, basis)
         worst_sym = max(worst_sym, float(np.max(np.abs(op.matrix - np.swapaxes(op.matrix, -1, -2)))))
         worst_tr = max(worst_tr, float(np.max(np.abs(np.trace(op.wplus, axis1=-2, axis2=-1)))),
@@ -62,9 +61,8 @@ def test_criterion_2a_scalar_flat_certification():
     for name in ("eguchi_hanson", "burns"):
         m = _metric(name)
         pts = m.chart.sample(50, np.random.default_rng(SEED))
-        data = geo.curvature_data(m, pts)
-        frame = kahler.adapted_frame(data.gjets)
-        basis = geo.sd_basis(frame.matrix, data.gvals)
+        base = kahler.BaseEval(m, pts)
+        data, basis = base.curvature(), base.basis
         op = geo.curvature_operator(data, basis)
         r2, r3, _ = kahler.curvature_s_residuals(data, basis)
         worst[name] = {
@@ -98,12 +96,12 @@ def test_criterion_2b_fubini_study_rayleigh_literal():
     """
     m = _metric("fubini_study")
     pts = m.chart.sample(50, np.random.default_rng(SEED))
-    data = geo.curvature_data(m, pts)
+    base = kahler.BaseEval(m, pts)
+    data = base.curvature()
     scal = data.scal
     assert np.max(np.abs(scal - 24.0)) < 1e-6
     scal = np.asarray(scal)
-    frame = kahler.adapted_frame(data.gjets)
-    basis = geo.sd_basis(frame.matrix, data.gvals)
+    basis = base.basis
     _, _, ray = kahler.curvature_s_residuals(data, basis)
     op = geo.curvature_operator(data, basis)
     # |s1|^2 in the Gram-determinant metric: twice the half-determinant one
@@ -134,10 +132,10 @@ def test_criterion_2c_fubini_study_rayleigh_verified():
     """The s1 pairing in the package's normalizations: rho-dual -Scal/2, block +Scal/4."""
     m = _metric("fubini_study")
     pts = m.chart.sample(50, np.random.default_rng(SEED))
-    data = geo.curvature_data(m, pts)
+    base = kahler.BaseEval(m, pts)
+    data = base.curvature()
     scal = data.scal
-    frame = kahler.adapted_frame(data.gjets)
-    basis = geo.sd_basis(frame.matrix, data.gvals)
+    basis = base.basis
     _, _, ray = kahler.curvature_s_residuals(data, basis)
     resid = float(np.max(np.abs(np.asarray(ray) + np.asarray(scal) / 2.0)))
     op = geo.curvature_operator(data, basis)

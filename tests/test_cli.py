@@ -130,6 +130,34 @@ class TestRunSuite:
         assert rep["overall_pass"]
         assert len(jets_at_calls) == 2
 
+    def test_suite_all_evaluates_each_base_once(self, jets_at_calls, chart_evals, monkeypatch):
+        # Burns at seed 2024: the plain chart at 50 points (curvature,
+        # integrability, cone), the rho-duality point, the modified and the
+        # perturbed chart, the plain chart at 20, 30 and 10 points; each base
+        # is one order-2 evaluation with one set of Christoffel jets, and
+        # each ChartEval builds one beta
+        from twistorcheck import geometry, twistor
+        dims, betas = [], []
+        christoffel, beta_form = geometry.christoffel_jets, kahler.beta_form
+
+        def counted_christoffel(gjets):
+            dims.append(gjets.coeffs.shape[1])
+            return christoffel(gjets)
+
+        def counted_beta(*args):
+            betas.append(1)
+            return beta_form(*args)
+
+        for mod in (geometry, kahler, twistor):
+            monkeypatch.setattr(mod, "christoffel_jets", counted_christoffel)
+        monkeypatch.setattr(kahler, "beta_form", counted_beta)
+        rep = run_suite(SuiteConfig.from_dict({"metric": "burns", "suite": "all", "seed": 2024}))
+        assert rep["overall_pass"]
+        assert jets_at_calls == [2] * 7
+        assert dims.count(4) == 7
+        assert chart_evals == [50, 50, 50, 20, 30, 10]
+        assert len(betas) == 6
+
     def test_twistor_suites_evaluate_each_point_set_once(self, chart_evals):
         # one ChartEval per (chart, point set): the identities, the route
         # agreement and the horizontal Nijenhuis check share one; the four

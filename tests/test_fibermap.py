@@ -109,6 +109,15 @@ class TestSolvePhi:
         with pytest.raises(DomainError):
             fm.solve_phi(cy, c=1.0, branch="flat_meridian_closed_form")  # 1 - e > 0 nowhere
 
+    def test_overflowing_e_c_warns_nowhere(self):
+        # e^800 overflows: the quadrature branch never reads it, and a closed
+        # form keeps its empty domain, without a numpy RuntimeWarning
+        cy = fm.cylinder_profile()
+        m = fm.solve_phi(cy, c=800.0, branch="quadrature")
+        assert m.c == 800.0 and m.domain == (cy.z_minus, cy.z_plus)
+        with pytest.raises(DomainError, match="empty domain"):
+            fm.solve_phi(cy, c=800.0, branch="flat_meridian_closed_form")
+
     def test_unknown_branch_rejected(self):
         with pytest.raises(InputError):
             fm.solve_phi(fm.sphere_profile(), branch="nope")

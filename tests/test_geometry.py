@@ -222,8 +222,8 @@ class TestSdBasis:
     def test_orthonormality_and_duality(self, burns, rng):
         x = burns.chart.sample(1, rng)[0]
         g = values_at(burns, x)
-        fr = kahler.adapted_frame(burns.jets_at(x, 2))
-        basis = geo.sd_basis(fr.matrix, g)
+        fr = geo.tensor_values(kahler.adapted_frame(burns.jets_at(x, 2)), 2)
+        basis = geo.sd_basis(fr, g)
         gram = np.array([[geo._inner_kernel(g, a.comps, b.comps) for b in basis] for a in basis])
         assert np.max(np.abs(gram - np.eye(6))) < 1e-12
         for i in range(3):
@@ -244,9 +244,8 @@ class TestCurvatureOperator:
 
     def test_fubini_study_blocks(self, fubini_study, rng):
         x = fubini_study.chart.sample(1, rng)[0]
-        data = geo.curvature_data(fubini_study, x)
-        fr = kahler.adapted_frame(data.gjets)
-        basis = geo.sd_basis(fr.matrix, data.gvals)
+        base = kahler.BaseEval(fubini_study, x)
+        data, basis = base.curvature(), base.basis
         op = geo.curvature_operator(data, basis)
         assert np.trace(op.plus_block) == pytest.approx(data.scal / 4.0, abs=1e-10)
         assert np.trace(op.minus_block) == pytest.approx(data.scal / 4.0, abs=1e-10)
@@ -260,9 +259,8 @@ class TestCurvatureOperator:
 
     def test_eguchi_hanson_plus_block_vanishes(self, eguchi_hanson, rng):
         x = eguchi_hanson.chart.sample(1, rng)[0]
-        data = geo.curvature_data(eguchi_hanson, x)
-        fr = kahler.adapted_frame(data.gjets)
-        basis = geo.sd_basis(fr.matrix, data.gvals)
+        base = kahler.BaseEval(eguchi_hanson, x)
+        data, basis = base.curvature(), base.basis
         op = geo.curvature_operator(data, basis)
         assert np.max(np.abs(op.plus_block)) < 1e-8
         assert np.max(np.abs(op.ric0)) < 1e-8  # Ricci-flat
@@ -270,9 +268,9 @@ class TestCurvatureOperator:
 
     def test_burns_ric0_nonzero(self, burns, rng):
         x = burns.chart.sample(1, rng)[0]
-        data = geo.curvature_data(burns, x)
-        fr = kahler.adapted_frame(data.gjets)
-        op = geo.curvature_operator(data, geo.sd_basis(fr.matrix, data.gvals))
+        base = kahler.BaseEval(burns, x)
+        data = base.curvature()
+        op = geo.curvature_operator(data, base.basis)
         assert np.max(np.abs(op.plus_block)) < 1e-8
         assert np.max(np.abs(op.ric0)) > 1e-3
         assert np.max(np.abs(op.matrix - op.matrix.T)) < 1e-10
@@ -288,9 +286,8 @@ class TestRho:
 
     def test_duality_random(self, eguchi_hanson, rng):
         x = eguchi_hanson.chart.sample(1, rng)[0]
-        data = geo.curvature_data(eguchi_hanson, x)
-        fr = kahler.adapted_frame(data.gjets)
-        basis = geo.sd_basis(fr.matrix, data.gvals)
+        base = kahler.BaseEval(eguchi_hanson, x)
+        data, basis = base.curvature(), base.basis
         worst = 0.0
         for _ in range(20):
             cv, cw = rng.normal(size=(2, 3))

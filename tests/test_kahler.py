@@ -15,6 +15,11 @@ def omega_values(metric, x):
     return geo.tensor_values(kahler._omega_jets(metric.jets_at(x, 0)), 2)
 
 
+def frame_values(metric, x):
+    """Adapted frame values (rows e_a, batch axes leading) at x."""
+    return geo.tensor_values(kahler.adapted_frame(metric.jets_at(x, 2)), 2)
+
+
 def d_omega_residual(gjets):
     """sup |(d omega)_{kij}| over the cyclic index triples, from the first
     partials of the Kahler form of the metric jets ``gjets``."""
@@ -73,21 +78,20 @@ class TestPotentialMetrics:
 
 class TestAdaptedFrame:
     def test_flat_standard_basis(self, flat):
-        fr = kahler.adapted_frame(flat.jets_at(np.array([0.1, 0.2, 0.3, 0.4]), 2))
-        assert np.allclose(fr.matrix, np.eye(4), atol=1e-14)
+        fr = frame_values(flat, np.array([0.1, 0.2, 0.3, 0.4]))
+        assert np.allclose(fr, np.eye(4), atol=1e-14)
 
     def test_gram_residual(self, all_fixtures, rng):
         for m in all_fixtures.values():
             pts = m.chart.sample(5, rng)
-            fr = kahler.adapted_frame(m.jets_at(pts, 2))
+            fr = frame_values(m, pts)
             g = values_at(m, pts)
-            gram = np.einsum("...ai,...ij,...bj->...ab", fr.matrix, g, fr.matrix)
+            gram = np.einsum("...ai,...ij,...bj->...ab", fr, g, fr)
             assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
     def test_frame_is_I_adapted_and_oriented(self, burns, rng):
         pts = burns.chart.sample(4, rng)
-        fr = kahler.adapted_frame(burns.jets_at(pts, 2))
-        E = fr.matrix
+        E = frame_values(burns, pts)
         I = kahler.I_MATRIX
         assert np.max(np.abs(np.einsum("ij,...j->...i", I, E[..., 0, :]) - E[..., 1, :])) < 1e-13
         assert np.max(np.abs(np.einsum("ij,...j->...i", I, E[..., 2, :]) - E[..., 3, :])) < 1e-13
@@ -99,8 +103,7 @@ class TestAdaptedFrame:
         ginv = np.linalg.inv(g)
         omega = omega_values(eguchi_hanson, x)
         omega_sharp = np.einsum("ik,jl,kl->ij", ginv, ginv, omega)
-        fr = kahler.adapted_frame(eguchi_hanson.jets_at(x, 2))
-        s1 = geo.sd_basis(fr.matrix, g)[0]
+        s1 = geo.sd_basis(frame_values(eguchi_hanson, x), g)[0]
         diff = s1.comps - omega_sharp
         assert geo._inner_kernel(g, diff, diff) < 1e-10
 
@@ -108,22 +111,20 @@ class TestAdaptedFrame:
 class TestBetaForm:
     def test_flat_beta_zero(self, flat):
         x = np.array([0.2, 0.0, -0.3, 0.5])
-        gjets = flat.jets_at(x, 2)
-        beta = kahler.beta_form(gjets, kahler.adapted_frame(gjets), geo.christoffel_jets(gjets))
-        assert np.max(np.abs(beta.values)) < 1e-14
+        _, beta = kahler.BaseEval(flat, x).connection()
+        assert np.max(np.abs(geo.tensor_values(beta, 1))) < 1e-14
 
     def test_connection_relations(self, burns, rng):
         # nabla_k s2 = beta_k s3, nabla_k s3 = -beta_k s2, nabla s1 = 0
         pts = burns.chart.sample(20, rng)
-        gjets = burns.jets_at(pts, 2)
-        fr = kahler.adapted_frame(gjets)
-        gamma = geo.christoffel_jets(gjets)
-        beta = kahler.beta_form(gjets, fr, gamma)
-        s2v, s3v = geo.tensor_values(fr.sd[1], 2), geo.tensor_values(fr.sd[2], 2)
-        nabla = [geo.tensor_values(kahler._two_vector_nabla(gamma, fr.sd[q]), 3) for q in range(3)]
+        base = kahler.BaseEval(burns, pts)
+        sd, beta = base.connection()
+        gamma = base.gamma_jets
+        s2v, s3v = geo.tensor_values(sd[1], 2), geo.tensor_values(sd[2], 2)
+        nabla = [geo.tensor_values(kahler._two_vector_nabla(gamma, sd[q]), 3) for q in range(3)]
         for k in range(4):
             ns1, ns2, ns3 = (n[..., k, :, :] for n in nabla)
-            bk = beta.values[..., k, None, None]
+            bk = geo.tensor_values(beta, 1)[..., k, None, None]
             assert np.max(np.abs(ns1)) < 1e-8
             assert np.max(np.abs(ns2 - bk * s3v)) < 1e-8
             assert np.max(np.abs(ns3 + bk * s2v)) < 1e-8
@@ -131,29 +132,27 @@ class TestBetaForm:
     def test_skew_symmetry(self, fubini_study, rng):
         # metric compatibility: g(nabla_k s2, s2) = 0
         pts = fubini_study.chart.sample(5, rng)
-        gjets = fubini_study.jets_at(pts, 2)
-        fr = kahler.adapted_frame(gjets)
-        gamma = geo.christoffel_jets(gjets)
-        g = geo.tensor_values(gjets, 2)
-        s2v = geo.tensor_values(fr.sd[1], 2)
-        nabla = geo.tensor_values(kahler._two_vector_nabla(gamma, fr.sd[1]), 3)
+        base = kahler.BaseEval(fubini_study, pts)
+        sd, _ = base.connection()
+        g = base.gvals
+        s2v = geo.tensor_values(sd[1], 2)
+        nabla = geo.tensor_values(kahler._two_vector_nabla(base.gamma_jets, sd[1]), 3)
         for k in range(4):
             ns2 = nabla[..., k, :, :]
             assert np.max(np.abs(geo._inner_kernel(g, ns2, s2v))) < 1e-10
 
     def test_beta_nontrivial_on_burns(self, burns, rng):
         pts = burns.chart.sample(5, rng)
-        gjets = burns.jets_at(pts, 2)
-        beta = kahler.beta_form(gjets, kahler.adapted_frame(gjets), geo.christoffel_jets(gjets))
-        assert np.max(np.abs(beta.values)) > 1e-3
+        _, beta = kahler.BaseEval(burns, pts).connection()
+        assert np.max(np.abs(geo.tensor_values(beta, 1))) > 1e-3
 
 
 class TestCurvatureResiduals:
     def test_kahler_kills_s2_s3(self, all_fixtures, rng):
         for name, m in all_fixtures.items():
             pts = m.chart.sample(8, rng)
-            data = geo.curvature_data(m, pts)
-            basis = geo.sd_basis(kahler.adapted_frame(data.gjets).matrix, data.gvals)
+            base = kahler.BaseEval(m, pts)
+            data, basis = base.curvature(), base.basis
             r2, r3, _ = kahler.curvature_s_residuals(data, basis)
             assert np.max(r2) < 1e-8, name
             assert np.max(r3) < 1e-8, name
@@ -163,8 +162,8 @@ class TestCurvatureResiduals:
         # conventions (R = [nabla,nabla] - nabla_[,], cyclic s-cross product)
         for name, m in all_fixtures.items():
             pts = m.chart.sample(8, rng)
-            data = geo.curvature_data(m, pts)
-            basis = geo.sd_basis(kahler.adapted_frame(data.gjets).matrix, data.gvals)
+            base = kahler.BaseEval(m, pts)
+            data, basis = base.curvature(), base.basis
             _, _, ray = kahler.curvature_s_residuals(data, basis)
             scal = data.scal
             assert np.max(np.abs(ray + scal / 2.0)) < 1e-8, name

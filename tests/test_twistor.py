@@ -50,7 +50,7 @@ class TestKOperator:
     def test_s1_is_I(self, flat):
         gjets = flat.jets_at(np.zeros(4), 1)
         g = geo.tensor_values(gjets, 2)
-        s1 = geo.tensor_values(kahler.adapted_frame(gjets).sd[0], 2)
+        s1 = geo.tensor_values(kahler._self_dual(kahler.adapted_frame(gjets))[0], 2)
         K = -np.einsum("...mi,...ij->...mj", s1, g)
         assert np.allclose(K, kahler.I_MATRIX, atol=1e-14)
         Km = -np.einsum("...mi,...ij->...mj", -1.0 * s1, g)
@@ -506,7 +506,7 @@ class TestFlipped:
     def test_flipping_twice_reproduces_the_fields(self, charts):
         ctx = ctx_at(charts["burns"], 4, 5)
         flip = ctx.flipped()
-        for name in ("gjets4", "gvals", "g", "S", "beta", "beta_vals", "rho", "phi", "r_img"):
+        for name in ("base", "gvals", "g", "S", "beta", "beta_vals", "rho", "phi", "r_img"):
             assert getattr(flip, name) is getattr(ctx, name), name
         twice = flip.flipped()
         assert (flip.eps, twice.eps) == (-tw.EPS, tw.EPS)
