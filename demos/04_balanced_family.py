@@ -25,7 +25,7 @@ for name in ("eguchi_hanson", "burns"):
     ctx = twistor.ChartEval(chart, chart.sample(15, SEED))  # one evaluation, four weights
     print(f"=== {name}")
     for label, h in weights:
-        rep = twistor.balanced_check(ctx, h, h_label=label)
+        rep = twistor.balanced_check(ctx, h)
         print(f"  {label:22s} max|d(Omega_h^2)| = {rep.max_residual:.3e}")
 
 print("\ncontrols:")

@@ -260,7 +260,7 @@ def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
             if not isinstance(zj, jets.Jet):
                 zj = jets.seed_univariate(zj, 1)
             order = zj.space.order
-            hi = profile.rho(_reseed(zj, order + 1))
+            hi = profile.rho(jets.seed_univariate(zj.value, order + 1))
             rho_p = hi.deriv(0)
             rho = hi.truncate(order)
             integrand = jets.sqrt(rho_p * rho_p + 1.0) / rho
@@ -288,10 +288,6 @@ def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
         return sign * jets.sqrt(radicand(profile.rho(zj)))
 
     return EquivariantMap(profile, phi, c, branch, sign, dom)
-
-
-def _reseed(zj, order):
-    return jets.seed_univariate(zj.value, order)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Evaluates metrics and their curvature through jet arithmetic: Christoffel
 symbols, the full Riemann tensor, the half-determinant inner product on
 2-vectors, self-dual / anti-self-dual bases, and the curvature operator in
-block form.
+block form.  :func:`covariant_derivative` (of a 2-tensor field) and
+:func:`wedge` (of two vectors) serve the base and the total space alike.
 
 A metric is evaluated once per point set: :meth:`MetricField.jets_at`
 returns the metric jets as one stacked (4, 4) jet, and :func:`curvature_data`
@@ -202,6 +203,18 @@ def christoffel_jets(gjets: jets.Jet) -> jets.Jet:
     return gamma
 
 
+def covariant_derivative(t: jets.Jet, gamma: np.ndarray) -> np.ndarray:
+    """Values of (D_k T)_{ab} = d_k T_ab - Gamma^m_{ka} T_mb - Gamma^m_{kb} T_am
+    of a stacked (n, n) jet ``t`` (order >= 1), for the Christoffel values
+    ``gamma`` ([..., m, k, a] = Gamma^m_{ka}); batch axes lead, then k, a, b."""
+    tv = tensor_values(t, 2)
+    return (
+        tensor_partials(t, 2)
+        - np.einsum("...mka,...mb->...kab", gamma, tv)
+        - np.einsum("...mkb,...am->...kab", gamma, tv)
+    )
+
+
 @dataclass
 class CurvatureData:
     """Evaluated curvature bundle reused across higher-level checks; its
@@ -252,8 +265,15 @@ def _curvature_from_jets(gjets, gvals, gamma_jets) -> CurvatureData:
 # 2-vectors
 # ---------------------------------------------------------------------------
 
+def wedge(X, Y) -> np.ndarray:
+    """Components X^i Y^j - X^j Y^i of the 2-vector X ^ Y (batch axes lead
+    and broadcast)."""
+    return np.einsum("...i,...j->...ij", X, Y) - np.einsum("...j,...i->...ij", X, Y)
+
+
 class TwoVector:
-    """Element of Lambda^2 TM in coordinate components B^{ij} = -B^{ji}."""
+    """Element of Lambda^2 TM in coordinate components B^{ij} = -B^{ji},
+    checked on construction; combine 2-vectors on :attr:`comps`."""
 
     __slots__ = ("comps",)
 
@@ -267,23 +287,7 @@ class TwoVector:
 
     @staticmethod
     def wedge(X, Y) -> "TwoVector":
-        X = np.asarray(X, float)
-        Y = np.asarray(Y, float)
-        return TwoVector(np.einsum("...i,...j->...ij", X, Y) - np.einsum("...j,...i->...ij", X, Y))
-
-    def __add__(self, other):
-        return TwoVector(self.comps + other.comps)
-
-    def __sub__(self, other):
-        return TwoVector(self.comps - other.comps)
-
-    def __mul__(self, s):
-        return TwoVector(self.comps * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return TwoVector(-self.comps)
+        return TwoVector(wedge(np.asarray(X, float), np.asarray(Y, float)))
 
 
 def _inner_kernel(gvals, B1, B2):
@@ -299,14 +303,8 @@ def sd_basis(E: np.ndarray, gvals: np.ndarray):
     if resid > 1e-10:
         raise FrameError(f"frame is not orthonormal (Gram residual {resid:.3e})")
     e = [E[..., a, :] for a in range(DIM)]
-    w = TwoVector.wedge
-    s1 = w(e[0], e[1]) + w(e[2], e[3])
-    s2 = w(e[0], e[2]) + w(e[3], e[1])
-    s3 = w(e[0], e[3]) + w(e[1], e[2])
-    t1 = w(e[0], e[1]) - w(e[2], e[3])
-    t2 = w(e[0], e[2]) - w(e[3], e[1])
-    t3 = w(e[0], e[3]) - w(e[1], e[2])
-    return s1, s2, s3, t1, t2, t3
+    pairs = [(wedge(e[0], e[q]), wedge(e[r], e[s])) for q, r, s in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
+    return tuple(TwoVector(a + b) for a, b in pairs) + tuple(TwoVector(a - b) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +358,16 @@ class CurvatureOperator:
 
     @property
     def wplus(self):
-        pb = self.plus_block
-        tr = np.trace(pb, axis1=-2, axis2=-1)
-        return pb - (tr[..., None, None] / 3.0) * np.eye(3)
+        return _traceless(self.plus_block)
 
     @property
     def wminus(self):
-        mb = self.minus_block
-        tr = np.trace(mb, axis1=-2, axis2=-1)
-        return mb - (tr[..., None, None] / 3.0) * np.eye(3)
+        return _traceless(self.minus_block)
+
+
+def _traceless(block):
+    tr = np.trace(block, axis1=-2, axis2=-1)
+    return block - (tr[..., None, None] / 3.0) * np.eye(3)
 
 
 def curvature_operator(data: CurvatureData, basis) -> CurvatureOperator:

@@ -126,7 +126,6 @@ class JetSpace:
         ]
         self.index = {alpha: i for i, alpha in enumerate(self.multi_indices)}
         self.ncoef = len(self.multi_indices)
-        self.degrees = np.array([sum(a) for a in self.multi_indices])
         self._factorials = np.array(
             [float(np.prod([math.factorial(k) for k in a])) for a in self.multi_indices]
         )
@@ -476,8 +475,7 @@ def _col(arr, ndim):
 
 
 def _series_axis(vals):
-    return np.stack([np.broadcast_arrays(*[np.asarray(v, dtype=float) for v in vals])[i]
-                     for i in range(len(vals))], axis=0) if len(vals) > 1 else np.asarray(vals)
+    return np.stack(np.broadcast_arrays(*[np.asarray(v, dtype=float) for v in vals]))
 
 
 def _apply_series(u: Jet, series: np.ndarray) -> Jet:

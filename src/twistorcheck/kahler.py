@@ -39,9 +39,9 @@ from .geometry import (
     check_finite,
     check_spd,
     christoffel_jets,
+    covariant_derivative,
     curvature_two_vector_action,
     sd_basis,
-    tensor_partials,
     tensor_values,
     _curvature_from_jets,
     _inner_kernel,
@@ -326,14 +326,7 @@ def _omega_jets(gjets: jets.Jet) -> jets.Jet:
 
 def nabla_omega_residual(data: CurvatureData) -> float:
     """sup |(nabla_k omega)_{ij}|: zero iff the structure is Kahler."""
-    omega = _omega_jets(data.gjets)
-    om = tensor_values(omega, 2)
-    nab = (
-        tensor_partials(omega, 2)
-        - np.einsum("...mki,...mj->...kij", data.gamma, om)
-        - np.einsum("...mkj,...im->...kij", data.gamma, om)
-    )
-    return float(np.max(np.abs(nab)))
+    return float(np.max(np.abs(covariant_derivative(_omega_jets(data.gjets), data.gamma))))
 
 
 def curvature_s_residuals(data: CurvatureData, basis):

@@ -63,11 +63,13 @@ from .geometry import (
     MetricField,
     TwoVector,
     christoffel_jets,
+    covariant_derivative,
     curvature_endomorphism,
     curvature_two_vector_action,
     rho_apply,
     tensor_partials,
     tensor_values,
+    wedge,
     _inner_kernel,
 )
 from .kahler import BaseEval
@@ -109,7 +111,7 @@ class TwistorChart:
         return cls(base, profile, fmap)
 
     def fiber_interval(self):
-        lo, hi = self.fmap.domain if self.fmap.domain else (self.profile.z_minus, self.profile.z_plus)
+        lo, hi = self.fmap.domain
         lo = max(lo, self.profile.z_minus)
         hi = min(hi, self.profile.z_plus)
         pad = FIBER_MARGIN * (hi - lo)
@@ -234,7 +236,7 @@ class ChartEval:
     every check on that set.  The base and fiber fields built on
     construction do not depend on the sign ``eps`` (:data:`EPS`); every
     other field (P, K, J, h and the meridian speed they share, the
-    Christoffel symbols of h, the Nijenhuis tensor, tau, Omega and
+    Christoffel symbols of h, the Nijenhuis tensor, tau, Omega, D Omega and
     :attr:`data4`) is computed on first read and kept."""
 
     def __init__(self, chart: TwistorChart, points, order: int = 1):
@@ -352,11 +354,11 @@ class ChartEval:
         h.coeffs[:, IDX_W, IDX_W] = rho_sq.coeffs
         return h
 
-    @property
+    @cached_property
     def J_values(self):
         return tensor_values(self.J, 2)
 
-    @property
+    @cached_property
     def h_values(self):
         return tensor_values(self.h, 2)
 
@@ -382,6 +384,11 @@ class ChartEval:
         return jets.contract("ma,mb->ab", self.J, self.h)
 
     @cached_property
+    def domega(self):
+        """Values [..., k, a, b] = (D_k Omega)_{ab}, Levi-Civita of h."""
+        return _covariant_domega(self)
+
+    @cached_property
     def data4(self):
         """Base curvature at the points (:meth:`kahler.BaseEval.curvature`)."""
         return self.base.curvature()
@@ -404,7 +411,7 @@ class ChartEval:
         """t_v, t_w, outward normal eps3 as (s1,s2,s3)-coordinate triples."""
         rho = self.rho.value
         rp = self.rho_p.value
-        cw, sw = np.cos(self.w), np.sin(self.w)
+        cw, sw = self.cw.value, self.sw.value
         t_v = np.stack([np.ones_like(rho), rp * cw, rp * sw], axis=-1)
         t_w = np.stack([np.zeros_like(rho), -rho * sw, rho * cw], axis=-1)
         n = np.cross(t_w, t_v)
@@ -453,15 +460,8 @@ def nijenhuis_max(ctx: ChartEval) -> np.ndarray:
 
 
 def _covariant_domega(ctx: ChartEval) -> np.ndarray:
-    """(D_k Omega)_{ab} values from the Levi-Civita connection of h."""
-    omv = tensor_values(ctx.omega_jets, 2)
-    dom = tensor_partials(ctx.omega_jets, 2)  # [..., k, a, b] = d_k Omega_ab
-    gh = ctx.gamma_h
-    return (
-        dom
-        - np.einsum("...mka,...mb->...kab", gh, omv)
-        - np.einsum("...mkb,...am->...kab", gh, omv)
-    )
+    """Read it through :attr:`ChartEval.domega`, which computes it once."""
+    return covariant_derivative(ctx.omega_jets, ctx.gamma_h)
 
 
 def _nijenhuis_from_domega(covd, A, JA, B, JB, C) -> np.ndarray:
@@ -478,7 +478,7 @@ def nijenhuis_route_agreement(ctx: ChartEval, n_triples: int = 20, seed: int = 0
     """Per-point max |bracket route - D-Omega route| over random vector triples."""
     N = ctx.nijenhuis
     hv = ctx.h_values
-    covd = _covariant_domega(ctx)
+    covd = ctx.domega
     Jv = ctx.J_values
     rng = np.random.default_rng(seed)
     worst = np.zeros(len(ctx.points))
@@ -545,7 +545,7 @@ def verify_structure_identities(ctx: ChartEval, n_random: int = 6,
     covDH = dH + np.einsum("...man,...nj->...amj", gamma_h, Hv)
 
     r1 = r2 = r3 = r4 = r5 = r6 = 0.0
-    covd = _covariant_domega(ctx)
+    covd = ctx.domega
 
     for _ in range(n_random):
         X = rng.normal(size=4)
@@ -553,16 +553,14 @@ def verify_structure_identities(ctx: ChartEval, n_random: int = 6,
         cV = rng.normal(size=2)
         V3 = cV[0] * t_v + cV[1] * t_w
         V2 = ctx.triple_to_two_vector(V3)
-        XY = np.einsum("i,j->ij", X, Y) - np.einsum("j,i->ij", X, Y)
+        XY = wedge(X, Y)
 
         # (1) g(p x V, K_p X ^ Y) = g(V, X ^ Y)   [and with X <-> K_p Y]
         pxV = ctx.triple_to_two_vector(np.cross(p3, V3))
         KX = np.einsum("...mj,j->...m", Kp, X)
         KY = np.einsum("...mj,j->...m", Kp, Y)
-        KXwY = np.einsum("...i,j->...ij", KX, Y) - np.einsum("j,...i->...ji", Y, KX)
-        XwKY = np.einsum("i,...j->...ij", X, KY) - np.einsum("...j,i->...ji", KY, X)
-        lhs_a = _inner_kernel(ctx.gvals, pxV, KXwY)
-        lhs_b = _inner_kernel(ctx.gvals, pxV, XwKY)
+        lhs_a = _inner_kernel(ctx.gvals, pxV, wedge(KX, Y))
+        lhs_b = _inner_kernel(ctx.gvals, pxV, wedge(X, KY))
         rhs = _inner_kernel(ctx.gvals, V2, np.broadcast_to(XY, V2.shape))
         r1 = max(r1, float(np.max(np.abs(lhs_a - rhs))), float(np.max(np.abs(lhs_b - rhs))))
 
@@ -629,10 +627,6 @@ def horizontal_nijenhuis_residual(ctx: ChartEval, n_random: int = 6,
     p3 = ctx.fiber_point()
     Kv = tensor_values(ctx.K, 2)
     rng = np.random.default_rng(seed)
-
-    def wedge(A, B):
-        return np.einsum("...i,...j->...ij", A, B) - np.einsum("...j,...i->...ij", A, B)
-
     worst = 0.0
     for _ in range(n_random):
         X, Y = rng.normal(size=(2, 4))
@@ -646,10 +640,8 @@ def horizontal_nijenhuis_residual(ctx: ChartEval, n_random: int = 6,
         lhs = np.einsum("...mab,...a,...b,...mc,...c->...", N, Xh, Yh, hv, Uvec)
         JX = np.einsum("...mj,j->...m", Kv, X)
         JY = np.einsum("...mj,j->...m", Kv, Y)
-        XYb = np.broadcast_to(np.einsum("i,j->ij", X, Y) - np.einsum("j,i->ij", X, Y),
-                              ctx.gvals.shape)
-        arg1 = wedge(JX, JY) - XYb
-        arg2 = wedge(np.broadcast_to(X, JX.shape), JY) + wedge(JX, np.broadcast_to(Y, JY.shape))
+        arg1 = wedge(JX, JY) - np.broadcast_to(wedge(X, Y), ctx.gvals.shape)
+        arg2 = wedge(X, JY) + wedge(JX, Y)
         pxU = ctx.triple_to_two_vector(np.cross(p3, U3))
         pxJU = ctx.triple_to_two_vector(np.cross(p3, np.cross(eps3, U3)))
         rhs = -(_inner_kernel(ctx.gvals, pxU, curvature_two_vector_action(data, arg1))
@@ -679,10 +671,7 @@ def mixed_nijenhuis_residual(ctx: ChartEval, X, U_fiber, Z) -> float:
     U[..., IDX_W] = u5
     lhs = np.einsum("...mab,...a,...b,...mc,...c->...", N, Xh, U, hv, Zh)
 
-    phi = ctx.phi.value
-    phi_p = ctx.phi_p.value
-    rF = np.sqrt(1.0 - phi * phi)
-    cw, sw = np.cos(ctx.w), np.sin(ctx.w)
+    phi, phi_p, rF, cw, sw = (j.value for j in (ctx.phi, ctx.phi_p, ctx.r_img, ctx.cw, ctx.sw))
     tS2_v = np.stack([np.ones_like(phi), -phi * cw / rF, -phi * sw / rF], axis=-1)
     tS2_w = np.stack([np.zeros_like(phi), -rF * sw, rF * cw], axis=-1)
     F3 = np.stack([phi, rF * cw, rF * sw], axis=-1)
@@ -696,8 +685,7 @@ def mixed_nijenhuis_residual(ctx: ChartEval, X, U_fiber, Z) -> float:
     fstar_JU = (phi_p * c_v)[..., None] * tS2_v + c_w[..., None] * tS2_w
 
     diff2 = ctx.triple_to_two_vector(J_fstar_U - fstar_JU)
-    XZ = np.einsum("i,j->ij", X, Z) - np.einsum("j,i->ij", X, Z)
-    rhs = 2.0 * _inner_kernel(ctx.gvals, diff2, np.broadcast_to(XZ, diff2.shape))
+    rhs = 2.0 * _inner_kernel(ctx.gvals, diff2, np.broadcast_to(wedge(X, Z), diff2.shape))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -857,12 +845,10 @@ def hermitian_positivity(ctx: ChartEval, h_func=None) -> float:
 class BalancedReport:
     max_residual: float          # sup |d(Omega_h^2)| components
     proof_step_residual: float   # sup |d(e^h omega_FS) ^ tau| (diagnostic)
-    points_tested: int
-    h_label: str
 
 
-def balanced_check(ctx: ChartEval, h_func: Optional[Callable], weight_mode: str = "fiber",
-                   h_label: str = "h") -> BalancedReport:
+def balanced_check(ctx: ChartEval, h_func: Optional[Callable],
+                   weight_mode: str = "fiber") -> BalancedReport:
     """Verify d(Omega_h^2) = 0 at the points of ``ctx`` (the balanced
     condition).
 
@@ -875,7 +861,7 @@ def balanced_check(ctx: ChartEval, h_func: Optional[Callable], weight_mode: str 
     d_fiber = d_dict(Form(tuple(omega.keys[n] for n in fiber), omega.jet[fiber]))
     proof = wedge_dicts(d_fiber.truncate(0), ctx.tau.truncate(0))
     return BalancedReport(float(np.max(np.abs(d_omega2.jet.value))),
-                          float(np.max(np.abs(proof.jet.value))), len(ctx.points), h_label)
+                          float(np.max(np.abs(proof.jet.value))))
 
 
 @dataclass
@@ -884,7 +870,6 @@ class ConeReport:
     c2: float
     c1_rel_variation: float
     c2_rel_variation: float
-    points_tested: int
 
 
 def cone_wedge_constants(ctx: ChartEval, a: float, b: float) -> ConeReport:
@@ -904,5 +889,4 @@ def cone_wedge_constants(ctx: ChartEval, a: float, b: float) -> ConeReport:
     def relvar(c):
         return float((np.max(c) - np.min(c)) / max(abs(np.mean(c)), 1e-300))
 
-    return ConeReport(float(np.mean(c1)), float(np.mean(c2)),
-                      relvar(c1), relvar(c2), len(ctx.points))
+    return ConeReport(float(np.mean(c1)), float(np.mean(c2)), relvar(c1), relvar(c2))

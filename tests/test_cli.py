@@ -134,11 +134,12 @@ class TestRunSuite:
         # Burns at seed 2024: the plain chart at 50 points (curvature,
         # integrability, cone), the rho-duality point, the modified and the
         # perturbed chart, the plain chart at 20, 30 and 10 points; each base
-        # is one order-2 evaluation with one set of Christoffel jets, and
-        # each ChartEval builds one beta
+        # is one order-2 evaluation with one set of Christoffel jets, each
+        # ChartEval builds one beta, and D Omega is computed once
         from twistorcheck import geometry, twistor
-        dims, betas = [], []
+        dims, betas, domegas = [], [], []
         christoffel, beta_form = geometry.christoffel_jets, kahler.beta_form
+        covariant_domega = twistor._covariant_domega
 
         def counted_christoffel(gjets):
             dims.append(gjets.coeffs.shape[1])
@@ -148,15 +149,21 @@ class TestRunSuite:
             betas.append(1)
             return beta_form(*args)
 
+        def counted_domega(ctx):
+            domegas.append(len(ctx.points))
+            return covariant_domega(ctx)
+
         for mod in (geometry, kahler, twistor):
             monkeypatch.setattr(mod, "christoffel_jets", counted_christoffel)
         monkeypatch.setattr(kahler, "beta_form", counted_beta)
+        monkeypatch.setattr(twistor, "_covariant_domega", counted_domega)
         rep = run_suite(SuiteConfig.from_dict({"metric": "burns", "suite": "all", "seed": 2024}))
         assert rep["overall_pass"]
         assert jets_at_calls == [2] * 7
         assert dims.count(4) == 7
         assert chart_evals == [50, 50, 50, 20, 30, 10]
         assert len(betas) == 6
+        assert domegas == [20]
 
     def test_twistor_suites_evaluate_each_point_set_once(self, chart_evals):
         # one ChartEval per (chart, point set): the identities, the route

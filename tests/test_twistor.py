@@ -374,7 +374,7 @@ class TestBalanced:
     @pytest.mark.parametrize("label,h", H_FUNCS, ids=[h[0] for h in H_FUNCS])
     def test_scalar_flat_balanced(self, charts, label, h):
         for name in ("eguchi_hanson", "burns"):
-            rep = tw.balanced_check(ctx_at(charts[name], 10, 6), h, h_label=label)
+            rep = tw.balanced_check(ctx_at(charts[name], 10, 6), h)
             assert rep.max_residual < 1e-7, (name, label)
 
     def test_flat_square_closed_but_form_not(self, charts, rng):

@@ -1,0 +1,104 @@
+"""Digests of a checkout's outputs, for byte-identity checks between commits.
+
+    python tools/digests.py ROOT > digests.txt
+
+prints ``sha256  name`` lines, sorted by name, for the outputs of the checkout at
+ROOT, each produced by ROOT's own ``src``:
+
+* the ``suite=all`` and ``suite=curvature`` reports of every fixture at
+  every suite seed, and the ``suite=all`` reports at 7 points;
+* the ``dense_balanced`` report at every suite seed;
+* the stdout of every demo;
+* ``solve-map`` output (stdout and stderr) and CSV for every profile,
+  branch and sign.
+
+Fixtures, suite seeds and the ``dense_balanced`` input are read from ROOT's
+``perfbench/workloads.py``.  ``diff`` of the lines of two checkouts lists
+every output that differs between them.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _workloads(root: pathlib.Path):
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reports(wl):
+    from twistorcheck.report import SuiteConfig, report_to_json, run_suite
+
+    def report(**raw):
+        return report_to_json(run_suite(SuiteConfig.from_dict(raw)))
+
+    for seed in wl.CONFIG_SEEDS:
+        for fixture in wl.FIXTURES:
+            for suite in ("all", "curvature"):
+                yield f"{suite}/{fixture}/{seed}.json", report(metric=fixture, suite=suite, seed=seed)
+            yield f"all_7/{fixture}/{seed}.json", report(metric=fixture, suite="all", seed=seed,
+                                                         sample_count=7)
+        yield f"dense_balanced/{seed}.json", report(metric=wl.DENSE_FIXTURE, suite="balanced",
+                                                    seed=seed, sample_count=wl.DENSE_POINTS)
+
+
+def _solve_maps(workdir: str):
+    from twistorcheck import cli, fibermap
+
+    for profile in sorted(fibermap.PROFILES):
+        for branch in fibermap.BRANCHES:
+            for sign in ("1", "-1"):
+                name = f"solve-map/{profile}_{branch}_{sign}"
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    code = cli.main(["solve-map", "--profile", profile, "--branch", branch,
+                                     "--sign", sign])
+                yield f"{name}.stdout", f"exit {code}\n{out.getvalue()}"
+                csv = pathlib.Path(workdir, f"fiber_map_{profile}_{branch}.csv")
+                if csv.exists():
+                    yield f"{name}.csv", csv.read_bytes()
+                    csv.unlink()
+
+
+def _demos(root: pathlib.Path, workdir: str):
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for demo in sorted((root / "demos").glob("*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], cwd=workdir, env=env,
+                              capture_output=True, timeout=600)
+        yield f"demo/{demo.name}.stdout", f"exit {proc.returncode}\n".encode() + proc.stdout
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    root = pathlib.Path(argv[0]).resolve()
+    sys.path.insert(0, str(root / "src"))
+    with tempfile.TemporaryDirectory() as workdir:
+        cwd = os.getcwd()
+        os.chdir(workdir)  # solve-map writes its CSV to the working directory
+        try:
+            outputs = [*_reports(_workloads(root)), *_solve_maps(workdir), *_demos(root, workdir)]
+        finally:
+            os.chdir(cwd)
+    print("\n".join(f"{_sha(data)}  {name}" for name, data in sorted(outputs)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
