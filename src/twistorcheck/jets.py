@@ -28,14 +28,14 @@ Conventions
   component of a stacked metric jet); :func:`stack` builds a stacked jet
   from a nested list of jets, and :meth:`Jet.partials` gathers the first
   partials of every component at once.
-* :func:`contract` forms the stacked products of a contraction such as
-  ``sum_m J[m, a] h[m, b]``: each term multiplies its factors left to right
-  and the terms are added in loop order, so the coefficients equal those of
-  a loop over scalar jets bit for bit.  Sums of stacked terms keep the
-  order of the scalar loop they replace: :func:`fold` adds slices one at a
-  time, left to right.  ``np.add.reduce`` does not promise that order:
-  along a contiguous axis (batch of one, or no batch axis) it sums
-  pairwise, which moves the last bits.
+* Every stacked sum of products runs in one kernel,
+  :meth:`JetSpace.sum_terms`, from a :class:`Terms` grid that lists each
+  output's terms in the order of the scalar loop it replaces: each term
+  multiplies its factors left to right and the terms are added one at a
+  time in that order, so the coefficients equal those of the loop bit for
+  bit.  :func:`contract` compiles an einsum spec such as ``"ma,mb->ab"``
+  to a grid.  ``np.add.reduce`` does not promise that order: along a
+  contiguous axis (batch of one, or no batch axis) it sums pairwise.
 * ``JetSpace.multiply`` adds the terms ``p0, p1, ..., pm`` of each
   coefficient in the order of ``np.add.reduceat``: ``p0 +`` numpy's
   pairwise sum of the tail ``p1 ... pm``.  numpy sums a tail of fewer than
@@ -58,6 +58,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +69,6 @@ __all__ = [
     "JetSpace",
     "get_space",
     "seed",
-    "extract",
     "exp",
     "log",
     "sqrt",
@@ -79,7 +79,7 @@ __all__ = [
     "antiderivative",
     "stack",
     "contract",
-    "fold",
+    "Terms",
 ]
 
 # Orders 1..3 are the public contract; internal evaluations (e.g. deriving a
@@ -87,7 +87,7 @@ __all__ = [
 MAX_ORDER = 6
 
 # Doubles one JetSpace.multiply call of a stacked product may form (256 kB);
-# longer products run in chunks of terms (see JetSpace.chunks).
+# longer products run in blocks (see JetSpace.sum_terms and JetSpace.chunks).
 CHUNK_DOUBLES = 1 << 15
 
 # JetSpace.multiply sums by layers (see "Conventions") where an operand
@@ -255,6 +255,42 @@ class JetSpace:
             out[long_rows] += tails
         return out
 
+    def sum_terms(self, factors, terms: "Terms", init=None) -> np.ndarray:
+        """Coefficients ``(ncoef, outputs, *batch)`` of the sums of the grid
+        ``terms`` over the coefficient arrays ``factors``: each output adds
+        its terms one at a time in rank order onto -0.0 (which changes no
+        sum) or onto ``init``, which then receives the sums in place.
+        Products run in blocks within CHUNK_DOUBLES: as many outputs as a
+        block holds one rank of, and as many ranks as fit."""
+        ranks, n_out = terms.pad.shape
+        batch = np.broadcast_shapes(*(f.shape[1 + len(ix):] for f, ix in zip(factors, terms.index)))
+        out = np.full((self.ncoef, n_out) + batch, -0.0) if init is None else init
+        for o in self.chunks(n_out, math.prod(batch)):
+            acc = np.ascontiguousarray(out[:, o])  # sums onto it need no buffers (out, if o is all)
+            for r in self.chunks(ranks, (o.stop - o.start) * math.prod(batch)):
+                prod = self._products(factors, terms, r, o)
+                for t in range(r.stop - r.start):  # a product constant along the ranks has one
+                    acc += prod[:, min(t, prod.shape[1] - 1)]
+                del prod  # before the next block's products
+            out[:, o] = acc
+        return out
+
+    def _products(self, factors, terms, r, o):
+        """The products of the cells (r, o), ``(ncoef, ranks or 1, outputs or
+        1, *batch)``: factors left to right, then the sign, -0.0 in padding."""
+        def cells(grid):  # an axis of length 1 broadcasts
+            return grid[r if grid.shape[0] > 1 else slice(None), o if grid.shape[1] > 1 else slice(None)]
+
+        prod = None
+        for f, ix in zip(factors, terms.index):
+            sel = f[(slice(None),) + tuple(map(cells, ix))] if ix else f[:, None, None]
+            prod = sel if prod is None else self.multiply(prod, sel)
+            del sel
+        if terms.sign is not None:  # a new array of every cell: the padding can be written
+            prod = prod * _col(terms.sign[r, o], prod.ndim - 1)
+            prod[:, terms.pad[r, o]] = -0.0
+        return prod
+
     def chunks(self, count: int, term_size: int) -> list:
         """Slices covering ``range(count)`` terms, each small enough that a
         product of terms of ``term_size`` values stays within CHUNK_DOUBLES."""
@@ -341,10 +377,6 @@ class Jet:
     def order(self):
         return self.space.order
 
-    @property
-    def n_vars(self):
-        return self.space.n_vars
-
     def extract(self, multi_index):
         """Partial derivative d^{multi_index} f at the expansion point."""
         multi_index = tuple(int(k) for k in multi_index)
@@ -366,7 +398,9 @@ class Jet:
             raise UsageError("cannot differentiate an order-0 jet")
         src, fac = (m[var].T for m in self.space._deriv_maps)
         lower = get_space(self.space.n_vars, self.space.order - 1)
-        return Jet(lower, self.coeffs[src, comp] * _col(fac, self.coeffs.ndim))
+        d = self.coeffs[src, comp]
+        d *= _col(fac, d.ndim)  # in place: no second array of the size of d
+        return Jet(lower, d)
 
     def partials(self) -> np.ndarray:
         """Values of the first partials d_k f, k = 0..n_vars-1, on a new
@@ -582,64 +616,68 @@ def stack(components) -> Jet:
 
 def contract(spec: str, *factors: Jet) -> Jet:
     """Stacked products and sums written as an einsum ``spec``: for
-    ``"im,mn,nj->ij"``, out[i, j] = sum over m, n of
-    (f0[i, m] * f1[m, n]) * f2[n, j].
+    ``"im,mn,nj->ij"``, out[i, j] = sum over m, n of (f0[i, m] * f1[m, n])
+    * f2[n, j], summed in loop order: summed indices in order of first
+    appearance, the last one fastest.  An empty index string is a scalar
+    factor; a spec without summed indices is an outer product."""
+    letters = spec.split("->")[0].split(",")
+    out_shape, terms = _contract_terms(spec, tuple(f.shape[:len(fl)] for fl, f in zip(letters, factors)))
+    space = factors[0].space
+    coeffs = space.sum_terms([f.coeffs for f in factors], terms)
+    return Jet(space, coeffs.reshape((space.ncoef,) + out_shape + coeffs.shape[2:]))
 
-    Each term multiplies its factors left to right, and the terms of an
-    output entry are folded in loop order: summed indices in order of first
-    appearance, the last one fastest.  Coefficients therefore equal those of
-    the scalar loop bit for bit.  An empty index string is a scalar factor;
-    a spec without summed indices is an outer product.  Products run in
-    chunks of output entries, or of terms when one entry is too large, so a
-    temporary stays within CHUNK_DOUBLES."""
+
+@functools.lru_cache(maxsize=None)
+def _contract_terms(spec: str, shapes: tuple) -> tuple:
+    """The output shape and the :class:`Terms` of ``spec`` on tensors of
+    ``shapes``; output indices are rows, summed ones columns."""
     lhs, out = spec.split("->")
     letters = lhs.split(",")
-    space = factors[0].space
-    size = {}
-    for f_letters, f in zip(letters, factors):
-        size.update(zip(f_letters, f.coeffs.shape[1:1 + len(f_letters)]))
-    summed = [c for c in dict.fromkeys("".join(letters)) if c not in out]
-    out_shape = tuple(size[c] for c in out)
-    n_out = int(np.prod(out_shape))
-    n_sum = int(np.prod([size[c] for c in summed]))
-    grid = np.indices(out_shape + tuple(size[c] for c in summed)).reshape(-1, n_out, n_sum)
-    axis = {c: grid[k] for k, c in enumerate(list(out) + summed)}
-    batch = np.broadcast_shapes(*[f.coeffs.shape[1 + len(fl):] for fl, f in zip(letters, factors)])
-    nbatch = int(np.prod(batch))
-    if n_sum * space.npairs * nbatch <= CHUNK_DOUBLES:  # chunks of whole outputs
-        blocks = [(o, slice(0, n_sum)) for o in space.chunks(n_out, n_sum * nbatch)]
-    else:  # chunks of terms, for as many outputs as fit
-        step = max(1, min(n_out, CHUNK_DOUBLES // (space.npairs * nbatch)))
-        blocks = [(slice(o, min(o + step, n_out)), r) for o in range(0, n_out, step)
-                  for r in space.chunks(n_sum, step * nbatch)]
-    # a factor that does not vary along the outputs (or the terms) of a block
-    # is gathered once and broadcast, not copied for each of them
-    varies = [(any(c in out for c in fl), any(c in summed for c in fl)) for fl in letters]
-    coeffs = np.empty((space.ncoef, n_out) + batch)
-    acc = None
-    for o, r in blocks:
-        prod = None
-        for f_letters, f, (by_out, by_term) in zip(letters, factors, varies):
-            rows = o if by_out else slice(o.start, o.start + 1)
-            cols = r if by_term else slice(r.start, r.start + 1)
-            idx = tuple(axis[c][rows, cols] for c in f_letters)
-            sel = f.coeffs[(slice(None),) + idx] if idx else f.coeffs[:, None, None]
-            prod = sel if prod is None else space.multiply(prod, sel)
-        prod = np.broadcast_to(prod, (space.ncoef, o.stop - o.start, r.stop - r.start) + batch)
-        acc = fold(prod, 2, acc if r.start else None)
-        if r.stop == n_sum:
-            coeffs[:, o] = acc
-    return Jet(space, coeffs.reshape((space.ncoef,) + out_shape + batch))
+    size = {c: n for fl, shape in zip(letters, shapes) for c, n in zip(fl, shape)}
+    summed = [c for c in size if c not in out]  # in order of first appearance
+    out_shape, sum_shape = tuple(size[c] for c in out), tuple(size[c] for c in summed)
+    grid = np.indices(out_shape + sum_shape).reshape(len(size), math.prod(out_shape), -1).transpose(0, 2, 1)
+    axis = {c: (g[:1] if c in out else g[:, :1]).copy() for c, g in zip(list(out) + summed, grid)}
+    return out_shape, Terms(tuple(tuple(axis[c] for c in fl) for fl in letters), None,
+                            np.zeros(grid.shape[1:], dtype=bool))
 
 
-def fold(terms: np.ndarray, axis: int, acc: np.ndarray | None = None) -> np.ndarray:
-    """``((acc + t0) + t1) + ...`` over the slices ``t`` of ``terms`` along
-    ``axis``, in index order (from ``t0`` when ``acc`` is None)."""
-    lead = (slice(None),) * axis
-    acc = terms[lead + (0,)].copy() if acc is None else acc + terms[lead + (0,)]
-    for r in range(1, terms.shape[axis]):
-        acc += terms[lead + (r,)]
-    return acc
+class Terms(NamedTuple):
+    """A sum of products as a grid, run by :meth:`JetSpace.sum_terms`: cell
+    (r, o) is the r-th term, in loop order, of output o.  ``index[f]`` holds
+    the components factor f reads, one index array per tensor axis, each
+    (ranks, outputs), or of length 1 along an axis it does not vary along,
+    so that it is gathered once and broadcast.  ``sign`` holds the sign, +1
+    or -1, of every cell, or is None where all are +1 and no cell is
+    padding.  ``pad``, (ranks, outputs), marks the cells past the last term
+    of their output: their products are replaced by -0.0, and adding -0.0
+    leaves every sum unchanged, signs of zero included."""
+
+    index: tuple
+    sign: np.ndarray | None
+    pad: np.ndarray
+
+    @staticmethod
+    def of(outs, index, sign=None) -> "Terms":
+        """The grid of the terms t listed in loop order: term t adds to the
+        output labelled ``outs[t]`` (outputs in order of first appearance)
+        the product of the components ``index[f][axis][t]`` of the factors
+        f, times ``sign[t]`` where given."""
+        ids = {}
+        outs = np.array([ids.setdefault(o, len(ids)) for o in outs], dtype=np.intp)
+        counts = np.bincount(outs, minlength=len(ids))
+        first = np.cumsum(counts) - counts  # each output's first term, with terms sorted by output
+        rank = np.empty_like(outs)
+        rank[np.argsort(outs, kind="stable")] = np.arange(outs.size) - np.repeat(first, counts)
+        pad = np.arange(counts.max(initial=0))[:, None] >= counts
+
+        def grid(values):  # padding reads component 0
+            g = np.zeros(pad.shape, np.asarray(values).dtype)
+            g[rank, outs] = values
+            return g
+
+        sign = np.ones(outs.size) if sign is None else sign  # padding is written into signed products
+        return Terms(tuple(tuple(map(grid, ix)) for ix in index), grid(sign), pad)
 
 
 # -- seeding and extraction (module-level operations) ---------------------
@@ -666,8 +704,6 @@ def seed_raw(point, order: int, n_vars: int | None = None):
     if n_vars is None:
         n_vars = pt.shape[-1]
     space = get_space(n_vars, order)
-    if pt.ndim == 1:
-        return tuple(Jet.variable(space, i, pt[i]) for i in range(pt.shape[-1]))
     return tuple(Jet.variable(space, i, pt[..., i]) for i in range(pt.shape[-1]))
 
 
@@ -675,11 +711,6 @@ def seed_univariate(values, order: int) -> Jet:
     """One univariate coordinate jet; ``values`` may be a batch array."""
     values = np.asarray(values, dtype=float)
     return Jet.variable(get_space(1, order), 0, values)
-
-
-def extract(value: Jet, multi_index):
-    """Partial derivative of a jet; see :meth:`Jet.extract`."""
-    return value.extract(multi_index)
 
 
 def compose_univariate(outer: Jet, inner: Jet) -> Jet:

@@ -24,6 +24,7 @@ loops, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import inspect
 
 import numpy as np
@@ -180,11 +181,6 @@ def get_fixture(name: str, **params) -> MetricField:
 # adapted frames
 # ---------------------------------------------------------------------------
 
-def _flat_indices(*shape):
-    """Index arrays of every entry of ``shape``, in C (loop) order."""
-    return tuple(ix.ravel() for ix in np.indices(shape))
-
-
 # frame rows (a, b) of the two wedges e_a ^ e_b that sum to each of s1, s2, s3
 _SD_WEDGES = np.array([[(0, 1), (2, 3)], [(0, 2), (3, 1)], [(0, 3), (1, 2)]])
 
@@ -194,7 +190,7 @@ def _self_dual(e: jets.Jet) -> jets.Jet:
     from the stacked frame ``e`` (tensor axes [a, i])."""
     space, E = e.space, e.coeffs
     batch = E.shape[3:]
-    q, i, j = _flat_indices(3, DIM, DIM)
+    q, i, j = np.indices((3, DIM, DIM)).reshape(3, -1)  # every entry, in loop order
     out = np.empty((space.ncoef, q.size) + batch)
     for c in space.chunks(q.size, int(np.prod(batch))):
         wedges = []
@@ -250,20 +246,23 @@ def _two_vector_nabla(gamma: jets.Jet, s: jets.Jet) -> jets.Jet:
     ([a, b, c] = Gamma^a_{bc}, one order below ``s``): d_k s^{ij} followed
     by Gamma^i_{km} s^{mj} and Gamma^j_{km} s^{im} for m = 0..3, summed in
     that order (the derivation action)."""
-    low, G = gamma.space, gamma.coeffs
-    s_low = s.coeffs[:low.ncoef]
-    batch = s_low.shape[3:]
+    low, batch = gamma.space, s.shape[2:]
     out = np.empty((low.ncoef, DIM, DIM, DIM) + batch)
     for k in range(DIM):
         out[:, k] = s.deriv(k).coeffs
-    k, i, j = _flat_indices(DIM, DIM, DIM)
-    acc_all = out.reshape((low.ncoef, k.size) + batch)
-    for c in low.chunks(k.size, int(np.prod(batch))):
-        acc = acc_all[:, c]  # a view: the sums land in ``out``
-        for m in range(DIM):
-            acc += low.multiply(G[:, i[c], k[c], m], s_low[:, m, j[c]])
-            acc += low.multiply(G[:, j[c], k[c], m], s_low[:, i[c], m])
+    low.sum_terms([gamma.coeffs, s.coeffs[:low.ncoef]], _nabla_terms(),
+                  init=out.reshape((low.ncoef, DIM ** 3) + batch))  # the sums land in ``out``
     return jets.Jet(low, out)
+
+
+@functools.lru_cache(maxsize=None)
+def _nabla_terms() -> jets.Terms:
+    """The :class:`jets.Terms` of :func:`_two_vector_nabla`, outputs [k, i, j]:
+    rank 2m is Gamma^i_{km} s^{mj}, rank 2m + 1 is Gamma^j_{km} s^{im}."""
+    k, i, j = np.indices((DIM, DIM, DIM)).reshape(3, -1)
+    m, t = np.divmod(np.arange(2 * DIM)[:, None], 2)  # rank 2m + t
+    a, b, c = np.where(t, j, i), np.where(t, i, m), np.where(t, m, j)
+    return jets.Terms(((a, k[None], m), (b, c)), None, np.zeros(a.shape, dtype=bool))
 
 
 def beta_form(gjets: jets.Jet, sd: jets.Jet, gamma: jets.Jet) -> jets.Jet:

@@ -30,6 +30,11 @@ SUITES = ("curvature", "integrability", "structure_identities", "balanced",
 
 TOL_TIERS = {"strict": 1.0, "loose": 100.0}
 
+# Peak RSS grows by about 41 kB a point (Burns, suite=all: 54 MB at 400
+# points, 119 MB at 2000), so 50 000 points need about 2 GB, a quarter of
+# an 8 GB host; a larger count is refused before anything is allocated.
+MAX_SAMPLE_COUNT = 50_000
+
 _FIBER_KEYS = {
     "profile": "cylinder",
     "branch": "quadrature",
@@ -77,8 +82,8 @@ class SuiteConfig:
         except GeometryError as exc:
             raise ConfigurationError(str(exc)) from exc
         if self.sample_count is not None and not (_is_int(self.sample_count)
-                                                  and self.sample_count >= 1):
-            raise ConfigurationError(f"sample_count must be an integer >= 1, got {self.sample_count!r}")
+                                                  and 1 <= self.sample_count <= MAX_SAMPLE_COUNT):
+            raise ConfigurationError(f"sample_count must be an integer in 1..{MAX_SAMPLE_COUNT}, got {self.sample_count!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not isinstance(self.tol_tier, str) or self.tol_tier not in TOL_TIERS:

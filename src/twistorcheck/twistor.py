@@ -40,9 +40,9 @@ Omega, tau) is one stacked jet in the 6-variable space, assembled with
 :func:`jets.contract` in the products and summation order of the scalar
 loops it replaced, so the coefficients are those of the loops bit for bit.
 A k-form is a :class:`Form`, one stacked jet over its sorted index tuples.
-:func:`wedge_dicts` (one multiply per chunk of terms) and :func:`d_dict` (one
-derivative gather) fold their terms in the loop order of the dict code they
-replaced, so the coefficients are those of that code bit for bit.
+:func:`wedge_dicts` and :func:`d_dict` run a :class:`jets.Terms` grid built
+once per key pattern, in the loop order of the dict code they replaced, so
+the coefficients are those of that code bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -714,76 +714,41 @@ def _perm_sign(seq) -> int:
     return (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
 
 
-class _Table(NamedTuple):
-    """The terms of a wedge or d: output ``keys`` in order of first
-    appearance; ``src`` (two sources per term: the factors' components for
-    a wedge, variable and component for d) and ``sign`` in layer order, the
-    first term of every output, then the second of every output that has
-    one, and so on; each later layer's outputs and slice in ``layers``."""
-
-    keys: tuple
-    src: np.ndarray
-    sign: np.ndarray
-    layers: tuple
-
-
-def _table(terms) -> _Table:
-    """The table of ``terms``: (output key, source, source, sign) in loop order."""
-    index, count, outs, rank = {}, {}, [], []
-    for key, *_ in terms:
-        outs.append(index.setdefault(key, len(index)))
-        rank.append(count.get(key, 0))
-        count[key] = rank[-1] + 1
-    order = np.lexsort((outs, rank))
-    outs, rank = np.array(outs, dtype=int)[order], np.array(rank, dtype=int)[order]
-    cols = np.array([t[1:] for t in terms], dtype=int).reshape(-1, 3)[order].T
-    bounds = np.searchsorted(rank, np.arange(max(count.values(), default=0) + 1))
-    layers = tuple((outs[s], s) for s in map(slice, bounds[1:-1], bounds[2:]))
-    return _Table(tuple(index), cols[:2], cols[2], layers)
-
-
-def _fold(terms: jets.Jet, table: _Table) -> Form:
-    """The signed sums of ``terms`` (one tensor axis, in table order), added
-    one at a time per output as :func:`jets.fold` does."""
-    c = terms.coeffs * table.sign.reshape((-1,) + (1,) * (terms.coeffs.ndim - 2))
-    acc = c[:, :len(table.keys)].copy()
-    for outs, s in table.layers:
-        acc[:, outs] += c[:, s]
-    return Form(table.keys, jets.Jet(terms.space, acc))
+@lru_cache(maxsize=None)
+def _wedge_terms(keys_a: tuple, keys_b: tuple) -> tuple:
+    """The output keys of a ^ b, in order of first appearance, and its :class:`jets.Terms`."""
+    keys, ia, ib, sign = tuple(zip(*[(tuple(sorted(ka + kb)), ia, ib, _perm_sign(ka + kb))
+                                     for ia, ka in enumerate(keys_a) for ib, kb in enumerate(keys_b)
+                                     if not set(ka) & set(kb)])) or ((),) * 4
+    return tuple(dict.fromkeys(keys)), jets.Terms.of(keys, [[ia], [ib]], sign)
 
 
 @lru_cache(maxsize=None)
-def _wedge_table(keys_a: tuple, keys_b: tuple) -> _Table:
-    return _table([(tuple(sorted(ka + kb)), ia, ib, _perm_sign(ka + kb))
-                   for ia, ka in enumerate(keys_a) for ib, kb in enumerate(keys_b)
-                   if not set(ka) & set(kb)])
-
-
-@lru_cache(maxsize=None)
-def _d_table(keys: tuple) -> _Table:
-    return _table([(tuple(sorted((k,) + key)), k, c, _perm_sign((k,) + key))
-                   for c, key in enumerate(keys) for k in range(TOTAL_DIM) if k not in key])
+def _d_terms(keys: tuple) -> tuple:
+    """The output keys of d, the (variable, component) each term differentiates, and its Terms."""
+    out, var, comp, sign = tuple(zip(*[(tuple(sorted((k,) + key)), k, c, _perm_sign((k,) + key))
+                                       for c, key in enumerate(keys) for k in range(TOTAL_DIM)
+                                       if k not in key])) or ((),) * 4
+    src = np.array([var, comp], dtype=int).reshape(2, -1)
+    return tuple(dict.fromkeys(out)), src, jets.Terms.of(out, [[np.arange(len(out))]], sign)
 
 
 # named after the dict code it replaced: a perfbench span target
 def wedge_dicts(a: Form, b: Form) -> Form:
-    """a ^ b at the jet order of the two forms (at order 0, of their values);
-    one multiply per chunk of terms (see :meth:`jets.JetSpace.chunks`)."""
-    table = _wedge_table(a.keys, b.keys)
-    ia, ib = table.src
-    space, batch = a.jet.space, np.broadcast_shapes(a.jet.shape[1:], b.jet.shape[1:])
-    terms = np.empty((space.ncoef, len(ia)) + batch)
-    for s in space.chunks(len(ia), int(np.prod(batch))):
-        terms[:, s] = (a.jet[ia[s]] * b.jet[ib[s]]).coeffs
-    return _fold(jets.Jet(space, terms), table)
+    """a ^ b at the jet order of the two forms (at order 0, of their values),
+    in blocks of terms (see :meth:`jets.JetSpace.sum_terms`)."""
+    keys, terms = _wedge_terms(a.keys, b.keys)
+    space = a.jet.space
+    return Form(keys, jets.Jet(space, space.sum_terms([a.jet.coeffs, b.jet.coeffs], terms)))
 
 
 # named after the dict code it replaced: a perfbench span target
 def d_dict(form: Form) -> Form:
     """Exterior derivative, one jet order lower (so d of an order-0 form
-    raises UsageError)."""
-    table = _d_table(form.keys)
-    return _fold(form.jet.deriv(*table.src), table)
+    raises UsageError): one gather of the derivative of every term."""
+    keys, src, terms = _d_terms(form.keys)
+    d = form.jet.deriv(*src)
+    return Form(keys, jets.Jet(d.space, d.space.sum_terms([d.coeffs], terms)))
 
 
 # ---------------------------------------------------------------------------

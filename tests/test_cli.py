@@ -356,7 +356,8 @@ class TestCliCommands:
         assert main(["verify", "--metric", "nosuch", "--suite", "integrability"]) == 2
         assert main(["verify", "--metric", "flat", "--suite", "nosuch"]) == 2
         out = str(tmp_path / "r.json")
-        for flags in (["--points", "0"], ["--points", "-3"], ["--seed", "-1"]):
+        for flags in (["--points", "0"], ["--points", "-3"], ["--points", "100000000000"],
+                      ["--seed", "-1"]):
             assert main(["verify", "--metric", "flat", "--suite", "completeness",
                          "--report", out] + flags) == 2, flags
         for params in ({"q": 3}, {"m": 0}):

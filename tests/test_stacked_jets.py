@@ -11,8 +11,6 @@ would go pairwise).  The property tests at the end check the kernel
 behaviour all of this rests on.
 """
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,11 +125,14 @@ def test_partials_gather_every_deriv(burns):
         assert np.array_equal(d[k], gjets.deriv(k).value)
 
 
-def test_fold_sums_in_index_order():
+def test_sum_terms_adds_in_loop_order():
     # pairwise summation of a contiguous axis would give 2.0 here
-    terms = np.array([1e16, 1.0, 1.0, -1e16])
-    assert jets.fold(terms, 0) == 0.0
-    assert jets.fold(terms[1:], 0, acc=np.array(1e16)) == 0.0
+    space = jets.get_space(1, 0)
+    values = np.array([[1e16, 1.0, 1.0, -1e16]])
+    terms = jets.Terms.of([0] * 4, [[np.arange(4)]])
+    assert space.sum_terms([values], terms)[0, 0] == 0.0
+    tail = jets.Terms.of([0] * 3, [[np.arange(1, 4)]])
+    assert space.sum_terms([values], tail, init=np.array([[1e16]]))[0, 0] == 0.0
 
 
 def test_contract_chunks_terms_of_large_entries(monkeypatch):
@@ -149,6 +150,18 @@ def test_contract_chunks_terms_of_large_entries(monkeypatch):
         for r in range(1, 40):
             acc = acc + a[i, r] * b[r]
         assert np.array_equal(whole[i].coeffs, acc.coeffs)
+
+
+def test_contract_gathers_each_factor_once_per_block():
+    # an output index varies along the outputs only and a summed one along
+    # the ranks only, so a factor that lacks either axis is broadcast
+    g = jets.get_space(4, 1)
+    shapes = ((4, 4, 4), (4, 4), (4, 4), (4, 4))
+    out_shape, terms = jets._contract_terms("mij,kl,ik,jl->m", shapes)
+    assert out_shape == (4,) and terms.pad.shape == (256, 4) and not terms.pad.any()
+    assert [[a.shape for a in ix] for ix in terms.index] == [
+        [(1, 4), (256, 1), (256, 1)], [(256, 1)] * 2, [(256, 1)] * 2, [(256, 1)] * 2]
+    assert g.sum_terms([np.zeros((g.ncoef,) + s + (3,)) for s in shapes], terms).shape == (g.ncoef, 4, 3)
 
 
 def test_chart_eval_halves_jet_products(eguchi_hanson, multiply_calls):
@@ -206,19 +219,50 @@ def test_stacked_multiply_equals_scalar_products(n_vars, order, tensor, batch, k
             assert np.array_equal(np.signbit(stacked[sl + bidx]), np.signbit(single))
 
 
-@settings(max_examples=100, deadline=None)
-@given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=4), data=st.data(),
-       seed=st.integers(0, 2**32 - 1), with_acc=st.booleans())
-def test_fold_equals_python_left_fold(shape, data, seed, with_acc):
-    axis = data.draw(st.integers(0, len(shape) - 1))
-    rng = np.random.default_rng(seed)
-    terms = _coefficients(rng, tuple(shape))
-    slices = list(np.moveaxis(terms, axis, 0))
-    acc = _coefficients(rng, slices[0].shape) if with_acc else None
-    expect = functools.reduce(lambda x, y: x + y, slices if acc is None else [acc] + slices)
-    got = jets.fold(terms, axis, None if acc is None else acc.copy())
-    assert np.array_equal(got, expect)
-    assert np.array_equal(np.signbit(got), np.signbit(expect))
+@st.composite
+def term_grids(draw):
+    """A ragged list of terms in loop order on random factors: outputs
+    numbered by first appearance, factors of 0 to 2 tensor axes, signs +1
+    and -1 or none, and an ``init`` or none."""
+    space = jets.get_space(draw(st.integers(1, 4)), draw(st.integers(0, 3)))
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = draw(st.lists(st.lists(st.integers(1, 3), max_size=2), min_size=1, max_size=3))
+    scale = 0.0 if draw(st.booleans()) else 1.0  # zeros of both signs only
+    factors = [scale * _coefficients(rng, (space.ncoef, *shape, *batch)) for shape in shapes]
+    labels = draw(st.lists(st.integers(0, 5), max_size=24))
+    outs = [list(dict.fromkeys(labels)).index(x) for x in labels]
+    index = [[rng.integers(0, n, size=len(outs)) for n in shape] for shape in shapes]
+    sign = rng.choice([-1.0, 1.0], size=len(outs)) if draw(st.booleans()) else None
+    n_out = len(set(outs))
+    init = _coefficients(rng, (space.ncoef, n_out, *batch)) if draw(st.booleans()) else None
+    return space, factors, outs, index, sign, init
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=term_grids(), chunk=st.sampled_from([None, 1, 2, 3, 5, 8]))
+def test_sum_terms_equals_python_left_fold(grid, chunk):
+    space, factors, outs, index, sign, init = grid
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:  # blocks of a few cells: split across ranks and outputs
+            nbatch = int(np.prod(factors[0].shape[1 + len(index[0]):]))
+            mp.setattr(jets, "CHUNK_DOUBLES", chunk * space.npairs * nbatch)
+        got = space.sum_terms(factors, jets.Terms.of(outs, index, sign),
+                              None if init is None else init.copy())
+    n_out = len(set(outs))
+    assert got.shape[:2] == (space.ncoef, n_out)
+    for o in range(n_out):
+        acc = None if init is None else jets.Jet(space, init[:, o])
+        for t in (t for t, out in enumerate(outs) if out == o):
+            prod = None
+            for f, ix in zip(factors, index):
+                jet = jets.Jet(space, f[(slice(None),) + tuple(a[t] for a in ix)])
+                prod = jet if prod is None else prod * jet
+            term = prod if sign is None else prod * sign[t]
+            acc = term if acc is None else acc + term
+        expect = np.broadcast_to(acc.coeffs, got[:, o].shape)
+        assert np.array_equal(got[:, o], expect), o
+        assert np.array_equal(np.signbit(got[:, o]), np.signbit(expect)), o
 
 
 # every space has a layered table; JetSpace.multiply runs it from

@@ -6,7 +6,9 @@ prints ``sha256  name`` lines, sorted by name, for the outputs of the checkout a
 ROOT, each produced by ROOT's own ``src``:
 
 * the ``suite=all`` and ``suite=curvature`` reports of every fixture at
-  every suite seed, and the ``suite=all`` reports at 7 points;
+  every suite seed, and the ``suite=all`` reports at 7 points and at one
+  point (where ``JetSpace.multiply`` runs ``reduceat`` and products run in
+  their smallest blocks);
 * the ``dense_balanced`` report at every suite seed;
 * the stdout of every demo;
 * ``solve-map`` output (stdout and stderr) and CSV for every profile,
@@ -51,8 +53,9 @@ def _reports(wl):
         for fixture in wl.FIXTURES:
             for suite in ("all", "curvature"):
                 yield f"{suite}/{fixture}/{seed}.json", report(metric=fixture, suite=suite, seed=seed)
-            yield f"all_7/{fixture}/{seed}.json", report(metric=fixture, suite="all", seed=seed,
-                                                         sample_count=7)
+            for n in (7, 1):
+                yield f"all_{n}/{fixture}/{seed}.json", report(metric=fixture, suite="all",
+                                                               seed=seed, sample_count=n)
         yield f"dense_balanced/{seed}.json", report(metric=wl.DENSE_FIXTURE, suite="balanced",
                                                     seed=seed, sample_count=wl.DENSE_POINTS)
 
