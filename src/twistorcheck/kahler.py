@@ -19,7 +19,8 @@ residuals all come from that one evaluation, at its order.  Frame,
 self-dual basis, beta and omega are stacked jets too, built with the
 products and the summation order of the scalar loops they replaced
 (``tests/scalar_reference.py``), so their coefficients are those of the
-loops, bit for bit.
+loops, bit for bit.  Exact zeros by construction, as beta's terms through the
++0.0 diagonals of s3 and nabla s2, are left out: they change no nonzero sum.
 """
 
 from __future__ import annotations
@@ -187,19 +188,24 @@ _SD_WEDGES = np.array([[(0, 1), (2, 3)], [(0, 2), (3, 1)], [(0, 3), (1, 2)]])
 
 def _self_dual(e: jets.Jet) -> jets.Jet:
     """Stacked s_q^{ij} = sum over the wedges of s_q of e_a^i e_b^j - e_a^j e_b^i,
-    from the stacked frame ``e`` (tensor axes [a, i])."""
+    from the stacked frame ``e`` (tensor axes [a, i]).  Entry (j, i) subtracts
+    the products of (i, j) the other way round; the diagonal is +0.0, as x - x
+    is for a frame built from metric jets that passed check_finite."""
     space, E = e.space, e.coeffs
     batch = E.shape[3:]
-    q, i, j = np.indices((3, DIM, DIM)).reshape(3, -1)  # every entry, in loop order
-    out = np.empty((space.ncoef, q.size) + batch)
+    q, i, j = np.nonzero(np.triu(np.ones((3, DIM, DIM), dtype=bool), 1))  # i < j, in loop order
+    out = np.zeros((space.ncoef, 3, DIM, DIM) + batch)
     for c in space.chunks(q.size, int(np.prod(batch))):
-        wedges = []
+        ij, ji = [], []
         for w in range(2):
             a, b = _SD_WEDGES[q[c], w, 0], _SD_WEDGES[q[c], w, 1]
-            wedges.append(space.multiply(E[:, a, i[c]], E[:, b, j[c]])
-                          - space.multiply(E[:, a, j[c]], E[:, b, i[c]]))
-        out[:, c] = wedges[0] + wedges[1]
-    return jets.Jet(space, out.reshape((space.ncoef, 3, DIM, DIM) + batch))
+            p1 = space.multiply(E[:, a, i[c]], E[:, b, j[c]])
+            p2 = space.multiply(E[:, a, j[c]], E[:, b, i[c]])
+            ij.append(p1 - p2)
+            ji.append(p2 - p1)
+        out[:, q[c], i[c], j[c]] = ij[0] + ij[1]
+        out[:, q[c], j[c], i[c]] = ji[0] + ji[1]
+    return jets.Jet(space, out)
 
 
 def _dot(g: jets.Jet, u: jets.Jet, v: jets.Jet) -> jets.Jet:
@@ -240,6 +246,11 @@ def adapted_frame(gjets: jets.Jet) -> jets.Jet:
 # the connection 1-form on Lambda2+
 # ---------------------------------------------------------------------------
 
+# the outputs (k, i, j) of _two_vector_nabla with i != j; for s from _self_dual
+# the others are +0.0: d_k s^{ii} = +0.0, then pairs x + (-x) as s^{im} = -s^{mi}
+_NABLA_OUT = np.nonzero(np.broadcast_to(~np.eye(DIM, dtype=bool), (DIM, DIM, DIM)))
+
+
 def _two_vector_nabla(gamma: jets.Jet, s: jets.Jet) -> jets.Jet:
     """Stacked (nabla_k s)^{ij}, tensor axes [k, i, j], of a stacked 2-vector
     jet field ``s`` ([i, j]) for the stacked Christoffel jets ``gamma``
@@ -247,19 +258,21 @@ def _two_vector_nabla(gamma: jets.Jet, s: jets.Jet) -> jets.Jet:
     by Gamma^i_{km} s^{mj} and Gamma^j_{km} s^{im} for m = 0..3, summed in
     that order (the derivation action)."""
     low, batch = gamma.space, s.shape[2:]
-    out = np.empty((low.ncoef, DIM, DIM, DIM) + batch)
-    for k in range(DIM):
-        out[:, k] = s.deriv(k).coeffs
-    low.sum_terms([gamma.coeffs, s.coeffs[:low.ncoef]], _nabla_terms(),
-                  init=out.reshape((low.ncoef, DIM ** 3) + batch))  # the sums land in ``out``
+    k, i, j = _NABLA_OUT
+    s_flat = jets.Jet(s.space, s.coeffs.reshape((s.space.ncoef, DIM * DIM) + batch))
+    sums = low.sum_terms([gamma.coeffs, s.coeffs[:low.ncoef]], _nabla_terms(),
+                         init=s_flat.deriv(k, i * DIM + j).coeffs)
+    out = np.zeros((low.ncoef, DIM, DIM, DIM) + batch)
+    out[:, k, i, j] = sums
     return jets.Jet(low, out)
 
 
 @functools.lru_cache(maxsize=None)
 def _nabla_terms() -> jets.Terms:
-    """The :class:`jets.Terms` of :func:`_two_vector_nabla`, outputs [k, i, j]:
-    rank 2m is Gamma^i_{km} s^{mj}, rank 2m + 1 is Gamma^j_{km} s^{im}."""
-    k, i, j = np.indices((DIM, DIM, DIM)).reshape(3, -1)
+    """The :class:`jets.Terms` of :func:`_two_vector_nabla`, outputs
+    :data:`_NABLA_OUT`: rank 2m is Gamma^i_{km} s^{mj}, rank 2m + 1 is
+    Gamma^j_{km} s^{im}."""
+    k, i, j = _NABLA_OUT
     m, t = np.divmod(np.arange(2 * DIM)[:, None], 2)  # rank 2m + t
     a, b, c = np.where(t, j, i), np.where(t, i, m), np.where(t, m, j)
     return jets.Terms(((a, k[None], m), (b, c)), None, np.zeros(a.shape, dtype=bool))
@@ -270,11 +283,22 @@ def beta_form(gjets: jets.Jet, sd: jets.Jet, gamma: jets.Jet) -> jets.Jet:
     -beta s2, as a stacked (4,) jet one order below the stacked metric jets
     ``gjets``; ``sd`` is the self-dual basis of their adapted frame and
     ``gamma`` their Christoffel jets (:func:`geometry.christoffel_jets`)."""
-    ns2 = _two_vector_nabla(gamma, sd[1])
     low = gamma.space
-    # sum_{ijkl} ((nabla_k s2^{ij} s3^{kl}) g_ik) g_jl, in (i, j, k, l) order
-    g_low = gjets.truncate(low.order)
-    return jets.contract("mij,kl,ik,jl->m", ns2, sd[2].truncate(low.order), g_low, g_low) * 0.25
+    g_low = gjets.truncate(low.order).coeffs
+    factors = [_two_vector_nabla(gamma, sd[1]).coeffs, sd[2].truncate(low.order).coeffs,
+               g_low, g_low]
+    return jets.Jet(low, low.sum_terms(factors, _beta_terms())) * 0.25
+
+
+@functools.lru_cache(maxsize=None)
+def _beta_terms() -> jets.Terms:
+    """The :class:`jets.Terms` of :func:`beta_form`, outputs m: the terms
+    ((nabla_m s2^{ij} s3^{kl}) g_ik) g_jl with i != j and k != l in (i, j, k, l)
+    order; the others are exact zeros (s3^{kk} = nabla_m s2^{ii} = +0.0)."""
+    off = ~np.eye(DIM, dtype=bool)
+    i, j, k, l = (x[:, None] for x in np.nonzero(off[:, :, None, None] & off))
+    return jets.Terms(((np.arange(DIM)[None], i, j), (k, l), (i, k), (j, l)), None,
+                      np.zeros((i.size, DIM), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

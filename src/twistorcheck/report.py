@@ -416,13 +416,15 @@ def run_suite(config: SuiteConfig) -> dict:
     rec = _Recorder(config)
     names = [s for s in SUITES if s != "all"] if config.suite == "all" else [config.suite]
     for name in names:
+        start = len(rec.records)
         try:
             _SUITE_RUNNERS[name](rec, metric, config)
         except TwistorCheckError as exc:
+            after = rec.records[-1].check_id if len(rec.records) > start else None
             rec.records.append(CheckRecord(
                 f"{name}.numeric_failure", "suite aborted by a numerical error",
                 0, float("inf"), 0.0, "below", False,
-                {"error": str(exc), "type": type(exc).__name__}))
+                {"error": str(exc), "type": type(exc).__name__, "after": after}))
     checks = [asdict(r) for r in rec.records]
     for c in checks:
         c["max_residual"] = _json_float(c["max_residual"])

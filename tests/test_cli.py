@@ -259,12 +259,17 @@ class TestRunSuite:
 
     def test_numeric_failure_recorded(self, monkeypatch):
         # a numerical error inside a suite is recorded as a failing check
-        # (instead of crashing the run) and flips the overall verdict
+        # (instead of crashing the run) and flips the overall verdict; its
+        # "after" names the last row that suite recorded before the raise
         from twistorcheck import report as report_mod
         from twistorcheck.errors import GeometryError
 
         def boom(rec, metric, config):
             raise GeometryError("metric is not positive definite at x=[test]")
+
+        def boom_after_a_row(rec, metric, config):
+            rec.add("curvature.first_stage", "a row before the raise", 1, 0.0, 1.0)
+            boom(rec, metric, config)
 
         monkeypatch.setitem(report_mod._SUITE_RUNNERS, "curvature", boom)
         rep = run_suite(SuiteConfig.from_dict({"metric": "flat", "suite": "curvature"}))
@@ -274,6 +279,20 @@ class TestRunSuite:
         assert not rec["pass"]
         assert "positive definite" in rec["detail"]["error"]
         assert rec["detail"]["type"] == "GeometryError"
+        assert rec["detail"]["after"] is None
+
+        # a raise after a row names that row; the rows of an earlier suite
+        # are not the stage of a later one
+        for name in report_mod._SUITE_RUNNERS:
+            monkeypatch.setitem(report_mod._SUITE_RUNNERS, name, lambda rec, metric, config: None)
+        monkeypatch.setitem(report_mod._SUITE_RUNNERS, "curvature", boom_after_a_row)
+        monkeypatch.setitem(report_mod._SUITE_RUNNERS, "integrability", boom)
+        rep = run_suite(SuiteConfig.from_dict({"metric": "flat", "suite": "all"}))
+        assert [(c["check_id"], c["detail"].get("after")) for c in rep["checks"]] == [
+            ("curvature.first_stage", None),
+            ("curvature.numeric_failure", "curvature.first_stage"),
+            ("integrability.numeric_failure", None),
+        ]
 
     def test_loose_tier_scales_thresholds(self):
         rep = run_suite(SuiteConfig.from_dict(

@@ -164,6 +164,59 @@ def test_contract_gathers_each_factor_once_per_block():
     assert g.sum_terms([np.zeros((g.ncoef,) + s + (3,)) for s in shapes], terms).shape == (g.ncoef, 4, 3)
 
 
+def test_beta_grid_leaves_out_structural_zeros():
+    # beta sums the 144 terms with i != j and k != l, in (i, j, k, l) order:
+    # one rank per term and no padding; s3 and g vary along the ranks only
+    terms = kahler._beta_terms()
+    assert terms.pad.shape == (144, 4) and not terms.pad.any() and terms.sign is None
+    (m, i, j), (k, l), (i2, k2), (j2, l2) = terms.index
+    assert m.shape == (1, 4) and i.shape == j.shape == (144, 1)
+    assert [a.shape for a in (k, l, i2, k2, j2, l2)] == [(144, 1)] * 6
+    assert np.array_equal(i, i2) and np.array_equal(j, j2)
+    assert np.array_equal(k, k2) and np.array_equal(l, l2)
+    assert not np.any(i == j) and not np.any(k == l)
+    loop = [(a, b, c, d) for a in range(4) for b in range(4) if a != b
+            for c in range(4) for d in range(4) if c != d]
+    assert np.array_equal(np.hstack([i, j, k, l]), loop)
+
+
+@pytest.mark.parametrize("name", ("flat", "burns"))
+@pytest.mark.parametrize("n", (None, 1, 5))
+def test_self_dual_and_beta_in_small_blocks(request, monkeypatch, name, n):
+    # blocks of a few entries and ranks give the bits of the scalar loops,
+    # signs of zero included: on flat beta is zero in every coefficient
+    metric = request.getfixturevalue(name)
+    x = _points(metric, n)
+    gjets = metric.jets_at(x, 2)
+    low, nbatch = jets.get_space(4, 1), 1 if n is None else n
+    monkeypatch.setattr(jets, "CHUNK_DOUBLES", low.npairs * nbatch * 3)
+    assert len(gjets.space.chunks(18, nbatch)) > 1 and len(low.chunks(144, 4 * nbatch)) > 1
+    ref_g = ref.metric_jets(metric, x, 2)
+    ref_frame = ref.adapted_frame(ref_g)
+    sd = kahler._self_dual(kahler.adapted_frame(gjets))
+    for q, ref_s in enumerate(ref.sd_jets(ref_frame)):
+        assert_same_jets(sd[q], ref_s)
+    beta = kahler.beta_form(gjets, sd, geo.christoffel_jets(gjets))
+    assert_same_jets(beta, ref.beta_jets(ref_g, ref_frame))
+    if name == "flat":
+        assert not np.any(beta.coeffs)
+
+
+def test_self_dual_diagonal_and_antisymmetry(burns):
+    # the diagonals of s and of nabla s2 are +0.0, and s^{ji} = -s^{ij} (as
+    # numbers: a zero difference is +0.0 either way round), on which the
+    # zero diagonal of nabla s2 rests
+    gjets = burns.jets_at(_points(burns, 5), 2)
+    sd = kahler._self_dual(kahler.adapted_frame(gjets))
+    nabla = kahler._two_vector_nabla(geo.christoffel_jets(gjets), sd[1])
+    d = np.arange(4)
+    for diag in (sd.coeffs[:, :, d, d], nabla.coeffs[:, :, d, d]):
+        assert not np.any(diag) and not np.any(np.signbit(diag))
+    i, j = np.triu_indices(4, 1)
+    upper, lower = sd.coeffs[:, :, i, j], sd.coeffs[:, :, j, i]
+    assert np.any(upper) and np.array_equal(lower, -upper)
+
+
 def test_chart_eval_halves_jet_products(eguchi_hanson, multiply_calls):
     chart = twistor.TwistorChart.twistor(eguchi_hanson)
     pts = chart.sample(20, 2024)

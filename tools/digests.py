@@ -10,6 +10,9 @@ ROOT, each produced by ROOT's own ``src``:
   point (where ``JetSpace.multiply`` runs ``reduceat`` and products run in
   their smallest blocks);
 * the ``dense_balanced`` report at every suite seed;
+* the raw coefficients, signs of zero included, of the self-dual basis s,
+  of beta (``BaseEval(...).connection()``) and of ``_two_vector_nabla``
+  of s2, for every fixture at 1, 7, 50 and 400 points;
 * the stdout of every demo;
 * ``solve-map`` output (stdout and stderr) and CSV for every profile,
   branch and sign.
@@ -60,6 +63,20 @@ def _reports(wl):
                                                     seed=seed, sample_count=wl.DENSE_POINTS)
 
 
+def _raw_arrays(wl):
+    from twistorcheck import kahler
+
+    for fixture in wl.FIXTURES:
+        metric = kahler.get_fixture(fixture)
+        for n in (1, 7, 50, 400):
+            base = kahler.BaseEval(metric, metric.chart.sample(n, wl.CONFIG_SEEDS[0]))
+            sd, beta = base.connection()
+            nabla = kahler._two_vector_nabla(base.gamma_jets, sd[1])
+            for name, jet in (("s", sd), ("beta", beta), ("nabla_s2", nabla)):
+                shape = str(jet.coeffs.shape).encode()
+                yield f"raw/{fixture}/{n}/{name}", shape + jet.coeffs.tobytes()
+
+
 def _solve_maps(workdir: str):
     from twistorcheck import cli, fibermap
 
@@ -96,7 +113,9 @@ def main(argv) -> int:
         cwd = os.getcwd()
         os.chdir(workdir)  # solve-map writes its CSV to the working directory
         try:
-            outputs = [*_reports(_workloads(root)), *_solve_maps(workdir), *_demos(root, workdir)]
+            wl = _workloads(root)
+            outputs = [*_reports(wl), *_raw_arrays(wl), *_solve_maps(workdir),
+                       *_demos(root, workdir)]
         finally:
             os.chdir(cwd)
     print("\n".join(f"{_sha(data)}  {name}" for name, data in sorted(outputs)))
