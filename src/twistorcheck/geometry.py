@@ -49,9 +49,10 @@ SAMPLE_MARGIN = 1e-2  # chart sampling keeps this fraction of each side clear
 class ChartDomain:
     """A coordinate box with an optional excluded region.
 
-    ``exclusion`` returns True on points that must be rejected (e.g. the
-    puncture of a Burns chart).  Sampling shrinks the box by
-    :data:`SAMPLE_MARGIN` of each side and rejects excluded points.
+    ``exclusion`` takes an (m, 4) array of points and returns an (m,) mask,
+    True on the points that must be rejected (e.g. the puncture of a Burns
+    chart).  Sampling shrinks the box by :data:`SAMPLE_MARGIN` of each side
+    and rejects excluded points.
     """
 
     def __init__(self, box, exclusion: Optional[Callable] = None):
@@ -61,20 +62,24 @@ class ChartDomain:
         self.exclusion = exclusion
 
     def sample(self, n: int, rng) -> np.ndarray:
-        """Draw ``n`` admissible points; deterministic for a seeded rng."""
+        """Draw ``n`` admissible points; deterministic for a seeded rng.  Each
+        batch draws one candidate per missing point, so the rng yields the
+        values of a point-by-point loop; 1000 rejections in a row raise."""
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(rng)
         lo = self.box[:, 0] + SAMPLE_MARGIN * (self.box[:, 1] - self.box[:, 0])
         hi = self.box[:, 1] - SAMPLE_MARGIN * (self.box[:, 1] - self.box[:, 0])
         out = np.empty((n, DIM))
-        for i in range(n):
-            for _ in range(1000):
-                x = lo + (hi - lo) * rng.uniform(size=DIM)
-                if self.exclusion is None or not self.exclusion(x):
-                    out[i] = x
-                    break
-            else:
+        done = run = 0  # run: the rejections since the last admissible point
+        while done < n:
+            x = lo + (hi - lo) * rng.uniform(size=(n - done, DIM))
+            hit = np.arange(len(x)) if self.exclusion is None else np.flatnonzero(~self.exclusion(x))
+            gaps = np.diff(np.concatenate([[-1 - run], hit, [len(x)]])) - 1  # rejections in a row
+            if gaps.max() >= 1000:
                 raise GeometryError("could not sample an admissible chart point")
+            run = gaps[-1]
+            out[done:done + hit.size] = x[hit]
+            done += hit.size
         return out
 
 
@@ -184,13 +189,14 @@ def check_spd(gvals: np.ndarray, x=None):
 def christoffel_jets(gjets: jets.Jet) -> jets.Jet:
     """Gamma[k, i, j] = Gamma^k_{ij} = (1/2) sum_l ginv[k, l] (d_i g_jl +
     d_j g_il - d_l g_ij) of a stacked (n, n) metric jet, one order below it,
-    summed over l in order.  Works for any n (also the 6x6 total-space
-    metric)."""
+    summed over l in order; ginv is inverted at that lower order, which
+    gives the leading coefficients of the full-order inverse bit for bit.
+    Works for any n (also the 6x6 total-space metric)."""
     if gjets.space.order < 1:
         raise ConfigurationError("christoffel needs metric jets of order >= 1")
     n = gjets.coeffs.shape[1]
-    low = jets.get_space(gjets.space.n_vars, gjets.space.order - 1)
-    ginv = jets.Jet(low, _inverse(gjets).coeffs[:low.ncoef].copy())
+    ginv = _inverse(gjets.truncate(gjets.space.order - 1))
+    low = ginv.space
     batch = gjets.coeffs.shape[3:]
     dg = np.empty((low.ncoef, n, n, n) + batch)  # [i, j, l] = d_i g_jl
     for i in range(n):

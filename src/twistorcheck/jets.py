@@ -260,19 +260,25 @@ class JetSpace:
         ``terms`` over the coefficient arrays ``factors``: each output adds
         its terms one at a time in rank order onto -0.0 (which changes no
         sum) or onto ``init``, which then receives the sums in place.
-        Products run in blocks within CHUNK_DOUBLES: as many outputs as a
-        block holds one rank of, and as many ranks as fit."""
+        Products run in blocks within CHUNK_DOUBLES: as many columns as a
+        block holds one rank of, up to the last that has its first rank, and
+        as many ranks as fit."""
         ranks, n_out = terms.pad.shape
         batch = np.broadcast_shapes(*(f.shape[1 + len(ix):] for f, ix in zip(factors, terms.index)))
         out = np.full((self.ncoef, n_out) + batch, -0.0) if init is None else init
         for o in self.chunks(n_out, math.prod(batch)):
-            acc = np.ascontiguousarray(out[:, o])  # sums onto it need no buffers (out, if o is all)
+            dest = o if terms.cols is None else terms.cols[o]
+            acc = np.ascontiguousarray(out[:, dest])  # sums onto it need no buffers (out, for a full slice)
             for r in self.chunks(ranks, (o.stop - o.start) * math.prod(batch)):
-                prod = self._products(factors, terms, r, o)
+                stop = o.stop if terms.reach is None else min(o.stop, terms.reach[r.start])
+                if stop <= o.start:
+                    break
+                prod = self._products(factors, terms, r, slice(o.start, stop))
+                part = acc[:, :stop - o.start]
                 for t in range(r.stop - r.start):  # a product constant along the ranks has one
-                    acc += prod[:, min(t, prod.shape[1] - 1)]
+                    part += prod[:, min(t, prod.shape[1] - 1)]
                 del prod  # before the next block's products
-            out[:, o] = acc
+            out[:, dest] = acc
         return out
 
     def _products(self, factors, terms, r, o):
@@ -644,18 +650,23 @@ def _contract_terms(spec: str, shapes: tuple) -> tuple:
 
 class Terms(NamedTuple):
     """A sum of products as a grid, run by :meth:`JetSpace.sum_terms`: cell
-    (r, o) is the r-th term, in loop order, of output o.  ``index[f]`` holds
-    the components factor f reads, one index array per tensor axis, each
-    (ranks, outputs), or of length 1 along an axis it does not vary along,
+    (r, o) is the r-th term, in loop order, of the output of column o (output
+    ``cols[o]``, or o where ``cols`` is None).  ``index[f]`` holds the
+    components factor f reads, one index array per tensor axis, each
+    (ranks, columns), or of length 1 along an axis it does not vary along,
     so that it is gathered once and broadcast.  ``sign`` holds the sign, +1
     or -1, of every cell, or is None where all are +1 and no cell is
-    padding.  ``pad``, (ranks, outputs), marks the cells past the last term
-    of their output: their products are replaced by -0.0, and adding -0.0
-    leaves every sum unchanged, signs of zero included."""
+    padding.  ``pad``, (ranks, columns), marks the cells past the last term
+    of their output; columns run from most terms to fewest, so padding ends
+    each row, and rank r fills the first ``reach[r]`` columns (all where
+    ``reach`` is None).  Padding products are skipped, or replaced by -0.0,
+    and adding -0.0 leaves every sum unchanged, signs of zero included."""
 
     index: tuple
     sign: np.ndarray | None
     pad: np.ndarray
+    cols: np.ndarray | None = None
+    reach: tuple | None = None
 
     @staticmethod
     def of(outs, index, sign=None) -> "Terms":
@@ -666,6 +677,8 @@ class Terms(NamedTuple):
         ids = {}
         outs = np.array([ids.setdefault(o, len(ids)) for o in outs], dtype=np.intp)
         counts = np.bincount(outs, minlength=len(ids))
+        cols = np.argsort(-counts, kind="stable")  # the outputs by term count, most first
+        outs, counts = np.argsort(cols, kind="stable")[outs], counts[cols]  # outputs are columns now
         first = np.cumsum(counts) - counts  # each output's first term, with terms sorted by output
         rank = np.empty_like(outs)
         rank[np.argsort(outs, kind="stable")] = np.arange(outs.size) - np.repeat(first, counts)
@@ -677,7 +690,9 @@ class Terms(NamedTuple):
             return g
 
         sign = np.ones(outs.size) if sign is None else sign  # padding is written into signed products
-        return Terms(tuple(tuple(map(grid, ix)) for ix in index), grid(sign), pad)
+        return Terms(tuple(tuple(map(grid, ix)) for ix in index), grid(sign), pad,
+                     None if np.all(cols == np.arange(cols.size)) else cols,
+                     tuple(np.count_nonzero(~pad, axis=1).tolist()))
 
 
 # -- seeding and extraction (module-level operations) ---------------------

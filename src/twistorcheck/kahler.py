@@ -15,7 +15,8 @@ nabla s3 = -beta s2 for a 1-form beta computed here from frame jets.
 
 A :class:`BaseEval` evaluates a metric once at a batch of base points; the
 self-dual basis of the frame, beta, the curvature and so the Kahler
-residuals all come from that one evaluation, at its order.  Frame,
+residuals all come from that one evaluation, each at the lowest order
+its readers use (bit for bit, lower coefficients ignore higher ones).  Frame,
 self-dual basis, beta and omega are stacked jets too, built with the
 products and the summation order of the scalar loops they replaced
 (``tests/scalar_reference.py``), so their coefficients are those of the
@@ -123,7 +124,7 @@ def _eguchi_hanson(a=1.0):
         r = jets.sqrt(u * u + a4)
         return r - a2 * jets.log(a2 + r) + a2 * jets.log(u)
 
-    chart = ChartDomain([[0.25, 1.05]] * 4, exclusion=lambda x: np.sum(x * x) < 0.1)
+    chart = ChartDomain([[0.25, 1.05]] * 4, exclusion=lambda x: np.sum(x * x, axis=-1) < 0.1)
     return KahlerPotentialMetric(chart, phi, name="eguchi_hanson")
 
 
@@ -136,7 +137,7 @@ def _burns(m=1.0):
         u = _u_of(xj)
         return u + m * jets.log(u)
 
-    chart = ChartDomain([[0.25, 1.05]] * 4, exclusion=lambda x: np.sum(x * x) < 0.1)
+    chart = ChartDomain([[0.25, 1.05]] * 4, exclusion=lambda x: np.sum(x * x, axis=-1) < 0.1)
     return KahlerPotentialMetric(chart, phi, name="burns")
 
 
@@ -186,19 +187,21 @@ def get_fixture(name: str, **params) -> MetricField:
 _SD_WEDGES = np.array([[(0, 1), (2, 3)], [(0, 2), (3, 1)], [(0, 3), (1, 2)]])
 
 
-def _self_dual(e: jets.Jet) -> jets.Jet:
-    """Stacked s_q^{ij} = sum over the wedges of s_q of e_a^i e_b^j - e_a^j e_b^i,
-    from the stacked frame ``e`` (tensor axes [a, i]).  Entry (j, i) subtracts
-    the products of (i, j) the other way round; the diagonal is +0.0, as x - x
+def _self_dual(e: jets.Jet, qs=(0, 1, 2)) -> jets.Jet:
+    """Stacked s_q^{ij} = sum over the wedges of s_q of e_a^i e_b^j - e_a^j e_b^i
+    for q in ``qs`` (tensor axis 0, in that order), from the stacked frame
+    ``e`` (tensor axes [a, i]), at its order.  Entry (j, i) subtracts the
+    products of (i, j) the other way round; the diagonal is +0.0, as x - x
     is for a frame built from metric jets that passed check_finite."""
     space, E = e.space, e.coeffs
     batch = E.shape[3:]
-    q, i, j = np.nonzero(np.triu(np.ones((3, DIM, DIM), dtype=bool), 1))  # i < j, in loop order
-    out = np.zeros((space.ncoef, 3, DIM, DIM) + batch)
+    wedges = _SD_WEDGES[list(qs)]
+    q, i, j = np.nonzero(np.triu(np.ones((len(qs), DIM, DIM), dtype=bool), 1))  # i < j, in loop order
+    out = np.zeros((space.ncoef, len(qs), DIM, DIM) + batch)
     for c in space.chunks(q.size, int(np.prod(batch))):
         ij, ji = [], []
         for w in range(2):
-            a, b = _SD_WEDGES[q[c], w, 0], _SD_WEDGES[q[c], w, 1]
+            a, b = wedges[q[c], w, 0], wedges[q[c], w, 1]
             p1 = space.multiply(E[:, a, i[c]], E[:, b, j[c]])
             p2 = space.multiply(E[:, a, j[c]], E[:, b, i[c]])
             ij.append(p1 - p2)
@@ -278,14 +281,15 @@ def _nabla_terms() -> jets.Terms:
     return jets.Terms(((a, k[None], m), (b, c)), None, np.zeros(a.shape, dtype=bool))
 
 
-def beta_form(gjets: jets.Jet, sd: jets.Jet, gamma: jets.Jet) -> jets.Jet:
+def beta_form(gjets: jets.Jet, s2: jets.Jet, s3: jets.Jet, gamma: jets.Jet) -> jets.Jet:
     """beta_k = < nabla_k s2, s3 >, with nabla s2 = beta s3 and nabla s3 =
     -beta s2, as a stacked (4,) jet one order below the stacked metric jets
-    ``gjets``; ``sd`` is the self-dual basis of their adapted frame and
-    ``gamma`` their Christoffel jets (:func:`geometry.christoffel_jets`)."""
+    ``gjets``; ``s2`` (at their order) and ``s3`` (at least one order below)
+    are the self-dual 2-vectors of their adapted frame and ``gamma`` their
+    Christoffel jets (:func:`geometry.christoffel_jets`)."""
     low = gamma.space
     g_low = gjets.truncate(low.order).coeffs
-    factors = [_two_vector_nabla(gamma, sd[1]).coeffs, sd[2].truncate(low.order).coeffs,
+    factors = [_two_vector_nabla(gamma, s2).coeffs, s3.truncate(low.order).coeffs,
                g_low, g_low]
     return jets.Jet(low, low.sum_terms(factors, _beta_terms())) * 0.25
 
@@ -321,10 +325,14 @@ class BaseEval:
 
     def connection(self) -> tuple:
         """(sd, beta): the self-dual basis (s1, s2, s3) of the adapted frame,
-        stacked [q, i, j] at the order of :attr:`gjets`, and beta
-        (:func:`beta_form`), stacked (4,) one order lower."""
-        sd = _self_dual(adapted_frame(self.gjets))  # frame jets freed before beta
-        return sd, beta_form(self.gjets, sd, self.gamma_jets)
+        stacked [q, i, j], and beta (:func:`beta_form`), stacked (4,), both
+        one order below :attr:`gjets`.  Only s2, which beta differentiates,
+        is built at the order of :attr:`gjets`."""
+        frame = adapted_frame(self.gjets)
+        s2 = _self_dual(frame, (1,))[0]
+        sd = _self_dual(frame.truncate(frame.order - 1))
+        del frame  # frame jets freed before beta
+        return sd, beta_form(self.gjets, s2, sd[2], self.gamma_jets)
 
     @property
     def basis(self):

@@ -226,9 +226,9 @@ class ChartEval:
     a caller that takes d of a form that was itself built with one d (as
     in checking d d = 0) builds its ChartEval at order 2.  The base is one
     :class:`kahler.BaseEval` (:attr:`base`), taken one order higher,
-    because the connection form beta consumes one order: beta and
-    :attr:`S` share its one self-dual basis, and :attr:`data4` is its
-    curvature.
+    because the connection form beta consumes one order: its connection
+    gives beta and the self-dual basis :attr:`S` at the working order, and
+    :attr:`data4` is its curvature.
 
     This is the only place a chart is evaluated at points: every field
     operation of this module takes a ChartEval (and reads the chart from

@@ -8,12 +8,15 @@ pipeline: potential -> metric jets, the adapted frame, the self-dual basis,
 the inverse and Christoffel symbols, beta, and the ChartEval fields P, K,
 J, h, Omega and tau; and forms as dicts of components, with the wedge and
 d that loop over them.  It also keeps the per-limit quadrature rule that
-``fibermap.quad`` refines.  Nothing in ``src/`` uses this module.
+``fibermap.quad`` refines and the point-by-point sampling loop that
+``ChartDomain.sample`` batches.  Nothing in ``src/`` uses this module.
 """
 
 import numpy as np
 
 from twistorcheck import fibermap, jets
+from twistorcheck.errors import GeometryError
+from twistorcheck.geometry import SAMPLE_MARGIN
 from twistorcheck.kahler import I_MATRIX, KahlerPotentialMetric
 
 DIM = 4
@@ -373,3 +376,22 @@ def quad_per_limit(f, a, b):
         sums.append(half * (fx @ fibermap._GL_WEIGHTS).sum(axis=-1))
     fine, coarse = sums
     return fine, np.abs(fine - coarse)
+
+
+def chart_sample(domain, n, rng):
+    """``n`` admissible points of the ChartDomain ``domain``, one at a time:
+    one ``rng.uniform(size=4)`` draw per candidate, its exclusion asked as a
+    batch of one, and GeometryError after 1000 rejected candidates of one
+    point."""
+    lo = domain.box[:, 0] + SAMPLE_MARGIN * (domain.box[:, 1] - domain.box[:, 0])
+    hi = domain.box[:, 1] - SAMPLE_MARGIN * (domain.box[:, 1] - domain.box[:, 0])
+    out = np.empty((n, DIM))
+    for i in range(n):
+        for _ in range(1000):
+            x = lo + (hi - lo) * rng.uniform(size=DIM)
+            if domain.exclusion is None or not domain.exclusion(x[None])[0]:
+                out[i] = x
+                break
+        else:
+            raise GeometryError("could not sample an admissible chart point")
+    return out

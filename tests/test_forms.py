@@ -108,6 +108,35 @@ def test_balanced_check_wedges_in_at_most_three_multiplies(monkeypatch, multiply
     assert inside == [1, 1]  # Omega ^ Omega and the proof wedge
 
 
+def test_ragged_wedge_skips_its_padding(monkeypatch):
+    # Omega ^ Omega is 42 terms in a grid of 6 ranks x 11 outputs; its
+    # columns hold the outputs by term count, so a block of one rank stops
+    # at the last output that has that rank, and the outputs keep their order
+    chart = tw.TwistorChart.twistor(kahler.get_fixture("burns"))
+    ctx = tw.ChartEval(chart, chart.sample(5, 2024))
+    omega = tw.omega_ab_field(ctx, None)
+    keys, terms = tw._wedge_terms(omega.keys, omega.keys)
+    counts = np.count_nonzero(~terms.pad, axis=0)
+    assert terms.pad.shape == (6, 11) and counts.sum() == 42
+    assert np.all(np.diff(counts) <= 0) and sorted(terms.cols) == list(range(11))
+    cells, orig = [], jets.JetSpace._products
+
+    def counted(self, factors, terms, r, o):
+        prod = orig(self, factors, terms, r, o)
+        cells.append(prod.shape[1] * prod.shape[2])
+        return prod
+
+    monkeypatch.setattr(jets.JetSpace, "_products", counted)
+    whole = tw.wedge_dicts(omega, omega)
+    assert whole.keys == keys and cells == [66]  # one block: its padding is -0.0
+    cells.clear()
+    monkeypatch.setattr(jets, "CHUNK_DOUBLES", ctx.space.npairs * 5 * 11)  # one rank a block
+    by_rank = tw.wedge_dicts(omega, omega)
+    assert len(cells) == 6 and sum(cells) == 42
+    assert np.array_equal(by_rank.jet.coeffs, whole.jet.coeffs)
+    assert np.array_equal(np.signbit(by_rank.jet.coeffs), np.signbit(whole.jet.coeffs))
+
+
 def test_d_is_a_gather(flat, multiply_calls):
     chart = tw.TwistorChart.twistor(flat)
     omega = tw.omega_ab_field(tw.ChartEval(chart, chart.sample(3, 1)), None)

@@ -118,10 +118,12 @@ class TestBetaForm:
         # nabla_k s2 = beta_k s3, nabla_k s3 = -beta_k s2, nabla s1 = 0
         pts = burns.chart.sample(20, rng)
         base = kahler.BaseEval(burns, pts)
-        sd, beta = base.connection()
+        sd, beta = base.connection()  # one order below the metric jets
+        full = kahler._self_dual(kahler.adapted_frame(base.gjets))  # at their order
         gamma = base.gamma_jets
         s2v, s3v = geo.tensor_values(sd[1], 2), geo.tensor_values(sd[2], 2)
-        nabla = [geo.tensor_values(kahler._two_vector_nabla(gamma, sd[q]), 3) for q in range(3)]
+        assert np.array_equal(s2v, geo.tensor_values(full[1], 2))
+        nabla = [geo.tensor_values(kahler._two_vector_nabla(gamma, full[q]), 3) for q in range(3)]
         for k in range(4):
             ns1, ns2, ns3 = (n[..., k, :, :] for n in nabla)
             bk = geo.tensor_values(beta, 1)[..., k, None, None]
@@ -133,10 +135,10 @@ class TestBetaForm:
         # metric compatibility: g(nabla_k s2, s2) = 0
         pts = fubini_study.chart.sample(5, rng)
         base = kahler.BaseEval(fubini_study, pts)
-        sd, _ = base.connection()
+        s2 = kahler._self_dual(kahler.adapted_frame(base.gjets), (1,))[0]
         g = base.gvals
-        s2v = geo.tensor_values(sd[1], 2)
-        nabla = geo.tensor_values(kahler._two_vector_nabla(base.gamma_jets, sd[1]), 3)
+        s2v = geo.tensor_values(s2, 2)
+        nabla = geo.tensor_values(kahler._two_vector_nabla(base.gamma_jets, s2), 3)
         for k in range(4):
             ns2 = nabla[..., k, :, :]
             assert np.max(np.abs(geo._inner_kernel(g, ns2, s2v))) < 1e-10

@@ -39,6 +39,14 @@ def assert_same_jets(new, old):
         assert np.array_equal(np.signbit(a), np.signbit(b)), idx
 
 
+def _truncated(old, order):
+    """The object array ``old`` of jets, each truncated to ``order``."""
+    out = np.empty(old.shape, dtype=object)
+    for idx in np.ndindex(old.shape):
+        out[idx] = old[idx].truncate(order)
+    return out
+
+
 def _points(metric, n, seed=5):
     pts = metric.chart.sample(1 if n is None else n, seed)
     return pts[0] if n is None else pts
@@ -80,12 +88,16 @@ class TestBaseJets:
             nabla = kahler._two_vector_nabla(gamma, sd[q])
             for k in range(4):
                 assert_same_jets(nabla[k], ref.two_vector_nabla(ref_gamma, ref_sd[q], k))
-        beta = kahler.beta_form(gjets, sd, gamma)
-        assert_same_jets(beta, ref.beta_jets(ref_g, ref_frame))
-        # the base evaluation builds the same jets
-        for mine, base in zip((sd, beta), kahler.BaseEval(metric, x, order).connection()):
-            assert np.array_equal(mine.coeffs, base.coeffs)
-            assert np.array_equal(np.signbit(mine.coeffs), np.signbit(base.coeffs))
+        assert_same_jets(kahler._self_dual(frame, (1,))[0], ref_sd[1])
+        ref_beta = ref.beta_jets(ref_g, ref_frame)
+        assert_same_jets(kahler.beta_form(gjets, sd[1], sd[2], gamma), ref_beta)
+        # the base evaluation builds the basis one order lower: the truncated
+        # reference, bit for bit, and the same beta
+        base_sd, base_beta = kahler.BaseEval(metric, x, order).connection()
+        assert base_sd.space is gamma.space
+        for q in range(3):
+            assert_same_jets(base_sd[q], _truncated(ref_sd[q], order - 1))
+        assert_same_jets(base_beta, ref_beta)
 
     def test_chart_eval_fields(self, metric, order, n):
         chart = twistor.TwistorChart.twistor(metric)
@@ -190,13 +202,19 @@ def test_self_dual_and_beta_in_small_blocks(request, monkeypatch, name, n):
     gjets = metric.jets_at(x, 2)
     low, nbatch = jets.get_space(4, 1), 1 if n is None else n
     monkeypatch.setattr(jets, "CHUNK_DOUBLES", low.npairs * nbatch * 3)
-    assert len(gjets.space.chunks(18, nbatch)) > 1 and len(low.chunks(144, 4 * nbatch)) > 1
+    assert len(gjets.space.chunks(6, nbatch)) > 1 and len(low.chunks(144, 4 * nbatch)) > 1
     ref_g = ref.metric_jets(metric, x, 2)
     ref_frame = ref.adapted_frame(ref_g)
-    sd = kahler._self_dual(kahler.adapted_frame(gjets))
-    for q, ref_s in enumerate(ref.sd_jets(ref_frame)):
+    frame = kahler.adapted_frame(gjets)
+    sd = kahler._self_dual(frame)
+    ref_sd = ref.sd_jets(ref_frame)
+    for q, ref_s in enumerate(ref_sd):
         assert_same_jets(sd[q], ref_s)
-    beta = kahler.beta_form(gjets, sd, geo.christoffel_jets(gjets))
+    assert_same_jets(kahler._self_dual(frame, (1,))[0], ref_sd[1])
+    low_sd = kahler._self_dual(frame.truncate(1))
+    for q, ref_s in enumerate(ref_sd):
+        assert_same_jets(low_sd[q], _truncated(ref_s, 1))
+    beta = kahler.beta_form(gjets, sd[1], low_sd[2], geo.christoffel_jets(gjets))
     assert_same_jets(beta, ref.beta_jets(ref_g, ref_frame))
     if name == "flat":
         assert not np.any(beta.coeffs)
@@ -316,6 +334,44 @@ def test_sum_terms_equals_python_left_fold(grid, chunk):
         expect = np.broadcast_to(acc.coeffs, got[:, o].shape)
         assert np.array_equal(got[:, o], expect), o
         assert np.array_equal(np.signbit(got[:, o]), np.signbit(expect)), o
+
+
+def _assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n_vars=st.sampled_from([4, 6]), order=st.integers(1, 3),
+       trailing=st.sampled_from([1, 5, jets.LAYERED_MIN_TRAILING - 1, jets.LAYERED_MIN_TRAILING, 130]),
+       zero_tail=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_products_and_inverse_commute_with_truncate(n_vars, order, trailing, zero_tail, seed):
+    # the coefficients of a product, and of a Gauss-Jordan inverse, up to
+    # order - 1 do not depend on those of order ``order``: a field read only
+    # one order lower can be built there, with the same bits, on both sides
+    # of LAYERED_MIN_TRAILING; a zero tail (of zeros of both signs) is a
+    # constant metric, as on flat
+    space = jets.get_space(n_vars, order)
+    rng = np.random.default_rng(seed)
+
+    def operand(shape):
+        c = _coefficients(rng, (space.ncoef,) + shape)
+        if zero_tail:
+            c[1:] *= 0.0
+        return c
+
+    a, b = operand((trailing,)), operand((trailing,))
+    low = jets.get_space(n_vars, order - 1)
+    _assert_same_bits(space.multiply(a, b)[:low.ncoef], low.multiply(a[:low.ncoef], b[:low.ncoef]))
+    # a batch of one keeps the inverse's products below LAYERED_MIN_TRAILING
+    # values per coefficient, a batch of 21 or more puts them above
+    batch = max(1, trailing // n_vars)
+    m = operand((n_vars, n_vars, batch))
+    root = rng.normal(size=(n_vars, n_vars, batch))
+    m[0] = np.einsum("ik...,jk...->ij...", root, root) + n_vars * np.eye(n_vars)[..., None]  # SPD
+    m = jets.Jet(space, m)
+    _assert_same_bits(geo._inverse(m).truncate(order - 1).coeffs,
+                      geo._inverse(m.truncate(order - 1)).coeffs)
 
 
 # every space has a layered table; JetSpace.multiply runs it from

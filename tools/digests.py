@@ -10,9 +10,12 @@ ROOT, each produced by ROOT's own ``src``:
   point (where ``JetSpace.multiply`` runs ``reduceat`` and products run in
   their smallest blocks);
 * the ``dense_balanced`` report at every suite seed;
-* the raw coefficients, signs of zero included, of the self-dual basis s,
-  of beta (``BaseEval(...).connection()``) and of ``_two_vector_nabla``
-  of s2, for every fixture at 1, 7, 50 and 400 points;
+* the raw coefficients, signs of zero included, for every fixture at 1,
+  7, 50 and 400 points: of the self-dual basis s below the base order and
+  of beta (``BaseEval(...).connection()``), of ``_two_vector_nabla`` of
+  s2 (from ``_self_dual`` of the whole frame), of the Christoffel jets
+  ``BaseEval(...).gamma_jets`` at orders 1-3, and of ``ChartEval.gamma_h``
+  on the plain chart at working orders 1 and 2;
 * the stdout of every demo;
 * ``solve-map`` output (stdout and stderr) and CSV for every profile,
   branch and sign.
@@ -64,17 +67,30 @@ def _reports(wl):
 
 
 def _raw_arrays(wl):
-    from twistorcheck import kahler
+    from twistorcheck import kahler, twistor
+
+    def raw(array):
+        return str(array.shape).encode() + array.tobytes()
 
     for fixture in wl.FIXTURES:
         metric = kahler.get_fixture(fixture)
+        chart = twistor.TwistorChart.twistor(metric)
         for n in (1, 7, 50, 400):
-            base = kahler.BaseEval(metric, metric.chart.sample(n, wl.CONFIG_SEEDS[0]))
+            pts = metric.chart.sample(n, wl.CONFIG_SEEDS[0])
+            base = kahler.BaseEval(metric, pts)
             sd, beta = base.connection()
-            nabla = kahler._two_vector_nabla(base.gamma_jets, sd[1])
-            for name, jet in (("s", sd), ("beta", beta), ("nabla_s2", nabla)):
-                shape = str(jet.coeffs.shape).encode()
-                yield f"raw/{fixture}/{n}/{name}", shape + jet.coeffs.tobytes()
+            s2 = kahler._self_dual(kahler.adapted_frame(base.gjets))[1]
+            nabla = kahler._two_vector_nabla(base.gamma_jets, s2)
+            for name, jet in (("s", sd.truncate(base.gjets.order - 1)), ("beta", beta),
+                              ("nabla_s2", nabla)):
+                yield f"raw/{fixture}/{n}/{name}", raw(jet.coeffs)
+            for order in (1, 2, 3):
+                gamma = kahler.BaseEval(metric, pts, order).gamma_jets
+                yield f"raw/{fixture}/{n}/gamma_{order}", raw(gamma.coeffs)
+            chart_pts = chart.sample(n, wl.CONFIG_SEEDS[0])
+            for order in (1, 2):
+                gamma_h = twistor.ChartEval(chart, chart_pts, order).gamma_h
+                yield f"raw/{fixture}/{n}/gamma_h_{order}", raw(gamma_h)
 
 
 def _solve_maps(workdir: str):
