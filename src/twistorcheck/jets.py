@@ -133,20 +133,20 @@ class JetSpace:
         self._deriv_maps = self._build_deriv_maps() if order > 0 else None
 
     def _build_mul_table(self):
-        pairs_i, pairs_j, pairs_k = [], [], []
-        for i, a in enumerate(self.multi_indices):
-            da = sum(a)
-            for j, b in enumerate(self.multi_indices):
-                if da + sum(b) > self.order:
-                    continue
-                c = tuple(x + y for x, y in zip(a, b))
-                pairs_i.append(i)
-                pairs_j.append(j)
-                pairs_k.append(self.index[c])
-        k = np.array(pairs_k)
+        """The pairs (i, j) of multi-indices whose sum has degree <= order,
+        i then j ascending, stably sorted by the index k of their sum: each
+        coefficient's terms in loop order.  Each sum is looked up among the
+        sorted multi-indices, each one record compared entry by entry."""
+        alpha = np.array(self.multi_indices).reshape(self.ncoef, self.n_vars)
+        deg = alpha.sum(axis=1)
+        i, j = np.nonzero(deg[:, None] + deg <= self.order)
+        records = lambda a: np.ascontiguousarray(a).view([("", a.dtype)] * self.n_vars).ravel()
+        keys = records(alpha)
+        by_key = np.argsort(keys)
+        k = by_key[np.searchsorted(keys[by_key], records(alpha[i] + alpha[j]))]
         perm = np.argsort(k, kind="stable")
-        self._mul_i = np.array(pairs_i)[perm]
-        self._mul_j = np.array(pairs_j)[perm]
+        self._mul_i = i[perm]
+        self._mul_j = j[perm]
         self.npairs = len(k)
         k_sorted = k[perm]
         # every target index occurs (alpha = alpha + 0), so reduceat covers all
@@ -420,6 +420,10 @@ class Jet:
         """The tensor component(s) ``idx`` of a stacked jet, as a view."""
         idx = idx if isinstance(idx, tuple) else (idx,)
         return Jet(self.space, self.coeffs[(slice(None),) + idx])
+
+    def head(self, n: int) -> "Jet":
+        """The jet at the first ``n`` entries of its last batch axis, copied."""
+        return Jet(self.space, self.coeffs[..., :n].copy())
 
     def truncate(self, order: int) -> "Jet":
         if order == self.space.order:

@@ -26,6 +26,7 @@ loops, bit for bit.  Exact zeros by construction, as beta's terms through the
 
 from __future__ import annotations
 
+import copy
 import functools
 import inspect
 
@@ -322,6 +323,16 @@ class BaseEval:
         self.gvals = tensor_values(self.gjets, 2)
         check_spd(self.gvals, x)
         self.gamma_jets = christoffel_jets(self.gjets)
+
+    def head(self, n: int) -> "BaseEval":
+        """This evaluation at its first ``n`` points (of one batch axis),
+        sliced from its fields rather than evaluated again.  Each field of a
+        point depends on that point alone, so the slices are the fields of
+        an evaluation at those points, bit for bit."""
+        out = copy.copy(self)
+        out.gjets, out.gamma_jets = self.gjets.head(n), self.gamma_jets.head(n)
+        out.gvals = self.gvals[:n].copy()
+        return out
 
     def connection(self) -> tuple:
         """(sd, beta): the self-dual basis (s1, s2, s3) of the adapted frame,

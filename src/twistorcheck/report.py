@@ -10,7 +10,8 @@ detect.  Reports are plain dictionaries serializable to byte-stable JSON.
 A suite asserts a claim only where the metric declares its hypotheses
 (:class:`geometry.Hypotheses`), and the curvature and Kahler rows certify
 the declarations.  The suites on the plain twistor chart share its one
-evaluation per (point count, seed) in a run.
+evaluation per (point count, seed) in a run, and every chart sampled at a
+seed, plain or modified, at any point count, reads one base evaluation.
 """
 
 from __future__ import annotations
@@ -138,10 +139,16 @@ class CheckRecord:
 
 
 class _Recorder:
+    """The records of one run, and the evaluations its suites share: the
+    widest :class:`twistor.ChartBase` built at each seed (:func:`_base`) and
+    the plain chart's ChartEval at each (point count, seed)
+    (:func:`_plain_eval`), kept until the run ends."""
+
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.records = []
         self.scale = TOL_TIERS[config.tol_tier]
+        self.bases = {}  # seed -> ChartBase; see _base
         self.plain_evals = {}  # (n, seed) -> ChartEval; see _plain_eval
 
     def add(self, check_id, anchor, points, residual, threshold, mode="below", detail=None):
@@ -162,7 +169,7 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
     # the base part of the plain chart's sample at this seed; drawn here too,
     # as the rho duality spot check continues this generator
     pts = metric.chart.sample(n, rng)
-    base = _plain_eval(rec, metric, n, config.seed).base
+    base = _base(rec, metric, n, config.seed).head(n).base
     data, basis = base.curvature(), base.basis
     rl = data.rlow
     sym = max(
@@ -233,14 +240,30 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
             " under the self-dual cross product", 20, worst, 1e-9)
 
 
+def _base(rec: _Recorder, metric, n: int, seed: int) -> twistor.ChartBase:
+    """The base of the charts sampled at ``seed``, on at least ``n`` base
+    points: the widest built at that seed in this run, or a new one on the
+    ``n`` base points of the seed's sample.  A chart's sample draws its base
+    points first and in order (:meth:`geometry.ChartDomain.sample`), so the
+    base points of every chart's ``n``-point sample at a seed are the first
+    ``n`` of this base's."""
+    base = rec.bases.get(seed)
+    if base is None or len(base.x4) < n:
+        base = rec.bases[seed] = twistor.ChartBase(metric, metric.chart.sample(n, seed))
+    return base
+
+
 def _plain_eval(rec: _Recorder, metric, n: int, seed: int) -> twistor.ChartEval:
     """The ChartEval of the plain twistor chart on its ``n``-point sample at
-    ``seed``, built once per run: every plain-chart suite reads it, so suites
-    with the same point count share one evaluation."""
+    ``seed``, built once per run on the seed's base (:func:`_base`): every
+    plain-chart suite reads it, so suites with the same point count share
+    one evaluation, and suites with fewer points read the head of the
+    base."""
     key = (n, seed)
     if key not in rec.plain_evals:
         chart = twistor.TwistorChart.twistor(metric)
-        rec.plain_evals[key] = twistor.ChartEval(chart, chart.sample(n, seed))
+        rec.plain_evals[key] = twistor.ChartEval(chart, chart.sample(n, seed),
+                                                 base=_base(rec, metric, n, seed))
     return rec.plain_evals[key]
 
 
@@ -262,16 +285,20 @@ def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
         rec.add("integrability.twistor_vanishing",
                 "Nijenhuis tensor vanishes over the anti-self-dual base",
                 n, nmax, 1e-6)
+        # the modified and perturbed charts sampled at the same seed: the same
+        # base points as the plain chart, so all three read one base
+        base = _base(rec, metric, n, config.seed)
         chart_s, chart_p = _modified_charts(metric, config)
-        pts_s = chart_s.sample(n, config.seed + 1)
+        ctx_s = twistor.ChartEval(chart_s, chart_s.sample(n, config.seed), base=base)
         rec.add("integrability.modified_holomorphic",
-                "isothermal fiber map keeps the modified chart integrable",
-                n, np.max(twistor.nijenhuis_max(twistor.ChartEval(chart_s, pts_s))), 1e-6)
-        pts_p = chart_p.sample(n, config.seed + 2)
+                "isothermal fiber map keeps the modified chart integrable"
+                " over the plain chart's base points",
+                n, np.max(twistor.nijenhuis_max(ctx_s)), 1e-6)
+        ctx_p = twistor.ChartEval(chart_p, chart_p.sample(n, config.seed), base=base)
         rec.add("integrability.modified_perturbed",
-                "perturbing the fiber map breaks integrability (negative control)",
-                n, np.max(twistor.nijenhuis_max(twistor.ChartEval(chart_p, pts_p))), 1e-3,
-                mode="exceeds")
+                "perturbing the fiber map breaks integrability over the same base points"
+                " (negative control)",
+                n, np.max(twistor.nijenhuis_max(ctx_p)), 1e-3, mode="exceeds")
     else:
         rec.add("integrability.twistor_obstruction",
                 "nonvanishing W+ obstructs integrability (negative control)",

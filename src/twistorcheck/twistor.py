@@ -31,7 +31,8 @@ Field operations take a :class:`ChartEval` as their first argument, never
 a (chart, point) pair: build one ``ChartEval(chart, points)`` per point
 set and pass it to every check on that set, so each field is computed at
 most once per point set, and only when a check reads it; its base fields
-come from one :class:`kahler.BaseEval`.  The sign eps
+come from one :class:`ChartBase`, which the charts over the same base
+points can share (a narrower one reads the head of a wider).  The sign eps
 lives on the evaluation: :meth:`ChartEval.flipped` gives the negative
 control on the same points without evaluating the base again.  Results
 keep the batch axis, also for a single point.
@@ -51,7 +52,7 @@ import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -175,8 +176,9 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
     h = t_max / steps
 
     def probe(x):
-        """The base at x, its Christoffel values and beta_k."""
-        base = BaseEval(metric, x)
+        """The base at x, its Christoffel values and beta_k: values only,
+        which the base gives bit for bit at order 1."""
+        base = BaseEval(metric, x, order=1)
         return base, tensor_values(base.gamma_jets, 3), tensor_values(base.connection()[1], 1)[k]
 
     def gamma_action(G, S):
@@ -219,16 +221,75 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
 # per-point evaluation context
 # ---------------------------------------------------------------------------
 
+class BaseFields(NamedTuple):
+    """The base fields of a :class:`ChartEval` in its 6-variable space at its
+    working order: the metric ``g``, the self-dual basis ``S`` (stacked
+    [q, i, j]) and the connection form ``beta``, and the values of beta and
+    of s1, s2, s3 (batch leading)."""
+
+    g: jets.Jet
+    S: jets.Jet
+    beta: jets.Jet
+    beta_vals: np.ndarray
+    svals: list
+
+    def head(self, n: int) -> "BaseFields":
+        """The fields at the first ``n`` points, copied."""
+        return BaseFields(self.g.head(n), self.S.head(n), self.beta.head(n),
+                          self.beta_vals[:n].copy(), [s[:n].copy() for s in self.svals])
+
+
+class ChartBase:
+    """The base of every chart of ``metric`` at the base points ``x4`` and
+    the working order ``order``: one :class:`kahler.BaseEval` (:attr:`base`),
+    taken one order higher because beta consumes one order, and the
+    :class:`BaseFields` its connection gives (:attr:`fields`), derived on
+    first read and kept.  The plain and the modified charts over the same
+    base points differ only in their fibers, so they can share one
+    ChartBase; :meth:`head` gives the base of the first n points, sliced
+    rather than evaluated again."""
+
+    def __init__(self, metric: MetricField, x4, order: int = 1):
+        self.metric = metric
+        self.x4 = np.atleast_2d(np.asarray(x4, dtype=float))
+        self.W = order
+        self.base = BaseEval(metric, self.x4, order + 1)
+        self._wide = None  # the ChartBase this one is the head of
+
+    def head(self, n: int) -> "ChartBase":
+        """The base at the first ``n`` points: its evaluation and its fields
+        (once read) are slices of this one's."""
+        if n == len(self.x4):
+            return self
+        if not 1 <= n < len(self.x4):
+            raise UsageError(f"a base at {len(self.x4)} points has no head of {n}")
+        out = copy.copy(self)
+        out.__dict__.pop("fields", None)
+        out.x4, out.base, out._wide = self.x4[:n], self.base.head(n), self
+        return out
+
+    @cached_property
+    def fields(self) -> BaseFields:
+        if self._wide is not None:
+            return self._wide.fields.head(len(self.x4))
+        space = jets.get_space(TOTAL_DIM, self.W)
+        sd, beta = self.base.connection()  # one order below the base: the working order
+        emb = lambda j: j.embed(space, (0, 1, 2, 3))
+        return BaseFields(emb(self.base.gjets.truncate(self.W)), emb(sd), emb(beta),
+                          tensor_values(beta, 1), [tensor_values(sd[q], 2) for q in range(3)])
+
+
 class ChartEval:
     """All jet fields of a chart at a batch of 6-points, at working order
     ``order``.  Order 1 (values and first derivatives) is all that the
     Nijenhuis tensor, the Christoffel symbols of h and d of a form consume;
     a caller that takes d of a form that was itself built with one d (as
-    in checking d d = 0) builds its ChartEval at order 2.  The base is one
-    :class:`kahler.BaseEval` (:attr:`base`), taken one order higher,
-    because the connection form beta consumes one order: its connection
-    gives beta and the self-dual basis :attr:`S` at the working order, and
-    :attr:`data4` is its curvature.
+    in checking d d = 0) builds its ChartEval at order 2.  The base fields
+    come from a :class:`ChartBase`: ``base`` when given, which may be wider
+    than the points (it must be of the chart's metric and of ``order``, and
+    its first points must be the base points of ``points``), else one built
+    here.  :attr:`base` is its :class:`kahler.BaseEval` at the points, and
+    :attr:`data4` is the curvature of that.
 
     This is the only place a chart is evaluated at points: every field
     operation of this module takes a ChartEval (and reads the chart from
@@ -239,7 +300,8 @@ class ChartEval:
     Christoffel symbols of h, the Nijenhuis tensor, tau, Omega, D Omega and
     :attr:`data4`) is computed on first read and kept."""
 
-    def __init__(self, chart: TwistorChart, points, order: int = 1):
+    def __init__(self, chart: TwistorChart, points, order: int = 1,
+                 base: Optional[ChartBase] = None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         self.chart = chart
         self.points = pts
@@ -249,7 +311,7 @@ class ChartEval:
         self.W = order
         self.space = jets.get_space(TOTAL_DIM, order)
         self.eps = EPS
-        self._build_base(order + 1)
+        self._build_base(ChartBase(chart.base, self.x4, order) if base is None else base)
         self._build_fiber()
 
     def flipped(self) -> "ChartEval":
@@ -264,17 +326,16 @@ class ChartEval:
         return out
 
     # -- base fields ------------------------------------------------------
-    def _build_base(self, order):
-        self.base = base = BaseEval(self.chart.base, self.x4, order)
-        self.gvals = base.gvals
-        sd, beta = base.connection()
-        self.beta_vals = tensor_values(beta, 1)
-        self.svals = [tensor_values(sd[q], 2) for q in range(3)]
-
-        emb = lambda j: j.truncate(self.W).embed(self.space, (0, 1, 2, 3))
-        self.g = emb(base.gjets)
-        self.S = emb(sd)
-        self.beta = emb(beta)
+    def _build_base(self, base: ChartBase):
+        n = len(self.points)
+        if (base.metric is not self.chart.base or base.W != self.W
+                or not np.array_equal(base.x4[:n], self.x4)):
+            raise UsageError("a ChartEval reads the base of its own metric at its working"
+                             " order, whose first points are its base points")
+        base = base.head(n)
+        self.base = base.base
+        self.gvals = base.base.gvals
+        self.g, self.S, self.beta, self.beta_vals, self.svals = base.fields
         self.zero = self.g[0, 0] * 0.0
         self.one = self.zero + 1.0
 
@@ -759,8 +820,20 @@ def _tau_form(ctx: ChartEval) -> Form:
     """Tautological 2-form tau(A,B) = 2 g(F(p), dpi A ^ dpi B): (g P g)_{ij}
     on the index pairs i < j, in row order."""
     i, j = np.triu_indices(4, 1)
-    gPg = jets.contract("pm,mn,np->p", ctx.g[i], ctx.P_img, ctx.g[:, j])
-    return Form(tuple(zip(i.tolist(), j.tolist())), gPg)
+    gPg = ctx.space.sum_terms([ctx.g.coeffs, ctx.P_img.coeffs, ctx.g.coeffs], _tau_terms())
+    return Form(tuple(zip(i.tolist(), j.tolist())), jets.Jet(ctx.space, gPg))
+
+
+@lru_cache(maxsize=None)
+def _tau_terms() -> jets.Terms:
+    """The :class:`jets.Terms` of :func:`_tau_form`, outputs the pairs i < j:
+    the terms (g_im P^{mn}) g_nj with m != n in (m, n) order; the terms
+    m = n are exact zeros (the diagonal of P is a signed zero, as that of
+    the self-dual basis)."""
+    i, j = np.triu_indices(4, 1)
+    m, n = (x[:, None] for x in np.nonzero(~np.eye(4, dtype=bool)))
+    return jets.Terms(((i[None], m), (m, n), (n, j[None])), None,
+                      np.zeros((m.size, i.size), dtype=bool))
 
 
 def _fiber_area_form(ctx: ChartEval, weight) -> Form:

@@ -8,8 +8,10 @@ pipeline: potential -> metric jets, the adapted frame, the self-dual basis,
 the inverse and Christoffel symbols, beta, and the ChartEval fields P, K,
 J, h, Omega and tau; and forms as dicts of components, with the wedge and
 d that loop over them.  It also keeps the per-limit quadrature rule that
-``fibermap.quad`` refines and the point-by-point sampling loop that
-``ChartDomain.sample`` batches.  Nothing in ``src/`` uses this module.
+``fibermap.quad`` refines, the point-by-point sampling loop that
+``ChartDomain.sample`` batches, and the loop over pairs of multi-indices
+that ``JetSpace`` builds its product table with in one gather.  Nothing in
+``src/`` uses this module.
 """
 
 import numpy as np
@@ -395,3 +397,21 @@ def chart_sample(domain, n, rng):
         else:
             raise GeometryError("could not sample an admissible chart point")
     return out
+
+
+def mul_table(space):
+    """``(_mul_i, _mul_j, _mul_starts)`` of the JetSpace ``space`` by the loop
+    over every pair of its multi-indices (a, b) with |a| + |b| <= order,
+    then stably sorted by the index of a + b."""
+    pairs_i, pairs_j, pairs_k = [], [], []
+    for i, a in enumerate(space.multi_indices):
+        for j, b in enumerate(space.multi_indices):
+            if sum(a) + sum(b) > space.order:
+                continue
+            pairs_i.append(i)
+            pairs_j.append(j)
+            pairs_k.append(space.index[tuple(x + y for x, y in zip(a, b))])
+    k = np.array(pairs_k)
+    perm = np.argsort(k, kind="stable")
+    return (np.array(pairs_i)[perm], np.array(pairs_j)[perm],
+            np.searchsorted(k[perm], np.arange(space.ncoef)))

@@ -123,19 +123,27 @@ class TestRunSuite:
             modes[metric] = rec["mode"]
         assert modes == {"burns": "exceeds", "eguchi_hanson": "skipped"}
 
-    def test_curvature_suite_evaluates_metric_twice(self, jets_at_calls):
-        # one metric-jet bundle at the sampled points, one at the rho-duality point
+    def test_curvature_suite_evaluates_metric_twice(self, jets_at_calls, chart_evals,
+                                                     monkeypatch):
+        # one metric-jet bundle at the sampled points, one at the rho-duality
+        # point; alone, the suite builds no chart and no connection
+        connections = []
+        orig = kahler.BaseEval.connection
+        monkeypatch.setattr(kahler.BaseEval, "connection",
+                            lambda self: connections.append(1) or orig(self))
         rep = run_suite(SuiteConfig.from_dict(
             {"metric": "burns", "suite": "curvature", "sample_count": 5}))
         assert rep["overall_pass"]
         assert len(jets_at_calls) == 2
+        assert chart_evals == [] and connections == []
 
     def test_suite_all_evaluates_each_base_once(self, jets_at_calls, chart_evals, monkeypatch):
-        # Burns at seed 2024: the plain chart at 50 points (curvature,
-        # integrability, cone), the rho-duality point, the modified and the
-        # perturbed chart, the plain chart at 20, 30 and 10 points; each base
-        # is one order-2 evaluation with one set of Christoffel jets, each
-        # ChartEval builds one beta, and D Omega is computed once
+        # Burns at seed 2024: one base at the 50 points of the seed (read by
+        # the curvature suite, the plain chart at 50, 20, 30 and 10 points,
+        # and the modified and perturbed charts at 50) and one at the
+        # rho-duality point; each base is one order-2 evaluation with one set
+        # of Christoffel jets, the shared one builds the only beta, and
+        # D Omega is computed once
         from twistorcheck import geometry, twistor
         dims, betas, domegas = [], [], []
         christoffel, beta_form = geometry.christoffel_jets, kahler.beta_form
@@ -159,10 +167,10 @@ class TestRunSuite:
         monkeypatch.setattr(twistor, "_covariant_domega", counted_domega)
         rep = run_suite(SuiteConfig.from_dict({"metric": "burns", "suite": "all", "seed": 2024}))
         assert rep["overall_pass"]
-        assert jets_at_calls == [2] * 7
-        assert dims.count(4) == 7
+        assert jets_at_calls == [2] * 2
+        assert dims.count(4) == 2
         assert chart_evals == [50, 50, 50, 20, 30, 10]
-        assert len(betas) == 6
+        assert len(betas) == 1
         assert domegas == [20]
 
     def test_twistor_suites_evaluate_each_point_set_once(self, chart_evals):

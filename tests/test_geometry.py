@@ -76,6 +76,19 @@ class TestChartDomain:
         assert np.array_equal(dom.sample(n, rng), ref.chart_sample(dom, n, ref_rng))
         assert rng.uniform() == ref_rng.uniform()
 
+    @pytest.mark.parametrize("exclusion", [None, lambda x: x[..., 0] < 0.5,
+                                           lambda x: np.sum(x * x, axis=-1) < 1.0])
+    @pytest.mark.parametrize("seed", (2024, 7, 11))
+    def test_a_sample_is_the_head_of_every_wider_sample(self, exclusion, seed):
+        # one candidate per missing point: the n points of a seed are the
+        # first n of any wider sample at that seed, rejections included
+        dom = geo.ChartDomain([[0, 1]] * 4, exclusion=exclusion)
+        wide = dom.sample(50, seed)
+        for n in (1, 7, 20, 30, 49):
+            assert np.array_equal(dom.sample(n, seed), wide[:n]), n
+        if exclusion is not None:  # the exclusion rejected candidates
+            assert not np.array_equal(geo.ChartDomain([[0, 1]] * 4).sample(50, seed), wide)
+
     @pytest.mark.parametrize("accepted,n,gives_up", [
         ((), 1, True), ((999,), 1, False), ((1000,), 1, True),
         ((0, 1000), 2, False), ((0, 1001), 2, True), ((3, 500, 1400), 3, False),

@@ -11,6 +11,8 @@ would go pairwise).  The property tests at the end check the kernel
 behaviour all of this rests on.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,20 @@ class TestBaseJets:
         assert_same_jets(ctx.omega_jets, old["omega"])
         assert ctx.tau.keys == tuple((i, j) for i in range(4) for j in range(i + 1, 4))
         assert_same_jets(ctx.tau.jet, old["tau"][np.triu_indices(4, 1)])
+
+
+@pytest.mark.parametrize("name", sorted(kahler.FIXTURES))
+def test_tau_leaves_out_only_exact_zeros(name):
+    # tau without its m = n terms equals the whole (g P g)_{ij} contraction,
+    # signs of zero included: those terms are products with a signed zero
+    metric = kahler.get_fixture(name)
+    chart = twistor.TwistorChart.twistor(metric)
+    i, j = np.triu_indices(4, 1)
+    for n in (1, 7, 50, 400):
+        ctx = twistor.ChartEval(chart, chart.sample(n, 3))
+        full = jets.contract("pm,mn,np->p", ctx.g[i], ctx.P_img, ctx.g[:, j])
+        assert np.array_equal(ctx.tau.jet.coeffs, full.coeffs), n
+        assert np.array_equal(np.signbit(ctx.tau.jet.coeffs), np.signbit(full.coeffs)), n
 
 
 @pytest.mark.parametrize("n", (1, 5, 50, 400))
@@ -435,6 +451,29 @@ def test_unbatched_times_batched_needs_a_size_one_axis(n_vars, order, batch):
         assert np.array_equal(np.signbit(padded[:, t]), np.signbit(single))
     two = jets.Jet.constant(space, 2.0, (1,))
     assert np.array_equal((two * jets.Jet(space, b)).coeffs, 2.0 * b)
+
+
+def _same_table(a, b):
+    """Two nested product tables (tuples, lists, slices, arrays) are equal."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_table, a, b))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("n_vars", range(1, 7))
+def test_product_table_matches_the_pair_loop(n_vars):
+    # looking up the sums of all pairs at once lists the pairs of the loop
+    # over (i, j), in its order, and so builds the same layered table
+    for order in range(5 if n_vars == 6 else 7):
+        space = jets.get_space(n_vars, order)
+        mul_i, mul_j, starts = ref.mul_table(space)
+        assert _same_table([space._mul_i, space._mul_j, space._mul_starts], [mul_i, mul_j, starts])
+        assert space.npairs == len(mul_i)
+        oracle = copy.copy(space)
+        oracle._mul_i, oracle._mul_j, oracle._mul_starts = mul_i, mul_j, starts
+        assert _same_table(oracle._build_layers(), space._layers), (n_vars, order)
 
 
 def test_every_space_has_a_layered_table():

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,19 @@ class TestHorizontalLift:
             assert diag["mismatch_ratio"] > 1.0
         eps_eh, diag_eh = tw.calibrate_epsilon(eguchi_hanson)
         assert eps_eh == +1 and diag_eh["beta_negligible"]
+
+    @pytest.mark.parametrize("name", sorted(kahler.FIXTURES))
+    def test_transport_probes_read_the_same_values_at_order_one(self, name):
+        # the transport reads beta, the Christoffel values and the basis of
+        # a base at order 1: the values of the base at order 2, bit for bit
+        metric = kahler.get_fixture(name)
+        for x in metric.chart.sample(4, 9):
+            low, high = kahler.BaseEval(metric, x, order=1), kahler.BaseEval(metric, x)
+            pairs = [(low.connection()[1].value, high.connection()[1].value),
+                     (low.gamma_jets.value, high.gamma_jets.value), (low.gvals, high.gvals)]
+            pairs += [(a.comps, b.comps) for a, b in zip(low.basis, high.basis)]
+            for a, b in pairs:
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestJField:
@@ -493,6 +508,74 @@ class TestOneMetricEvaluation:
         tw.cone_wedge_constants(ctx, 1.0, 2.0)
         assert tw.hermitian_positivity(ctx) > 0
         assert calls == [1]
+
+
+def _same_fields(a, b, where):
+    """``a`` and ``b`` hold equal fields: jets and arrays bit for bit, signs
+    of zero included, and the rest equal or the same object."""
+    if isinstance(a, jets.Jet):
+        assert a.space is b.space, where
+        _same_fields(a.coeffs, b.coeffs, where)
+    elif isinstance(a, np.ndarray):
+        assert a.shape == b.shape and np.array_equal(a, b), where
+        assert np.array_equal(np.signbit(a), np.signbit(b)), where
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), where
+        for n, (x, y) in enumerate(zip(a, b)):
+            _same_fields(x, y, f"{where}[{n}]")
+    elif isinstance(a, (kahler.BaseEval, geo.CurvatureData, tw.Form)):
+        assert type(a) is type(b) and vars(a).keys() == vars(b).keys(), where
+        for key in vars(a):
+            _same_fields(getattr(a, key), getattr(b, key), f"{where}.{key}")
+    else:
+        assert a is b or a == b, where
+
+
+class TestSharedBase:
+    # every chart sampled at one seed reads one base: a chart on the head of
+    # a wider base is, field for field, the chart that builds its own
+    CACHED = [name for name, attr in vars(tw.ChartEval).items()
+              if isinstance(attr, cached_property)]
+
+    @pytest.mark.parametrize("name", sorted(kahler.FIXTURES))
+    def test_chart_on_a_shared_base_equals_a_fresh_one(self, name):
+        metric = kahler.get_fixture(name)
+        wide = tw.ChartBase(metric, metric.chart.sample(50, 2024))
+        charts = [tw.TwistorChart.twistor(metric)]
+        if name != "conformal_hermitian":
+            charts.append(modified_chart(metric))
+        for chart in charts:
+            for n in (1, 7, 20, 30, 50):
+                pts = chart.sample(n, 2024)
+                assert np.array_equal(pts[:, :4], wide.x4[:n])
+                shared, fresh = tw.ChartEval(chart, pts, base=wide), tw.ChartEval(chart, pts)
+                names = list(vars(fresh)) + self.CACHED
+                assert list(vars(shared)) == list(vars(fresh))
+                for field in names:
+                    _same_fields(getattr(shared, field), getattr(fresh, field),
+                                 f"{chart.profile.name} {n} {field}")
+
+    def test_narrower_charts_read_the_wide_connection(self, charts, monkeypatch):
+        calls = []
+        orig = kahler.BaseEval.connection
+        monkeypatch.setattr(kahler.BaseEval, "connection",
+                            lambda self: calls.append(1) or orig(self))
+        chart = charts["burns"]
+        wide = tw.ChartBase(chart.base, chart.base.chart.sample(20, 3))
+        assert calls == []  # the curvature alone needs no connection
+        for n in (5, 20, 1):
+            tw.ChartEval(chart, chart.sample(n, 3), base=wide)
+        assert calls == [1]
+
+    def test_base_must_match_the_chart(self, charts):
+        chart = charts["burns"]
+        wide = tw.ChartBase(chart.base, chart.base.chart.sample(5, 3))
+        for other, pts, order in ((chart, chart.sample(5, 4), 1),
+                                  (chart, chart.sample(6, 3), 1),
+                                  (chart, chart.sample(5, 3), 2),
+                                  (charts["eguchi_hanson"], charts["eguchi_hanson"].sample(5, 3), 1)):
+            with pytest.raises(UsageError, match="first points are its base points"):
+                tw.ChartEval(other, pts, order, base=wide)
 
 
 def _bits(x):

@@ -5,10 +5,12 @@
 prints ``sha256  name`` lines, sorted by name, for the outputs of the checkout at
 ROOT, each produced by ROOT's own ``src``:
 
-* the ``suite=all`` and ``suite=curvature`` reports of every fixture at
-  every suite seed, and the ``suite=all`` reports at 7 points and at one
-  point (where ``JetSpace.multiply`` runs ``reduceat`` and products run in
-  their smallest blocks);
+* the ``suite=all`` report of every fixture at every suite seed, and the
+  reports of the suites that build their own evaluations when they run
+  alone (``curvature``, ``integrability``, ``structure_identities`` and
+  ``cone``, each reading the base of its seed), and the ``suite=all``
+  reports at 7 points and at one point (where ``JetSpace.multiply`` runs
+  ``reduceat`` and products run in their smallest blocks);
 * the ``dense_balanced`` report at every suite seed;
 * the raw coefficients, signs of zero included, for every fixture at 1,
   7, 50 and 400 points: of the self-dual basis s below the base order and
@@ -57,7 +59,7 @@ def _reports(wl):
 
     for seed in wl.CONFIG_SEEDS:
         for fixture in wl.FIXTURES:
-            for suite in ("all", "curvature"):
+            for suite in ("all", "curvature", "integrability", "structure_identities", "cone"):
                 yield f"{suite}/{fixture}/{seed}.json", report(metric=fixture, suite=suite, seed=seed)
             for n in (7, 1):
                 yield f"all_{n}/{fixture}/{seed}.json", report(metric=fixture, suite="all",
