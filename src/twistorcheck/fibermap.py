@@ -38,7 +38,20 @@ POLE_MARGIN = 1e-3  # exclusion margin in |phi| for fiber-map evaluations
 SAMPLE_MARGIN = 1e-3  # z samples keep this fraction of the map's domain clear
 QUAD_NODES = 30     # Gauss-Legendre nodes per panel
 QUAD_PANELS = 64    # panels on [a, farthest b]; the error estimate uses half as many
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_NODES)
+# numpy.polynomial.legendre.leggauss(QUAD_NODES), whose nodes are odd and
+# weights even bit for bit: the positive half, as literals (the tests check
+# them), so that importing the package does not import numpy.polynomial
+_GL_HALF = np.array([
+    (0.0514718425553177, 0.10285265289355859), (0.15386991360858354, 0.10176238974840528),
+    (0.25463692616788985, 0.09959342058679493), (0.3527047255308781, 0.09636873717464392),
+    (0.44703376953808915, 0.09212252223778594), (0.5366241481420199, 0.08689978720108285),
+    (0.6205261829892429, 0.08075589522941996), (0.6978504947933158, 0.0737559747377049),
+    (0.7677774321048262, 0.06597422988218044), (0.8295657623827684, 0.05749315621761923),
+    (0.8825605357920527, 0.04840267283059379), (0.9262000474292743, 0.03879919256962683),
+    (0.9600218649683075, 0.02878470788332254), (0.9836681232797472, 0.01846646831109169),
+    (0.9968934840746495, 0.007968192496169034)])
+_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
+_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
 
 
 class SurfaceProfile:

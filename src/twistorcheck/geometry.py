@@ -297,7 +297,12 @@ class TwoVector:
 
 
 def _inner_kernel(gvals, B1, B2):
-    return 0.25 * np.einsum("...ij,...kl,...ik,...jl->...", B1, B2, gvals, gvals)
+    """g(B1, B2) in the half-determinant metric: the einsum
+    "...ij,...kl,...ik,...jl->..." of B1, B2, gvals, gvals with the product
+    B1 B2 formed beforehand: the same terms in the same order (see the
+    docstring of :mod:`twistorcheck.twistor`)."""
+    B1B2 = np.asarray(B1)[..., :, :, None, None] * np.asarray(B2)[..., None, None, :, :]
+    return 0.25 * np.einsum("...ijkl,...ik,...jl->...", B1B2, gvals, gvals)
 
 
 def sd_basis(E: np.ndarray, gvals: np.ndarray):
@@ -382,12 +387,15 @@ def curvature_operator(data: CurvatureData, basis) -> CurvatureOperator:
     Normalized so the diagonal blocks are W+- + (Scal/12) Id: this is -1/2
     times the rho-dual endomorphism of :func:`curvature_two_vector_action`.
     """
-    comps = [b.comps for b in basis]
+    comps = np.stack([b.comps for b in basis])
     n = len(comps)
     batch = data.scal.shape
-    M = np.empty(batch + (n, n))
-    for a in range(n):
-        va = curvature_two_vector_action(data, comps[a])
-        for b in range(n):
-            M[..., a, b] = -0.5 * _inner_kernel(data.gvals, va, comps[b])
-    return CurvatureOperator(M)
+    # the basis stacked ahead of the batch axes of data, which it may lack
+    comps = comps.reshape((n,) + (1,) * (len(batch) + 3 - comps.ndim) + comps.shape[1:])
+    va = curvature_two_vector_action(data, comps)
+    a, b = np.divmod(np.arange(n * n), n)  # the pairs (a, b) in row order
+    M = np.empty((n * n,) + batch)
+    # in blocks of pairs whose products B1 B2 in _inner_kernel fit CHUNK_DOUBLES
+    for p in jets.blocks(n * n, DIM ** 4 * int(np.prod(batch))):
+        M[p] = -0.5 * _inner_kernel(data.gvals, va[a[p]], comps[b[p]])
+    return CurvatureOperator(np.moveaxis(M, 0, -1).reshape(batch + (n, n)))

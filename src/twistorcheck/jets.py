@@ -80,6 +80,7 @@ __all__ = [
     "stack",
     "contract",
     "Terms",
+    "blocks",
 ]
 
 # Orders 1..3 are the public contract; internal evaluations (e.g. deriving a
@@ -87,7 +88,9 @@ __all__ = [
 MAX_ORDER = 6
 
 # Doubles one JetSpace.multiply call of a stacked product may form (256 kB);
-# longer products run in blocks (see JetSpace.sum_terms and JetSpace.chunks).
+# longer products run in blocks (see JetSpace.sum_terms and JetSpace.chunks),
+# and so do the random draws of the value-level checks of twistor and
+# geometry (see :func:`blocks`).
 CHUNK_DOUBLES = 1 << 15
 
 # JetSpace.multiply sums by layers (see "Conventions") where an operand
@@ -300,8 +303,7 @@ class JetSpace:
     def chunks(self, count: int, term_size: int) -> list:
         """Slices covering ``range(count)`` terms, each small enough that a
         product of terms of ``term_size`` values stays within CHUNK_DOUBLES."""
-        step = max(1, CHUNK_DOUBLES // (self.npairs * max(term_size, 1)))
-        return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+        return blocks(count, self.npairs * max(term_size, 1))
 
     def zero_coeffs(self, batch_shape=()):
         return np.zeros((self.ncoef,) + batch_shape)
@@ -315,6 +317,13 @@ class JetSpace:
                 beta[v] = a
             out[i] = self.index[tuple(beta)]
         return out
+
+
+def blocks(count: int, size: int) -> list:
+    """Slices covering ``range(count)`` items of ``size`` doubles each, each
+    slice as many items as fit in CHUNK_DOUBLES, and at least one."""
+    step = max(1, CHUNK_DOUBLES // max(size, 1))
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
 
 def _as_slice(idx):
@@ -661,10 +670,11 @@ class Terms(NamedTuple):
     so that it is gathered once and broadcast.  ``sign`` holds the sign, +1
     or -1, of every cell, or is None where all are +1 and no cell is
     padding.  ``pad``, (ranks, columns), marks the cells past the last term
-    of their output; columns run from most terms to fewest, so padding ends
-    each row, and rank r fills the first ``reach[r]`` columns (all where
-    ``reach`` is None).  Padding products are skipped, or replaced by -0.0,
-    and adding -0.0 leaves every sum unchanged, signs of zero included."""
+    of their output.  Where ``reach`` is given, columns run from most terms
+    to fewest, so padding ends each row, and rank r fills the first
+    ``reach[r]`` columns; where it is None, padding may be anywhere.
+    Padding products are skipped, or replaced by -0.0, and adding -0.0
+    leaves every sum unchanged, signs of zero included."""
 
     index: tuple
     sign: np.ndarray | None
@@ -673,15 +683,19 @@ class Terms(NamedTuple):
     reach: tuple | None = None
 
     @staticmethod
-    def of(outs, index, sign=None) -> "Terms":
+    def of(outs, index, sign=None, by_count=True) -> "Terms":
         """The grid of the terms t listed in loop order: term t adds to the
         output labelled ``outs[t]`` (outputs in order of first appearance)
         the product of the components ``index[f][axis][t]`` of the factors
-        f, times ``sign[t]`` where given."""
+        f, times ``sign[t]`` where given.  The columns run from most terms
+        to fewest, so that blocks of padding products are skipped; with
+        ``by_count`` False they run in output order, for a grid that forms
+        no products, whose padding costs less than the permutation."""
         ids = {}
         outs = np.array([ids.setdefault(o, len(ids)) for o in outs], dtype=np.intp)
         counts = np.bincount(outs, minlength=len(ids))
-        cols = np.argsort(-counts, kind="stable")  # the outputs by term count, most first
+        # the outputs by term count, most first, or in order
+        cols = np.argsort(-counts, kind="stable") if by_count else np.arange(counts.size)
         outs, counts = np.argsort(cols, kind="stable")[outs], counts[cols]  # outputs are columns now
         first = np.cumsum(counts) - counts  # each output's first term, with terms sorted by output
         rank = np.empty_like(outs)
@@ -696,7 +710,7 @@ class Terms(NamedTuple):
         sign = np.ones(outs.size) if sign is None else sign  # padding is written into signed products
         return Terms(tuple(tuple(map(grid, ix)) for ix in index), grid(sign), pad,
                      None if np.all(cols == np.arange(cols.size)) else cols,
-                     tuple(np.count_nonzero(~pad, axis=1).tolist()))
+                     tuple(np.count_nonzero(~pad, axis=1).tolist()) if by_count else None)
 
 
 # -- seeding and extraction (module-level operations) ---------------------

@@ -219,25 +219,31 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
     # rho duality spot check, at pts[0] evaluated alone: a slice of data
     # differs from it in the last bits
     base1 = kahler.BaseEval(metric, pts[0])
-    data1, b1 = base1.curvature(), [b.comps for b in base1.basis[:3]]
-
-    def combine(c):  # c0 s1 + c1 s2 + c2 s3
-        return geometry.TwoVector(c[0] * b1[0] + c[1] * b1[1] + c[2] * b1[2])
-
-    worst = 0.0
-    for _ in range(20):
-        cv, cw2 = rng.normal(size=(2, 3))
-        v, w, vxw = combine(cv), combine(cw2), combine(np.cross(cv, cw2))
-        M = rng.normal(size=(4, 4))
-        xi = geometry.TwoVector(M - M.T)
-        lhs = geometry._inner_kernel(data1.gvals,
-                                     geometry.curvature_two_vector_action(data1, vxw.comps),
-                                     xi.comps)
-        rhs = geometry._inner_kernel(data1.gvals,
-                                     geometry.rho_apply(data1, xi, v).comps, w.comps)
-        worst = max(worst, abs(float(lhs - rhs)))
+    worst = _rho_duality(base1.curvature(), [b.comps for b in base1.basis[:3]], rng)
     rec.add("curvature.rho_duality", "derivation action is dual to the curvature operator"
             " under the self-dual cross product", 20, worst, 1e-9)
+
+
+def _rho_duality(data, s, rng) -> float:
+    """max |<Rhat(v x w), xi> - <rho(xi) v, w>| at one point over 20 random
+    draws of v, w in Lambda2+ (coefficients on the components ``s`` of s1,
+    s2, s3) and of xi, all draws at once; ``rng`` yields them in the order
+    of the loop over draws."""
+    rounds = [(rng.normal(size=(2, 3)), rng.normal(size=(4, 4))) for _ in range(20)]
+    cvw = np.array([c for c, _ in rounds])
+    M = np.array([m for _, m in rounds])
+
+    def combine(c):  # c0 s1 + c1 s2 + c2 s3, a draw a row of c
+        return geometry.TwoVector(c[:, 0, None, None] * s[0] + c[:, 1, None, None] * s[1]
+                                  + c[:, 2, None, None] * s[2])
+
+    cv, cw = cvw[:, 0], cvw[:, 1]
+    v, w, vxw = combine(cv), combine(cw), combine(np.cross(cv, cw))
+    xi = geometry.TwoVector(M - np.swapaxes(M, -1, -2))
+    lhs = geometry._inner_kernel(data.gvals, geometry.curvature_two_vector_action(data, vxw.comps),
+                                 xi.comps)
+    rhs = geometry._inner_kernel(data.gvals, geometry.rho_apply(data, xi, v).comps, w.comps)
+    return max([0.0, *(abs(d) for d in (lhs - rhs).tolist())])
 
 
 def _base(rec: _Recorder, metric, n: int, seed: int) -> twistor.ChartBase:

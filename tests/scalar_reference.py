@@ -10,15 +10,21 @@ J, h, Omega and tau; and forms as dicts of components, with the wedge and
 d that loop over them.  It also keeps the per-limit quadrature rule that
 ``fibermap.quad`` refines, the point-by-point sampling loop that
 ``ChartDomain.sample`` batches, and the loop over pairs of multi-indices
-that ``JetSpace`` builds its product table with in one gather.  Nothing in
-``src/`` uses this module.
+that ``JetSpace`` builds its product table with in one gather.  And it
+keeps the value-level identity checks as loops over their random draws,
+one draw at a time (and the Nijenhuis tensor from four einsums), which the
+checks of ``twistor``, ``geometry.curvature_operator`` and the curvature
+suite's rho duality spot check evaluate over all their draws at once.
+Nothing in ``src/`` uses this module.
 """
 
 import numpy as np
 
 from twistorcheck import fibermap, jets
 from twistorcheck.errors import GeometryError
-from twistorcheck.geometry import SAMPLE_MARGIN
+from twistorcheck.geometry import (SAMPLE_MARGIN, TwoVector, _inner_kernel,
+                                   curvature_endomorphism, curvature_two_vector_action,
+                                   rho_apply, tensor_partials, tensor_values, wedge)
 from twistorcheck.kahler import I_MATRIX, KahlerPotentialMetric
 
 DIM = 4
@@ -415,3 +421,205 @@ def mul_table(space):
     perm = np.argsort(k, kind="stable")
     return (np.array(pairs_i)[perm], np.array(pairs_j)[perm],
             np.searchsorted(k[perm], np.arange(space.ncoef)))
+
+
+# -- value-level identity checks, one random draw at a time -------------------
+
+def nijenhuis_values(ctx):
+    """N^m_{ab} of a ChartEval from its four einsums t1 - t2 + t3 - t4."""
+    Jv = ctx.J_values
+    dJ = tensor_partials(ctx.J, 2)
+    t1 = np.einsum("...ka,...kmb->...mab", Jv, dJ)
+    t2 = np.einsum("...kb,...kma->...mab", Jv, dJ)
+    t3 = np.einsum("...mk,...bka->...mab", Jv, dJ)
+    t4 = np.einsum("...mk,...akb->...mab", Jv, dJ)
+    return t1 - t2 + t3 - t4
+
+
+def horizontal_lift(ctx, X):
+    """X^h of one base vector ``X`` (4,) at every point of ``ctx``."""
+    out = np.zeros(ctx.beta_vals.shape[:-1] + (TOTAL_DIM,))
+    out[..., :4] = X
+    out[..., IDX_W] = -ctx.eps * np.einsum("...k,...k->...", ctx.beta_vals, X)
+    return out
+
+
+def nijenhuis_from_domega(covd, A, JA, B, JB, C):
+    def term(X, Y, Z):
+        return np.einsum("...kab,...k,...a,...b->...", covd, X, Y, Z)
+
+    return term(A, JB, C) - term(JB, A, C) - term(B, JA, C) + term(JA, B, C)
+
+
+def route_agreement(ctx, n_triples=20, seed=0):
+    """Per-point max |bracket route - D-Omega route| over ``n_triples``
+    random triples, one triple at a time."""
+    N, hv, covd, Jv = ctx.nijenhuis, ctx.h_values, ctx.domega, ctx.J_values
+    rng = np.random.default_rng(seed)
+    worst = np.zeros(len(ctx.points))
+    for _ in range(n_triples):
+        A, B, C = rng.normal(size=(3, TOTAL_DIM))
+        r1 = np.einsum("...mab,a,b,...mc,c->...", N, A, B, hv, C)
+        JA = np.einsum("...ma,a->...m", Jv, A)
+        JB = np.einsum("...ma,a->...m", Jv, B)
+        Ab = np.broadcast_to(A, JA.shape)
+        Bb = np.broadcast_to(B, JB.shape)
+        Cb = np.broadcast_to(C, JB.shape)
+        r2 = nijenhuis_from_domega(covd, Ab, JA, Bb, JB, Cb)
+        worst = np.maximum(worst, np.abs(r1 - r2))
+    return worst
+
+
+def mixed_nijenhuis(ctx, X, U_fiber, Z):
+    """max over the points of |h(N(X^h,U),Z^h) - 2 g(J f_* U - f_* J U, X ^ Z)|
+    for one draw (X, U, Z)."""
+    N, hv = ctx.nijenhuis, ctx.h_values
+    X = np.asarray(X, float)
+    Z = np.asarray(Z, float)
+    u4, u5 = U_fiber
+    t_v, t_w, eps3 = ctx.fiber_tangents()
+    Xh = horizontal_lift(ctx, X)
+    Zh = horizontal_lift(ctx, Z)
+    U = np.zeros(Xh.shape)
+    U[..., IDX_V] = u4
+    U[..., IDX_W] = u5
+    lhs = np.einsum("...mab,...a,...b,...mc,...c->...", N, Xh, U, hv, Zh)
+    phi, phi_p, rF, cw, sw = (j.value for j in (ctx.phi, ctx.phi_p, ctx.r_img, ctx.cw, ctx.sw))
+    tS2_v = np.stack([np.ones_like(phi), -phi * cw / rF, -phi * sw / rF], axis=-1)
+    tS2_w = np.stack([np.zeros_like(phi), -rF * sw, rF * cw], axis=-1)
+    F3 = np.stack([phi, rF * cw, rF * sw], axis=-1)
+    fstar_U = (phi_p * u4)[..., None] * tS2_v + u5 * tS2_w
+    J_fstar_U = np.cross(F3, fstar_U)
+    U3 = u4 * t_v + u5 * t_w
+    JU3 = np.cross(eps3, U3)
+    c_v = np.einsum("...i,...i->...", JU3, t_v) / np.einsum("...i,...i->...", t_v, t_v)
+    c_w = np.einsum("...i,...i->...", JU3, t_w) / np.einsum("...i,...i->...", t_w, t_w)
+    fstar_JU = (phi_p * c_v)[..., None] * tS2_v + c_w[..., None] * tS2_w
+    diff2 = ctx.triple_to_two_vector(J_fstar_U - fstar_JU)
+    rhs = 2.0 * _inner_kernel(ctx.gvals, diff2, np.broadcast_to(wedge(X, Z), diff2.shape))
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def structure_identities(ctx, n_random=6, seed=0):
+    """The six StructureResiduals fields, as a tuple, one draw at a time."""
+    rng = np.random.default_rng(seed)
+    data = ctx.data4
+    t_v, t_w, eps3 = ctx.fiber_tangents()
+    p3 = ctx.fiber_point()
+    p2v = ctx.triple_to_two_vector(p3)
+    Kp = -np.einsum("...mi,...ij->...mj", p2v, ctx.gvals)
+    gamma_h = ctx.gamma_h
+    Hj = ctx._zeros(TOTAL_DIM, 4)
+    Hj.coeffs[:, range(4), range(4)] = ctx.one.coeffs[:, None]
+    Hj.coeffs[:, IDX_W] = ((-ctx.eps) * ctx.beta).coeffs
+    Hv = tensor_values(Hj, 2)
+    dH = tensor_partials(Hj, 2)
+    covDH = dH + np.einsum("...man,...nj->...amj", gamma_h, Hv)
+    r1 = r2 = r3 = r4 = r5 = r6 = 0.0
+    covd = ctx.domega
+    for _ in range(n_random):
+        X = rng.normal(size=4)
+        Y = rng.normal(size=4)
+        cV = rng.normal(size=2)
+        V3 = cV[0] * t_v + cV[1] * t_w
+        V2 = ctx.triple_to_two_vector(V3)
+        XY = wedge(X, Y)
+        pxV = ctx.triple_to_two_vector(np.cross(p3, V3))
+        KX = np.einsum("...mj,j->...m", Kp, X)
+        KY = np.einsum("...mj,j->...m", Kp, Y)
+        lhs_a = _inner_kernel(ctx.gvals, pxV, wedge(KX, Y))
+        lhs_b = _inner_kernel(ctx.gvals, pxV, wedge(X, KY))
+        rhs = _inner_kernel(ctx.gvals, V2, np.broadcast_to(XY, V2.shape))
+        r1 = max(r1, float(np.max(np.abs(lhs_a - rhs))), float(np.max(np.abs(lhs_b - rhs))))
+        DXY = np.einsum("...amj,...a,j->...m",
+                        covDH, np.einsum("...mj,j->...m", Hv, X), Y)
+        pv = DXY[..., IDX_V]
+        pw = DXY[..., IDX_W] + ctx.eps * np.einsum("...k,...k->...", ctx.beta_vals, DXY[..., :4])
+        vert3 = pv[..., None] * t_v + pw[..., None] * t_w
+        vert2 = ctx.triple_to_two_vector(vert3)
+        rho_p2 = rho_apply(data, TwoVector(np.broadcast_to(XY, ctx.gvals.shape[:-2] + (4, 4))),
+                           TwoVector(p2v))
+        resid = vert2 + 0.5 * rho_p2.comps
+        r2 = max(r2, float(np.max(np.abs(_inner_kernel(ctx.gvals, resid, resid)))) ** 0.5)
+        for vidx, t3c in ((IDX_V, t_v), (IDX_W, t_w)):
+            DVX = np.einsum("...mj,j->...m", covDH[..., vidx, :, :], X)
+            pxt = ctx.triple_to_two_vector(np.cross(p3, t3c))
+            RX = np.einsum("...lk,k->...l", curvature_endomorphism(data, pxt), X)
+            rhs6 = horizontal_lift(ctx, RX) * 0.5
+            r3 = max(r3, float(np.max(np.abs(DVX - rhs6))))
+        cU = rng.normal(size=2)
+        U3 = cU[0] * t_v + cU[1] * t_w
+        rho_p3 = ctx.two_vector_to_triple(rho_p2.comps)
+        lhs4 = np.einsum("...i,...i->...", np.cross(eps3, rho_p3), U3)
+        arg = ctx.triple_to_two_vector(np.cross(p3, np.cross(eps3, U3)))
+        rhs4 = -_inner_kernel(ctx.gvals, curvature_two_vector_action(data, arg),
+                              np.broadcast_to(XY, arg.shape))
+        r4 = max(r4, float(np.max(np.abs(lhs4 - rhs4))))
+        Z = rng.normal(size=4)
+        r5 = max(r5, mixed_nijenhuis(ctx, X, (cU[0], cU[1]), Z))
+        Xh = horizontal_lift(ctx, X)
+        Yh = horizontal_lift(ctx, Y)
+        Zh = horizontal_lift(ctx, Z)
+        lhs6 = np.einsum("...kab,...k,...a,...b->...", covd, Xh, Yh, Zh)
+        r6 = max(r6, float(np.max(np.abs(lhs6))))
+    return r1, r2, r3, r4, r5, r6
+
+
+def horizontal_nijenhuis(ctx, n_random=6, seed=0):
+    """The horizontal Nijenhuis residual, one draw at a time."""
+    N, hv, data = ctx.nijenhuis, ctx.h_values, ctx.data4
+    t_v, t_w, eps3 = ctx.fiber_tangents()
+    p3 = ctx.fiber_point()
+    Kv = tensor_values(ctx.K, 2)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_random):
+        X, Y = rng.normal(size=(2, 4))
+        cU = rng.normal(size=2)
+        U3 = cU[0] * t_v + cU[1] * t_w
+        Xh = horizontal_lift(ctx, X)
+        Yh = horizontal_lift(ctx, Y)
+        Uvec = np.zeros(Xh.shape)
+        Uvec[..., IDX_V] = cU[0]
+        Uvec[..., IDX_W] = cU[1]
+        lhs = np.einsum("...mab,...a,...b,...mc,...c->...", N, Xh, Yh, hv, Uvec)
+        JX = np.einsum("...mj,j->...m", Kv, X)
+        JY = np.einsum("...mj,j->...m", Kv, Y)
+        arg1 = wedge(JX, JY) - np.broadcast_to(wedge(X, Y), ctx.gvals.shape)
+        arg2 = wedge(X, JY) + wedge(JX, Y)
+        pxU = ctx.triple_to_two_vector(np.cross(p3, U3))
+        pxJU = ctx.triple_to_two_vector(np.cross(p3, np.cross(eps3, U3)))
+        rhs = -(_inner_kernel(ctx.gvals, pxU, curvature_two_vector_action(data, arg1))
+                + _inner_kernel(ctx.gvals, pxJU, curvature_two_vector_action(data, arg2)))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def curvature_operator_matrix(data, basis):
+    """The curvature operator matrix, one pair of basis elements at a time."""
+    comps = [b.comps for b in basis]
+    n = len(comps)
+    M = np.empty(data.scal.shape + (n, n))
+    for a in range(n):
+        va = curvature_two_vector_action(data, comps[a])
+        for b in range(n):
+            M[..., a, b] = -0.5 * _inner_kernel(data.gvals, va, comps[b])
+    return M
+
+
+def rho_duality(data, s, rng, n_draws=20):
+    """The curvature suite's rho duality residual at one point: ``data`` its
+    CurvatureData, ``s`` the components of s1, s2, s3; one draw at a time."""
+    def combine(c):
+        return TwoVector(c[0] * s[0] + c[1] * s[1] + c[2] * s[2])
+
+    worst = 0.0
+    for _ in range(n_draws):
+        cv, cw2 = rng.normal(size=(2, 3))
+        v, w, vxw = combine(cv), combine(cw2), combine(np.cross(cv, cw2))
+        M = rng.normal(size=(4, 4))
+        xi = TwoVector(M - M.T)
+        lhs = _inner_kernel(data.gvals, curvature_two_vector_action(data, vxw.comps), xi.comps)
+        rhs = _inner_kernel(data.gvals, rho_apply(data, xi, v).comps, w.comps)
+        worst = max(worst, abs(float(lhs - rhs)))
+    return worst

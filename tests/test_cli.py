@@ -173,6 +173,17 @@ class TestRunSuite:
         assert len(betas) == 1
         assert domegas == [20]
 
+    def test_suite_all_einsum_calls(self, monkeypatch):
+        # Burns at seed 2024: the value-level checks evaluate all their
+        # random draws at once, so the run makes 194 einsum calls (814 with
+        # one sequence of einsums a draw)
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+        rep = run_suite(SuiteConfig.from_dict({"metric": "burns", "suite": "all", "seed": 2024}))
+        assert rep["overall_pass"]
+        assert len(calls) == 194
+
     def test_twistor_suites_evaluate_each_point_set_once(self, chart_evals):
         # one ChartEval per (chart, point set): the identities, the route
         # agreement and the horizontal Nijenhuis check share one; the four

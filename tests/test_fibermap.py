@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -57,6 +61,20 @@ class TestProfilesAndGauss:
             fm.SurfaceProfile(lambda z: z, (1.0, 1.0))
         with pytest.raises(InputError):
             fm.get_profile("nope")
+
+
+class TestGaussLegendreRule:
+    def test_literals_are_leggauss_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(fm.QUAD_NODES)
+        assert fm._GL_NODES.tobytes() == nodes.tobytes()
+        assert fm._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_import_leaves_numpy_polynomial_out(self):
+        code = ("import sys, twistorcheck.cli, twistorcheck.report;"
+                " print('numpy.polynomial' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout.strip() == "False", out.stderr
 
 
 class TestSolvePhi:

@@ -145,6 +145,23 @@ def test_d_is_a_gather(flat, multiply_calls):
     assert multiply_calls == []
 
 
+def test_d_runs_its_grid_in_output_order(flat):
+    # d forms no products, so its grid skips no padding and needs no
+    # column permutation: the same sums as the grid ordered by term count
+    chart = tw.TwistorChart.twistor(flat)
+    omega = tw.omega_ab_field(tw.ChartEval(chart, chart.sample(3, 1)), None)
+    keys, src, terms = tw._d_terms(omega.keys)
+    assert terms.cols is None and terms.reach is None and terms.pad.any()
+    outs, signs = zip(*[(tuple(sorted((k,) + key)), tw._perm_sign((k,) + key))
+                        for key in omega.keys for k in range(tw.TOTAL_DIM) if k not in key])
+    by_count = jets.Terms.of(outs, [[np.arange(len(outs))]], signs)
+    assert by_count.cols is not None
+    d = omega.jet.deriv(*src)
+    ordered = d.space.sum_terms([d.coeffs], terms)
+    assert ordered.tobytes() == d.space.sum_terms([d.coeffs], by_count).tobytes()
+    assert ordered.tobytes() == tw.d_dict(omega).jet.coeffs.tobytes()
+
+
 # -- the algebra, on random polynomial forms ----------------------------------
 
 SPACE = jets.get_space(tw.TOTAL_DIM, 2)

@@ -18,6 +18,12 @@ ROOT, each produced by ROOT's own ``src``:
   s2 (from ``_self_dual`` of the whole frame), of the Christoffel jets
   ``BaseEval(...).gamma_jets`` at orders 1-3, and of ``ChartEval.gamma_h``
   on the plain chart at working orders 1 and 2;
+* the raw values, signs of zero included, for every fixture at 1, 7, 20
+  and 50 points: of ``ChartEval.nijenhuis`` on the plain chart and on its
+  ``flipped()`` evaluation, of the per-point ``nijenhuis_route_agreement``,
+  of the six ``StructureResiduals`` fields and of the horizontal Nijenhuis
+  residual (at the suite's draw counts), and of
+  ``curvature_operator(...).matrix`` on the base points;
 * the stdout of every demo;
 * ``solve-map`` output (stdout and stderr) and CSV for every profile,
   branch and sign.
@@ -38,6 +44,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from dataclasses import astuple
 
 
 def _sha(data) -> str:
@@ -69,7 +76,9 @@ def _reports(wl):
 
 
 def _raw_arrays(wl):
-    from twistorcheck import kahler, twistor
+    import numpy as np
+
+    from twistorcheck import geometry, kahler, twistor
 
     def raw(array):
         return str(array.shape).encode() + array.tobytes()
@@ -93,6 +102,20 @@ def _raw_arrays(wl):
             for order in (1, 2):
                 gamma_h = twistor.ChartEval(chart, chart_pts, order).gamma_h
                 yield f"raw/{fixture}/{n}/gamma_h_{order}", raw(gamma_h)
+        for n in (1, 7, 20, 50):
+            seed = wl.CONFIG_SEEDS[0]
+            ctx = twistor.ChartEval(chart, chart.sample(n, seed))
+            yield f"identities/{fixture}/{n}/nijenhuis", raw(ctx.nijenhuis)
+            yield f"identities/{fixture}/{n}/nijenhuis_flipped", raw(ctx.flipped().nijenhuis)
+            yield f"identities/{fixture}/{n}/routes", raw(
+                twistor.nijenhuis_route_agreement(ctx, n_triples=20, seed=seed))
+            res = twistor.verify_structure_identities(ctx, n_random=6, seed=seed)
+            yield f"identities/{fixture}/{n}/structure", raw(np.array(astuple(res)))
+            yield f"identities/{fixture}/{n}/horizontal_nijenhuis", raw(np.array(
+                twistor.horizontal_nijenhuis_residual(ctx, n_random=6, seed=seed)))
+            base = kahler.BaseEval(metric, metric.chart.sample(n, seed))
+            op = geometry.curvature_operator(base.curvature(), base.basis)
+            yield f"identities/{fixture}/{n}/curvature_operator", raw(op.matrix)
 
 
 def _solve_maps(workdir: str):
