@@ -10,12 +10,13 @@ J, h, Omega and tau; and forms as dicts of components, with the wedge and
 d that loop over them.  It also keeps the per-limit quadrature rule that
 ``fibermap.quad`` refines, the point-by-point sampling loop that
 ``ChartDomain.sample`` batches, and the loop over pairs of multi-indices
-that ``JetSpace`` builds its product table with in one gather.  And it
-keeps the value-level identity checks as loops over their random draws,
-one draw at a time (and the Nijenhuis tensor from four einsums), which the
-checks of ``twistor``, ``geometry.curvature_operator`` and the curvature
-suite's rho duality spot check evaluate over all their draws at once.
-Nothing in ``src/`` uses this module.
+that ``JetSpace`` builds its product table with in one gather, and the
+full-order Horner scheme that ``jets._apply_series`` runs at rising order.
+And it keeps the value-level identity checks as loops over their random
+draws, one draw at a time (and the Nijenhuis tensor from four einsums),
+which the checks of ``twistor``, ``geometry.curvature_operator`` and the
+curvature suite's rho duality spot check evaluate over all their draws at
+once.  Nothing in ``src/`` uses this module.
 """
 
 import numpy as np
@@ -421,6 +422,22 @@ def mul_table(space):
     perm = np.argsort(k, kind="stable")
     return (np.array(pairs_i)[perm], np.array(pairs_j)[perm],
             np.searchsorted(k[perm], np.arange(space.ncoef)))
+
+
+def apply_series(u, series):
+    """F(u) from the Taylor coefficients ``series`` of F at u.value (axis
+    0) by Horner's scheme ``r <- r w + c_k``, w = u - u.value, every step a
+    product in the space of ``u``, at its full order."""
+    w = jets.Jet(u.space, u.coeffs.copy())
+    w.coeffs[0] = np.zeros_like(w.coeffs[0])
+    order = u.space.order
+    coeffs = u.space.zero_coeffs(u.coeffs.shape[1:])
+    coeffs[0] = series[order]
+    result = jets.Jet(u.space, coeffs)
+    for k in range(order - 1, -1, -1):
+        result = result * w
+        result.coeffs[0] = result.coeffs[0] + series[k]
+    return result
 
 
 # -- value-level identity checks, one random draw at a time -------------------

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference as ref
 from twistorcheck import jets
 from twistorcheck.errors import ConfigurationError, UsageError
 
@@ -244,3 +246,138 @@ def test_exp_inverts_log(n_vars, order, batch, seed):
     space = jets.get_space(n_vars, order)
     u = _random_jet(space, batch, rng, value=rng.uniform(0.5, 2.0, size=batch))
     assert_close(jets.exp(jets.log(u)), u)
+
+
+# -- composition at rising order -----------------------------------------------
+# jets._apply_series runs step j of Horner's scheme in the space of order j;
+# scalar_reference.apply_series runs every step at full order.
+
+COMPOSED = {
+    "exp": jets.exp, "log": jets.log, "sqrt": jets.sqrt, "sin": jets.sin, "cos": jets.cos,
+    "atan": jets.atan, "tanh": jets.tanh, "reciprocal": jets.Jet._reciprocal,
+}
+# each function's argument, its constant term moved into the function's domain
+IN_DOMAIN = {
+    "log": lambda v: np.abs(v) + 0.5,
+    "sqrt": lambda v: np.abs(v) + 0.5,
+    "reciprocal": lambda v: v + np.copysign(0.5, v),
+}
+
+
+def _argument(name, u):
+    if name not in IN_DOMAIN:
+        return u
+    coeffs = u.coeffs.copy()
+    coeffs[0] = IN_DOMAIN[name](coeffs[0])
+    return jets.Jet(u.space, coeffs)
+
+
+def _full_order(fn, *args):
+    """The coefficients of ``fn(*args)`` with every step of its composition
+    at full order, and the Taylor coefficients it composed."""
+    series = []
+
+    def oracle(u, s):
+        series.append(s)
+        return ref.apply_series(u, s)
+
+    with mock.patch.object(jets, "_apply_series", oracle):
+        return fn(*args).coeffs, series[0]
+
+
+def assert_matches_full_order(new, old, series):
+    """``new`` equals ``old`` coefficient for coefficient, and has its bytes,
+    signs of zero included, at every point where no Taylor coefficient
+    c_1 ... c_N of the series vanishes (see
+    test_vanishing_series_coefficient_may_flip_a_zero)."""
+    assert new.shape == old.shape
+    assert np.array_equal(new, old)
+    keep = np.broadcast_to(np.all(series[1:] != 0, axis=0), new.shape[1:])
+    assert new[:, keep].tobytes() == old[:, keep].tobytes()
+
+
+def _mixed(rng, shape, zeros, integral):
+    """Coefficients uniform in [-4, 4], or integers there, with a share
+    ``zeros`` of them +0.0 or -0.0."""
+    c = rng.uniform(-4.0, 4.0, size=shape)
+    if integral:
+        c = np.round(c)
+    at = rng.random(shape) < zeros
+    c[at] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[at]
+    return c
+
+
+SPACES = st.one_of(st.tuples(st.integers(1, 6), st.integers(0, 4)),
+                   st.tuples(st.just(1), st.integers(5, 6)))
+# (argument, outer jet) shapes: unbatched, batched (below and above
+# LAYERED_MIN_TRAILING), and an outer jet that broadcasts against its argument
+SHAPES = st.sampled_from([((), ()), ((1,), (1,)), ((7,), (7,)),
+                          ((jets.LAYERED_MIN_TRAILING + 5,), (jets.LAYERED_MIN_TRAILING + 5,)),
+                          ((2, 3), (2, 3)), ((2, 3), (1, 3)), ((2, 3), (3,))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=SPACES, shapes=SHAPES, extra=st.integers(0, 2),
+       zeros=st.sampled_from([0.0, 0.25, 0.5, 0.9]), integral=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_composition_matches_full_order(space, shapes, extra, zeros, integral, seed):
+    rng = np.random.default_rng(seed)
+    (n_vars, order), (shape, outer_shape) = space, shapes
+    sp = jets.get_space(n_vars, order)
+    u = jets.Jet(sp, _mixed(rng, (sp.ncoef,) + shape, zeros, integral))
+    for name, fn in COMPOSED.items():
+        arg = _argument(name, u)
+        old, series = _full_order(fn, arg)
+        assert_matches_full_order(fn(arg).coeffs, old, series)
+    outer_order = min(order + extra, jets.MAX_ORDER)
+    outer = jets.Jet(jets.get_space(1, outer_order),
+                     _mixed(rng, (outer_order + 1,) + outer_shape, zeros, integral))
+    old, series = _full_order(jets.compose_univariate, outer, u)
+    assert_matches_full_order(jets.compose_univariate(outer, u).coeffs, old, series)
+
+
+def test_vanishing_series_coefficient_may_flip_a_zero():
+    """Where a Taylor coefficient c_k, k >= 1, of F vanishes, a coefficient
+    of F(u) that is zero at both orders may differ in its sign: at full
+    order it takes the sign of an unsettled top-degree coefficient times
+    w0 = +0.0, a term that rising order forms as (+0.0)(+0.0).  Here u =
+    0.5 - 0.0 t + t^2 and F has c = (1, -0.0, -1); tanh and atan at
+    u = 0 - t - t^3 - 0.0 t^4, whose c_2 and c_4 vanish, do the same."""
+    u = jets.Jet(jets.get_space(1, 2), np.array([0.5, -0.0, 1.0]))
+    outer = jets.Jet(jets.get_space(1, 2), np.array([1.0, -0.0, -1.0]))
+    old, _ = _full_order(jets.compose_univariate, outer, u)
+    new = jets.compose_univariate(outer, u).coeffs
+    assert np.array_equal(new, old)
+    assert np.signbit(old).tolist() == [False, False, True]
+    assert np.signbit(new).tolist() == [False, False, False]
+    u = jets.Jet(jets.get_space(1, 4), np.array([0.0, -1.0, 0.0, -1.0, -0.0]))
+    for fn in (jets.tanh, jets.atan):
+        old, _ = _full_order(fn, u)
+        new = fn(u).coeffs
+        assert np.array_equal(new, old)
+        assert np.signbit(old[4]) and not np.signbit(new[4])
+
+
+def test_composition_overflow_only_turns_nans_finite():
+    """Where an intermediate above a step's degree overflows, full order
+    multiplies inf by w0 = +0.0 and carries the NaN on; rising order never
+    forms that product.  Every coefficient that full order leaves finite
+    keeps its bytes, and rising order is non-finite only where full order
+    is."""
+    rng = np.random.default_rng(23)
+    turned_finite = 0
+    for n_vars, order in ((1, 4), (1, 6), (2, 4), (4, 3), (4, 4), (6, 2)):
+        sp = jets.get_space(n_vars, order)
+        for _ in range(4):
+            c = rng.uniform(-1.0, 1.0, (sp.ncoef, 80)) * 10.0 ** rng.uniform(0.0, 160.0, (sp.ncoef, 80))
+            c[0] = rng.uniform(0.5, 2.0, 80)  # in every function's domain
+            u = jets.Jet(sp, c)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for fn in COMPOSED.values():
+                    old, _ = _full_order(fn, u)
+                    new = fn(u).coeffs
+                    finite = np.isfinite(old)
+                    assert new[finite].tobytes() == old[finite].tobytes()
+                    assert np.all(np.isfinite(new) | ~finite)
+                    turned_finite += np.count_nonzero(np.isfinite(new) & ~finite)
+    assert turned_finite > 0

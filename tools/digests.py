@@ -24,6 +24,11 @@ ROOT, each produced by ROOT's own ``src``:
   of the six ``StructureResiduals`` fields and of the horizontal Nijenhuis
   residual (at the suite's draw counts), and of
   ``curvature_operator(...).matrix`` on the base points;
+* the raw coefficients, signs of zero included, of ``exp``, ``log``,
+  ``sqrt``, ``sin``, ``cos``, ``atan``, ``tanh``, ``Jet._reciprocal`` and
+  ``compose_univariate`` on seeded jets of 1 variable at orders 1-6, of 4 at
+  orders 1-4 and of 6 at orders 1-2, at 1 and 400 points, a quarter of
+  their coefficients +0.0 or -0.0;
 * the stdout of every demo;
 * ``solve-map`` output (stdout and stderr) and CSV for every profile,
   branch and sign.
@@ -49,6 +54,10 @@ from dataclasses import astuple
 
 def _sha(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _raw(array) -> bytes:
+    return str(array.shape).encode() + array.tobytes()
 
 
 def _workloads(root: pathlib.Path):
@@ -80,9 +89,6 @@ def _raw_arrays(wl):
 
     from twistorcheck import geometry, kahler, twistor
 
-    def raw(array):
-        return str(array.shape).encode() + array.tobytes()
-
     for fixture in wl.FIXTURES:
         metric = kahler.get_fixture(fixture)
         chart = twistor.TwistorChart.twistor(metric)
@@ -94,28 +100,56 @@ def _raw_arrays(wl):
             nabla = kahler._two_vector_nabla(base.gamma_jets, s2)
             for name, jet in (("s", sd.truncate(base.gjets.order - 1)), ("beta", beta),
                               ("nabla_s2", nabla)):
-                yield f"raw/{fixture}/{n}/{name}", raw(jet.coeffs)
+                yield f"raw/{fixture}/{n}/{name}", _raw(jet.coeffs)
             for order in (1, 2, 3):
                 gamma = kahler.BaseEval(metric, pts, order).gamma_jets
-                yield f"raw/{fixture}/{n}/gamma_{order}", raw(gamma.coeffs)
+                yield f"raw/{fixture}/{n}/gamma_{order}", _raw(gamma.coeffs)
             chart_pts = chart.sample(n, wl.CONFIG_SEEDS[0])
             for order in (1, 2):
                 gamma_h = twistor.ChartEval(chart, chart_pts, order).gamma_h
-                yield f"raw/{fixture}/{n}/gamma_h_{order}", raw(gamma_h)
+                yield f"raw/{fixture}/{n}/gamma_h_{order}", _raw(gamma_h)
         for n in (1, 7, 20, 50):
             seed = wl.CONFIG_SEEDS[0]
             ctx = twistor.ChartEval(chart, chart.sample(n, seed))
-            yield f"identities/{fixture}/{n}/nijenhuis", raw(ctx.nijenhuis)
-            yield f"identities/{fixture}/{n}/nijenhuis_flipped", raw(ctx.flipped().nijenhuis)
-            yield f"identities/{fixture}/{n}/routes", raw(
+            yield f"identities/{fixture}/{n}/nijenhuis", _raw(ctx.nijenhuis)
+            yield f"identities/{fixture}/{n}/nijenhuis_flipped", _raw(ctx.flipped().nijenhuis)
+            yield f"identities/{fixture}/{n}/routes", _raw(
                 twistor.nijenhuis_route_agreement(ctx, n_triples=20, seed=seed))
             res = twistor.verify_structure_identities(ctx, n_random=6, seed=seed)
-            yield f"identities/{fixture}/{n}/structure", raw(np.array(astuple(res)))
-            yield f"identities/{fixture}/{n}/horizontal_nijenhuis", raw(np.array(
+            yield f"identities/{fixture}/{n}/structure", _raw(np.array(astuple(res)))
+            yield f"identities/{fixture}/{n}/horizontal_nijenhuis", _raw(np.array(
                 twistor.horizontal_nijenhuis_residual(ctx, n_random=6, seed=seed)))
             base = kahler.BaseEval(metric, metric.chart.sample(n, seed))
             op = geometry.curvature_operator(base.curvature(), base.basis)
-            yield f"identities/{fixture}/{n}/curvature_operator", raw(op.matrix)
+            yield f"identities/{fixture}/{n}/curvature_operator", _raw(op.matrix)
+
+
+def _compositions():
+    import numpy as np
+
+    from twistorcheck import jets
+
+    fns = {"exp": jets.exp, "log": jets.log, "sqrt": jets.sqrt, "sin": jets.sin,
+           "cos": jets.cos, "atan": jets.atan, "tanh": jets.tanh,
+           "reciprocal": jets.Jet._reciprocal}
+    positive = ("log", "sqrt", "reciprocal")  # their argument's constant term is |c0| + 0.5
+    for n_vars, orders in ((1, range(1, 7)), (4, range(1, 5)), (6, range(1, 3))):
+        for order in orders:
+            space = jets.get_space(n_vars, order)
+            for n in (1, 400):
+                rng = np.random.default_rng([n_vars, order, n])
+                coeffs = rng.uniform(-2.0, 2.0, (space.ncoef, n))
+                zero = rng.random(coeffs.shape)
+                coeffs[zero < 0.125] = 0.0
+                coeffs[(0.125 <= zero) & (zero < 0.25)] = -0.0
+                u = jets.Jet(space, coeffs)
+                shifted = coeffs.copy()
+                shifted[0] = np.abs(shifted[0]) + 0.5
+                name = f"compose/{n_vars}_{order}/{n}"
+                for fn, f in fns.items():
+                    yield f"{name}/{fn}", _raw(f(jets.Jet(space, shifted) if fn in positive else u).coeffs)
+                outer = jets.Jet(jets.get_space(1, order), coeffs[:order + 1, ::-1].copy())
+                yield f"{name}/compose_univariate", _raw(jets.compose_univariate(outer, u).coeffs)
 
 
 def _solve_maps(workdir: str):
@@ -155,7 +189,7 @@ def main(argv) -> int:
         os.chdir(workdir)  # solve-map writes its CSV to the working directory
         try:
             wl = _workloads(root)
-            outputs = [*_reports(wl), *_raw_arrays(wl), *_solve_maps(workdir),
+            outputs = [*_reports(wl), *_raw_arrays(wl), *_compositions(), *_solve_maps(workdir),
                        *_demos(root, workdir)]
         finally:
             os.chdir(cwd)
