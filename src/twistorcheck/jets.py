@@ -68,6 +68,15 @@ Conventions
   intermediate above a step's degree overflows, full order forms
   inf * (+0.0) = NaN and carries it on; rising order does not form it,
   so it is non-finite only where full order is.
+* :meth:`Terms.skip_zeros` leaves out of a grid every cell that reads a
+  component of a factor which is +0.0 or -0.0 in every coefficient at every
+  point, found in the data at the call; each output keeps its other terms
+  in order.  Such a term is a zero, so the values cannot change; only the
+  sign of a sum that is zero could: an output whose every term reads one
+  is -0.0 (or its ``init``) where the whole grid adds a +0.0 term and gives
+  +0.0.  Only the base connection in ``kahler`` applies it, where
+  ``tools/digests.py`` and the tests against the whole grids find no such
+  sign change; ``sum_terms`` and :func:`contract` form every cell.
 * Dividing by a jet whose constant term vanishes is an error (no Laurent
   extension).
 """
@@ -99,6 +108,7 @@ __all__ = [
     "stack",
     "contract",
     "Terms",
+    "nonzero_components",
     "blocks",
 ]
 
@@ -734,6 +744,55 @@ class Terms(NamedTuple):
         return Terms(tuple(tuple(map(grid, ix)) for ix in index), grid(sign), pad,
                      None if np.all(cols == np.arange(cols.size)) else cols,
                      tuple(np.count_nonzero(~pad, axis=1).tolist()) if by_count else None)
+
+    # hashed by identity, so that its grids without zero cells are cached per grid
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+
+    def skip_zeros(self, factors) -> "Terms":
+        """This grid without its cells that read a component of a factor in
+        ``factors`` (the coefficient arrays :meth:`JetSpace.sum_terms` is to
+        read, or None for a factor whose zeros stay) that is +0.0 or -0.0 in
+        every coefficient at every point (see "Conventions").  Each output
+        keeps its other terms in rank order; columns run from most terms to
+        fewest, and an output left with no term is -0.0, or ``init``.  The
+        grid is built once per grid and pattern of zero components."""
+        live = tuple(None if f is None or not ix else nonzero_components(f, len(ix))
+                     for f, ix in zip(factors, self.index))
+        return self._without(tuple(None if m is None else (m.shape, m.tobytes()) for m in live))
+
+    @functools.lru_cache(maxsize=64)
+    def _without(self, live) -> "Terms":
+        """:meth:`skip_zeros` for the nonzero-component masks ``live`` of
+        the factors, each as (shape, bytes), or None."""
+        keep = ~self.pad
+        for m, ix in zip(live, self.index):
+            if m is not None:
+                keep = keep & np.frombuffer(m[1], dtype=bool).reshape(m[0])[ix]
+        counts = np.count_nonzero(keep, axis=0)
+        perm = np.argsort(-counts, kind="stable")
+        keep, counts = keep[:, perm], counts[perm]
+        r, c = np.nonzero(keep)
+        rank = (np.cumsum(keep, axis=0) - 1)[r, c]
+        pad = np.arange(counts.max(initial=0))[:, None] >= counts
+
+        def grid(values):  # padding reads component 0
+            g = np.zeros(pad.shape, np.asarray(values).dtype)
+            g[rank, c] = np.broadcast_to(values, keep.shape)[:, perm][r, c]
+            return g
+
+        cols = perm if self.cols is None else self.cols[perm]
+        return Terms(tuple(tuple(map(grid, ix)) for ix in self.index),
+                     grid(1.0 if self.sign is None else self.sign), pad,
+                     None if np.all(cols == np.arange(cols.size)) else cols,
+                     tuple(np.count_nonzero(~pad, axis=1).tolist()))
+
+
+def nonzero_components(coeffs: np.ndarray, ndim: int) -> np.ndarray:
+    """Boolean mask over the first ``ndim`` tensor axes of the coefficient
+    array ``coeffs``: False where the component is +0.0 or -0.0 in every
+    coefficient at every point."""
+    return np.any(coeffs, axis=(0,) + tuple(range(1 + ndim, coeffs.ndim)))
 
 
 # -- seeding and extraction (module-level operations) ---------------------

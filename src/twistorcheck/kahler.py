@@ -22,6 +22,10 @@ products and the summation order of the scalar loops they replaced
 (``tests/scalar_reference.py``), so their coefficients are those of the
 loops, bit for bit.  Exact zeros by construction, as beta's terms through the
 +0.0 diagonals of s3 and nabla s2, are left out: they change no nonzero sum.
+So are the terms of the Gram-Schmidt inner products, nabla s2 and beta that
+read a component of the frame's vectors or 2-vectors that is +0.0 or -0.0
+at every coefficient and point, found in the data at each call
+(:meth:`jets.Terms.skip_zeros`).
 """
 
 from __future__ import annotations
@@ -213,8 +217,11 @@ def _self_dual(e: jets.Jet, qs=(0, 1, 2)) -> jets.Jet:
 
 
 def _dot(g: jets.Jet, u: jets.Jet, v: jets.Jet) -> jets.Jet:
-    """g(u, v) = sum_ij (g_ij u^i) v^j, summed in (i, j) order."""
-    return jets.contract("ij,i,j->", g, u, v)
+    """g(u, v) = sum_ij (g_ij u^i) v^j, summed in (i, j) order over the
+    components i of u and j of v that are not +0.0 or -0.0 everywhere
+    (:func:`jets.nonzero_components`)."""
+    i, j = (np.flatnonzero(jets.nonzero_components(w.coeffs, 1)) for w in (u, v))
+    return jets.contract("ij,i,j->", g[np.ix_(i, j)], u[i], v[j])
 
 
 def _apply_I(u: jets.Jet, zero: jets.Jet) -> jets.Jet:
@@ -225,7 +232,12 @@ def _apply_I(u: jets.Jet, zero: jets.Jet) -> jets.Jet:
 def adapted_frame(gjets: jets.Jet) -> jets.Jet:
     """Gram-Schmidt frame seeded on (d_1, I d_1, d_3, I d_3), as a stacked
     (4, 4) jet of the order of the stacked metric jets ``gjets`` (row a holds
-    the components of e_a); smooth in x."""
+    the components of e_a); smooth in x.  Its four inner products :func:`_dot`
+    read only the components of their vectors that are not +0.0 or -0.0
+    everywhere: e1 lies along d_1 and e2 along d_2, and v gains a component
+    at each step, so they form 1 + 1 + 2 + 9 = 13 of the 64 terms of whole
+    4 x 4 grids (4 where g is diagonal), with the same coefficients, signs
+    of zero included (``tests/scalar_reference.full_grid_adapted_frame``)."""
     zero = gjets[0, 0] * 0.0
     zeros = jets.stack([zero] * DIM)
 
@@ -260,11 +272,19 @@ def _two_vector_nabla(gamma: jets.Jet, s: jets.Jet) -> jets.Jet:
     jet field ``s`` ([i, j]) for the stacked Christoffel jets ``gamma``
     ([a, b, c] = Gamma^a_{bc}, one order below ``s``): d_k s^{ij} followed
     by Gamma^i_{km} s^{mj} and Gamma^j_{km} s^{im} for m = 0..3, summed in
-    that order (the derivation action)."""
+    that order (the derivation action), leaving out the terms of the
+    components of s below its order that are +0.0 or -0.0 everywhere
+    (:meth:`jets.Terms.skip_zeros`).  For s2 of an adapted frame at base
+    order 2 those are all but (0, 2), (1, 3) and their transposes, so it
+    forms 96 of the 384 products; at base order 3 rounding leaves residues
+    of about 1e-17 in some of them, which stay.  The coefficients are those
+    of the whole grid, signs of zero included
+    (``tests/scalar_reference.full_grid_two_vector_nabla``)."""
     low, batch = gamma.space, s.shape[2:]
     k, i, j = _NABLA_OUT
     s_flat = jets.Jet(s.space, s.coeffs.reshape((s.space.ncoef, DIM * DIM) + batch))
-    sums = low.sum_terms([gamma.coeffs, s.coeffs[:low.ncoef]], _nabla_terms(),
+    factors = [gamma.coeffs, s.coeffs[:low.ncoef]]
+    sums = low.sum_terms(factors, _nabla_terms().skip_zeros([None, factors[1]]),
                          init=s_flat.deriv(k, i * DIM + j).coeffs)
     out = np.zeros((low.ncoef, DIM, DIM, DIM) + batch)
     out[:, k, i, j] = sums
@@ -287,12 +307,19 @@ def beta_form(gjets: jets.Jet, s2: jets.Jet, s3: jets.Jet, gamma: jets.Jet) -> j
     -beta s2, as a stacked (4,) jet one order below the stacked metric jets
     ``gjets``; ``s2`` (at their order) and ``s3`` (at least one order below)
     are the self-dual 2-vectors of their adapted frame and ``gamma`` their
-    Christoffel jets (:func:`geometry.christoffel_jets`)."""
+    Christoffel jets (:func:`geometry.christoffel_jets`).  The terms of the
+    components of s3 that are +0.0 or -0.0 everywhere are left out
+    (:meth:`jets.Terms.skip_zeros`): s3 below the base order is nonzero
+    only on the anti-diagonal, so each output forms 48 of its 144 terms, with
+    the coefficients of the whole grid, signs of zero included
+    (``tests/scalar_reference.full_grid_connection``).  The zero components
+    of nabla s2 and g stay: leaving their terms out too turns zero outputs
+    from +0.0 to -0.0 on the flat and conformal-Hermitian fixtures."""
     low = gamma.space
     g_low = gjets.truncate(low.order).coeffs
     factors = [_two_vector_nabla(gamma, s2).coeffs, s3.truncate(low.order).coeffs,
                g_low, g_low]
-    return jets.Jet(low, low.sum_terms(factors, _beta_terms())) * 0.25
+    return jets.Jet(low, low.sum_terms(factors, _beta_terms().skip_zeros([None, factors[1]]))) * 0.25
 
 
 @functools.lru_cache(maxsize=None)

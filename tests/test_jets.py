@@ -381,3 +381,81 @@ def test_composition_overflow_only_turns_nans_finite():
                     assert np.all(np.isfinite(new) | ~finite)
                     turned_finite += np.count_nonzero(np.isfinite(new) & ~finite)
     assert turned_finite > 0
+
+
+# -- grids without the terms of zero components ----------------------------------
+# jets.Terms.skip_zeros leaves out every cell that reads a component which is
+# +0.0 or -0.0 in every coefficient at every point; JetSpace.sum_terms on the
+# whole grid is the oracle.
+
+def _zero_grid(rng, shapes, n_out, n_terms, rect, signed, by_count):
+    """A grid over factors of tensor ``shapes``: ``n_terms`` random terms
+    over at most ``n_out`` outputs by :meth:`jets.Terms.of`, or with
+    ``rect`` a grid of ``n_terms`` ranks by ``n_out`` columns with no
+    padding and no signs, each index array constant along its ranks or its
+    columns or neither."""
+    if not rect:
+        index = [[rng.integers(0, n, n_terms) for n in shape] for shape in shapes]
+        sign = rng.choice([-1.0, 1.0], n_terms) if signed else None
+        return jets.Terms.of(rng.integers(0, n_out, n_terms).tolist(), index, sign, by_count)
+    cells = [(n_terms, 1), (1, n_out), (n_terms, n_out)]
+    index = tuple(tuple(rng.integers(0, n, cells[rng.integers(3)]) for n in shape) for shape in shapes)
+    return jets.Terms(index, None, np.zeros((n_terms, n_out), dtype=bool))
+
+
+def _zero_factor(rng, space, shape, batch, share, integral):
+    """Coefficients uniform in [-4, 4], or integers there, with a share
+    ``share`` of the components +0.0 or -0.0 (each entry's sign at random)
+    in every coefficient at every point."""
+    c = _mixed(rng, (space.ncoef,) + shape + batch, 0.1, integral)
+    dead = rng.random(shape) < share
+    c[:, dead] = np.where(rng.random(c[:, dead].shape) < 0.5, 0.0, -0.0)
+    return c
+
+
+@settings(max_examples=80, deadline=None)
+@given(space=st.tuples(st.integers(1, 3), st.integers(0, 3)),
+       batch=st.sampled_from([(), (1,), (6,), (jets.LAYERED_MIN_TRAILING + 5,)]),
+       shapes=st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
+                       min_size=1, max_size=3),
+       n_out=st.integers(1, 5), n_terms=st.integers(1, 12), rect=st.booleans(),
+       signed=st.booleans(), by_count=st.booleans(), with_init=st.booleans(),
+       share=st.sampled_from([0.25, 0.5, 0.9]), integral=st.booleans(),
+       checked=st.lists(st.booleans(), min_size=3, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_skipping_zero_components_keeps_every_value(space, batch, shapes, n_out, n_terms, rect,
+                                                    signed, by_count, with_init, share, integral,
+                                                    checked, seed):
+    rng = np.random.default_rng(seed)
+    sp = jets.get_space(*space)
+    factors = [_zero_factor(rng, sp, shape, batch, share, integral) for shape in shapes]
+    terms = _zero_grid(rng, shapes, n_out, n_terms, rect, signed, by_count)
+    init = _mixed(rng, (sp.ncoef, terms.pad.shape[1]) + batch, 0.5, integral) if with_init else None
+    skipped = terms.skip_zeros([f if c else None for f, c in zip(factors, checked)])
+    full = sp.sum_terms(factors, terms, None if init is None else init.copy())
+    new = sp.sum_terms(factors, skipped, None if init is None else init.copy())
+    assert np.array_equal(new, full)
+    nonzero = full != 0
+    assert new[nonzero].tobytes() == full[nonzero].tobytes()
+    # the cells left out are exactly those that read a zero component
+    live = ~terms.pad
+    for f, ix, c in zip(factors, terms.index, checked):
+        if c:
+            live = live & np.any(f, axis=(0,) + tuple(range(1 + len(ix), f.ndim)))[ix]
+    assert np.count_nonzero(~skipped.pad) == np.count_nonzero(live)
+
+
+def test_skipping_zero_components_may_flip_a_zero_sum():
+    """Left out, a term that reads a zero component can change only the
+    sign of a sum that is zero: an output whose every term reads one is
+    -0.0 (or its ``init``), where the whole grid adds those terms onto -0.0
+    and gives +0.0 if one of them is +0.0.  The smallest case the search of
+    test_skipping_zero_components_keeps_every_value finds: the one term
+    (0.094573 * -1.50534838) * -0.0 = +0.0."""
+    sp = jets.get_space(1, 0)
+    factors = [np.array([[0.094573]]), np.array([[-1.50534838]]), np.array([[-0.0]])]
+    terms = jets.Terms.of([0], [[np.array([0])]] * 3)
+    skipped = terms.skip_zeros(factors)
+    assert skipped.pad.shape == (0, 1)
+    full, new = sp.sum_terms(factors, terms), sp.sum_terms(factors, skipped)
+    assert full.tolist() == new.tolist() == [[0.0]]
+    assert not np.signbit(full[0, 0]) and np.signbit(new[0, 0])

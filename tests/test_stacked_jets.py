@@ -532,3 +532,32 @@ def test_multiply_picks_kernel_by_space_and_trailing_size(monkeypatch):
         picked.clear()
         space.multiply(np.ones((space.ncoef,) + ta), np.ones((space.ncoef,) + tb))
         assert picked == [kernel], (n_vars, order, ta, tb)
+
+
+@pytest.mark.parametrize("name", sorted(kahler.FIXTURES))
+@pytest.mark.parametrize("order", (2, 3))
+def test_connection_matches_its_whole_grids(name, order):
+    # the frame, nabla s2 and the connection leave out the terms that read a
+    # component which is +0.0 or -0.0 everywhere; the whole grids give the
+    # same bytes, signs of zero included.  At base order 3 rounding leaves
+    # residues of about 1e-17 where s2 and s3 are zero at order 2, so the
+    # zeros differ with the order
+    metric = kahler.get_fixture(name)
+    for n in (1, 7, 50, 400):
+        base = kahler.BaseEval(metric, metric.chart.sample(n, 2024), order)
+        frame = ref.full_grid_adapted_frame(base.gjets)
+        pairs = [(kahler.adapted_frame(base.gjets), frame)]
+        s2 = kahler._self_dual(frame, (1,))[0]
+        pairs.append((kahler._two_vector_nabla(base.gamma_jets, s2),
+                      ref.full_grid_two_vector_nabla(base.gamma_jets, s2)))
+        pairs += zip(base.connection(), ref.full_grid_connection(base))
+        for new, old in pairs:
+            assert new.space is old.space, n
+            assert new.coeffs.shape == old.coeffs.shape, n
+            assert new.coeffs.tobytes() == old.coeffs.tobytes(), n
+        if order == 2:  # s2 is nonzero at (0, 2), (1, 3) and their transposes, s3 on the anti-diagonal
+            low = base.gamma_jets.space.ncoef
+            s3 = kahler._self_dual(frame)[2].coeffs[:low]
+            for terms, s, kept in ((kahler._nabla_terms(), s2.coeffs[:low], 96),
+                                   (kahler._beta_terms(), s3, 4 * 48)):
+                assert np.count_nonzero(~terms.skip_zeros([None, s]).pad) == kept

@@ -510,15 +510,24 @@ class TestOneMetricEvaluation:
         assert calls == [1]
 
 
+def _axis_order(a):
+    """The axes of ``a`` longer than 1, from the largest stride to the
+    smallest: the order ``np.einsum`` sums them in follows it."""
+    axes = [k for k in range(a.ndim) if a.shape[k] > 1]
+    return sorted(axes, key=lambda k: -abs(a.strides[k]))
+
+
 def _same_fields(a, b, where):
     """``a`` and ``b`` hold equal fields: jets and arrays bit for bit, signs
-    of zero included, and the rest equal or the same object."""
+    of zero included, arrays with their axes in the same memory order, and
+    the rest equal or the same object."""
     if isinstance(a, jets.Jet):
         assert a.space is b.space, where
         _same_fields(a.coeffs, b.coeffs, where)
     elif isinstance(a, np.ndarray):
         assert a.shape == b.shape and np.array_equal(a, b), where
         assert np.array_equal(np.signbit(a), np.signbit(b)), where
+        assert _axis_order(a) == _axis_order(b), where
     elif isinstance(a, (list, tuple)):
         assert type(a) is type(b) and len(a) == len(b), where
         for n, (x, y) in enumerate(zip(a, b)):

@@ -16,7 +16,8 @@ ROOT, each produced by ROOT's own ``src``:
   7, 50 and 400 points: of the self-dual basis s below the base order and
   of beta (``BaseEval(...).connection()``), of ``_two_vector_nabla`` of
   s2 (from ``_self_dual`` of the whole frame), of the Christoffel jets
-  ``BaseEval(...).gamma_jets`` at orders 1-3, and of ``ChartEval.gamma_h``
+  ``BaseEval(...).gamma_jets`` and of ``adapted_frame`` at base orders 1-3,
+  of s, beta and nabla s2 at base order 3 too, and of ``ChartEval.gamma_h``
   on the plain chart at working orders 1 and 2;
 * the raw values, signs of zero included, for every fixture at 1, 7, 20
   and 50 points: of ``ChartEval.nijenhuis`` on the plain chart and on its
@@ -102,8 +103,15 @@ def _raw_arrays(wl):
                               ("nabla_s2", nabla)):
                 yield f"raw/{fixture}/{n}/{name}", _raw(jet.coeffs)
             for order in (1, 2, 3):
-                gamma = kahler.BaseEval(metric, pts, order).gamma_jets
-                yield f"raw/{fixture}/{n}/gamma_{order}", _raw(gamma.coeffs)
+                base = kahler.BaseEval(metric, pts, order)
+                yield f"raw/{fixture}/{n}/gamma_{order}", _raw(base.gamma_jets.coeffs)
+                frame = kahler.adapted_frame(base.gjets)
+                yield f"raw/{fixture}/{n}/frame_{order}", _raw(frame.coeffs)
+                if order == 3:  # rounding leaves residues of about 1e-17 where s2 and s3 are zero at order 2
+                    sd, beta = base.connection()
+                    nabla = kahler._two_vector_nabla(base.gamma_jets, kahler._self_dual(frame)[1])
+                    for name, jet in (("s_3", sd), ("beta_3", beta), ("nabla_s2_3", nabla)):
+                        yield f"raw/{fixture}/{n}/{name}", _raw(jet.coeffs)
             chart_pts = chart.sample(n, wl.CONFIG_SEEDS[0])
             for order in (1, 2):
                 gamma_h = twistor.ChartEval(chart, chart_pts, order).gamma_h

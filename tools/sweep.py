@@ -1,0 +1,115 @@
+"""Per-layer sweep: the warm time per point of the base layers at three batch sizes.
+
+    python tools/sweep.py --out sweep.json [--root ROOT]
+
+For every fixture and n in {1, 50, 1000} sampled chart points it times, with
+ROOT's own ``src`` (default: the checkout this script is in):
+
+* ``jets_at``: the metric jets at base order 2, the order a ChartEval reads;
+* ``adapted_frame`` of those jets;
+* ``christoffel_jets`` of those jets;
+* ``beta_form``, which forms nabla s2 too, from the frame's s2 and s3.
+
+Each time is the best of 5 warm runs (one untimed run first), each run
+repeating the call until it takes 20 ms or more, divided by n.  Every
+(fixture, n) block is bracketed by the host speed probe of ROOT's
+``perfbench/hostspeed.py`` and scaled as the benchmark scales its end-to-end
+times: ``s_per_point`` reads in seconds at the reference host speed,
+``raw_s_per_point`` as measured.  The JSON written to ``--out`` holds one
+row per fixture, n and layer.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import pathlib
+import platform
+import sys
+import time
+
+BATCHES = (1, 50, 1000)
+REPEATS = 5
+MIN_RUN_S = 0.02
+SEED = 2024
+
+
+def _hostspeed(root: pathlib.Path):
+    spec = importlib.util.spec_from_file_location("hostspeed", root / "perfbench" / "hostspeed.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _best(call) -> float:
+    """Best seconds per call over REPEATS warm runs."""
+    call()
+    loops, t0 = 1, time.perf_counter()
+    call()
+    while time.perf_counter() - t0 < MIN_RUN_S:  # calls per run, from one timed call
+        loops *= 2
+        t0 = time.perf_counter()
+        for _ in range(loops):
+            call()
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(loops):
+            call()
+        best = min(best, (time.perf_counter() - t0) / loops)
+    return best
+
+
+def _layers(metric, x):
+    """The calls of one (fixture, points) block, by layer name."""
+    from twistorcheck import geometry, kahler
+
+    gjets = metric.jets_at(x, 2)
+    frame = kahler.adapted_frame(gjets)
+    gamma = geometry.christoffel_jets(gjets)
+    s2 = kahler._self_dual(frame, (1,))[0]
+    s3 = kahler._self_dual(frame.truncate(1))[2]
+    return {
+        "jets_at": lambda: metric.jets_at(x, 2),
+        "adapted_frame": lambda: kahler.adapted_frame(gjets),
+        "christoffel_jets": lambda: geometry.christoffel_jets(gjets),
+        "beta_form": lambda: kahler.beta_form(gjets, s2, s3, gamma),
+    }
+
+
+def sweep(root: pathlib.Path) -> dict:
+    sys.path.insert(0, str(root / "src"))
+    from twistorcheck import kahler
+
+    hostspeed = _hostspeed(root)
+    rows = []
+    for fixture in sorted(kahler.FIXTURES):
+        metric = kahler.get_fixture(fixture)
+        for n in BATCHES:
+            calls = _layers(metric, metric.chart.sample(n, SEED))
+            before = hostspeed.probe()
+            times = {layer: _best(call) for layer, call in calls.items()}
+            scale = hostspeed.scale(before, hostspeed.probe())
+            rows += [{"fixture": fixture, "n": n, "layer": layer, "s_per_point": t * scale / n,
+                      "raw_s_per_point": t / n, "scale": scale} for layer, t in times.items()]
+    return {"root": str(root), "python": platform.python_version(),
+            "reference_s": hostspeed.REFERENCE_S, "repeats": REPEATS, "seed": SEED, "rows": rows}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--root", default=str(pathlib.Path(__file__).resolve().parents[1]),
+                    help="checkout whose src is timed (default: this one)")
+    args = ap.parse_args(argv)
+    result = sweep(pathlib.Path(args.root).resolve())
+    pathlib.Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    for row in result["rows"]:
+        print(f"{row['fixture']:<20} {row['n']:>5} {row['layer']:<17} "
+              f"{row['s_per_point'] * 1e3:9.4f} ms/point")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
