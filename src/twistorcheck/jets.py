@@ -42,13 +42,12 @@ Conventions
   8 terms left to right, ``(p1 + p2) + ...``; a tail of 8 to 128 terms in
   eight accumulators ``r_j = p(1+j) + p(9+j) + ...`` over its whole blocks
   of 8, combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``,
-  then the last m mod 8 terms one at a time.  Every space sums its
-  products in that order by layers: one rank of term (or one block of 8)
-  at a time across all coefficients that have it, in a few large array
-  operations instead of one inner loop per coefficient and trailing
-  element.  ``reduceat`` still runs on operands of fewer than
-  LAYERED_MIN_TRAILING values per coefficient, where its per-call cost is
-  lower.  Both give the same bits, signs of zero included.
+  then the last m mod 8 terms one at a time.  One kernel sums the products
+  in that order by layers, on every space and at every batch size: one
+  rank of term (or one block of 8) at a time across all coefficients that
+  have it, in a few large array operations instead of one inner loop per
+  coefficient and trailing element.  Its bits, signs of zero included, are
+  those of ``reduceat``, which the tests keep as its oracle.
 * The elementary functions, ``Jet._reciprocal`` (and so ``/``) and
   :func:`compose_univariate` compose a series F with a jet u by Horner's
   scheme ``r <- r w + c_k`` in w = u - u0 at rising order: step j of N
@@ -122,13 +121,6 @@ MAX_ORDER = 6
 # geometry (see :func:`blocks`).
 CHUNK_DOUBLES = 1 << 15
 
-# JetSpace.multiply sums by layers (see "Conventions") where an operand
-# holds at least LAYERED_MIN_TRAILING values per coefficient.  Summed over
-# eight spaces of 1, 4 and 6 variables up to order 3, the layered sum takes
-# 3.7x the time of reduceat at 1 value, 1.0x at 64, 0.68x at 128, 0.27x at
-# 1000.
-LAYERED_MIN_TRAILING = 128
-
 
 @functools.lru_cache(maxsize=None)
 def get_space(n_vars: int, order: int) -> "JetSpace":
@@ -181,12 +173,12 @@ class JetSpace:
         self._mul_j = j[perm]
         self.npairs = len(k)
         k_sorted = k[perm]
-        # every target index occurs (alpha = alpha + 0), so reduceat covers all
+        # every target index occurs (alpha = alpha + 0), so every coefficient has a start
         self._mul_starts = np.searchsorted(k_sorted, np.arange(self.ncoef))
         self._layers = self._build_layers()
 
     def _build_layers(self):
-        """The product table of :meth:`_multiply_layered`.  Its rows are the
+        """The product table of :meth:`multiply`.  Its rows are the
         coefficients with two or more terms ``p0, p1, ..., pm``, most terms
         first; the first term is ``(0, k)`` in every row and needs no table.
         A row's tail ``p1 ... pm`` is m = 8 q + s terms, and the table has
@@ -244,27 +236,14 @@ class JetSpace:
         of axes raise ``ValueError``.
 
         Each coefficient's terms are added as ``np.add.reduceat`` adds them
-        (see "Conventions"): left to right for a tail of fewer than 8 terms,
-        in numpy's eight-accumulator pairwise order for a longer one.  From
-        LAYERED_MIN_TRAILING values per coefficient one layered kernel does
-        it in that order on every space; below, ``reduceat`` itself."""
-        if a.ndim != b.ndim:
-            raise ValueError(f"jet coefficients {a.shape} and {b.shape} do not line up")
-        if max(a.size, b.size) < self.ncoef * LAYERED_MIN_TRAILING:
-            return self._multiply_reduceat(a, b)
-        return self._multiply_layered(a, b)
-
-    def _multiply_reduceat(self, a, b):
-        prod = a[self._mul_i] * b[self._mul_j]
-        return np.add.reduceat(prod, self._mul_starts, axis=0)
-
-    def _multiply_layered(self, a, b):
-        """The sums of :meth:`_multiply_reduceat`, a few array operations
+        (see "Conventions"), by layers at every size: a few array operations
         per rank of term (or block of 8 terms) across all coefficients that
-        have it: a short tail left to right; a long one in eight
+        have it.  A short tail is summed left to right; a long one in eight
         accumulators over its whole blocks of 8, their tree
         ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then its last
         terms one at a time; then ``p0 +`` the tail's sum."""
+        if a.ndim != b.ndim:
+            raise ValueError(f"jet coefficients {a.shape} and {b.shape} do not line up")
         (rows, short), (long_rows, blocks, ranks) = self._layers
         out = a[:1] * b
         if short:

@@ -355,7 +355,10 @@ class BaseEval:
         """This evaluation at its first ``n`` points (of one batch axis),
         sliced from its fields rather than evaluated again.  Each field of a
         point depends on that point alone, so the slices are the fields of
-        an evaluation at those points, bit for bit."""
+        an evaluation at those points, bit for bit; this evaluation itself
+        at its full width."""
+        if n == len(self.gvals):
+            return self
         out = copy.copy(self)
         out.gjets, out.gamma_jets = self.gjets.head(n), self.gamma_jets.head(n)
         out.gvals = self.gvals[:n].copy()

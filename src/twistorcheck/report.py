@@ -169,7 +169,7 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
     # the base part of the plain chart's sample at this seed; drawn here too,
     # as the rho duality spot check continues this generator
     pts = metric.chart.sample(n, rng)
-    base = _base(rec, metric, n, config.seed).head(n).base
+    base = _base(rec, metric, n, config.seed).base.head(n)
     data, basis = base.curvature(), base.basis
     rl = data.rlow
     sym = max(

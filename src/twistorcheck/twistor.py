@@ -252,7 +252,10 @@ class BaseFields(NamedTuple):
     svals: list
 
     def head(self, n: int) -> "BaseFields":
-        """The fields at the first ``n`` points, copied."""
+        """The fields at the first ``n`` points, copied; these fields
+        themselves at their full width."""
+        if n == len(self.beta_vals):
+            return self
         return BaseFields(self.g.head(n), self.S.head(n), self.beta.head(n),
                           self.beta_vals[:n].copy(), [s[:n].copy() for s in self.svals])
 
@@ -264,32 +267,17 @@ class ChartBase:
     :class:`BaseFields` its connection gives (:attr:`fields`), derived on
     first read and kept.  The plain and the modified charts over the same
     base points differ only in their fibers, so they can share one
-    ChartBase; :meth:`head` gives the base of the first n points, sliced
-    rather than evaluated again."""
+    ChartBase; a chart at its first n points reads the heads of its
+    evaluation and fields, sliced rather than evaluated again."""
 
     def __init__(self, metric: MetricField, x4, order: int = 1):
         self.metric = metric
         self.x4 = np.atleast_2d(np.asarray(x4, dtype=float))
         self.W = order
         self.base = BaseEval(metric, self.x4, order + 1)
-        self._wide = None  # the ChartBase this one is the head of
-
-    def head(self, n: int) -> "ChartBase":
-        """The base at the first ``n`` points: its evaluation and its fields
-        (once read) are slices of this one's."""
-        if n == len(self.x4):
-            return self
-        if not 1 <= n < len(self.x4):
-            raise UsageError(f"a base at {len(self.x4)} points has no head of {n}")
-        out = copy.copy(self)
-        out.__dict__.pop("fields", None)
-        out.x4, out.base, out._wide = self.x4[:n], self.base.head(n), self
-        return out
 
     @cached_property
     def fields(self) -> BaseFields:
-        if self._wide is not None:
-            return self._wide.fields.head(len(self.x4))
         space = jets.get_space(TOTAL_DIM, self.W)
         sd, beta = self.base.connection()  # one order below the base: the working order
         emb = lambda j: j.embed(space, (0, 1, 2, 3))
@@ -350,10 +338,9 @@ class ChartEval:
                 or not np.array_equal(base.x4[:n], self.x4)):
             raise UsageError("a ChartEval reads the base of its own metric at its working"
                              " order, whose first points are its base points")
-        base = base.head(n)
-        self.base = base.base
-        self.gvals = base.base.gvals
-        self.g, self.S, self.beta, self.beta_vals, self.svals = base.fields
+        self.base = base.base.head(n)
+        self.gvals = self.base.gvals
+        self.g, self.S, self.beta, self.beta_vals, self.svals = base.fields.head(n)
         self.zero = self.g[0, 0] * 0.0
         self.one = self.zero + 1.0
 

@@ -427,6 +427,14 @@ def mul_table(space):
             np.searchsorted(k[perm], np.arange(space.ncoef)))
 
 
+def reduceat_multiply(space, a, b):
+    """The coefficients of ``JetSpace.multiply(a, b)`` by ``np.add.reduceat``:
+    every product of the table formed at once, then each coefficient's
+    terms summed in numpy's order, the order the layered kernel follows."""
+    prod = a[space._mul_i] * b[space._mul_j]
+    return np.add.reduceat(prod, space._mul_starts, axis=0)
+
+
 def apply_series(u, series):
     """F(u) from the Taylor coefficients ``series`` of F at u.value (axis
     0) by Horner's scheme ``r <- r w + c_k``, w = u - u.value, every step a

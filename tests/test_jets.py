@@ -183,12 +183,11 @@ def test_antiderivative_and_compose():
 
 
 # -- ring properties -----------------------------------------------------------
-# Batches below and above jets.LAYERED_MIN_TRAILING, so that JetSpace.multiply
-# runs both of its kernels; from order 4 a coefficient of two or more
-# variables has a tail of 8 or more terms, which the layered kernel sums in
-# blocks.
+# Batches of one point, a few and many; from order 4 a coefficient of two or
+# more variables has a tail of 8 or more terms, which JetSpace.multiply sums
+# in blocks.
 
-BATCH = st.sampled_from([1, 7, jets.LAYERED_MIN_TRAILING + 5])
+BATCH = st.sampled_from([1, 7, 133])
 
 
 def _random_jet(space, batch, rng, value=None):
@@ -309,10 +308,9 @@ def _mixed(rng, shape, zeros, integral):
 
 SPACES = st.one_of(st.tuples(st.integers(1, 6), st.integers(0, 4)),
                    st.tuples(st.just(1), st.integers(5, 6)))
-# (argument, outer jet) shapes: unbatched, batched (below and above
-# LAYERED_MIN_TRAILING), and an outer jet that broadcasts against its argument
-SHAPES = st.sampled_from([((), ()), ((1,), (1,)), ((7,), (7,)),
-                          ((jets.LAYERED_MIN_TRAILING + 5,), (jets.LAYERED_MIN_TRAILING + 5,)),
+# (argument, outer jet) shapes: unbatched, batched (a few points and many),
+# and an outer jet that broadcasts against its argument
+SHAPES = st.sampled_from([((), ()), ((1,), (1,)), ((7,), (7,)), ((133,), (133,)),
                           ((2, 3), (2, 3)), ((2, 3), (1, 3)), ((2, 3), (3,))])
 
 
@@ -415,7 +413,7 @@ def _zero_factor(rng, space, shape, batch, share, integral):
 
 @settings(max_examples=80, deadline=None)
 @given(space=st.tuples(st.integers(1, 3), st.integers(0, 3)),
-       batch=st.sampled_from([(), (1,), (6,), (jets.LAYERED_MIN_TRAILING + 5,)]),
+       batch=st.sampled_from([(), (1,), (6,), (133,)]),
        shapes=st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
                        min_size=1, max_size=3),
        n_out=st.integers(1, 5), n_terms=st.integers(1, 12), rect=st.booleans(),

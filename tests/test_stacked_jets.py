@@ -359,14 +359,14 @@ def _assert_same_bits(a, b):
 
 @settings(max_examples=120, deadline=None)
 @given(n_vars=st.sampled_from([4, 6]), order=st.integers(1, 3),
-       trailing=st.sampled_from([1, 5, jets.LAYERED_MIN_TRAILING - 1, jets.LAYERED_MIN_TRAILING, 130]),
+       trailing=st.sampled_from([1, 5, 127, 128, 130]),
        zero_tail=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_products_and_inverse_commute_with_truncate(n_vars, order, trailing, zero_tail, seed):
     # the coefficients of a product, and of a Gauss-Jordan inverse, up to
     # order - 1 do not depend on those of order ``order``: a field read only
-    # one order lower can be built there, with the same bits, on both sides
-    # of LAYERED_MIN_TRAILING; a zero tail (of zeros of both signs) is a
-    # constant metric, as on flat
+    # one order lower can be built there, with the same bits, at one point
+    # and at many; a zero tail (of zeros of both signs) is a constant metric,
+    # as on flat
     space = jets.get_space(n_vars, order)
     rng = np.random.default_rng(seed)
 
@@ -379,8 +379,7 @@ def test_products_and_inverse_commute_with_truncate(n_vars, order, trailing, zer
     a, b = operand((trailing,)), operand((trailing,))
     low = jets.get_space(n_vars, order - 1)
     _assert_same_bits(space.multiply(a, b)[:low.ncoef], low.multiply(a[:low.ncoef], b[:low.ncoef]))
-    # a batch of one keeps the inverse's products below LAYERED_MIN_TRAILING
-    # values per coefficient, a batch of 21 or more puts them above
+    # the inverse at batches of one to 32 points
     batch = max(1, trailing // n_vars)
     m = operand((n_vars, n_vars, batch))
     root = rng.normal(size=(n_vars, n_vars, batch))
@@ -390,15 +389,14 @@ def test_products_and_inverse_commute_with_truncate(n_vars, order, trailing, zer
                       geo._inverse(m.truncate(order - 1)).coeffs)
 
 
-# every space has a layered table; JetSpace.multiply runs it from
-# LAYERED_MIN_TRAILING values per coefficient
+# every space has a layered table, which JetSpace.multiply runs at every size
 LAYERED_SPACES = [(n, o) for n in range(1, 7) for o in range(jets.MAX_ORDER + 1)]
 
 
 def _operand_pairs(ncoef, rng):
     """Broadcast operand pairs as callers pass them: tensor against batch
-    axes, unbatched, size-1 views as in contract, plain batches on both
-    sides of LAYERED_MIN_TRAILING, and zeros of both signs only, where the
+    axes, unbatched, size-1 views as in contract, plain batches of one,
+    a few and many points, and zeros of both signs only, where the
     sign of a zero sum shows how the sum starts."""
     x = _coefficients(rng, (ncoef, 30))
     y = _coefficients(rng, (ncoef, 4, 7, 30))
@@ -406,9 +404,9 @@ def _operand_pairs(ncoef, rng):
         ((ncoef, 3, 1), (ncoef, 1, 400)),
         ((ncoef,), (ncoef,)),
         ((ncoef, 1), (ncoef, 5)),
-        ((ncoef, 1), (ncoef, jets.LAYERED_MIN_TRAILING - 1)),
-        ((ncoef, jets.LAYERED_MIN_TRAILING), (ncoef, jets.LAYERED_MIN_TRAILING)),
-        ((ncoef, 2 * jets.LAYERED_MIN_TRAILING + 3), (ncoef, 1)),
+        ((ncoef, 1), (ncoef, 127)),
+        ((ncoef, 128), (ncoef, 128)),
+        ((ncoef, 259), (ncoef, 1)),
     ]
     yield from ((_coefficients(rng, sa), _coefficients(rng, sb)) for sa, sb in pairs)
     yield x[:, None, None], y[:, 1:2]  # a scalar factor against one row of terms
@@ -422,15 +420,15 @@ def test_layered_kernel_equals_reduceat(n_vars, order):
     space = jets.get_space(n_vars, order)
     rng = np.random.default_rng(97 * n_vars + order)
     for a, b in _operand_pairs(space.ncoef, rng):
-        summed = space._multiply_reduceat(a, b)
-        layered = space._multiply_layered(a, b)
+        summed = ref.reduceat_multiply(space, a, b)
+        layered = space.multiply(a, b)
         assert layered.shape == summed.shape
         assert np.array_equal(layered, summed)
         assert np.array_equal(np.signbit(layered), np.signbit(summed))
 
 
 @pytest.mark.parametrize("n_vars,order", [(4, 2), (1, 3), (4, 4)])
-@pytest.mark.parametrize("batch", [5, jets.LAYERED_MIN_TRAILING + 3])
+@pytest.mark.parametrize("batch", [5, 131])
 def test_unbatched_times_batched_needs_a_size_one_axis(n_vars, order, batch):
     # axes past the first broadcast from the right, as in numpy: the bare
     # (ncoef,) operand does not line up with (ncoef, batch), the padded
@@ -502,36 +500,6 @@ def test_every_space_has_a_layered_table():
     # tails of 63 (x0 ... x5) and 35 (x0^2 x1^2 x2 x3) take more blocks
     assert len(jets.get_space(6, 6)._layers[1][1]) == 7
     assert len(jets.get_space(4, 6)._layers[1][1]) == 4
-
-
-def test_multiply_picks_kernel_by_space_and_trailing_size(monkeypatch):
-    picked = []
-
-    def recording(name):
-        kernel = getattr(jets.JetSpace, name)
-
-        def run(self, a, b):
-            picked.append(name)
-            return kernel(self, a, b)
-        return run
-
-    for name in ("_multiply_reduceat", "_multiply_layered"):
-        monkeypatch.setattr(jets.JetSpace, name, recording(name))
-    cut = jets.LAYERED_MIN_TRAILING
-    cases = [
-        ((4, 2), (cut,), (cut,), "_multiply_layered"),
-        ((4, 2), (1,), (cut,), "_multiply_layered"),
-        ((6, 3), (2, cut // 2), (2, 1), "_multiply_layered"),
-        ((4, 2), (cut - 1,), (cut - 1,), "_multiply_reduceat"),
-        ((4, 2), (), (), "_multiply_reduceat"),
-        ((4, 4), (4 * cut,), (4 * cut,), "_multiply_layered"),
-        ((4, 4), (cut - 1,), (cut - 1,), "_multiply_reduceat"),
-    ]
-    for (n_vars, order), ta, tb, kernel in cases:
-        space = jets.get_space(n_vars, order)
-        picked.clear()
-        space.multiply(np.ones((space.ncoef,) + ta), np.ones((space.ncoef,) + tb))
-        assert picked == [kernel], (n_vars, order, ta, tb)
 
 
 @pytest.mark.parametrize("name", sorted(kahler.FIXTURES))

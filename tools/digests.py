@@ -9,8 +9,8 @@ ROOT, each produced by ROOT's own ``src``:
   reports of the suites that build their own evaluations when they run
   alone (``curvature``, ``integrability``, ``structure_identities`` and
   ``cone``, each reading the base of its seed), and the ``suite=all``
-  reports at 7 points and at one point (where ``JetSpace.multiply`` runs
-  ``reduceat`` and products run in their smallest blocks);
+  reports at 7 points and at one point (where products run in their
+  smallest blocks);
 * the ``dense_balanced`` report at every suite seed;
 * the raw coefficients, signs of zero included, for every fixture at 1,
   7, 50 and 400 points: of the self-dual basis s below the base order and

@@ -1,9 +1,17 @@
-"""Per-layer sweep: the warm time per point of the base layers at three batch sizes.
+"""Per-layer sweep: the warm time per point of the jet kernel and the base layers at three batch sizes.
 
     python tools/sweep.py --out sweep.json [--root ROOT]
 
-For every fixture and n in {1, 50, 1000} sampled chart points it times, with
-ROOT's own ``src`` (default: the checkout this script is in):
+With ROOT's own ``src`` (default: the checkout this script is in), it times
+at n in {1, 50, 1000} points:
+
+* ``multiply(n_vars,order)``: one ``JetSpace.multiply`` of two jets with
+  random coefficients, ``(ncoef, n)``, on each space the pipeline
+  multiplies in: (1, 3) of the fiber maps, (4, 2) and (4, 3) of the base,
+  (4, 4) of a potential under base order 2, (6, 1) and (6, 2) of the chart
+  (rows with ``fixture`` null);
+
+and for every fixture at n sampled chart points:
 
 * ``jets_at``: the metric jets at base order 2, the order a ChartEval reads;
 * ``adapted_frame`` of those jets;
@@ -12,11 +20,11 @@ ROOT's own ``src`` (default: the checkout this script is in):
 
 Each time is the best of 5 warm runs (one untimed run first), each run
 repeating the call until it takes 20 ms or more, divided by n.  Every
-(fixture, n) block is bracketed by the host speed probe of ROOT's
-``perfbench/hostspeed.py`` and scaled as the benchmark scales its end-to-end
-times: ``s_per_point`` reads in seconds at the reference host speed,
-``raw_s_per_point`` as measured.  The JSON written to ``--out`` holds one
-row per fixture, n and layer.
+(fixture, n) block, and the kernel's block at each n, is bracketed by the
+host speed probe of ROOT's ``perfbench/hostspeed.py`` and scaled as the
+benchmark scales its end-to-end times: ``s_per_point`` reads in seconds at
+the reference host speed, ``raw_s_per_point`` as measured.  The JSON
+written to ``--out`` holds one row per fixture, n and layer.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import sys
 import time
 
 BATCHES = (1, 50, 1000)
+KERNEL_SPACES = ((1, 3), (4, 2), (4, 3), (4, 4), (6, 1), (6, 2))
 REPEATS = 5
 MIN_RUN_S = 0.02
 SEED = 2024
@@ -61,6 +70,20 @@ def _best(call) -> float:
     return best
 
 
+def _kernel(n):
+    """The JetSpace.multiply calls at ``n`` points, by layer name."""
+    import numpy as np
+    from twistorcheck import jets
+
+    rng = np.random.default_rng(SEED)
+    calls = {}
+    for n_vars, order in KERNEL_SPACES:
+        space = jets.get_space(n_vars, order)
+        a, b = rng.normal(size=(2, space.ncoef, n))
+        calls[f"multiply({n_vars},{order})"] = lambda space=space, a=a, b=b: space.multiply(a, b)
+    return calls
+
+
 def _layers(metric, x):
     """The calls of one (fixture, points) block, by layer name."""
     from twistorcheck import geometry, kahler
@@ -83,16 +106,19 @@ def sweep(root: pathlib.Path) -> dict:
     from twistorcheck import kahler
 
     hostspeed = _hostspeed(root)
-    rows = []
+
+    def block(fixture, n, calls):
+        before = hostspeed.probe()
+        times = {layer: _best(call) for layer, call in calls.items()}
+        scale = hostspeed.scale(before, hostspeed.probe())
+        return [{"fixture": fixture, "n": n, "layer": layer, "s_per_point": t * scale / n,
+                 "raw_s_per_point": t / n, "scale": scale} for layer, t in times.items()]
+
+    rows = [row for n in BATCHES for row in block(None, n, _kernel(n))]
     for fixture in sorted(kahler.FIXTURES):
         metric = kahler.get_fixture(fixture)
         for n in BATCHES:
-            calls = _layers(metric, metric.chart.sample(n, SEED))
-            before = hostspeed.probe()
-            times = {layer: _best(call) for layer, call in calls.items()}
-            scale = hostspeed.scale(before, hostspeed.probe())
-            rows += [{"fixture": fixture, "n": n, "layer": layer, "s_per_point": t * scale / n,
-                      "raw_s_per_point": t / n, "scale": scale} for layer, t in times.items()]
+            rows += block(fixture, n, _layers(metric, metric.chart.sample(n, SEED)))
     return {"root": str(root), "python": platform.python_version(),
             "reference_s": hostspeed.REFERENCE_S, "repeats": REPEATS, "seed": SEED, "rows": rows}
 
@@ -106,8 +132,8 @@ def main(argv=None) -> int:
     result = sweep(pathlib.Path(args.root).resolve())
     pathlib.Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     for row in result["rows"]:
-        print(f"{row['fixture']:<20} {row['n']:>5} {row['layer']:<17} "
-              f"{row['s_per_point'] * 1e3:9.4f} ms/point")
+        print(f"{row['fixture'] or '-':<20} {row['n']:>5} {row['layer']:<17} "
+              f"{row['s_per_point'] * 1e6:10.3f} us/point")
     return 0
 
 
