@@ -34,6 +34,7 @@ Conventions (fixed once, validated by the test suite):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -191,7 +192,15 @@ def christoffel_jets(gjets: jets.Jet) -> jets.Jet:
     d_j g_il - d_l g_ij) of a stacked (n, n) metric jet, one order below it,
     summed over l in order; ginv is inverted at that lower order, which
     gives the leading coefficients of the full-order inverse bit for bit.
-    Works for any n (also the 6x6 total-space metric)."""
+    Works for any n (also the 6x6 total-space metric).
+
+    Only the pairs i <= j are formed, 10 of 16 on the base and 21 of 36 on
+    h, each written to (i, j) and (j, i): IEEE addition commutes, so the
+    full sum gives Gamma^k_{ji} the bits of Gamma^k_{ij} wherever d_l g_ij
+    has the bits of d_l g_ji.  That holds for every base metric, stored
+    symmetric, and for h at working order 1; at working order 2 the degree-2
+    coefficients of h are not symmetric, so Gamma^k_{ji} (i < j) differs
+    from the full sum above its values, which are all ``ChartEval`` reads."""
     if gjets.space.order < 1:
         raise ConfigurationError("christoffel needs metric jets of order >= 1")
     n = gjets.coeffs.shape[1]
@@ -201,12 +210,25 @@ def christoffel_jets(gjets: jets.Jet) -> jets.Jet:
     dg = np.empty((low.ncoef, n, n, n) + batch)  # [i, j, l] = d_i g_jl
     for i in range(n):
         dg[:, i] = gjets.deriv(i).coeffs
-    s = dg + dg.swapaxes(1, 2)
-    s -= np.moveaxis(dg, 1, 3)  # [i, j, l]
+    i, j = _pairs(n)
+    s = dg[:, i, j]  # [p, l] for the pairs p = (i, j), i <= j
+    s += dg[:, j, i]
+    s -= dg[:, :, i, j].swapaxes(1, 2)
     del dg
-    gamma = jets.contract("kl,ijl->kij", ginv, jets.Jet(low, s))
-    gamma.coeffs *= 0.5  # in place: no second array of the size of gamma
-    return gamma
+    out = np.empty((low.ncoef, n, n, n) + batch)  # in the block dg freed: a lower peak RSS
+    gamma = jets.contract("kl,pl->kp", ginv, jets.Jet(low, s))
+    del s
+    gamma.coeffs *= 0.5  # in place, on the pairs only
+    out[:, :, i, j] = out[:, :, j, i] = gamma.coeffs
+    return jets.Jet(low, out)
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    """The index pairs (i, j) with i <= j of an n x n matrix, row by row
+    (``np.triu_indices`` takes longer than the rest of a one-point
+    :func:`christoffel_jets`)."""
+    return np.triu_indices(n)
 
 
 def covariant_derivative(t: jets.Jet, gamma: np.ndarray) -> np.ndarray:

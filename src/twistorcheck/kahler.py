@@ -102,7 +102,17 @@ class KahlerPotentialMetric(MetricField):
 # ---------------------------------------------------------------------------
 
 def _u_of(xj):
-    return xj[0] * xj[0] + xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3]
+    """u = x0 x0 + x1 x1 + x2 x2 + x3 x3 of the seed jets ``xj``, formed at
+    degree 2 and padded with +0.0: the full-order sum bit for bit, as its
+    coefficients of degree <= 2 take the same products in the same order,
+    and each above sums terms x (+0.0), 1 (+0.0) and (+0.0)(+0.0), at least
+    one of them +0.0, so it is +0.0 (``tests/scalar_reference.u_of``)."""
+    space = xj[0].space
+    x = [c.truncate(min(space.order, 2)) for c in xj]
+    u = x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
+    coeffs = space.zero_coeffs(u.shape)
+    coeffs[:u.space.ncoef] = u.coeffs
+    return jets.Jet(space, coeffs)
 
 
 def _flat():

@@ -14,7 +14,8 @@ that ``JetSpace`` builds its product table with in one gather, and the
 full-order Horner scheme that ``jets._apply_series`` runs at rising order,
 and the adapted frame, nabla s2 and beta on their whole term grids, of
 which ``kahler`` skips the terms that read a component that is +0.0 or
--0.0 everywhere.
+-0.0 everywhere, and |x|^2 at the seeds' own order, which ``kahler._u_of``
+forms at degree 2.
 And it keeps the value-level identity checks as loops over their random
 draws, one draw at a time (and the Nijenhuis tensor from four einsums),
 which the checks of ``twistor``, ``geometry.curvature_operator`` and the
@@ -74,6 +75,12 @@ def metric_jets(metric, x, order):
             g[ya, xb] = -1.0 * im
             g[xb, ya] = -1.0 * im
     return g
+
+
+def u_of(xj):
+    """|x|^2 = x0 x0 + x1 x1 + x2 x2 + x3 x3 of the seed jets ``xj``, every
+    product at their order."""
+    return xj[0] * xj[0] + xj[1] * xj[1] + xj[2] * xj[2] + xj[3] * xj[3]
 
 
 def _jet_dot(gjets, u, v):

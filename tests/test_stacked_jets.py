@@ -59,6 +59,22 @@ def metric(request):
     return kahler.get_fixture(request.param)
 
 
+# the Christoffel symbols are formed on the pairs i <= j and copied to (j, i):
+# flat adds the constant metric, whose zero derivatives decide by their
+# signs, and Eguchi-Hanson the dense one
+@pytest.fixture(scope="module", params=FIXTURES + ("flat", "eguchi_hanson"))
+def christoffel_metric(request):
+    return kahler.get_fixture(request.param)
+
+
+def _reference_metric_jets(metric, x, order):
+    """ref.metric_jets of ``metric``'s fixture rebuilt with the full-order
+    |x|^2 of the reference, so that the comparison checks kahler._u_of too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kahler, "_u_of", ref.u_of)
+        return ref.metric_jets(kahler.get_fixture(metric.name), x, order)
+
+
 # order 2 is what a ChartEval takes; order 3 (an order-2 ChartEval) puts
 # three or more terms in a coefficient, where argument order shows
 CASES = [(2, n) for n in BATCHES] + [(3, n) for n in (None, 1, 5)]
@@ -66,10 +82,10 @@ CASES = [(2, n) for n in BATCHES] + [(3, n) for n in (None, 1, 5)]
 
 @pytest.mark.parametrize("order,n", CASES)
 class TestBaseJets:
-    def test_inverse_and_christoffel(self, metric, order, n):
-        x = _points(metric, n)
-        gjets = metric.jets_at(x, order)
-        ref_g = ref.metric_jets(metric, x, order)
+    def test_inverse_and_christoffel(self, christoffel_metric, order, n):
+        x = _points(christoffel_metric, n)
+        gjets = christoffel_metric.jets_at(x, order)
+        ref_g = _reference_metric_jets(christoffel_metric, x, order)
         assert_same_jets(gjets, ref_g)
         assert_same_jets(geo._inverse(gjets), ref.jet_matrix_inverse(ref_g))
         assert_same_jets(geo.christoffel_jets(gjets), ref.christoffel_jets(ref_g))
@@ -77,7 +93,7 @@ class TestBaseJets:
     def test_self_dual_nabla_and_beta(self, metric, order, n):
         x = _points(metric, n)
         gjets = metric.jets_at(x, order)
-        ref_g = ref.metric_jets(metric, x, order)
+        ref_g = _reference_metric_jets(metric, x, order)
         frame = kahler.adapted_frame(gjets)
         ref_frame = ref.adapted_frame(ref_g)
         assert_same_jets(frame, ref_frame)
@@ -128,10 +144,28 @@ def test_tau_leaves_out_only_exact_zeros(name):
 
 
 @pytest.mark.parametrize("n", (1, 5, 50, 400))
-def test_christoffel_of_h(metric, n):
-    chart = twistor.TwistorChart.twistor(metric)
+def test_christoffel_of_h(christoffel_metric, n):
+    chart = twistor.TwistorChart.twistor(christoffel_metric)
     ctx = twistor.ChartEval(chart, chart.sample(n, 3))
     assert_same_jets(geo.christoffel_jets(ctx.h), ref.christoffel_jets(ref.to_objects(ctx.h, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(kahler.FIXTURES))
+def test_christoffel_of_h_at_working_order_2(name):
+    # at working order 2 the degree-2 coefficients of h are not symmetric
+    # bit for bit, as (beta_i beta_j) and (beta_j beta_i) add their three
+    # terms in different orders.  The pairs i <= j are the full loop's, and
+    # (j, i) copies them: the values, all that ChartEval reads, are the full
+    # loop's everywhere
+    chart = twistor.TwistorChart.twistor(kahler.get_fixture(name))
+    ctx = twistor.ChartEval(chart, chart.sample(7, 3), order=2)
+    gamma = geo.christoffel_jets(ctx.h)
+    old = ref.christoffel_jets(ref.to_objects(ctx.h, 2))
+    i, j = np.triu_indices(twistor.TOTAL_DIM)
+    assert_same_jets(gamma[:, i, j], old[:, i, j])
+    assert np.array_equal(gamma.coeffs[:, :, j, i], gamma.coeffs[:, :, i, j])
+    old_values = np.array([c.value for c in old.ravel()]).reshape(old.shape + (-1,))
+    _assert_same_bits(gamma.value, old_values)
 
 
 def test_component_views_and_stack_copies(burns):
@@ -355,6 +389,32 @@ def test_sum_terms_equals_python_left_fold(grid, chunk):
 def _assert_same_bits(a, b):
     assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# seed coordinates of either sign, zeros of both signs among them, and
+# magnitudes whose squares overflow
+COORDINATES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.integers(1, 5), n=st.sampled_from([None, 1, 5, 400]),
+       point=st.lists(COORDINATES, min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_u_of_at_degree_two_equals_the_full_order_sum(order, n, point, seed):
+    # |x|^2 formed at degree 2 and padded with +0.0 has the bits of the sum
+    # of products at the seeds' order, signs of zero included; the first
+    # point is drawn, the others are uniform with a quarter zeros of each sign
+    x = np.array(point)
+    if n is not None:
+        rng = np.random.default_rng(seed)
+        x = np.vstack([x, rng.uniform(-2.0, 2.0, (n - 1, 4))])
+        kind = rng.integers(0, 8, size=x.shape)
+        x[1:][kind[1:] == 0] = 0.0
+        x[1:][kind[1:] == 1] = -0.0
+    xj = jets.seed_raw(x, order)
+    with np.errstate(over="ignore"):
+        got, full = kahler._u_of(xj), ref.u_of(xj)
+    assert got.space is full.space
+    _assert_same_bits(got.coeffs, full.coeffs)
 
 
 @settings(max_examples=120, deadline=None)

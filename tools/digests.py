@@ -16,7 +16,8 @@ ROOT, each produced by ROOT's own ``src``:
   7, 50 and 400 points: of the self-dual basis s below the base order and
   of beta (``BaseEval(...).connection()``), of ``_two_vector_nabla`` of
   s2 (from ``_self_dual`` of the whole frame), of the Christoffel jets
-  ``BaseEval(...).gamma_jets`` and of ``adapted_frame`` at base orders 1-3,
+  ``BaseEval(...).gamma_jets``, of the metric jets ``metric.jets_at`` and
+  of ``adapted_frame`` at base orders 1-3,
   of s, beta and nabla s2 at base order 3 too, and of ``ChartEval.gamma_h``
   on the plain chart at working orders 1 and 2;
 * the raw values, signs of zero included, for every fixture at 1, 7, 20
@@ -30,6 +31,9 @@ ROOT, each produced by ROOT's own ``src``:
   ``compose_univariate`` on seeded jets of 1 variable at orders 1-6, of 4 at
   orders 1-4 and of 6 at orders 1-2, at 1 and 400 points, a quarter of
   their coefficients +0.0 or -0.0;
+* the raw coefficients, signs of zero included, of |x|^2 (``kahler._u_of``)
+  on the seed jets of orders 1-5 at one unbatched point and at 1, 7, 50 and
+  400 points, a quarter of their coordinates +0.0 or -0.0;
 * the stdout of every demo;
 * ``solve-map`` output (stdout and stderr) and CSV for every profile,
   branch and sign.
@@ -104,6 +108,7 @@ def _raw_arrays(wl):
                 yield f"raw/{fixture}/{n}/{name}", _raw(jet.coeffs)
             for order in (1, 2, 3):
                 base = kahler.BaseEval(metric, pts, order)
+                yield f"raw/{fixture}/{n}/metric_{order}", _raw(base.gjets.coeffs)
                 yield f"raw/{fixture}/{n}/gamma_{order}", _raw(base.gamma_jets.coeffs)
                 frame = kahler.adapted_frame(base.gjets)
                 yield f"raw/{fixture}/{n}/frame_{order}", _raw(frame.coeffs)
@@ -160,6 +165,23 @@ def _compositions():
                 yield f"{name}/compose_univariate", _raw(jets.compose_univariate(outer, u).coeffs)
 
 
+def _squared_norms():
+    import numpy as np
+
+    from twistorcheck import jets, kahler
+
+    for n in (1, 7, 50, 400):
+        rng = np.random.default_rng([4, n])
+        x = rng.uniform(-2.0, 2.0, (n, 4))
+        zero = rng.random(x.shape)
+        x[zero < 0.125] = 0.0
+        x[(0.125 <= zero) & (zero < 0.25)] = -0.0
+        for order in range(1, 6):
+            yield f"u_of/{n}/{order}", _raw(kahler._u_of(jets.seed_raw(x, order)).coeffs)
+            if n == 7:  # its first point, unbatched
+                yield f"u_of/point/{order}", _raw(kahler._u_of(jets.seed_raw(x[0], order)).coeffs)
+
+
 def _solve_maps(workdir: str):
     from twistorcheck import cli, fibermap
 
@@ -197,8 +219,8 @@ def main(argv) -> int:
         os.chdir(workdir)  # solve-map writes its CSV to the working directory
         try:
             wl = _workloads(root)
-            outputs = [*_reports(wl), *_raw_arrays(wl), *_compositions(), *_solve_maps(workdir),
-                       *_demos(root, workdir)]
+            outputs = [*_reports(wl), *_raw_arrays(wl), *_compositions(), *_squared_norms(),
+                       *_solve_maps(workdir), *_demos(root, workdir)]
         finally:
             os.chdir(cwd)
     print("\n".join(f"{_sha(data)}  {name}" for name, data in sorted(outputs)))

@@ -10,13 +10,25 @@ at n in {1, 50, 1000} points:
   multiplies in: (1, 3) of the fiber maps, (4, 2) and (4, 3) of the base,
   (4, 4) of a potential under base order 2, (6, 1) and (6, 2) of the chart
   (rows with ``fixture`` null);
+* ``isothermal_coordinate(cosh)``: ``fibermap.isothermal_coordinate`` on
+  the cosh profile at n fiber coordinates from its midpoint, the quadrature
+  of a modified chart's fiber map (``fixture`` null too);
 
-and for every fixture at n sampled chart points:
+and for every fixture at the base points of n sampled points of its plain
+twistor chart:
 
 * ``jets_at``: the metric jets at base order 2, the order a ChartEval reads;
 * ``adapted_frame`` of those jets;
 * ``christoffel_jets`` of those jets;
-* ``beta_form``, which forms nabla s2 too, from the frame's s2 and s3.
+* ``beta_form``, which forms nabla s2 too, from the frame's s2 and s3;
+
+and at those chart points, at working order 1:
+
+* ``chart_eval``: a ``ChartEval`` assembled on a ``ChartBase`` whose fields
+  are built, as the suites share one, with its J and h;
+* ``nijenhuis``: ``twistor._nijenhuis_values`` of that ChartEval;
+* ``wedge_d``: d(Omega ^ Omega) (``wedge_dicts`` then ``d_dict``) of its
+  Omega = tau + omega_FS, the balanced condition.
 
 Each time is the best of 5 warm runs (one untimed run first), each run
 repeating the call until it takes 20 ms or more, divided by n.  Every
@@ -84,26 +96,51 @@ def _kernel(n):
     return calls
 
 
-def _layers(metric, x):
-    """The calls of one (fixture, points) block, by layer name."""
-    from twistorcheck import geometry, kahler
+def _fiber_map(n):
+    """The fiber-map quadrature at ``n`` fiber coordinates, by layer name."""
+    import numpy as np
+    from twistorcheck import fibermap
+
+    profile = fibermap.get_profile("cosh")
+    z = np.random.default_rng(SEED).uniform(-0.9, 0.9, n)
+    return {"isothermal_coordinate(cosh)": lambda: fibermap.isothermal_coordinate(profile, z, 0.0)}
+
+
+def _layers(metric, x6):
+    """The calls of one (fixture, chart points) block, by layer name."""
+    from twistorcheck import geometry, kahler, twistor
+
+    x = x6[:, :4]
 
     gjets = metric.jets_at(x, 2)
     frame = kahler.adapted_frame(gjets)
     gamma = geometry.christoffel_jets(gjets)
     s2 = kahler._self_dual(frame, (1,))[0]
     s3 = kahler._self_dual(frame.truncate(1))[2]
+    chart = twistor.TwistorChart.twistor(metric)
+    base = twistor.ChartBase(metric, x)
+    base.fields  # built once and shared, as in a suite run
+
+    def chart_eval():
+        ctx = twistor.ChartEval(chart, x6, base=base)
+        return ctx.J, ctx.h
+
+    ctx = twistor.ChartEval(chart, x6, base=base)
+    omega = twistor.omega_ab_field(ctx, None)
     return {
         "jets_at": lambda: metric.jets_at(x, 2),
         "adapted_frame": lambda: kahler.adapted_frame(gjets),
         "christoffel_jets": lambda: geometry.christoffel_jets(gjets),
         "beta_form": lambda: kahler.beta_form(gjets, s2, s3, gamma),
+        "chart_eval": chart_eval,
+        "nijenhuis": lambda: twistor._nijenhuis_values(ctx),
+        "wedge_d": lambda: twistor.d_dict(twistor.wedge_dicts(omega, omega)),
     }
 
 
 def sweep(root: pathlib.Path) -> dict:
     sys.path.insert(0, str(root / "src"))
-    from twistorcheck import kahler
+    from twistorcheck import kahler, twistor
 
     hostspeed = _hostspeed(root)
 
@@ -114,11 +151,12 @@ def sweep(root: pathlib.Path) -> dict:
         return [{"fixture": fixture, "n": n, "layer": layer, "s_per_point": t * scale / n,
                  "raw_s_per_point": t / n, "scale": scale} for layer, t in times.items()]
 
-    rows = [row for n in BATCHES for row in block(None, n, _kernel(n))]
+    rows = [row for n in BATCHES for row in block(None, n, {**_kernel(n), **_fiber_map(n)})]
     for fixture in sorted(kahler.FIXTURES):
         metric = kahler.get_fixture(fixture)
+        chart = twistor.TwistorChart.twistor(metric)
         for n in BATCHES:
-            rows += block(fixture, n, _layers(metric, metric.chart.sample(n, SEED)))
+            rows += block(fixture, n, _layers(metric, chart.sample(n, SEED)))
     return {"root": str(root), "python": platform.python_version(),
             "reference_s": hostspeed.REFERENCE_S, "repeats": REPEATS, "seed": SEED, "rows": rows}
 
@@ -132,7 +170,7 @@ def main(argv=None) -> int:
     result = sweep(pathlib.Path(args.root).resolve())
     pathlib.Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     for row in result["rows"]:
-        print(f"{row['fixture'] or '-':<20} {row['n']:>5} {row['layer']:<17} "
+        print(f"{row['fixture'] or '-':<20} {row['n']:>5} {row['layer']:<27} "
               f"{row['s_per_point'] * 1e6:10.3f} us/point")
     return 0
 
