@@ -67,15 +67,17 @@ Conventions
   intermediate above a step's degree overflows, full order forms
   inf * (+0.0) = NaN and carries it on; rising order does not form it,
   so it is non-finite only where full order is.
-* :meth:`Terms.skip_zeros` leaves out of a grid every cell that reads a
-  component of a factor which is +0.0 or -0.0 in every coefficient at every
-  point, found in the data at the call; each output keeps its other terms
-  in order.  Such a term is a zero, so the values cannot change; only the
-  sign of a sum that is zero could: an output whose every term reads one
-  is -0.0 (or its ``init``) where the whole grid adds a +0.0 term and gives
-  +0.0.  Only the base connection in ``kahler`` applies it, where
-  ``tools/digests.py`` and the tests against the whole grids find no such
-  sign change; ``sum_terms`` and :func:`contract` form every cell.
+* :meth:`JetSpace.sum_terms` leaves out every cell that reads a component
+  of a factor which is +0.0 or -0.0 in every coefficient at every point,
+  found in the data at the call (:meth:`Terms.skip_zeros`).  A cell is
+  formed whole or not at all and an output adds its terms one at a time,
+  so every nonzero sum keeps its bits; only a zero sum can tell, by its
+  sign (-0.0, or its ``init``, where the whole grid may give +0.0).  That
+  needs finite factors, as a skipped 0 * inf would have been NaN: those of
+  a run are, being built from metric jets that passed
+  ``geometry.check_finite``.  ``JetSpace.multiply`` never skips, as it sums
+  long tails pairwise.  The tests find every report byte-identical with
+  every cell formed (:func:`nonzero_components` patched to "all live").
 * Dividing by a jet whose constant term vanishes is an error (no Laurent
   extension).
 """
@@ -270,10 +272,13 @@ class JetSpace:
         """Coefficients ``(ncoef, outputs, *batch)`` of the sums of the grid
         ``terms`` over the coefficient arrays ``factors``: each output adds
         its terms one at a time in rank order onto -0.0 (which changes no
-        sum) or onto ``init``, which then receives the sums in place.
-        Products run in blocks within CHUNK_DOUBLES: as many columns as a
-        block holds one rank of, up to the last that has its first rank, and
-        as many ranks as fit."""
+        sum) or onto ``init``, which then receives the sums in place.  The
+        cells that read a component of a factor that is +0.0 or -0.0
+        everywhere are left out (:meth:`Terms.skip_zeros`, see
+        "Conventions").  Products run in blocks within CHUNK_DOUBLES: as
+        many columns as a block holds one rank of, up to the last that has
+        its first rank, and as many ranks as fit."""
+        terms = terms.skip_zeros(factors)
         ranks, n_out = terms.pad.shape
         batch = np.broadcast_shapes(*(f.shape[1 + len(ix):] for f, ix in zip(factors, terms.index)))
         out = np.full((self.ncoef, n_out) + batch, -0.0) if init is None else init
@@ -720,7 +725,9 @@ class Terms(NamedTuple):
             return g
 
         sign = np.ones(outs.size) if sign is None else sign  # padding is written into signed products
-        return Terms(tuple(tuple(map(grid, ix)) for ix in index), grid(sign), pad,
+        # integer grids even for no terms, which skip_zeros indexes masks with
+        return Terms(tuple(tuple(grid(np.asarray(a, dtype=np.intp)) for a in ix) for ix in index),
+                     grid(sign), pad,
                      None if np.all(cols == np.arange(cols.size)) else cols,
                      tuple(np.count_nonzero(~pad, axis=1).tolist()) if by_count else None)
 
@@ -730,24 +737,31 @@ class Terms(NamedTuple):
 
     def skip_zeros(self, factors) -> "Terms":
         """This grid without its cells that read a component of a factor in
-        ``factors`` (the coefficient arrays :meth:`JetSpace.sum_terms` is to
-        read, or None for a factor whose zeros stay) that is +0.0 or -0.0 in
-        every coefficient at every point (see "Conventions").  Each output
-        keeps its other terms in rank order; columns run from most terms to
-        fewest, and an output left with no term is -0.0, or ``init``.  The
-        grid is built once per grid and pattern of zero components."""
-        live = tuple(None if f is None or not ix else nonzero_components(f, len(ix))
-                     for f, ix in zip(factors, self.index))
-        return self._without(tuple(None if m is None else (m.shape, m.tobytes()) for m in live))
+        ``factors``, the coefficient arrays :meth:`JetSpace.sum_terms`
+        reads, that is +0.0 or -0.0 in every coefficient at every point
+        (:func:`nonzero_components`; see "Conventions"), or this grid
+        itself where no component is.  Each output keeps its other terms in
+        rank order, and an output left with no term is -0.0, or ``init``.
+        Where whole ranks go, the index arrays keep their shapes; otherwise
+        columns run from most terms to fewest.  The grid is built once per
+        grid and pattern of zero components."""
+        live = [nonzero_components(f, len(ix)) for f, ix in zip(factors, self.index)]
+        if all(m.all() for m in live):
+            return self
+        return self._without(tuple((m.shape, m.tobytes()) for m in live))
 
-    @functools.lru_cache(maxsize=64)
+    @functools.lru_cache(maxsize=256)
     def _without(self, live) -> "Terms":
         """:meth:`skip_zeros` for the nonzero-component masks ``live`` of
-        the factors, each as (shape, bytes), or None."""
+        the factors, each as (shape, bytes)."""
         keep = ~self.pad
-        for m, ix in zip(live, self.index):
-            if m is not None:
-                keep = keep & np.frombuffer(m[1], dtype=bool).reshape(m[0])[ix]
+        for (shape, mask), ix in zip(live, self.index):
+            keep = keep & np.frombuffer(mask, dtype=bool).reshape(shape)[ix]
+        if keep.shape[1] and np.all(keep == keep[:, :1]):  # whole ranks: index arrays keep their shapes
+            rows = np.flatnonzero(keep[:, 0])
+            cut = lambda g: g if g is None or g.shape[0] == 1 else g[rows]
+            return Terms(tuple(tuple(map(cut, ix)) for ix in self.index), cut(self.sign),
+                         self.pad[rows], self.cols, None if self.reach is None else (keep.shape[1],) * rows.size)
         counts = np.count_nonzero(keep, axis=0)
         perm = np.argsort(-counts, kind="stable")
         keep, counts = keep[:, perm], counts[perm]
@@ -770,8 +784,13 @@ class Terms(NamedTuple):
 def nonzero_components(coeffs: np.ndarray, ndim: int) -> np.ndarray:
     """Boolean mask over the first ``ndim`` tensor axes of the coefficient
     array ``coeffs``: False where the component is +0.0 or -0.0 in every
-    coefficient at every point."""
-    return np.any(coeffs, axis=(0,) + tuple(range(1 + ndim, coeffs.ndim)))
+    coefficient at every point.  The values decide most components; only
+    those whose values are all zero are read further."""
+    live = np.asarray(np.any(coeffs[0], axis=tuple(range(ndim, coeffs.ndim - 1))))
+    if not live.all():
+        dead = ~live
+        live[dead] = np.any(coeffs[1:, dead], axis=(0,) + tuple(range(2, coeffs.ndim - ndim + 1)))
+    return live
 
 
 # -- seeding and extraction (module-level operations) ---------------------

@@ -20,12 +20,11 @@ its readers use (bit for bit, lower coefficients ignore higher ones).  Frame,
 self-dual basis, beta and omega are stacked jets too, built with the
 products and the summation order of the scalar loops they replaced
 (``tests/scalar_reference.py``), so their coefficients are those of the
-loops, bit for bit.  Exact zeros by construction, as beta's terms through the
-+0.0 diagonals of s3 and nabla s2, are left out: they change no nonzero sum.
-So are the terms of the Gram-Schmidt inner products, nabla s2 and beta that
-read a component of the frame's vectors or 2-vectors that is +0.0 or -0.0
-at every coefficient and point, found in the data at each call
-(:meth:`jets.Terms.skip_zeros`).
+loops, bit for bit, but for signs of zero: their sums, in
+:meth:`jets.JetSpace.sum_terms`, leave out the terms that read a component
+which is +0.0 or -0.0 at every coefficient and point, found in the data at
+each call, and :func:`_self_dual` forms only the products of two frame
+components that are not.  Such terms change no nonzero sum.
 """
 
 from __future__ import annotations
@@ -207,31 +206,34 @@ def _self_dual(e: jets.Jet, qs=(0, 1, 2)) -> jets.Jet:
     for q in ``qs`` (tensor axis 0, in that order), from the stacked frame
     ``e`` (tensor axes [a, i]), at its order.  Entry (j, i) subtracts the
     products of (i, j) the other way round; the diagonal is +0.0, as x - x
-    is for a frame built from metric jets that passed check_finite."""
+    is for a frame built from metric jets that passed check_finite.  Only
+    the products of two live frame components (:func:`jets.nonzero_components`)
+    are formed, the others are +0.0: x - (+0.0) and (+0.0) - x are exact,
+    so only the sign of an entry that is zero can differ from forming them
+    all."""
     space, E = e.space, e.coeffs
     batch = E.shape[3:]
+    live = jets.nonzero_components(E, 2)
     wedges = _SD_WEDGES[list(qs)]
     q, i, j = np.nonzero(np.triu(np.ones((len(qs), DIM, DIM), dtype=bool), 1))  # i < j, in loop order
     out = np.zeros((space.ncoef, len(qs), DIM, DIM) + batch)
-    for c in space.chunks(q.size, int(np.prod(batch))):
-        ij, ji = [], []
-        for w in range(2):
-            a, b = wedges[q[c], w, 0], wedges[q[c], w, 1]
-            p1 = space.multiply(E[:, a, i[c]], E[:, b, j[c]])
-            p2 = space.multiply(E[:, a, j[c]], E[:, b, i[c]])
-            ij.append(p1 - p2)
-            ji.append(p2 - p1)
-        out[:, q[c], i[c], j[c]] = ij[0] + ij[1]
-        out[:, q[c], j[c], i[c]] = ji[0] + ji[1]
+    for c in space.chunks(q.size, 4 * int(np.prod(batch))):
+        a, b = wedges[q[c], :, 0].T, wedges[q[c], :, 1].T  # [wedge, entry]
+        # e_a^i e_b^j and e_a^j e_b^i of both wedges: [product, entry]
+        rows = np.stack([a[0], a[0], a[1], a[1]]), np.stack([b[0], b[0], b[1], b[1]])
+        cols = np.stack([i[c], j[c]] * 2), np.stack([j[c], i[c]] * 2)
+        formed = live[rows[0], cols[0]] & live[rows[1], cols[1]]
+        p = np.zeros((space.ncoef,) + formed.shape + batch)
+        p[:, formed] = space.multiply(E[:, rows[0][formed], cols[0][formed]],
+                                      E[:, rows[1][formed], cols[1][formed]])
+        out[:, q[c], i[c], j[c]] = (p[:, 0] - p[:, 1]) + (p[:, 2] - p[:, 3])
+        out[:, q[c], j[c], i[c]] = (p[:, 1] - p[:, 0]) + (p[:, 3] - p[:, 2])
     return jets.Jet(space, out)
 
 
 def _dot(g: jets.Jet, u: jets.Jet, v: jets.Jet) -> jets.Jet:
-    """g(u, v) = sum_ij (g_ij u^i) v^j, summed in (i, j) order over the
-    components i of u and j of v that are not +0.0 or -0.0 everywhere
-    (:func:`jets.nonzero_components`)."""
-    i, j = (np.flatnonzero(jets.nonzero_components(w.coeffs, 1)) for w in (u, v))
-    return jets.contract("ij,i,j->", g[np.ix_(i, j)], u[i], v[j])
+    """g(u, v) = sum_ij (g_ij u^i) v^j, summed in (i, j) order."""
+    return jets.contract("ij,i,j->", g, u, v)
 
 
 def _apply_I(u: jets.Jet, zero: jets.Jet) -> jets.Jet:
@@ -242,12 +244,10 @@ def _apply_I(u: jets.Jet, zero: jets.Jet) -> jets.Jet:
 def adapted_frame(gjets: jets.Jet) -> jets.Jet:
     """Gram-Schmidt frame seeded on (d_1, I d_1, d_3, I d_3), as a stacked
     (4, 4) jet of the order of the stacked metric jets ``gjets`` (row a holds
-    the components of e_a); smooth in x.  Its four inner products :func:`_dot`
-    read only the components of their vectors that are not +0.0 or -0.0
-    everywhere: e1 lies along d_1 and e2 along d_2, and v gains a component
-    at each step, so they form 1 + 1 + 2 + 9 = 13 of the 64 terms of whole
-    4 x 4 grids (4 where g is diagonal), with the same coefficients, signs
-    of zero included (``tests/scalar_reference.full_grid_adapted_frame``)."""
+    the components of e_a); smooth in x.  e1 lies along d_1 and e2 along
+    d_2, and v gains a component at each step, so the sums of its four
+    inner products :func:`_dot` leave out all but 1 + 1 + 2 + 9 = 13 of
+    their 64 terms (4 where g is diagonal)."""
     zero = gjets[0, 0] * 0.0
     zeros = jets.stack([zero] * DIM)
 
@@ -282,19 +282,16 @@ def _two_vector_nabla(gamma: jets.Jet, s: jets.Jet) -> jets.Jet:
     jet field ``s`` ([i, j]) for the stacked Christoffel jets ``gamma``
     ([a, b, c] = Gamma^a_{bc}, one order below ``s``): d_k s^{ij} followed
     by Gamma^i_{km} s^{mj} and Gamma^j_{km} s^{im} for m = 0..3, summed in
-    that order (the derivation action), leaving out the terms of the
-    components of s below its order that are +0.0 or -0.0 everywhere
-    (:meth:`jets.Terms.skip_zeros`).  For s2 of an adapted frame at base
-    order 2 those are all but (0, 2), (1, 3) and their transposes, so it
-    forms 96 of the 384 products; at base order 3 rounding leaves residues
-    of about 1e-17 in some of them, which stay.  The coefficients are those
-    of the whole grid, signs of zero included
-    (``tests/scalar_reference.full_grid_two_vector_nabla``)."""
+    that order (the derivation action).  The sum leaves out the terms of
+    the components that are +0.0 or -0.0 everywhere (see ``jets``): for s2
+    of an adapted frame at base order 2, s is zero below its order but at
+    (0, 2), (1, 3) and their transposes, so it forms at most 96 of the 384
+    products; at base order 3 rounding leaves residues of about 1e-17 in
+    some of them, which stay."""
     low, batch = gamma.space, s.shape[2:]
     k, i, j = _NABLA_OUT
     s_flat = jets.Jet(s.space, s.coeffs.reshape((s.space.ncoef, DIM * DIM) + batch))
-    factors = [gamma.coeffs, s.coeffs[:low.ncoef]]
-    sums = low.sum_terms(factors, _nabla_terms().skip_zeros([None, factors[1]]),
+    sums = low.sum_terms([gamma.coeffs, s.coeffs[:low.ncoef]], _nabla_terms(),
                          init=s_flat.deriv(k, i * DIM + j).coeffs)
     out = np.zeros((low.ncoef, DIM, DIM, DIM) + batch)
     out[:, k, i, j] = sums
@@ -317,30 +314,16 @@ def beta_form(gjets: jets.Jet, s2: jets.Jet, s3: jets.Jet, gamma: jets.Jet) -> j
     -beta s2, as a stacked (4,) jet one order below the stacked metric jets
     ``gjets``; ``s2`` (at their order) and ``s3`` (at least one order below)
     are the self-dual 2-vectors of their adapted frame and ``gamma`` their
-    Christoffel jets (:func:`geometry.christoffel_jets`).  The terms of the
-    components of s3 that are +0.0 or -0.0 everywhere are left out
-    (:meth:`jets.Terms.skip_zeros`): s3 below the base order is nonzero
-    only on the anti-diagonal, so each output forms 48 of its 144 terms, with
-    the coefficients of the whole grid, signs of zero included
-    (``tests/scalar_reference.full_grid_connection``).  The zero components
-    of nabla s2 and g stay: leaving their terms out too turns zero outputs
-    from +0.0 to -0.0 on the flat and conformal-Hermitian fixtures."""
+    Christoffel jets (:func:`geometry.christoffel_jets`): the sum over
+    (i, j, k, l) of (nabla_m s2^{ij} s3^{kl}) g_ik g_jl.  It leaves out the
+    terms of the components that are +0.0 or -0.0 everywhere (see
+    ``jets``), the diagonals of nabla s2 and s3 among them: s3 below the
+    base order is nonzero only on the anti-diagonal, so each output forms
+    at most 48 of its 256 terms."""
     low = gamma.space
-    g_low = gjets.truncate(low.order).coeffs
-    factors = [_two_vector_nabla(gamma, s2).coeffs, s3.truncate(low.order).coeffs,
-               g_low, g_low]
-    return jets.Jet(low, low.sum_terms(factors, _beta_terms().skip_zeros([None, factors[1]]))) * 0.25
-
-
-@functools.lru_cache(maxsize=None)
-def _beta_terms() -> jets.Terms:
-    """The :class:`jets.Terms` of :func:`beta_form`, outputs m: the terms
-    ((nabla_m s2^{ij} s3^{kl}) g_ik) g_jl with i != j and k != l in (i, j, k, l)
-    order; the others are exact zeros (s3^{kk} = nabla_m s2^{ii} = +0.0)."""
-    off = ~np.eye(DIM, dtype=bool)
-    i, j, k, l = (x[:, None] for x in np.nonzero(off[:, :, None, None] & off))
-    return jets.Terms(((np.arange(DIM)[None], i, j), (k, l), (i, k), (j, l)), None,
-                      np.zeros((i.size, DIM), dtype=bool))
+    g_low = gjets.truncate(low.order)
+    return jets.contract("mij,kl,ik,jl->m", _two_vector_nabla(gamma, s2),
+                         s3.truncate(low.order), g_low, g_low) * 0.25
 
 
 # ---------------------------------------------------------------------------

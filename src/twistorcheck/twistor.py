@@ -39,11 +39,15 @@ keep the batch axis, also for a single point.
 Every tensor field of a ChartEval (g, the self-dual basis S, beta, J, h,
 Omega, tau) is one stacked jet in the 6-variable space, assembled with
 :func:`jets.contract` in the products and summation order of the scalar
-loops it replaced, so the coefficients are those of the loops bit for bit.
-A k-form is a :class:`Form`, one stacked jet over its sorted index tuples.
-:func:`wedge_dicts` and :func:`d_dict` run a :class:`jets.Terms` grid built
-once per key pattern, in the loop order of the dict code they replaced, so
-the coefficients are those of that code bit for bit.
+loops it replaced, so the coefficients are those of the loops bit for bit
+but for signs of zero: the sums leave out the terms that read a component
+which is zero everywhere (the diagonal of P, the zero blocks of J and h;
+see ``jets``).  A k-form is a :class:`Form`, one stacked jet over its
+sorted index tuples.  :func:`wedge_dicts` and :func:`d_dict` run a
+:class:`jets.Terms` grid built once per key pattern, in the loop order of
+the dict code they replaced, so the coefficients are those of that code
+bit for bit; :func:`d_wedge`, which the balanced check calls, forms only
+the partials of a wedge that d reads, with the bytes of d of the wedge.
 
 The value-level identity checks (the structure identities, the two
 Nijenhuis routes, the horizontal and mixed Nijenhuis identities) evaluate
@@ -430,8 +434,9 @@ class ChartEval:
 
     @cached_property
     def gamma_h(self):
-        """Christoffel values of h in chart coordinates, Gamma^m_{ab}."""
-        return tensor_values(christoffel_jets(self.h), 3)
+        """Christoffel values of h in chart coordinates, Gamma^m_{ab}: of h
+        at order 1, whose values are those of h at any order."""
+        return tensor_values(christoffel_jets(self.h.truncate(1)), 3)
 
     @cached_property
     def nijenhuis(self):
@@ -831,12 +836,16 @@ def _perm_sign(seq) -> int:
     return (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
 
 
+def _wedge_list(keys_a: tuple, keys_b: tuple) -> list:
+    """The terms of a ^ b in loop order: (output key, component of a, of b, sign)."""
+    return [(tuple(sorted(ka + kb)), ia, ib, _perm_sign(ka + kb))
+            for ia, ka in enumerate(keys_a) for ib, kb in enumerate(keys_b) if not set(ka) & set(kb)]
+
+
 @lru_cache(maxsize=None)
 def _wedge_terms(keys_a: tuple, keys_b: tuple) -> tuple:
     """The output keys of a ^ b, in order of first appearance, and its :class:`jets.Terms`."""
-    keys, ia, ib, sign = tuple(zip(*[(tuple(sorted(ka + kb)), ia, ib, _perm_sign(ka + kb))
-                                     for ia, ka in enumerate(keys_a) for ib, kb in enumerate(keys_b)
-                                     if not set(ka) & set(kb)])) or ((),) * 4
+    keys, ia, ib, sign = tuple(zip(*_wedge_list(keys_a, keys_b))) or ((),) * 4
     return tuple(dict.fromkeys(keys)), jets.Terms.of(keys, [[ia], [ib]], sign)
 
 
@@ -869,6 +878,45 @@ def d_dict(form: Form) -> Form:
     return Form(keys, jets.Jet(d.space, d.space.sum_terms([d.coeffs], terms)))
 
 
+@lru_cache(maxsize=None)
+def _d_wedge_terms(keys_a: tuple, keys_b: tuple) -> tuple:
+    """The output keys of d(a ^ b), the :class:`jets.Terms` of the
+    partials it reads and those of d.  Output t of the partials is d's term
+    t, d_var of component comp of a ^ b: it adds that component's terms in
+    their order, reading a and b at (var, component)."""
+    wedge, (wedge_keys, _) = _wedge_list(keys_a, keys_b), _wedge_terms(keys_a, keys_b)
+    keys, src, terms = _d_terms(wedge_keys)
+    cells = [(t, var, ia, ib, sign) for t, (var, comp) in enumerate(src.T.tolist())
+             for key, ia, ib, sign in wedge if key == wedge_keys[comp]]
+    t, var, ia, ib, sign = tuple(zip(*cells)) or ((),) * 5
+    return keys, jets.Terms.of(t, [[var, ia], [var, ib]], sign), terms
+
+
+def d_wedge(a: Form, b: Form) -> Form:
+    """The values of d(a ^ b), an order-0 form, from the order-1 parts of
+    the forms ``a`` and ``b``: ``d_dict(wedge_dicts(a.truncate(1),
+    b.truncate(1)))``, forming only the partials d reads, d_k (a ^ b)_K for
+    k not in K.  Each is the degree-1 coefficient of the one-variable
+    products of the (value, d_k) pairs of a and b, a0 b1 + a1 b0, the terms
+    of coefficient k in six variables, so the bytes are the oracle's but
+    where a component is zero in its value and d_k and not in another
+    partial: a zero term the oracle forms is left out, which may move the
+    sign of a zero."""
+    if a.jet.order == 0 or b.jet.order == 0:
+        raise UsageError("d of a wedge needs forms of jet order 1 or more")
+    keys, partials, terms = _d_wedge_terms(a.keys, b.keys)
+
+    def pairs(f):  # [value or d_k, k, component, *batch]
+        p = np.empty((2, TOTAL_DIM) + f.jet.shape)
+        p[0], p[1] = f.jet.coeffs[0], f.jet.coeffs[1:TOTAL_DIM + 1]
+        return p
+
+    pa = pairs(a)
+    d = jets.get_space(1, 1).sum_terms([pa, pa if b is a else pairs(b)], partials)[1:]
+    space = jets.get_space(TOTAL_DIM, 0)
+    return Form(keys, jets.Jet(space, space.sum_terms([d], terms)))
+
+
 # ---------------------------------------------------------------------------
 # the Hermitian family Omega_h / Omega_{a,b}
 # ---------------------------------------------------------------------------
@@ -883,14 +931,12 @@ def _tau_form(ctx: ChartEval) -> Form:
 
 @lru_cache(maxsize=None)
 def _tau_terms() -> jets.Terms:
-    """The :class:`jets.Terms` of :func:`_tau_form`, outputs the pairs i < j:
-    the terms (g_im P^{mn}) g_nj with m != n in (m, n) order; the terms
-    m = n are exact zeros (the diagonal of P is a signed zero, as that of
-    the self-dual basis)."""
+    """The :class:`jets.Terms` of :func:`_tau_form`: the contraction
+    (g_im P^{mn}) g_nj in (m, n) order, on the outputs i < j only.  The
+    terms m = n read the zero diagonal of P and are left out (see ``jets``)."""
     i, j = np.triu_indices(4, 1)
-    m, n = (x[:, None] for x in np.nonzero(~np.eye(4, dtype=bool)))
-    return jets.Terms(((i[None], m), (m, n), (n, j[None])), None,
-                      np.zeros((m.size, i.size), dtype=bool))
+    m, n = (x.reshape(-1, 1) for x in np.indices((4, 4)))
+    return jets.Terms(((i[None], m), (m, n), (n, j[None])), None, np.zeros((m.size, i.size), dtype=bool))
 
 
 def _fiber_area_form(ctx: ChartEval, weight) -> Form:
@@ -951,7 +997,7 @@ def balanced_check(ctx: ChartEval, h_func: Optional[Callable],
     tau, the quantity whose cancellation structure carries the proof.
     """
     omega = omega_ab_field(ctx, h_func, weight_mode=weight_mode)
-    d_omega2 = d_dict(wedge_dicts(omega, omega))
+    d_omega2 = d_wedge(omega, omega)
     fiber = [n for n, k in enumerate(omega.keys) if IDX_V in k or IDX_W in k]
     d_fiber = d_dict(Form(tuple(omega.keys[n] for n in fiber), omega.jet[fiber]))
     proof = wedge_dicts(d_fiber.truncate(0), ctx.tau.truncate(0))

@@ -12,10 +12,10 @@ d that loop over them.  It also keeps the per-limit quadrature rule that
 ``ChartDomain.sample`` batches, and the loop over pairs of multi-indices
 that ``JetSpace`` builds its product table with in one gather, and the
 full-order Horner scheme that ``jets._apply_series`` runs at rising order,
-and the adapted frame, nabla s2 and beta on their whole term grids, of
-which ``kahler`` skips the terms that read a component that is +0.0 or
--0.0 everywhere, and |x|^2 at the seeds' own order, which ``kahler._u_of``
-forms at degree 2.
+and |x|^2 at the seeds' own order, which ``kahler._u_of`` forms at degree 2.
+:func:`whole_grids` runs the package with every term of its sums formed,
+where ``jets.JetSpace.sum_terms`` leaves out the terms that read a
+component that is +0.0 or -0.0 everywhere.
 And it keeps the value-level identity checks as loops over their random
 draws, one draw at a time (and the Nijenhuis tensor from four einsums),
 which the checks of ``twistor``, ``geometry.curvature_operator`` and the
@@ -23,9 +23,12 @@ curvature suite's rho duality spot check evaluate over all their draws at
 once.  Nothing in ``src/`` uses this module.
 """
 
-import numpy as np
+import contextlib
 
-from twistorcheck import fibermap, jets, kahler
+import numpy as np
+import pytest
+
+from twistorcheck import fibermap, jets
 from twistorcheck.errors import GeometryError
 from twistorcheck.geometry import (SAMPLE_MARGIN, TwoVector, _inner_kernel,
                                    curvature_endomorphism, curvature_two_vector_action,
@@ -458,56 +461,28 @@ def apply_series(u, series):
     return result
 
 
-# -- the base connection on its whole term grids -------------------------------
+# -- whole term grids ------------------------------------------------------------
 
-def full_grid_adapted_frame(gjets):
-    """``kahler.adapted_frame`` with each of its four g(u, v) summed over
-    all 16 (i, j), every term formed (the stacked frame skips the terms of
-    components that are +0.0 or -0.0 everywhere)."""
-    zero = gjets[0, 0] * 0.0
-    zeros = jets.stack([zero] * DIM)
-
-    def dot(u, v):
-        return jets.contract("ij,i,j->", gjets, u, v)
-
-    def unit(i):
-        return zeros + np.eye(DIM)[i].reshape((DIM,) + (1,) * zero.value.ndim)
-
-    e1 = unit(0)
-    e1 = e1 * (1.0 / jets.sqrt(dot(e1, e1)))[None]
-    e2 = kahler._apply_I(e1, zero)
-    v = unit(2)
-    for e in (e1, e2):
-        v = v - dot(v, e)[None] * e
-    e3 = v * (1.0 / jets.sqrt(dot(v, v)))[None]
-    return jets.stack([e1, e2, e3, kahler._apply_I(e3, zero)])
+@contextlib.contextmanager
+def whole_grids():
+    """Within it, every sum of ``jets.JetSpace.sum_terms`` forms every cell
+    of its grid, and ``kahler._self_dual`` every frame product: the mask
+    ``jets.nonzero_components`` that both read calls every component live."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "nonzero_components",
+                   lambda coeffs, ndim: np.ones(coeffs.shape[1:1 + ndim], dtype=bool))
+        yield
 
 
-def full_grid_two_vector_nabla(gamma, s):
-    """``kahler._two_vector_nabla`` on its whole grid: all 8 Gamma s terms
-    of each of the 48 outputs."""
-    low, batch = gamma.space, s.shape[2:]
-    k, i, j = kahler._NABLA_OUT
-    s_flat = jets.Jet(s.space, s.coeffs.reshape((s.space.ncoef, DIM * DIM) + batch))
-    sums = low.sum_terms([gamma.coeffs, s.coeffs[:low.ncoef]], kahler._nabla_terms(),
-                         init=s_flat.deriv(k, i * DIM + j).coeffs)
-    out = np.zeros((low.ncoef, DIM, DIM, DIM) + batch)
-    out[:, k, i, j] = sums
-    return jets.Jet(low, out)
-
-
-def full_grid_connection(base):
-    """``base.connection()`` of a ``kahler.BaseEval`` from the whole grids:
-    (sd, beta), beta summing all 144 terms of each output."""
-    gjets, gamma = base.gjets, base.gamma_jets
-    frame = full_grid_adapted_frame(gjets)
-    s2 = kahler._self_dual(frame, (1,))[0]
-    sd = kahler._self_dual(frame.truncate(frame.order - 1))
-    low = gamma.space
-    g_low = gjets.truncate(low.order).coeffs
-    factors = [full_grid_two_vector_nabla(gamma, s2).coeffs, sd[2].truncate(low.order).coeffs,
-               g_low, g_low]
-    return sd, jets.Jet(low, low.sum_terms(factors, kahler._beta_terms())) * 0.25
+def assert_same_but_zero_signs(new, old):
+    """``new`` and ``old`` have the same shape and the same bytes once each
+    zero is made +0.0 (``x + 0.0``): every nonzero bit and every NaN and inf
+    position is compared.  Only the sign of a zero may differ, as where a
+    sum leaves out a term that reads a component which is zero everywhere
+    and the sum is zero."""
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape
+    assert (new + 0.0).tobytes() == (old + 0.0).tobytes()
 
 
 # -- value-level identity checks, one random draw at a time -------------------

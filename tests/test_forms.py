@@ -2,7 +2,8 @@
 
 ``twistor.Form`` keeps a k-form as one stacked jet over its sorted index
 tuples; ``wedge_dicts`` and ``d_dict`` are one gather, at most one multiply
-and one fold each.  tests/scalar_reference.py keeps the dict code they
+and one fold each, and ``d_wedge`` forms only the partials of a wedge that
+d reads.  tests/scalar_reference.py keeps the dict code they
 replaced, which loops over the component pairs.  Results must be equal,
 not close: the Hermitian family, Omega ^ Omega, d(Omega^2), the proof wedge
 and the cone's top components, on every fixture, at jet orders 1 and 2.
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
 from twistorcheck import fibermap, jets, kahler, twistor as tw
+from twistorcheck.errors import UsageError
 
 FIXTURES = ("flat", "eguchi_hanson", "burns", "fubini_study", "conformal_hermitian")
 H_FUNCS = (("zero", None), ("log_pole", fibermap.power_pole_h(1.0)),
@@ -59,6 +61,10 @@ def test_balanced_forms_match_the_dict_code(chart, order, h_func):
     assert_same(d_omega2.truncate(0), old_d)
     if order == 2:
         assert_same(d_omega2, ref.d_dict(old2, to_values=False))
+    # the partials d reads, alone: the values of d(Omega ^ Omega), bit for bit
+    d_wedge = tw.d_wedge(omega, omega)
+    assert d_wedge.keys == d_omega2.keys and d_wedge.jet.order == 0
+    assert d_wedge.jet.coeffs.tobytes() == d_omega2.truncate(0).jet.coeffs.tobytes()
 
     fiber = {k: v for k, v in old.items() if tw.IDX_V in k or tw.IDX_W in k}
     d_fiber = tw.d_dict(tw.Form(tuple(fiber), jets.stack([omega[k] for k in fiber])))
@@ -95,17 +101,21 @@ def test_balanced_check_wedges_in_at_most_three_multiplies(monkeypatch, multiply
     # the dict code made one jet product per pair of components: 42
     chart = tw.TwistorChart.twistor(kahler.get_fixture("eguchi_hanson"))
     ctx = tw.ChartEval(chart, chart.sample(30, 2024))
-    inside, orig = [], tw.wedge_dicts
+    inside = []
 
-    def counted(a, b):
-        before = len(multiply_calls)
-        out = orig(a, b)
-        inside.append(len(multiply_calls) - before)
-        return out
+    def counted(orig):
+        def call(a, b):
+            before = len(multiply_calls)
+            out = orig(a, b)
+            inside.append((orig.__name__, len(multiply_calls) - before))
+            return out
+        return call
 
-    monkeypatch.setattr(tw, "wedge_dicts", counted)
+    for name in ("wedge_dicts", "d_wedge"):
+        monkeypatch.setattr(tw, name, counted(getattr(tw, name)))
     tw.balanced_check(ctx, fibermap.power_pole_h(1.0))
-    assert inside == [1, 1]  # Omega ^ Omega and the proof wedge
+    # the partials of Omega ^ Omega that d reads, and the proof wedge
+    assert inside == [("d_wedge", 1), ("wedge_dicts", 1)]
 
 
 def test_ragged_wedge_skips_its_padding(monkeypatch):
@@ -219,6 +229,33 @@ def test_d_obeys_the_graded_leibniz_rule(a, b):
     rhs = values((1, tw.wedge_dicts(tw.d_dict(a), b.truncate(1))),
                  ((-1) ** degree(a), tw.wedge_dicts(a.truncate(1), tw.d_dict(b))))
     assert_close(values((1, lhs)), rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=forms(), b=forms(), order=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_d_wedge_equals_d_of_the_wedge(a, b, order, seed):
+    # d_wedge forms only the partials d reads; the oracle, d_dict of
+    # wedge_dicts of the order-1 parts, the whole order-1 wedge.  Components
+    # zero in every coefficient (of both signs) are left out by both, bit for
+    # bit.  At order 2 d of the whole wedge has the same values: its sums
+    # may read as live a partial whose value is zero everywhere (as in a ^ a),
+    # so only signs of zero may differ
+    rng = np.random.default_rng(seed)
+    a, b = (tw.Form(f.keys, f.jet.truncate(order)) for f in (a, b))
+    for f in (a, b):
+        dead = rng.random(len(f.keys)) < 0.25
+        f.jet.coeffs[:, dead] *= np.where(rng.random(dead.sum()) < 0.5, 0.0, -0.0)[:, None]
+    new = tw.d_wedge(a, b)
+    old = tw.d_dict(tw.wedge_dicts(a.truncate(1), b.truncate(1)))
+    assert new.keys == old.keys and new.jet.space is old.jet.space
+    assert new.jet.coeffs.tobytes() == old.jet.coeffs.tobytes()
+    ref.assert_same_but_zero_signs(new.jet.coeffs, tw.d_dict(tw.wedge_dicts(a, b)).jet.value[None])
+
+
+def test_d_wedge_needs_a_first_order():
+    omega = tw.Form(((0, 1),), jets.Jet(jets.get_space(tw.TOTAL_DIM, 0), np.ones((1, 1, 3))))
+    with pytest.raises(UsageError):
+        tw.d_wedge(omega, omega)
 
 
 @settings(max_examples=60, deadline=None)

@@ -382,9 +382,9 @@ def test_composition_overflow_only_turns_nans_finite():
 
 
 # -- grids without the terms of zero components ----------------------------------
-# jets.Terms.skip_zeros leaves out every cell that reads a component which is
-# +0.0 or -0.0 in every coefficient at every point; JetSpace.sum_terms on the
-# whole grid is the oracle.
+# jets.JetSpace.sum_terms leaves out every cell that reads a component which
+# is +0.0 or -0.0 in every coefficient at every point (jets.Terms.skip_zeros);
+# sum_terms on the whole grid (scalar_reference.whole_grids) is the oracle.
 
 def _zero_grid(rng, shapes, n_out, n_terms, rect, signed, by_count):
     """A grid over factors of tensor ``shapes``: ``n_terms`` random terms
@@ -419,27 +419,26 @@ def _zero_factor(rng, space, shape, batch, share, integral):
        n_out=st.integers(1, 5), n_terms=st.integers(1, 12), rect=st.booleans(),
        signed=st.booleans(), by_count=st.booleans(), with_init=st.booleans(),
        share=st.sampled_from([0.25, 0.5, 0.9]), integral=st.booleans(),
-       checked=st.lists(st.booleans(), min_size=3, max_size=3), seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1))
 def test_skipping_zero_components_keeps_every_value(space, batch, shapes, n_out, n_terms, rect,
                                                     signed, by_count, with_init, share, integral,
-                                                    checked, seed):
+                                                    seed):
     rng = np.random.default_rng(seed)
     sp = jets.get_space(*space)
     factors = [_zero_factor(rng, sp, shape, batch, share, integral) for shape in shapes]
     terms = _zero_grid(rng, shapes, n_out, n_terms, rect, signed, by_count)
     init = _mixed(rng, (sp.ncoef, terms.pad.shape[1]) + batch, 0.5, integral) if with_init else None
-    skipped = terms.skip_zeros([f if c else None for f, c in zip(factors, checked)])
-    full = sp.sum_terms(factors, terms, None if init is None else init.copy())
-    new = sp.sum_terms(factors, skipped, None if init is None else init.copy())
+    with ref.whole_grids():
+        full = sp.sum_terms(factors, terms, None if init is None else init.copy())
+    new = sp.sum_terms(factors, terms, None if init is None else init.copy())
     assert np.array_equal(new, full)
     nonzero = full != 0
     assert new[nonzero].tobytes() == full[nonzero].tobytes()
     # the cells left out are exactly those that read a zero component
     live = ~terms.pad
-    for f, ix, c in zip(factors, terms.index, checked):
-        if c:
-            live = live & np.any(f, axis=(0,) + tuple(range(1 + len(ix), f.ndim)))[ix]
-    assert np.count_nonzero(~skipped.pad) == np.count_nonzero(live)
+    for f, ix in zip(factors, terms.index):
+        live = live & np.any(f, axis=(0,) + tuple(range(1 + len(ix), f.ndim)))[ix]
+    assert np.count_nonzero(~terms.skip_zeros(factors).pad) == np.count_nonzero(live)
 
 
 def test_skipping_zero_components_may_flip_a_zero_sum():
@@ -452,8 +451,9 @@ def test_skipping_zero_components_may_flip_a_zero_sum():
     sp = jets.get_space(1, 0)
     factors = [np.array([[0.094573]]), np.array([[-1.50534838]]), np.array([[-0.0]])]
     terms = jets.Terms.of([0], [[np.array([0])]] * 3)
-    skipped = terms.skip_zeros(factors)
-    assert skipped.pad.shape == (0, 1)
-    full, new = sp.sum_terms(factors, terms), sp.sum_terms(factors, skipped)
+    assert terms.skip_zeros(factors).pad.shape == (0, 1)
+    with ref.whole_grids():
+        full = sp.sum_terms(factors, terms)
+    new = sp.sum_terms(factors, terms)
     assert full.tolist() == new.tolist() == [[0.0]]
     assert not np.signbit(full[0, 0]) and np.signbit(new[0, 0])

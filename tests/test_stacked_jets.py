@@ -7,7 +7,11 @@ and the ChartEval fields P, K, J, h, Omega and tau.  tests/scalar_reference.py
 multiplies one scalar jet at a time in the same association and summation
 order.  Their coefficients must be equal, not close, at every batch size,
 including one point and an unbatched point (where a contiguous numpy sum
-would go pairwise).  The property tests at the end check the kernel
+would go pairwise).  The reference forms every term of every sum, where
+the package leaves out the terms that read a component which is +0.0 or
+-0.0 everywhere, so a field built from such a sum is compared with
+``ref.assert_same_but_zero_signs``: every nonzero bit, and only the sign
+of a zero may differ.  The property tests at the end check the kernel
 behaviour all of this rests on.
 """
 
@@ -30,15 +34,19 @@ BATCHES = (None, 1, 5, 50, 400)  # None: one unbatched (4,) point
 SCALAR_CHART_EVAL_MULTIPLIES = 4752
 
 
-def assert_same_jets(new, old):
+def assert_same_jets(new, old, zero_signs=True):
     """The stacked jet ``new`` has the components of the object array
-    ``old``: same space, equal coefficients with equal signs of zero."""
+    ``old``: same space, equal coefficients with equal signs of zero, or
+    with ``zero_signs`` False equal but for the signs of zeros."""
     assert new.coeffs.shape[1:1 + old.ndim] == old.shape
     for idx in np.ndindex(old.shape):
         assert new[idx].space is old[idx].space
         a, b = new[idx].coeffs, old[idx].coeffs
-        assert np.array_equal(a, b), idx
-        assert np.array_equal(np.signbit(a), np.signbit(b)), idx
+        if zero_signs:
+            assert np.array_equal(a, b), idx
+            assert np.array_equal(np.signbit(a), np.signbit(b)), idx
+        else:
+            ref.assert_same_but_zero_signs(a, b)
 
 
 def _truncated(old, order):
@@ -88,7 +96,7 @@ class TestBaseJets:
         ref_g = _reference_metric_jets(christoffel_metric, x, order)
         assert_same_jets(gjets, ref_g)
         assert_same_jets(geo._inverse(gjets), ref.jet_matrix_inverse(ref_g))
-        assert_same_jets(geo.christoffel_jets(gjets), ref.christoffel_jets(ref_g))
+        assert_same_jets(geo.christoffel_jets(gjets), ref.christoffel_jets(ref_g), False)
 
     def test_self_dual_nabla_and_beta(self, metric, order, n):
         x = _points(metric, n)
@@ -96,26 +104,26 @@ class TestBaseJets:
         ref_g = _reference_metric_jets(metric, x, order)
         frame = kahler.adapted_frame(gjets)
         ref_frame = ref.adapted_frame(ref_g)
-        assert_same_jets(frame, ref_frame)
+        assert_same_jets(frame, ref_frame, False)
         sd = kahler._self_dual(frame)
         ref_sd = ref.sd_jets(ref_frame)
         gamma = geo.christoffel_jets(gjets)
         ref_gamma = ref.christoffel_jets(ref_g)
         for q in range(3):
-            assert_same_jets(sd[q], ref_sd[q])
+            assert_same_jets(sd[q], ref_sd[q], False)
             nabla = kahler._two_vector_nabla(gamma, sd[q])
             for k in range(4):
-                assert_same_jets(nabla[k], ref.two_vector_nabla(ref_gamma, ref_sd[q], k))
-        assert_same_jets(kahler._self_dual(frame, (1,))[0], ref_sd[1])
+                assert_same_jets(nabla[k], ref.two_vector_nabla(ref_gamma, ref_sd[q], k), False)
+        assert_same_jets(kahler._self_dual(frame, (1,))[0], ref_sd[1], False)
         ref_beta = ref.beta_jets(ref_g, ref_frame)
-        assert_same_jets(kahler.beta_form(gjets, sd[1], sd[2], gamma), ref_beta)
+        assert_same_jets(kahler.beta_form(gjets, sd[1], sd[2], gamma), ref_beta, False)
         # the base evaluation builds the basis one order lower: the truncated
         # reference, bit for bit, and the same beta
         base_sd, base_beta = kahler.BaseEval(metric, x, order).connection()
         assert base_sd.space is gamma.space
         for q in range(3):
-            assert_same_jets(base_sd[q], _truncated(ref_sd[q], order - 1))
-        assert_same_jets(base_beta, ref_beta)
+            assert_same_jets(base_sd[q], _truncated(ref_sd[q], order - 1), False)
+        assert_same_jets(base_beta, ref_beta, False)
 
     def test_chart_eval_fields(self, metric, order, n):
         chart = twistor.TwistorChart.twistor(metric)
@@ -123,31 +131,33 @@ class TestBaseJets:
         ctx = twistor.ChartEval(chart, pts[0] if n is None else pts, order=order - 1)
         old = ref.chart_fields(ctx)
         for name in ("P_img", "K", "J", "h"):
-            assert_same_jets(getattr(ctx, name), old[name])
-        assert_same_jets(ctx.omega_jets, old["omega"])
+            assert_same_jets(getattr(ctx, name), old[name], False)
+        assert_same_jets(ctx.omega_jets, old["omega"], False)
         assert ctx.tau.keys == tuple((i, j) for i in range(4) for j in range(i + 1, 4))
-        assert_same_jets(ctx.tau.jet, old["tau"][np.triu_indices(4, 1)])
+        assert_same_jets(ctx.tau.jet, old["tau"][np.triu_indices(4, 1)], False)
 
 
 @pytest.mark.parametrize("name", sorted(kahler.FIXTURES))
 def test_tau_leaves_out_only_exact_zeros(name):
-    # tau without its m = n terms equals the whole (g P g)_{ij} contraction,
-    # signs of zero included: those terms are products with a signed zero
+    # tau, on the pairs i < j and without the terms that read a zero
+    # component (the diagonal of P, and the off-diagonal g of flat and
+    # conformal-Hermitian), equals the whole (g P g)_{ij} contraction
+    # but for signs of zero: those terms are products with a signed zero
     metric = kahler.get_fixture(name)
     chart = twistor.TwistorChart.twistor(metric)
     i, j = np.triu_indices(4, 1)
     for n in (1, 7, 50, 400):
         ctx = twistor.ChartEval(chart, chart.sample(n, 3))
-        full = jets.contract("pm,mn,np->p", ctx.g[i], ctx.P_img, ctx.g[:, j])
-        assert np.array_equal(ctx.tau.jet.coeffs, full.coeffs), n
-        assert np.array_equal(np.signbit(ctx.tau.jet.coeffs), np.signbit(full.coeffs)), n
+        with ref.whole_grids():
+            full = jets.contract("im,mn,nj->ij", ctx.g, ctx.P_img, ctx.g)
+        ref.assert_same_but_zero_signs(ctx.tau.jet.coeffs, full.coeffs[:, i, j])
 
 
 @pytest.mark.parametrize("n", (1, 5, 50, 400))
 def test_christoffel_of_h(christoffel_metric, n):
     chart = twistor.TwistorChart.twistor(christoffel_metric)
     ctx = twistor.ChartEval(chart, chart.sample(n, 3))
-    assert_same_jets(geo.christoffel_jets(ctx.h), ref.christoffel_jets(ref.to_objects(ctx.h, 2)))
+    assert_same_jets(geo.christoffel_jets(ctx.h), ref.christoffel_jets(ref.to_objects(ctx.h, 2)), False)
 
 
 @pytest.mark.parametrize("name", sorted(kahler.FIXTURES))
@@ -162,10 +172,12 @@ def test_christoffel_of_h_at_working_order_2(name):
     gamma = geo.christoffel_jets(ctx.h)
     old = ref.christoffel_jets(ref.to_objects(ctx.h, 2))
     i, j = np.triu_indices(twistor.TOTAL_DIM)
-    assert_same_jets(gamma[:, i, j], old[:, i, j])
+    assert_same_jets(gamma[:, i, j], old[:, i, j], False)
     assert np.array_equal(gamma.coeffs[:, :, j, i], gamma.coeffs[:, :, i, j])
     old_values = np.array([c.value for c in old.ravel()]).reshape(old.shape + (-1,))
-    _assert_same_bits(gamma.value, old_values)
+    ref.assert_same_but_zero_signs(gamma.value, old_values)
+    # ChartEval reads them from h at order 1
+    ref.assert_same_but_zero_signs(ctx.gamma_h, geo.tensor_values(gamma, 3))
 
 
 def test_component_views_and_stack_copies(burns):
@@ -227,26 +239,38 @@ def test_contract_gathers_each_factor_once_per_block():
 
 
 def test_beta_grid_leaves_out_structural_zeros():
-    # beta sums the 144 terms with i != j and k != l, in (i, j, k, l) order:
-    # one rank per term and no padding; s3 and g vary along the ranks only
-    terms = kahler._beta_terms()
-    assert terms.pad.shape == (144, 4) and not terms.pad.any() and terms.sign is None
-    (m, i, j), (k, l), (i2, k2), (j2, l2) = terms.index
+    # beta's contraction runs (i, j, k, l) in loop order, one rank a term;
+    # the diagonals of nabla s2 and s3 are zero components, so its sums
+    # keep the 144 terms with i != j and k != l, in that order
+    space = jets.get_space(4, 1)
+    shapes = ((4, 4, 4), (4, 4), (4, 4), (4, 4))
+    _, terms = jets._contract_terms("mij,kl,ik,jl->m", shapes)
+    rng = np.random.default_rng(0)
+    nabla, s3, g = (rng.normal(size=(space.ncoef,) + s + (3,)) for s in shapes[:3])
+    d = np.arange(4)
+    nabla[:, :, d, d] = 0.0
+    s3[:, d, d] = -0.0
+    kept = terms.skip_zeros([nabla, s3, g, g])
+    # whole ranks left out: the index arrays keep their shapes, and the
+    # grid needs no signs, padding or column order
+    assert kept.pad.shape == (144, 4) and not kept.pad.any()
+    assert kept.sign is None and kept.cols is None and kept.reach is None
+    (m, i, j), (k, l), (i2, k2), (j2, l2) = kept.index
     assert m.shape == (1, 4) and i.shape == j.shape == (144, 1)
     assert [a.shape for a in (k, l, i2, k2, j2, l2)] == [(144, 1)] * 6
+    assert np.array_equal(m, np.arange(4)[None])
     assert np.array_equal(i, i2) and np.array_equal(j, j2)
     assert np.array_equal(k, k2) and np.array_equal(l, l2)
-    assert not np.any(i == j) and not np.any(k == l)
-    loop = [(a, b, c, d) for a in range(4) for b in range(4) if a != b
-            for c in range(4) for d in range(4) if c != d]
+    loop = [(a, b, c, e) for a in range(4) for b in range(4) if a != b
+            for c in range(4) for e in range(4) if c != e]
     assert np.array_equal(np.hstack([i, j, k, l]), loop)
 
 
 @pytest.mark.parametrize("name", ("flat", "burns"))
 @pytest.mark.parametrize("n", (None, 1, 5))
 def test_self_dual_and_beta_in_small_blocks(request, monkeypatch, name, n):
-    # blocks of a few entries and ranks give the bits of the scalar loops,
-    # signs of zero included: on flat beta is zero in every coefficient
+    # blocks of a few entries and ranks give the bits of the scalar loops
+    # but for signs of zero: on flat beta is zero in every coefficient
     metric = request.getfixturevalue(name)
     x = _points(metric, n)
     gjets = metric.jets_at(x, 2)
@@ -259,13 +283,13 @@ def test_self_dual_and_beta_in_small_blocks(request, monkeypatch, name, n):
     sd = kahler._self_dual(frame)
     ref_sd = ref.sd_jets(ref_frame)
     for q, ref_s in enumerate(ref_sd):
-        assert_same_jets(sd[q], ref_s)
-    assert_same_jets(kahler._self_dual(frame, (1,))[0], ref_sd[1])
+        assert_same_jets(sd[q], ref_s, False)
+    assert_same_jets(kahler._self_dual(frame, (1,))[0], ref_sd[1], False)
     low_sd = kahler._self_dual(frame.truncate(1))
     for q, ref_s in enumerate(ref_sd):
-        assert_same_jets(low_sd[q], _truncated(ref_s, 1))
+        assert_same_jets(low_sd[q], _truncated(ref_s, 1), False)
     beta = kahler.beta_form(gjets, sd[1], low_sd[2], geo.christoffel_jets(gjets))
-    assert_same_jets(beta, ref.beta_jets(ref_g, ref_frame))
+    assert_same_jets(beta, ref.beta_jets(ref_g, ref_frame), False)
     if name == "flat":
         assert not np.any(beta.coeffs)
 
@@ -368,8 +392,9 @@ def test_sum_terms_equals_python_left_fold(grid, chunk):
         if chunk is not None:  # blocks of a few cells: split across ranks and outputs
             nbatch = int(np.prod(factors[0].shape[1 + len(index[0]):]))
             mp.setattr(jets, "CHUNK_DOUBLES", chunk * space.npairs * nbatch)
-        got = space.sum_terms(factors, jets.Terms.of(outs, index, sign),
-                              None if init is None else init.copy())
+        with ref.whole_grids():  # the left fold forms every term
+            got = space.sum_terms(factors, jets.Terms.of(outs, index, sign),
+                                  None if init is None else init.copy())
     n_out = len(set(outs))
     assert got.shape[:2] == (space.ncoef, n_out)
     for o in range(n_out):
@@ -567,25 +592,34 @@ def test_every_space_has_a_layered_table():
 def test_connection_matches_its_whole_grids(name, order):
     # the frame, nabla s2 and the connection leave out the terms that read a
     # component which is +0.0 or -0.0 everywhere; the whole grids give the
-    # same bytes, signs of zero included.  At base order 3 rounding leaves
+    # same bytes but for signs of zero.  At base order 3 rounding leaves
     # residues of about 1e-17 where s2 and s3 are zero at order 2, so the
     # zeros differ with the order
     metric = kahler.get_fixture(name)
     for n in (1, 7, 50, 400):
         base = kahler.BaseEval(metric, metric.chart.sample(n, 2024), order)
-        frame = ref.full_grid_adapted_frame(base.gjets)
-        pairs = [(kahler.adapted_frame(base.gjets), frame)]
-        s2 = kahler._self_dual(frame, (1,))[0]
-        pairs.append((kahler._two_vector_nabla(base.gamma_jets, s2),
-                      ref.full_grid_two_vector_nabla(base.gamma_jets, s2)))
-        pairs += zip(base.connection(), ref.full_grid_connection(base))
-        for new, old in pairs:
+        with ref.whole_grids():
+            frame = kahler.adapted_frame(base.gjets)
+            s2 = kahler._self_dual(frame, (1,))[0]
+            whole = [frame, kahler._two_vector_nabla(base.gamma_jets, s2), *base.connection()]
+        built = [kahler.adapted_frame(base.gjets), kahler._two_vector_nabla(base.gamma_jets, s2),
+                 *base.connection()]
+        for new, old in zip(built, whole):
             assert new.space is old.space, n
-            assert new.coeffs.shape == old.coeffs.shape, n
-            assert new.coeffs.tobytes() == old.coeffs.tobytes(), n
+            ref.assert_same_but_zero_signs(new.coeffs, old.coeffs)
         if order == 2:  # s2 is nonzero at (0, 2), (1, 3) and their transposes, s3 on the anti-diagonal
             low = base.gamma_jets.space.ncoef
             s3 = kahler._self_dual(frame)[2].coeffs[:low]
-            for terms, s, kept in ((kahler._nabla_terms(), s2.coeffs[:low], 96),
-                                   (kahler._beta_terms(), s3, 4 * 48)):
-                assert np.count_nonzero(~terms.skip_zeros([None, s]).pad) == kept
+            pattern = np.zeros((4, 4), dtype=bool)
+            pattern[[0, 2, 1, 3], [2, 0, 3, 1]] = True
+            assert np.array_equal(jets.nonzero_components(s2.coeffs[:low], 2), pattern)
+            assert np.array_equal(jets.nonzero_components(s3, 2), np.eye(4, dtype=bool)[::-1])
+            # with every other component live, nabla forms 96 of its 384
+            # products and beta 48 of the 256 terms of each output
+            gamma = np.ones_like(base.gamma_jets.coeffs)
+            assert np.count_nonzero(~kahler._nabla_terms().skip_zeros([gamma, s2.coeffs[:low]]).pad) == 96
+            _, terms = jets._contract_terms("mij,kl,ik,jl->m", ((4, 4, 4), (4, 4), (4, 4), (4, 4)))
+            nabla = np.ones((low, 4, 4, 4, n))
+            nabla[:, :, range(4), range(4)] = 0.0
+            g = np.ones((low, 4, 4, n))
+            assert np.count_nonzero(~terms.skip_zeros([nabla, s3, g, g]).pad) == 4 * 48

@@ -38,9 +38,18 @@ ROOT, each produced by ROOT's own ``src``:
 * ``solve-map`` output (stdout and stderr) and CSV for every profile,
   branch and sign.
 
-Fixtures, suite seeds and the ``dense_balanced`` input are read from ROOT's
-``perfbench/workloads.py``.  ``diff`` of the lines of two checkouts lists
-every output that differs between them.
+Each ``raw/...`` line has a twin ``raw/...+0.0`` that hashes the same
+array plus 0.0, which makes every zero +0.0 and keeps every other bit, NaN
+and inf.  Fixtures, suite seeds and the ``dense_balanced`` input are read
+from ROOT's ``perfbench/workloads.py``.  ``diff`` of the lines of two
+checkouts lists every output that differs between them.
+
+A change that keeps every value must leave byte-identical every report,
+demo and ``solve-map`` line, every value-level ``identities/...`` line, the
+``compose/...`` and ``u_of/...`` lines and every ``+0.0`` twin.  A plain
+``raw/...`` line may differ where only signs of zero moved: the sums of
+``jets.JetSpace.sum_terms`` leave out the terms that read a component
+which is zero everywhere, which can turn a zero sum from +0.0 to -0.0.
 """
 
 from __future__ import annotations
@@ -90,6 +99,17 @@ def _reports(wl):
 
 
 def _raw_arrays(wl):
+    """The ``raw/...`` coefficients, each with its ``+0.0`` twin, and the
+    value-level ``identities/...`` arrays."""
+    for name, data in _coefficient_arrays(wl):
+        if name.startswith("raw/"):
+            yield name, _raw(data)
+            yield f"{name}+0.0", _raw(data + 0.0)
+        else:
+            yield name, _raw(data)
+
+
+def _coefficient_arrays(wl):
     import numpy as np
 
     from twistorcheck import geometry, kahler, twistor
@@ -105,36 +125,36 @@ def _raw_arrays(wl):
             nabla = kahler._two_vector_nabla(base.gamma_jets, s2)
             for name, jet in (("s", sd.truncate(base.gjets.order - 1)), ("beta", beta),
                               ("nabla_s2", nabla)):
-                yield f"raw/{fixture}/{n}/{name}", _raw(jet.coeffs)
+                yield f"raw/{fixture}/{n}/{name}", jet.coeffs
             for order in (1, 2, 3):
                 base = kahler.BaseEval(metric, pts, order)
-                yield f"raw/{fixture}/{n}/metric_{order}", _raw(base.gjets.coeffs)
-                yield f"raw/{fixture}/{n}/gamma_{order}", _raw(base.gamma_jets.coeffs)
+                yield f"raw/{fixture}/{n}/metric_{order}", base.gjets.coeffs
+                yield f"raw/{fixture}/{n}/gamma_{order}", base.gamma_jets.coeffs
                 frame = kahler.adapted_frame(base.gjets)
-                yield f"raw/{fixture}/{n}/frame_{order}", _raw(frame.coeffs)
+                yield f"raw/{fixture}/{n}/frame_{order}", frame.coeffs
                 if order == 3:  # rounding leaves residues of about 1e-17 where s2 and s3 are zero at order 2
                     sd, beta = base.connection()
                     nabla = kahler._two_vector_nabla(base.gamma_jets, kahler._self_dual(frame)[1])
                     for name, jet in (("s_3", sd), ("beta_3", beta), ("nabla_s2_3", nabla)):
-                        yield f"raw/{fixture}/{n}/{name}", _raw(jet.coeffs)
+                        yield f"raw/{fixture}/{n}/{name}", jet.coeffs
             chart_pts = chart.sample(n, wl.CONFIG_SEEDS[0])
             for order in (1, 2):
                 gamma_h = twistor.ChartEval(chart, chart_pts, order).gamma_h
-                yield f"raw/{fixture}/{n}/gamma_h_{order}", _raw(gamma_h)
+                yield f"raw/{fixture}/{n}/gamma_h_{order}", gamma_h
         for n in (1, 7, 20, 50):
             seed = wl.CONFIG_SEEDS[0]
             ctx = twistor.ChartEval(chart, chart.sample(n, seed))
-            yield f"identities/{fixture}/{n}/nijenhuis", _raw(ctx.nijenhuis)
-            yield f"identities/{fixture}/{n}/nijenhuis_flipped", _raw(ctx.flipped().nijenhuis)
-            yield f"identities/{fixture}/{n}/routes", _raw(
-                twistor.nijenhuis_route_agreement(ctx, n_triples=20, seed=seed))
+            yield f"identities/{fixture}/{n}/nijenhuis", ctx.nijenhuis
+            yield f"identities/{fixture}/{n}/nijenhuis_flipped", ctx.flipped().nijenhuis
+            yield f"identities/{fixture}/{n}/routes", twistor.nijenhuis_route_agreement(
+                ctx, n_triples=20, seed=seed)
             res = twistor.verify_structure_identities(ctx, n_random=6, seed=seed)
-            yield f"identities/{fixture}/{n}/structure", _raw(np.array(astuple(res)))
-            yield f"identities/{fixture}/{n}/horizontal_nijenhuis", _raw(np.array(
-                twistor.horizontal_nijenhuis_residual(ctx, n_random=6, seed=seed)))
+            yield f"identities/{fixture}/{n}/structure", np.array(astuple(res))
+            yield f"identities/{fixture}/{n}/horizontal_nijenhuis", np.array(
+                twistor.horizontal_nijenhuis_residual(ctx, n_random=6, seed=seed))
             base = kahler.BaseEval(metric, metric.chart.sample(n, seed))
             op = geometry.curvature_operator(base.curvature(), base.basis)
-            yield f"identities/{fixture}/{n}/curvature_operator", _raw(op.matrix)
+            yield f"identities/{fixture}/{n}/curvature_operator", op.matrix
 
 
 def _compositions():

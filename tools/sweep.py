@@ -27,8 +27,9 @@ and at those chart points, at working order 1:
 * ``chart_eval``: a ``ChartEval`` assembled on a ``ChartBase`` whose fields
   are built, as the suites share one, with its J and h;
 * ``nijenhuis``: ``twistor._nijenhuis_values`` of that ChartEval;
-* ``wedge_d``: d(Omega ^ Omega) (``wedge_dicts`` then ``d_dict``) of its
-  Omega = tau + omega_FS, the balanced condition.
+* ``wedge_d``: d(Omega ^ Omega) of its Omega = tau + omega_FS, the
+  balanced condition, by ``d_wedge``, which forms only the partials d
+  reads (by ``wedge_dicts`` then ``d_dict`` on a ROOT without it).
 
 Each time is the best of 5 warm runs (one untimed run first), each run
 repeating the call until it takes 20 ms or more, divided by n.  Every
@@ -127,6 +128,7 @@ def _layers(metric, x6):
 
     ctx = twistor.ChartEval(chart, x6, base=base)
     omega = twistor.omega_ab_field(ctx, None)
+    d_wedge = getattr(twistor, "d_wedge", lambda a, b: twistor.d_dict(twistor.wedge_dicts(a, b)))
     return {
         "jets_at": lambda: metric.jets_at(x, 2),
         "adapted_frame": lambda: kahler.adapted_frame(gjets),
@@ -134,7 +136,7 @@ def _layers(metric, x6):
         "beta_form": lambda: kahler.beta_form(gjets, s2, s3, gamma),
         "chart_eval": chart_eval,
         "nijenhuis": lambda: twistor._nijenhuis_values(ctx),
-        "wedge_d": lambda: twistor.d_dict(twistor.wedge_dicts(omega, omega)),
+        "wedge_d": lambda: d_wedge(omega, omega),
     }
 
 
