@@ -140,12 +140,15 @@ class EquivariantMap:
         return bool(np.max(np.abs(self.phi_prime(zs))) < 1e-12)
 
     def perturbed(self, amount: float) -> "EquivariantMap":
-        """phi -> phi + amount * (1 - phi^2): breaks conformality, keeps |phi|<1."""
+        """phi -> tanh((1 + amount) atanh phi), with atanh p = log((1 + p) /
+        (1 - p)) / 2: scales the isothermal coordinate by 1 + amount, so it
+        breaks conformality by that factor everywhere, toward the poles too,
+        and keeps |phi| < 1."""
         base = self.phi
 
         def phi(zj):
             p = base(zj)
-            return p + amount * (1.0 - p * p)
+            return jets.tanh(jets.log((1.0 + p) / (1.0 - p)) * (0.5 * (1.0 + amount)))
 
         return EquivariantMap(self.profile, phi, self.c, self.branch + "+perturbed",
                               self.sign, self.domain)

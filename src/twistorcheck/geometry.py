@@ -198,9 +198,7 @@ def christoffel_jets(gjets: jets.Jet) -> jets.Jet:
     h, each written to (i, j) and (j, i): IEEE addition commutes, so the
     full sum gives Gamma^k_{ji} the bits of Gamma^k_{ij} wherever d_l g_ij
     has the bits of d_l g_ji.  That holds for every base metric, stored
-    symmetric, and for h at working order 1; at working order 2 the degree-2
-    coefficients of h are not symmetric, so Gamma^k_{ji} (i < j) differs
-    from the full sum above its values, which are all ``ChartEval`` reads."""
+    symmetric, and for h."""
     if gjets.space.order < 1:
         raise ConfigurationError("christoffel needs metric jets of order >= 1")
     n = gjets.coeffs.shape[1]

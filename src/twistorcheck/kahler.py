@@ -334,29 +334,35 @@ class BaseEval:
     """A metric evaluated once at a batch of base points ``x``: its stacked
     (4, 4) jets ``gjets`` of order ``order``, their SPD-checked values
     ``gvals`` and their Christoffel jets ``gamma_jets``; the only place a
-    metric is evaluated at base points.  :meth:`connection`, :attr:`basis`
-    and :meth:`curvature` are built anew on every read and not kept, so
-    the caller decides how long they live."""
+    metric is evaluated at base points.  :attr:`connection` is built on
+    first read and kept; :attr:`basis` and :meth:`curvature` are built anew
+    on every read and not kept, so the caller decides how long they live."""
 
     def __init__(self, metric: MetricField, x, order: int = 2):
-        self.gjets = metric.jets_at(x, order)
+        self.metric = metric
+        self.x = np.asarray(x, dtype=float)
+        self.gjets = metric.jets_at(self.x, order)
         self.gvals = tensor_values(self.gjets, 2)
-        check_spd(self.gvals, x)
+        check_spd(self.gvals, self.x)
         self.gamma_jets = christoffel_jets(self.gjets)
 
     def head(self, n: int) -> "BaseEval":
         """This evaluation at its first ``n`` points (of one batch axis),
-        sliced from its fields rather than evaluated again.  Each field of a
-        point depends on that point alone, so the slices are the fields of
-        an evaluation at those points, bit for bit; this evaluation itself
-        at its full width."""
+        sliced from its fields, the connection too once it is built, rather
+        than evaluated again.  Each field of a point depends on that point
+        alone, so the slices are the fields of an evaluation at those
+        points, bit for bit; this evaluation itself at its full width."""
         if n == len(self.gvals):
             return self
         out = copy.copy(self)
+        out.x = self.x[:n].copy()
         out.gjets, out.gamma_jets = self.gjets.head(n), self.gamma_jets.head(n)
         out.gvals = self.gvals[:n].copy()
+        if "connection" in vars(self):
+            out.connection = tuple(field.head(n) for field in self.connection)
         return out
 
+    @functools.cached_property
     def connection(self) -> tuple:
         """(sd, beta): the self-dual basis (s1, s2, s3) of the adapted frame,
         stacked [q, i, j], and beta (:func:`beta_form`), stacked (4,), both

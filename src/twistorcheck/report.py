@@ -10,8 +10,8 @@ detect.  Reports are plain dictionaries serializable to byte-stable JSON.
 A suite asserts a claim only where the metric declares its hypotheses
 (:class:`geometry.Hypotheses`), and the curvature and Kahler rows certify
 the declarations.  The suites on the plain twistor chart share its one
-evaluation per (point count, seed) in a run, and every chart sampled at a
-seed, plain or modified, at any point count, reads one base evaluation.
+evaluation per point count in a run, and every chart, plain or modified,
+at any point count, reads one base evaluation of the run's seed.
 """
 
 from __future__ import annotations
@@ -140,16 +140,16 @@ class CheckRecord:
 
 class _Recorder:
     """The records of one run, and the evaluations its suites share: the
-    widest :class:`twistor.ChartBase` built at each seed (:func:`_base`) and
-    the plain chart's ChartEval at each (point count, seed)
+    widest :class:`kahler.BaseEval` built at the run's seed (:func:`_base`)
+    and the plain chart's ChartEval at each point count
     (:func:`_plain_eval`), kept until the run ends."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.records = []
         self.scale = TOL_TIERS[config.tol_tier]
-        self.bases = {}  # seed -> ChartBase; see _base
-        self.plain_evals = {}  # (n, seed) -> ChartEval; see _plain_eval
+        self.base = None  # the widest BaseEval; see _base
+        self.plain_evals = {}  # n -> ChartEval; see _plain_eval
 
     def add(self, check_id, anchor, points, residual, threshold, mode="below", detail=None):
         thr = float(self.config.tolerances.get(check_id, threshold * (self.scale if mode == "below" else 1.0)))
@@ -169,7 +169,7 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
     # the base part of the plain chart's sample at this seed; drawn here too,
     # as the rho duality spot check continues this generator
     pts = metric.chart.sample(n, rng)
-    base = _base(rec, metric, n, config.seed).base.head(n)
+    base = _base(rec, metric, n).head(n)
     data, basis = base.curvature(), base.basis
     rl = data.rlow
     sym = max(
@@ -246,31 +246,29 @@ def _rho_duality(data, s, rng) -> float:
     return max([0.0, *(abs(d) for d in (lhs - rhs).tolist())])
 
 
-def _base(rec: _Recorder, metric, n: int, seed: int) -> twistor.ChartBase:
-    """The base of the charts sampled at ``seed``, on at least ``n`` base
-    points: the widest built at that seed in this run, or a new one on the
-    ``n`` base points of the seed's sample.  A chart's sample draws its base
+def _base(rec: _Recorder, metric, n: int) -> kahler.BaseEval:
+    """The base of the charts sampled at the run's seed, on at least ``n``
+    base points: the widest built in this run, or a new one on the ``n``
+    base points of the seed's sample.  A chart's sample draws its base
     points first and in order (:meth:`geometry.ChartDomain.sample`), so the
-    base points of every chart's ``n``-point sample at a seed are the first
-    ``n`` of this base's."""
-    base = rec.bases.get(seed)
-    if base is None or len(base.x4) < n:
-        base = rec.bases[seed] = twistor.ChartBase(metric, metric.chart.sample(n, seed))
-    return base
+    base points of every chart's ``n``-point sample at the seed are the
+    first ``n`` of this base's."""
+    if rec.base is None or len(rec.base.x) < n:
+        rec.base = kahler.BaseEval(metric, metric.chart.sample(n, rec.config.seed))
+    return rec.base
 
 
-def _plain_eval(rec: _Recorder, metric, n: int, seed: int) -> twistor.ChartEval:
+def _plain_eval(rec: _Recorder, metric, n: int) -> twistor.ChartEval:
     """The ChartEval of the plain twistor chart on its ``n``-point sample at
-    ``seed``, built once per run on the seed's base (:func:`_base`): every
-    plain-chart suite reads it, so suites with the same point count share
-    one evaluation, and suites with fewer points read the head of the
+    the run's seed, built once per run on the run's base (:func:`_base`):
+    every plain-chart suite reads it, so suites with the same point count
+    share one evaluation, and suites with fewer points read the head of the
     base."""
-    key = (n, seed)
-    if key not in rec.plain_evals:
+    if n not in rec.plain_evals:
         chart = twistor.TwistorChart.twistor(metric)
-        rec.plain_evals[key] = twistor.ChartEval(chart, chart.sample(n, seed),
-                                                 base=_base(rec, metric, n, seed))
-    return rec.plain_evals[key]
+        rec.plain_evals[n] = twistor.ChartEval(chart, chart.sample(n, rec.config.seed),
+                                               base=_base(rec, metric, n))
+    return rec.plain_evals[n]
 
 
 def _modified_charts(metric, config: SuiteConfig):
@@ -284,7 +282,7 @@ def _modified_charts(metric, config: SuiteConfig):
 
 def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(50)
-    ctx = _plain_eval(rec, metric, n, config.seed)
+    ctx = _plain_eval(rec, metric, n)
     nmax = np.max(twistor.nijenhuis_max(ctx))
     hyp = metric.hypotheses
     if hyp.kahler and hyp.scalar_flat:  # anti-self-dual, so the twistor space is integrable
@@ -293,7 +291,7 @@ def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
                 n, nmax, 1e-6)
         # the modified and perturbed charts sampled at the same seed: the same
         # base points as the plain chart, so all three read one base
-        base = _base(rec, metric, n, config.seed)
+        base = _base(rec, metric, n)
         chart_s, chart_p = _modified_charts(metric, config)
         ctx_s = twistor.ChartEval(chart_s, chart_s.sample(n, config.seed), base=base)
         rec.add("integrability.modified_holomorphic",
@@ -322,7 +320,7 @@ def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
 
 def _run_structure_identities(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(20)
-    ctx = _plain_eval(rec, metric, n, config.seed)  # every check of the suite shares it
+    ctx = _plain_eval(rec, metric, n)  # every check of the suite shares it
     res = twistor.verify_structure_identities(ctx, n_random=6, seed=config.seed)
     for cid, anchor, val in (
         ("identities.cross_k_pairing", "pairing of the vertical cross action with the K wedge", res.cross_k_pairing),
@@ -351,7 +349,7 @@ _H_FUNCS = {
 
 def _run_balanced(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(30)
-    ctx = _plain_eval(rec, metric, n, config.seed)
+    ctx = _plain_eval(rec, metric, n)
     for key, (hf, label) in _H_FUNCS.items():
         rep = twistor.balanced_check(ctx, hf)
         rec.add(f"balanced.{key}", f"square of the Hermitian form is closed ({label})",
@@ -367,7 +365,7 @@ def _run_cone(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(50)
     fib = config.fiber
     a0, b0 = float(fib["a"]), float(fib["b"])
-    base = twistor.cone_wedge_constants(_plain_eval(rec, metric, n, config.seed), a0, b0)
+    base = twistor.cone_wedge_constants(_plain_eval(rec, metric, n), a0, b0)
     constancy = "wedge ratios of the 2-form family are constant over the chart"
     if n >= 2:
         rec.add("cone.constancy", constancy, n, max(base.c1_rel_variation, base.c2_rel_variation),
@@ -376,7 +374,7 @@ def _run_cone(rec: _Recorder, metric, config: SuiteConfig):
         rec.skip("cone.constancy", constancy, "constancy needs at least two sample points")
     rec.add("cone.values", "ratios are 2 a^2 and 4 a b in this volume normalization",
             n, max(abs(base.c1 - 2 * a0**2), abs(base.c2 - 4 * a0 * b0)), 1e-6)
-    grid = _plain_eval(rec, metric, 10, config.seed)
+    grid = _plain_eval(rec, metric, 10)
     worst = 0.0
     for a in (1.0, 2.0):
         for b in (1.0, 2.0):

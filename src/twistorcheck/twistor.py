@@ -31,23 +31,24 @@ Field operations take a :class:`ChartEval` as their first argument, never
 a (chart, point) pair: build one ``ChartEval(chart, points)`` per point
 set and pass it to every check on that set, so each field is computed at
 most once per point set, and only when a check reads it; its base fields
-come from one :class:`ChartBase`, which the charts over the same base
+come from one :class:`kahler.BaseEval`, which the charts over the same base
 points can share (a narrower one reads the head of a wider).  The sign eps
 lives on the evaluation: :meth:`ChartEval.flipped` gives the negative
 control on the same points without evaluating the base again.  Results
 keep the batch axis, also for a single point.
 Every tensor field of a ChartEval (g, the self-dual basis S, beta, J, h,
-Omega, tau) is one stacked jet in the 6-variable space, assembled with
-:func:`jets.contract` in the products and summation order of the scalar
-loops it replaced, so the coefficients are those of the loops bit for bit
-but for signs of zero: the sums leave out the terms that read a component
-which is zero everywhere (the diagonal of P, the zero blocks of J and h;
-see ``jets``).  A k-form is a :class:`Form`, one stacked jet over its
-sorted index tuples.  :func:`wedge_dicts` and :func:`d_dict` run a
-:class:`jets.Terms` grid built once per key pattern, in the loop order of
-the dict code they replaced, so the coefficients are those of that code
-bit for bit; :func:`d_wedge`, which the balanced check calls, forms only
-the partials of a wedge that d reads, with the bytes of d of the wedge.
+Omega, tau) is one stacked jet of order 1 in the 6-variable space,
+assembled with :func:`jets.contract` in the products and summation order
+of the scalar loops it replaced, so the coefficients are those of the
+loops bit for bit but for signs of zero: the sums leave out the terms
+that read a component which is zero everywhere (the diagonal of P, the
+zero blocks of J and h; see ``jets``).  A k-form is a :class:`Form`, one
+stacked jet over its sorted index tuples.  :func:`wedge_dicts` and
+:func:`d_dict` run a :class:`jets.Terms` grid built once per key
+pattern, in the loop order of the dict code they replaced, so the
+coefficients are those of that code bit for bit; :func:`d_wedge`, which
+the balanced check calls, forms only the partials of a wedge that d
+reads, with the bytes of d of the wedge.
 
 The value-level identity checks (the structure identities, the two
 Nijenhuis routes, the horizontal and mixed Nijenhuis identities) evaluate
@@ -74,7 +75,7 @@ import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -177,7 +178,7 @@ def calibrate_epsilon(metric: MetricField, seed: int = 2024, steps: int = 24,
     probes = metric.chart.sample(4, rng)
     ranked = []
     for x in probes:
-        b = tensor_values(BaseEval(metric, x).connection()[1], 1)
+        b = tensor_values(BaseEval(metric, x).connection[1], 1)
         k = int(np.argmax(np.abs(b)))
         ranked.append((abs(b[k]), k, x))
     ranked.sort(key=lambda t: -t[0])
@@ -201,7 +202,7 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
         """The base at x, its Christoffel values and beta_k: values only,
         which the base gives bit for bit at order 1."""
         base = BaseEval(metric, x, order=1)
-        return base, tensor_values(base.gamma_jets, 3), tensor_values(base.connection()[1], 1)[k]
+        return base, tensor_values(base.gamma_jets, 3), tensor_values(base.connection[1], 1)[k]
 
     def gamma_action(G, S):
         return -direction * (np.einsum("im,mj->ij", G[:, k, :], S)
@@ -243,63 +244,19 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
 # per-point evaluation context
 # ---------------------------------------------------------------------------
 
-class BaseFields(NamedTuple):
-    """The base fields of a :class:`ChartEval` in its 6-variable space at its
-    working order: the metric ``g``, the self-dual basis ``S`` (stacked
-    [q, i, j]) and the connection form ``beta``, and the values of beta and
-    of s1, s2, s3 (batch leading)."""
-
-    g: jets.Jet
-    S: jets.Jet
-    beta: jets.Jet
-    beta_vals: np.ndarray
-    svals: list
-
-    def head(self, n: int) -> "BaseFields":
-        """The fields at the first ``n`` points, copied; these fields
-        themselves at their full width."""
-        if n == len(self.beta_vals):
-            return self
-        return BaseFields(self.g.head(n), self.S.head(n), self.beta.head(n),
-                          self.beta_vals[:n].copy(), [s[:n].copy() for s in self.svals])
-
-
-class ChartBase:
-    """The base of every chart of ``metric`` at the base points ``x4`` and
-    the working order ``order``: one :class:`kahler.BaseEval` (:attr:`base`),
-    taken one order higher because beta consumes one order, and the
-    :class:`BaseFields` its connection gives (:attr:`fields`), derived on
-    first read and kept.  The plain and the modified charts over the same
-    base points differ only in their fibers, so they can share one
-    ChartBase; a chart at its first n points reads the heads of its
-    evaluation and fields, sliced rather than evaluated again."""
-
-    def __init__(self, metric: MetricField, x4, order: int = 1):
-        self.metric = metric
-        self.x4 = np.atleast_2d(np.asarray(x4, dtype=float))
-        self.W = order
-        self.base = BaseEval(metric, self.x4, order + 1)
-
-    @cached_property
-    def fields(self) -> BaseFields:
-        space = jets.get_space(TOTAL_DIM, self.W)
-        sd, beta = self.base.connection()  # one order below the base: the working order
-        emb = lambda j: j.embed(space, (0, 1, 2, 3))
-        return BaseFields(emb(self.base.gjets.truncate(self.W)), emb(sd), emb(beta),
-                          tensor_values(beta, 1), [tensor_values(sd[q], 2) for q in range(3)])
-
-
 class ChartEval:
-    """All jet fields of a chart at a batch of 6-points, at working order
-    ``order``.  Order 1 (values and first derivatives) is all that the
-    Nijenhuis tensor, the Christoffel symbols of h and d of a form consume;
-    a caller that takes d of a form that was itself built with one d (as
-    in checking d d = 0) builds its ChartEval at order 2.  The base fields
-    come from a :class:`ChartBase`: ``base`` when given, which may be wider
-    than the points (it must be of the chart's metric and of ``order``, and
-    its first points must be the base points of ``points``), else one built
-    here.  :attr:`base` is its :class:`kahler.BaseEval` at the points, and
-    :attr:`data4` is the curvature of that.
+    """All jet fields of a chart at a batch of 6-points, at order 1: values
+    and first derivatives, all that the Nijenhuis tensor, the Christoffel
+    symbols of h and d of a form consume.  The base fields come from a
+    :class:`kahler.BaseEval` of order 2, as beta consumes one order:
+    ``base`` when given, which may be wider than the points (it must be of
+    the chart's metric, and its first points must be the base points of
+    ``points``), else one built here.  The plain and the modified charts
+    over the same base points differ only in their fibers, so they can
+    share one base; its connection is built once, on the whole base, and a
+    chart on its first n points reads the heads of its fields, sliced
+    rather than evaluated again.  :attr:`base` is that evaluation at the
+    points, and :attr:`data4` is the curvature of that.
 
     This is the only place a chart is evaluated at points: every field
     operation of this module takes a ChartEval (and reads the chart from
@@ -310,18 +267,16 @@ class ChartEval:
     Christoffel symbols of h, the Nijenhuis tensor, tau, Omega, D Omega and
     :attr:`data4`) is computed on first read and kept."""
 
-    def __init__(self, chart: TwistorChart, points, order: int = 1,
-                 base: Optional[ChartBase] = None):
+    def __init__(self, chart: TwistorChart, points, base: Optional[BaseEval] = None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         self.chart = chart
         self.points = pts
         self.x4 = pts[:, :4]
         self.v = pts[:, IDX_V]
         self.w = pts[:, IDX_W]
-        self.W = order
-        self.space = jets.get_space(TOTAL_DIM, order)
+        self.space = jets.get_space(TOTAL_DIM, 1)
         self.eps = EPS
-        self._build_base(ChartBase(chart.base, self.x4, order) if base is None else base)
+        self._build_base(BaseEval(chart.base, self.x4) if base is None else base)
         self._build_fiber()
 
     def flipped(self) -> "ChartEval":
@@ -336,39 +291,43 @@ class ChartEval:
         return out
 
     # -- base fields ------------------------------------------------------
-    def _build_base(self, base: ChartBase):
+    def _build_base(self, base: BaseEval):
         n = len(self.points)
-        if (base.metric is not self.chart.base or base.W != self.W
-                or not np.array_equal(base.x4[:n], self.x4)):
-            raise UsageError("a ChartEval reads the base of its own metric at its working"
-                             " order, whose first points are its base points")
-        self.base = base.base.head(n)
+        if (base.metric is not self.chart.base or base.gjets.order != 2
+                or not np.array_equal(base.x[:n], self.x4)):
+            raise UsageError("a ChartEval reads a base of its own metric at order 2, whose"
+                             " first points are its base points")
+        base.connection  # built on the whole base, whose heads the narrower charts read
+        self.base = base.head(n)
+        sd, beta = self.base.connection
+        emb = lambda j: j.embed(self.space, (0, 1, 2, 3))
         self.gvals = self.base.gvals
-        self.g, self.S, self.beta, self.beta_vals, self.svals = base.fields.head(n)
+        self.g, self.S, self.beta = emb(self.base.gjets.truncate(1)), emb(sd), emb(beta)
+        self.beta_vals = tensor_values(beta, 1)
+        self.svals = [tensor_values(sd[q], 2) for q in range(3)]
         self.zero = self.g[0, 0] * 0.0
         self.one = self.zero + 1.0
 
     # -- fiber fields -------------------------------------------------------
     def _build_fiber(self):
-        W = self.W
         chart = self.chart
         prof = chart.profile
         if np.any(self.v <= prof.z_minus) or np.any(self.v >= prof.z_plus):
             raise DomainError(
                 f"fiber coordinate outside the open profile interval "
                 f"({prof.z_minus}, {prof.z_plus})")
-        vj_hi = jets.seed_univariate(self.v, W + 1)
+        vj_hi = jets.seed_univariate(self.v, 2)  # rho' and phi' at order 1
         rho_hi = chart.profile.rho(vj_hi)
         phi_hi = chart.fmap.phi(vj_hi)
         emb_v = lambda j: j.embed(self.space, (IDX_V,))
-        self.rho = emb_v(rho_hi.truncate(W))
+        self.rho = emb_v(rho_hi.truncate(1))
         self.rho_p = emb_v(rho_hi.deriv(0))
-        self.phi = emb_v(phi_hi.truncate(W))
+        self.phi = emb_v(phi_hi.truncate(1))
         self.phi_p = emb_v(phi_hi.deriv(0))
-        wj = jets.seed_univariate(self.w, W)
+        wj = jets.seed_univariate(self.w, 1)
         self.cw = jets.cos(wj).embed(self.space, (IDX_W,))
         self.sw = jets.sin(wj).embed(self.space, (IDX_W,))
-        vj = vj_hi.truncate(W).embed(self.space, (IDX_V,))
+        vj = vj_hi.truncate(1).embed(self.space, (IDX_V,))
         self.vjet = vj
         phi_sq = self.phi * self.phi
         if np.any(phi_sq.value >= 1.0):
@@ -434,9 +393,8 @@ class ChartEval:
 
     @cached_property
     def gamma_h(self):
-        """Christoffel values of h in chart coordinates, Gamma^m_{ab}: of h
-        at order 1, whose values are those of h at any order."""
-        return tensor_values(christoffel_jets(self.h.truncate(1)), 3)
+        """Christoffel values of h in chart coordinates, Gamma^m_{ab}."""
+        return tensor_values(christoffel_jets(self.h), 3)
 
     @cached_property
     def nijenhuis(self):

@@ -71,9 +71,9 @@ def chart_evals(monkeypatch):
     calls = []
     orig = twistor.ChartEval.__init__
 
-    def counted(self, chart, points, order=1, base=None):
+    def counted(self, chart, points, base=None):
         calls.append(len(np.atleast_2d(points)))
-        orig(self, chart, points, order, base)
+        orig(self, chart, points, base)
 
     monkeypatch.setattr(twistor.ChartEval, "__init__", counted)
     return calls

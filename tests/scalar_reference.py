@@ -348,17 +348,15 @@ def wedge_dicts(c1: dict, c2: dict) -> dict:
     return out
 
 
-def d_dict(comps: dict, to_values: bool = True) -> dict:
-    """Exterior derivative of jet components, as values or (``to_values=False``)
-    as jets one order lower."""
+def d_dict(comps: dict) -> dict:
+    """Exterior derivative of jet components, as values."""
     out = {}
     for key, cj in comps.items():
         for k in range(TOTAL_DIM):
             if k in key:
                 continue
             new, sign = merge_keys((k,), key)
-            dkc = cj.deriv(k)
-            out[new] = out.get(new, 0.0) + sign * (dkc.value if to_values else dkc)
+            out[new] = out.get(new, 0.0) + sign * cj.deriv(k).value
     return out
 
 

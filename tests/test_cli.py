@@ -93,6 +93,18 @@ class TestRunSuite:
         assert rec["max_residual"] > 1e-2
         assert rec["pass"]
 
+    @pytest.mark.parametrize("metric", ("flat", "eguchi_hanson", "burns"))
+    def test_integrability_passes_at_few_points(self, metric):
+        # the perturbed fiber map must break integrability wherever the
+        # points land, near the poles phi = +-1 too, or the negative control
+        # fails at few points (at 8 of these 14 seeds with a defect of
+        # second order in a that vanishes toward the poles)
+        for seed in range(14):
+            for n in (1, 2, 3):
+                rep = run_suite(SuiteConfig.from_dict(
+                    {"metric": metric, "suite": "integrability", "sample_count": n, "seed": seed}))
+                assert all(c["pass"] for c in rep["checks"]), (seed, n)
+
     def test_balanced_completeness_combination(self):
         rep = run_suite(SuiteConfig.from_dict(
             {"metric": "eguchi_hanson", "suite": "balanced", "sample_count": 6, "seed": 3,
@@ -126,11 +138,10 @@ class TestRunSuite:
     def test_curvature_suite_evaluates_metric_twice(self, jets_at_calls, chart_evals,
                                                      monkeypatch):
         # one metric-jet bundle at the sampled points, one at the rho-duality
-        # point; alone, the suite builds no chart and no connection
+        # point; alone, the suite builds no chart and no connection (no beta)
         connections = []
-        orig = kahler.BaseEval.connection
-        monkeypatch.setattr(kahler.BaseEval, "connection",
-                            lambda self: connections.append(1) or orig(self))
+        beta_form = kahler.beta_form
+        monkeypatch.setattr(kahler, "beta_form", lambda *a: connections.append(1) or beta_form(*a))
         rep = run_suite(SuiteConfig.from_dict(
             {"metric": "burns", "suite": "curvature", "sample_count": 5}))
         assert rep["overall_pass"]

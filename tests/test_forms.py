@@ -6,8 +6,8 @@ and one fold each, and ``d_wedge`` forms only the partials of a wedge that
 d reads.  tests/scalar_reference.py keeps the dict code they
 replaced, which loops over the component pairs.  Results must be equal,
 not close: the Hermitian family, Omega ^ Omega, d(Omega^2), the proof wedge
-and the cone's top components, on every fixture, at jet orders 1 and 2.
-Random polynomial forms then check the algebra itself.
+and the cone's top components, on every fixture, at the chart's jet order
+1.  Random polynomial forms, at jet order 2, then check the algebra itself.
 """
 
 import itertools
@@ -44,10 +44,9 @@ def chart(request):
     return tw.TwistorChart.twistor(kahler.get_fixture(request.param))
 
 
-@pytest.mark.parametrize("order", (1, 2))
 @pytest.mark.parametrize("h_func", [h for _, h in H_FUNCS], ids=[n for n, _ in H_FUNCS])
-def test_balanced_forms_match_the_dict_code(chart, order, h_func):
-    ctx = tw.ChartEval(chart, chart.sample(6, 3), order=order)
+def test_balanced_forms_match_the_dict_code(chart, h_func):
+    ctx = tw.ChartEval(chart, chart.sample(6, 3))
     omega = tw.omega_ab_field(ctx, h_func)
     weight = jets.exp(h_func(ctx.phi)) * 1.0 if h_func is not None else ctx.one * 1.0
     old = ref.omega_dict(ctx, weight)
@@ -58,13 +57,11 @@ def test_balanced_forms_match_the_dict_code(chart, order, h_func):
     assert_same(omega2, old2)
     d_omega2 = tw.d_dict(omega2)
     old_d = ref.d_dict(old2)
-    assert_same(d_omega2.truncate(0), old_d)
-    if order == 2:
-        assert_same(d_omega2, ref.d_dict(old2, to_values=False))
+    assert_same(d_omega2, old_d)
     # the partials d reads, alone: the values of d(Omega ^ Omega), bit for bit
     d_wedge = tw.d_wedge(omega, omega)
     assert d_wedge.keys == d_omega2.keys and d_wedge.jet.order == 0
-    assert d_wedge.jet.coeffs.tobytes() == d_omega2.truncate(0).jet.coeffs.tobytes()
+    assert d_wedge.jet.coeffs.tobytes() == d_omega2.jet.coeffs.tobytes()
 
     fiber = {k: v for k, v in old.items() if tw.IDX_V in k or tw.IDX_W in k}
     d_fiber = tw.d_dict(tw.Form(tuple(fiber), jets.stack([omega[k] for k in fiber])))
@@ -76,9 +73,8 @@ def test_balanced_forms_match_the_dict_code(chart, order, h_func):
     assert rep.proof_step_residual == max_abs(old_proof)
 
 
-@pytest.mark.parametrize("order", (1, 2))
-def test_cone_top_components_match_the_dict_code(chart, order):
-    ctx = tw.ChartEval(chart, chart.sample(6, 4), order=order)
+def test_cone_top_components_match_the_dict_code(chart):
+    ctx = tw.ChartEval(chart, chart.sample(6, 4))
     a, b = 2.0, 3.0
     omega = tw.omega_ab_field(ctx, None, a, b).truncate(0)
     omega2 = tw.wedge_dicts(omega, omega)

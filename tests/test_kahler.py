@@ -111,14 +111,14 @@ class TestAdaptedFrame:
 class TestBetaForm:
     def test_flat_beta_zero(self, flat):
         x = np.array([0.2, 0.0, -0.3, 0.5])
-        _, beta = kahler.BaseEval(flat, x).connection()
+        _, beta = kahler.BaseEval(flat, x).connection
         assert np.max(np.abs(geo.tensor_values(beta, 1))) < 1e-14
 
     def test_connection_relations(self, burns, rng):
         # nabla_k s2 = beta_k s3, nabla_k s3 = -beta_k s2, nabla s1 = 0
         pts = burns.chart.sample(20, rng)
         base = kahler.BaseEval(burns, pts)
-        sd, beta = base.connection()  # one order below the metric jets
+        sd, beta = base.connection  # one order below the metric jets
         full = kahler._self_dual(kahler.adapted_frame(base.gjets))  # at their order
         gamma = base.gamma_jets
         s2v, s3v = geo.tensor_values(sd[1], 2), geo.tensor_values(sd[2], 2)
@@ -145,7 +145,7 @@ class TestBetaForm:
 
     def test_beta_nontrivial_on_burns(self, burns, rng):
         pts = burns.chart.sample(5, rng)
-        _, beta = kahler.BaseEval(burns, pts).connection()
+        _, beta = kahler.BaseEval(burns, pts).connection
         assert np.max(np.abs(geo.tensor_values(beta, 1))) > 1e-3
 
 

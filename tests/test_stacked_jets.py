@@ -83,13 +83,14 @@ def _reference_metric_jets(metric, x, order):
         return ref.metric_jets(kahler.get_fixture(metric.name), x, order)
 
 
-# order 2 is what a ChartEval takes; order 3 (an order-2 ChartEval) puts
-# three or more terms in a coefficient, where argument order shows
-CASES = [(2, n) for n in BATCHES] + [(3, n) for n in (None, 1, 5)]
+# order 2 is what a ChartEval takes; order 3 puts three or more terms in a
+# coefficient, where argument order shows
+CHART_CASES = [(2, n) for n in BATCHES]
+CASES = CHART_CASES + [(3, n) for n in (None, 1, 5)]
 
 
-@pytest.mark.parametrize("order,n", CASES)
 class TestBaseJets:
+    @pytest.mark.parametrize("order,n", CASES)
     def test_inverse_and_christoffel(self, christoffel_metric, order, n):
         x = _points(christoffel_metric, n)
         gjets = christoffel_metric.jets_at(x, order)
@@ -98,6 +99,7 @@ class TestBaseJets:
         assert_same_jets(geo._inverse(gjets), ref.jet_matrix_inverse(ref_g))
         assert_same_jets(geo.christoffel_jets(gjets), ref.christoffel_jets(ref_g), False)
 
+    @pytest.mark.parametrize("order,n", CASES)
     def test_self_dual_nabla_and_beta(self, metric, order, n):
         x = _points(metric, n)
         gjets = metric.jets_at(x, order)
@@ -119,16 +121,18 @@ class TestBaseJets:
         assert_same_jets(kahler.beta_form(gjets, sd[1], sd[2], gamma), ref_beta, False)
         # the base evaluation builds the basis one order lower: the truncated
         # reference, bit for bit, and the same beta
-        base_sd, base_beta = kahler.BaseEval(metric, x, order).connection()
+        base_sd, base_beta = kahler.BaseEval(metric, x, order).connection
         assert base_sd.space is gamma.space
         for q in range(3):
             assert_same_jets(base_sd[q], _truncated(ref_sd[q], order - 1), False)
         assert_same_jets(base_beta, ref_beta, False)
 
+    @pytest.mark.parametrize("order,n", CHART_CASES)
     def test_chart_eval_fields(self, metric, order, n):
         chart = twistor.TwistorChart.twistor(metric)
         pts = chart.sample(1 if n is None else n, 3)
-        ctx = twistor.ChartEval(chart, pts[0] if n is None else pts, order=order - 1)
+        ctx = twistor.ChartEval(chart, pts[0] if n is None else pts)
+        assert ctx.base.gjets.order == order
         old = ref.chart_fields(ctx)
         for name in ("P_img", "K", "J", "h"):
             assert_same_jets(getattr(ctx, name), old[name], False)
@@ -158,26 +162,6 @@ def test_christoffel_of_h(christoffel_metric, n):
     chart = twistor.TwistorChart.twistor(christoffel_metric)
     ctx = twistor.ChartEval(chart, chart.sample(n, 3))
     assert_same_jets(geo.christoffel_jets(ctx.h), ref.christoffel_jets(ref.to_objects(ctx.h, 2)), False)
-
-
-@pytest.mark.parametrize("name", sorted(kahler.FIXTURES))
-def test_christoffel_of_h_at_working_order_2(name):
-    # at working order 2 the degree-2 coefficients of h are not symmetric
-    # bit for bit, as (beta_i beta_j) and (beta_j beta_i) add their three
-    # terms in different orders.  The pairs i <= j are the full loop's, and
-    # (j, i) copies them: the values, all that ChartEval reads, are the full
-    # loop's everywhere
-    chart = twistor.TwistorChart.twistor(kahler.get_fixture(name))
-    ctx = twistor.ChartEval(chart, chart.sample(7, 3), order=2)
-    gamma = geo.christoffel_jets(ctx.h)
-    old = ref.christoffel_jets(ref.to_objects(ctx.h, 2))
-    i, j = np.triu_indices(twistor.TOTAL_DIM)
-    assert_same_jets(gamma[:, i, j], old[:, i, j], False)
-    assert np.array_equal(gamma.coeffs[:, :, j, i], gamma.coeffs[:, :, i, j])
-    old_values = np.array([c.value for c in old.ravel()]).reshape(old.shape + (-1,))
-    ref.assert_same_but_zero_signs(gamma.value, old_values)
-    # ChartEval reads them from h at order 1
-    ref.assert_same_but_zero_signs(ctx.gamma_h, geo.tensor_values(gamma, 3))
 
 
 def test_component_views_and_stack_copies(burns):
@@ -601,9 +585,11 @@ def test_connection_matches_its_whole_grids(name, order):
         with ref.whole_grids():
             frame = kahler.adapted_frame(base.gjets)
             s2 = kahler._self_dual(frame, (1,))[0]
-            whole = [frame, kahler._two_vector_nabla(base.gamma_jets, s2), *base.connection()]
+            # a copy, so that base keeps its connection unbuilt
+            whole = [frame, kahler._two_vector_nabla(base.gamma_jets, s2),
+                     *copy.copy(base).connection]
         built = [kahler.adapted_frame(base.gjets), kahler._two_vector_nabla(base.gamma_jets, s2),
-                 *base.connection()]
+                 *base.connection]
         for new, old in zip(built, whole):
             assert new.space is old.space, n
             ref.assert_same_but_zero_signs(new.coeffs, old.coeffs)

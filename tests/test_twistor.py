@@ -3,7 +3,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from twistorcheck import fibermap as fm, geometry as geo, jets, kahler, twistor as tw
+from twistorcheck import fibermap as fm, geometry as geo, jets, kahler, report, twistor as tw
 from twistorcheck.errors import DomainError, InputError, UsageError
 
 
@@ -109,7 +109,7 @@ class TestHorizontalLift:
         metric = kahler.get_fixture(name)
         for x in metric.chart.sample(4, 9):
             low, high = kahler.BaseEval(metric, x, order=1), kahler.BaseEval(metric, x)
-            pairs = [(low.connection()[1].value, high.connection()[1].value),
+            pairs = [(low.connection[1].value, high.connection[1].value),
                      (low.gamma_jets.value, high.gamma_jets.value), (low.gvals, high.gvals)]
             pairs += [(a.comps, b.comps) for a, b in zip(low.basis, high.basis)]
             for a, b in pairs:
@@ -307,14 +307,11 @@ class TestForms:
             tw.d_dict(form({(1,): ctx.one.truncate(0)}))
 
     def test_d_squared_zero(self, charts, rng):
-        chart = charts["eguchi_hanson"]
-        ctx = tw.ChartEval(chart, chart.sample(3, rng), order=2)  # d of a d
-
-        def one_form(ctx):
-            x = [jets.Jet.variable(ctx.space, i, ctx.points[:, i]) for i in range(6)]
-            return form({(0,): x[1] * x[4] * x[2], (3,): x[0] * x[0] * x[5], (4,): x[2] * x[3]})
-
-        ddf = tw.d_dict(one_form(ctx))
+        pts = charts["eguchi_hanson"].sample(3, rng)
+        space = jets.get_space(tw.TOTAL_DIM, 2)  # d of a d
+        x = [jets.Jet.variable(space, i, pts[:, i]) for i in range(6)]
+        ddf = tw.d_dict(form({(0,): x[1] * x[4] * x[2], (3,): x[0] * x[0] * x[5],
+                              (4,): x[2] * x[3]}))
         assert max_abs(ddf) > 0.1
         assert max_abs(tw.d_dict(ddf)) < 1e-10
 
@@ -549,14 +546,14 @@ class TestSharedBase:
     @pytest.mark.parametrize("name", sorted(kahler.FIXTURES))
     def test_chart_on_a_shared_base_equals_a_fresh_one(self, name):
         metric = kahler.get_fixture(name)
-        wide = tw.ChartBase(metric, metric.chart.sample(50, 2024))
+        wide = kahler.BaseEval(metric, metric.chart.sample(50, 2024))
         charts = [tw.TwistorChart.twistor(metric)]
         if name != "conformal_hermitian":
             charts.append(modified_chart(metric))
         for chart in charts:
             for n in (1, 7, 20, 30, 50):
                 pts = chart.sample(n, 2024)
-                assert np.array_equal(pts[:, :4], wide.x4[:n])
+                assert np.array_equal(pts[:, :4], wide.x[:n])
                 shared, fresh = tw.ChartEval(chart, pts, base=wide), tw.ChartEval(chart, pts)
                 names = list(vars(fresh)) + self.CACHED
                 assert list(vars(shared)) == list(vars(fresh))
@@ -566,25 +563,29 @@ class TestSharedBase:
 
     def test_narrower_charts_read_the_wide_connection(self, charts, monkeypatch):
         calls = []
-        orig = kahler.BaseEval.connection
-        monkeypatch.setattr(kahler.BaseEval, "connection",
-                            lambda self: calls.append(1) or orig(self))
+        beta_form = kahler.beta_form
+        monkeypatch.setattr(kahler, "beta_form", lambda *a: calls.append(1) or beta_form(*a))
         chart = charts["burns"]
-        wide = tw.ChartBase(chart.base, chart.base.chart.sample(20, 3))
+        wide = kahler.BaseEval(chart.base, chart.base.chart.sample(20, 3))
+        wide.head(5).curvature()
         assert calls == []  # the curvature alone needs no connection
         for n in (5, 20, 1):
             tw.ChartEval(chart, chart.sample(n, 3), base=wide)
         assert calls == [1]
+        report.run_suite(report.SuiteConfig(metric="burns", suite="curvature", sample_count=5))
+        assert calls == [1]  # the curvature suite alone builds none
 
     def test_base_must_match_the_chart(self, charts):
         chart = charts["burns"]
-        wide = tw.ChartBase(chart.base, chart.base.chart.sample(5, 3))
-        for other, pts, order in ((chart, chart.sample(5, 4), 1),
-                                  (chart, chart.sample(6, 3), 1),
-                                  (chart, chart.sample(5, 3), 2),
-                                  (charts["eguchi_hanson"], charts["eguchi_hanson"].sample(5, 3), 1)):
+        wide = kahler.BaseEval(chart.base, chart.base.chart.sample(5, 3))
+        own = chart.sample(5, 3)
+        for other, pts, base in ((chart, chart.sample(5, 4), wide),
+                                 (chart, chart.sample(6, 3), wide),
+                                 (chart, own, kahler.BaseEval(chart.base, own[:, :4], 1)),
+                                 (chart, own, kahler.BaseEval(chart.base, own[:, :4], 3)),
+                                 (charts["eguchi_hanson"], charts["eguchi_hanson"].sample(5, 3), wide)):
             with pytest.raises(UsageError, match="first points are its base points"):
-                tw.ChartEval(other, pts, order, base=wide)
+                tw.ChartEval(other, pts, base=base)
 
 
 def _bits(x):

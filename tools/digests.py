@@ -14,12 +14,12 @@ ROOT, each produced by ROOT's own ``src``:
 * the ``dense_balanced`` report at every suite seed;
 * the raw coefficients, signs of zero included, for every fixture at 1,
   7, 50 and 400 points: of the self-dual basis s below the base order and
-  of beta (``BaseEval(...).connection()``), of ``_two_vector_nabla`` of
+  of beta (``BaseEval(...).connection``), of ``_two_vector_nabla`` of
   s2 (from ``_self_dual`` of the whole frame), of the Christoffel jets
   ``BaseEval(...).gamma_jets``, of the metric jets ``metric.jets_at`` and
   of ``adapted_frame`` at base orders 1-3,
   of s, beta and nabla s2 at base order 3 too, and of ``ChartEval.gamma_h``
-  on the plain chart at working orders 1 and 2;
+  on the plain chart;
 * the raw values, signs of zero included, for every fixture at 1, 7, 20
   and 50 points: of ``ChartEval.nijenhuis`` on the plain chart and on its
   ``flipped()`` evaluation, of the per-point ``nijenhuis_route_agreement``,
@@ -42,7 +42,9 @@ Each ``raw/...`` line has a twin ``raw/...+0.0`` that hashes the same
 array plus 0.0, which makes every zero +0.0 and keeps every other bit, NaN
 and inf.  Fixtures, suite seeds and the ``dense_balanced`` input are read
 from ROOT's ``perfbench/workloads.py``.  ``diff`` of the lines of two
-checkouts lists every output that differs between them.
+checkouts lists every output that differs between them.  The script runs
+on checkouts whose ``BaseEval.connection`` is a method and on those where
+it is a property.
 
 A change that keeps every value must leave byte-identical every report,
 demo and ``solve-map`` line, every value-level ``identities/...`` line, the
@@ -109,6 +111,12 @@ def _raw_arrays(wl):
             yield name, _raw(data)
 
 
+def _connection(base):
+    """(sd, beta) of a ``BaseEval``, its ``connection`` a property or a method."""
+    connection = base.connection
+    return connection() if callable(connection) else connection
+
+
 def _coefficient_arrays(wl):
     import numpy as np
 
@@ -120,7 +128,7 @@ def _coefficient_arrays(wl):
         for n in (1, 7, 50, 400):
             pts = metric.chart.sample(n, wl.CONFIG_SEEDS[0])
             base = kahler.BaseEval(metric, pts)
-            sd, beta = base.connection()
+            sd, beta = _connection(base)
             s2 = kahler._self_dual(kahler.adapted_frame(base.gjets))[1]
             nabla = kahler._two_vector_nabla(base.gamma_jets, s2)
             for name, jet in (("s", sd.truncate(base.gjets.order - 1)), ("beta", beta),
@@ -133,14 +141,12 @@ def _coefficient_arrays(wl):
                 frame = kahler.adapted_frame(base.gjets)
                 yield f"raw/{fixture}/{n}/frame_{order}", frame.coeffs
                 if order == 3:  # rounding leaves residues of about 1e-17 where s2 and s3 are zero at order 2
-                    sd, beta = base.connection()
+                    sd, beta = _connection(base)
                     nabla = kahler._two_vector_nabla(base.gamma_jets, kahler._self_dual(frame)[1])
                     for name, jet in (("s_3", sd), ("beta_3", beta), ("nabla_s2_3", nabla)):
                         yield f"raw/{fixture}/{n}/{name}", jet.coeffs
-            chart_pts = chart.sample(n, wl.CONFIG_SEEDS[0])
-            for order in (1, 2):
-                gamma_h = twistor.ChartEval(chart, chart_pts, order).gamma_h
-                yield f"raw/{fixture}/{n}/gamma_h_{order}", gamma_h
+            ctx = twistor.ChartEval(chart, chart.sample(n, wl.CONFIG_SEEDS[0]))
+            yield f"raw/{fixture}/{n}/gamma_h_1", ctx.gamma_h
         for n in (1, 7, 20, 50):
             seed = wl.CONFIG_SEEDS[0]
             ctx = twistor.ChartEval(chart, chart.sample(n, seed))

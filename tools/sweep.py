@@ -24,8 +24,9 @@ twistor chart:
 
 and at those chart points, at working order 1:
 
-* ``chart_eval``: a ``ChartEval`` assembled on a ``ChartBase`` whose fields
-  are built, as the suites share one, with its J and h;
+* ``chart_eval``: a ``ChartEval`` assembled on a ``BaseEval`` whose
+  connection is built, as the suites share one, with its J and h (on a
+  ROOT with ``twistor.ChartBase``, on one of those with its fields built);
 * ``nijenhuis``: ``twistor._nijenhuis_values`` of that ChartEval;
 * ``wedge_d``: d(Omega ^ Omega) of its Omega = tau + omega_FS, the
   balanced condition, by ``d_wedge``, which forms only the partials d
@@ -119,8 +120,12 @@ def _layers(metric, x6):
     s2 = kahler._self_dual(frame, (1,))[0]
     s3 = kahler._self_dual(frame.truncate(1))[2]
     chart = twistor.TwistorChart.twistor(metric)
-    base = twistor.ChartBase(metric, x)
-    base.fields  # built once and shared, as in a suite run
+    if hasattr(twistor, "ChartBase"):  # a ROOT whose charts share a ChartBase
+        base = twistor.ChartBase(metric, x)
+        base.fields
+    else:
+        base = kahler.BaseEval(metric, x)
+        base.connection  # built once and shared, as in a suite run
 
     def chart_eval():
         ctx = twistor.ChartEval(chart, x6, base=base)
