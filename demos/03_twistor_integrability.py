@@ -29,12 +29,10 @@ show("fubini_study: plain twistor chart (W+ != 0, obstructed)",
 # Modified charts over Eguchi-Hanson: the fiber is a cylinder, and the
 # isothermal-coordinate solution phi = tanh(z + c) is the holomorphic map.
 eh = kahler.get_fixture("eguchi_hanson")
-prof = fibermap.cylinder_profile()
-good = fibermap.solve_phi(prof, c=0.0, branch="quadrature")
-show("eguchi_hanson: cylinder fiber, isothermal map",
-     twistor.TwistorChart.modified(eh, prof, good))
+good = fibermap.solve_phi(fibermap.cylinder_profile(), c=0.0, branch="quadrature")
+show("eguchi_hanson: cylinder fiber, isothermal map", twistor.TwistorChart(eh, good))
 show("eguchi_hanson: cylinder fiber, perturbed map (obstructed)",
-     twistor.TwistorChart.modified(eh, prof, good.perturbed(0.1)))
+     twistor.TwistorChart(eh, good.perturbed(0.1)))
 
 # The same dichotomy through the independent route: the Nijenhuis tensor
 # evaluated from the Levi-Civita connection of the total-space metric.

@@ -24,7 +24,7 @@ for pname in ("sphere", "cylinder", "cosh"):
         except Exception as exc:
             print(f"  {branch:24s} -> {type(exc).__name__}: {exc}")
             continue
-        rep = fm.conformality_check(prof, emap, sample_count=80)
+        rep = fm.conformality_check(emap, sample_count=80)
         tag = "degenerate-constant" if rep.degenerate else (
             f"anisotropy={rep.max_anisotropy:.2e} orientation={rep.orientation:+d}")
         print(f"  {branch:24s} -> {tag}")

@@ -97,9 +97,9 @@ def _cmd_solve_map(args) -> int:
         raise ConfigurationError(f"--samples must be >= 1, got {args.samples}")
     out = _report_path(f"fiber_map_{args.profile}_{args.branch}.csv", args.csv)
     write = _output(out)
-    profile = fibermap.get_profile(args.profile)
-    emap = fibermap.solve_phi(profile, c=args.c, sign=args.sign, branch=args.branch)
-    samples = fibermap.anisotropy_samples(profile, emap, args.samples)
+    emap = fibermap.solve_phi(fibermap.get_profile(args.profile), c=args.c, sign=args.sign,
+                              branch=args.branch)
+    samples = fibermap.anisotropy_samples(emap, args.samples)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["z", "phi", "anisotropy"])
@@ -153,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--profile", required=True, choices=sorted(fibermap.PROFILES))
     s.add_argument("--branch", default="quadrature", choices=fibermap.BRANCHES)
     s.add_argument("--c", type=float, default=0.0)
-    s.add_argument("--sign", type=int, default=1, choices=(1, -1))
+    s.add_argument("--sign", type=int, default=1, choices=(1, -1),
+                   help="-1 reflects phi through the equator on every branch")
     s.add_argument("--samples", type=int, default=200)
     s.add_argument("--csv", help="output CSV path")
     s.set_defaults(func=_cmd_solve_map)

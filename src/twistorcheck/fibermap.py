@@ -6,7 +6,9 @@ An equivariant map to the unit sphere has the form (theta, z) -> (theta,
 phi(z)); it is holomorphic for the complex structures induced by the
 embedding metrics exactly when, in the isothermal coordinate
 l(z) = integral sqrt(rho'^2 + 1) / rho dz, it is a translation:
-phi = tanh(l(z) + c).
+phi = tanh(l(z) + c); its reflection -phi is anti-holomorphic.  An
+:class:`EquivariantMap` carries its profile, so it alone fixes the fiber of
+a modified twistor chart.
 
 The isothermal coordinate is computed by :func:`quad`, composite
 Gauss-Legendre whose fixed panels are summed once, cumulatively, for all
@@ -110,14 +112,13 @@ BRANCHES = ("flat_meridian_closed_form", "alternate_closed_form", "quadrature")
 
 @dataclass
 class EquivariantMap:
-    """Fiber map (theta, z) -> (theta, phi(z)); equivariance is structural."""
+    """Fiber map (theta, z) -> (theta, phi(z)) from the surface of ``profile``,
+    phi defined on ``domain`` inside the profile's open interval;
+    equivariance is structural."""
 
     profile: SurfaceProfile
     phi: Callable  # univariate jet (or float array) -> jet
-    c: float
-    branch: str
-    sign: int = +1
-    domain: tuple = None
+    domain: tuple
 
     def phi_jet(self, z, order: int):
         return self.phi(jets.seed_univariate(z, order))
@@ -150,14 +151,12 @@ class EquivariantMap:
             p = base(zj)
             return jets.tanh(jets.log((1.0 + p) / (1.0 - p)) * (0.5 * (1.0 + amount)))
 
-        return EquivariantMap(self.profile, phi, self.c, self.branch + "+perturbed",
-                              self.sign, self.domain)
+        return EquivariantMap(self.profile, phi, self.domain)
 
 
 def identity_sphere_map() -> EquivariantMap:
     """The identity S^2 -> S^2 (the plain twistor chart's fiber map)."""
-    prof = sphere_profile()
-    return EquivariantMap(prof, lambda zj: zj, 0.0, "identity", +1, (-1.0, 1.0))
+    return EquivariantMap(sphere_profile(), lambda zj: zj, (-1.0, 1.0))
 
 
 def quad(f, a: float, b):
@@ -256,8 +255,10 @@ def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
 
     * ``flat_meridian_closed_form``      phi = sign * sqrt(1 - e^c rho^-2)
     * ``alternate_closed_form``  phi = sign * sqrt(1 - e^c rho^2)
-    * ``quadrature``             phi = tanh(l(z) + c) with the isothermal l
-      measured from the midpoint of the profile interval
+    * ``quadrature``             phi = sign * tanh(l(z) + c) with the
+      isothermal l measured from the midpoint of the profile interval
+
+    ``sign = -1`` reflects phi through the equator on every branch.
 
     Only the quadrature branch is guaranteed conformal in the embedding
     metrics; run :func:`conformality_check` to adjudicate.
@@ -283,9 +284,9 @@ def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
             l0 = isothermal_coordinate(profile, np.asarray(zj.value), z0)
             ell = jets.antiderivative(integrand, l0)
             phi_series = jets.tanh(ell + c)
-            return jets.compose_univariate(phi_series, zj)
+            return sign * jets.compose_univariate(phi_series, zj)
 
-        return EquivariantMap(profile, phi, c, branch, sign, (profile.z_minus, profile.z_plus))
+        return EquivariantMap(profile, phi, (profile.z_minus, profile.z_plus))
 
     with np.errstate(over="ignore"):  # e^c is inf from c ~ 709.8 on: an empty domain
         ec = float(np.exp(c))
@@ -303,7 +304,7 @@ def solve_phi(profile: SurfaceProfile, c: float = 0.0, sign: int = +1,
     def phi(zj):
         return sign * jets.sqrt(radicand(profile.rho(zj)))
 
-    return EquivariantMap(profile, phi, c, branch, sign, dom)
+    return EquivariantMap(profile, phi, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +319,6 @@ class ConformalityReport:
     samples_skipped: int
     degenerate: bool
 
-    @property
-    def conformal(self):
-        return (not self.degenerate) and self.max_anisotropy < 1e-6 and self.orientation > 0
-
 
 class AnisotropySamples(NamedTuple):
     z: np.ndarray
@@ -330,8 +327,7 @@ class AnisotropySamples(NamedTuple):
     anisotropy: np.ndarray
 
 
-def anisotropy_samples(profile: SurfaceProfile, emap: EquivariantMap,
-                       sample_count: int) -> AnisotropySamples:
+def anisotropy_samples(emap: EquivariantMap, sample_count: int) -> AnisotropySamples:
     """phi, phi' and the anisotropy |sigma_meridian / sigma_parallel - 1| of
     df at ``sample_count`` evenly spaced z, SAMPLE_MARGIN of the map's
     domain clear of either end.
@@ -346,7 +342,7 @@ def anisotropy_samples(profile: SurfaceProfile, emap: EquivariantMap,
     j = emap.phi_jet(zs, 1)
     phi = np.asarray(j.value)
     dphi = np.asarray(j.deriv(0).value)
-    rj = profile.rho_jet(zs, 1)
+    rj = emap.profile.rho_jet(zs, 1)
     rho = np.asarray(rj.value)
     rp = np.asarray(rj.deriv(0).value)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -375,10 +371,9 @@ def conformality_report(samples: AnisotropySamples) -> ConformalityReport:
     return ConformalityReport(float(np.max(aniso)), orientation, int(dphi.size), skipped, False)
 
 
-def conformality_check(profile: SurfaceProfile, emap: EquivariantMap,
-                       sample_count: int = 100) -> ConformalityReport:
+def conformality_check(emap: EquivariantMap, sample_count: int = 100) -> ConformalityReport:
     """Compare the two singular values of df in the embedding metrics."""
-    return conformality_report(anisotropy_samples(profile, emap, sample_count))
+    return conformality_report(anisotropy_samples(emap, sample_count))
 
 
 # ---------------------------------------------------------------------------

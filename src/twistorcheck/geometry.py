@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,40 +48,24 @@ SAMPLE_MARGIN = 1e-2  # chart sampling keeps this fraction of each side clear
 
 
 class ChartDomain:
-    """A coordinate box with an optional excluded region.
+    """A coordinate box, sampled :data:`SAMPLE_MARGIN` of each side clear of
+    its faces.  Every point drawn is kept, so a fixture's box keeps clear of
+    its metric's singular points (the puncture x = 0 of Burns and
+    Eguchi-Hanson, where the potential's log diverges)."""
 
-    ``exclusion`` takes an (m, 4) array of points and returns an (m,) mask,
-    True on the points that must be rejected (e.g. the puncture of a Burns
-    chart).  Sampling shrinks the box by :data:`SAMPLE_MARGIN` of each side
-    and rejects excluded points.
-    """
-
-    def __init__(self, box, exclusion: Optional[Callable] = None):
+    def __init__(self, box):
         self.box = np.asarray(box, dtype=float)
         if self.box.shape != (DIM, 2) or np.any(self.box[:, 1] <= self.box[:, 0]):
             raise ConfigurationError("box must be 4 nonempty intervals")
-        self.exclusion = exclusion
 
     def sample(self, n: int, rng) -> np.ndarray:
-        """Draw ``n`` admissible points; deterministic for a seeded rng.  Each
-        batch draws one candidate per missing point, so the rng yields the
-        values of a point-by-point loop; 1000 rejections in a row raise."""
+        """``n`` points from one ``rng.uniform(size=(n, 4))`` draw: the ``n``
+        points of a seed are the first ``n`` of any wider sample at it."""
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(rng)
         lo = self.box[:, 0] + SAMPLE_MARGIN * (self.box[:, 1] - self.box[:, 0])
         hi = self.box[:, 1] - SAMPLE_MARGIN * (self.box[:, 1] - self.box[:, 0])
-        out = np.empty((n, DIM))
-        done = run = 0  # run: the rejections since the last admissible point
-        while done < n:
-            x = lo + (hi - lo) * rng.uniform(size=(n - done, DIM))
-            hit = np.arange(len(x)) if self.exclusion is None else np.flatnonzero(~self.exclusion(x))
-            gaps = np.diff(np.concatenate([[-1 - run], hit, [len(x)]])) - 1  # rejections in a row
-            if gaps.max() >= 1000:
-                raise GeometryError("could not sample an admissible chart point")
-            run = gaps[-1]
-            out[done:done + hit.size] = x[hit]
-            done += hit.size
-        return out
+        return lo + (hi - lo) * rng.uniform(size=(n, DIM))
 
 
 @dataclass(frozen=True)
@@ -244,13 +228,12 @@ def covariant_derivative(t: jets.Jet, gamma: np.ndarray) -> np.ndarray:
 @dataclass
 class CurvatureData:
     """Evaluated curvature bundle reused across higher-level checks; its
-    stacked ``gjets`` and the values ``gamma`` of their Christoffel jets
-    ``gamma_jets`` serve the Kahler residuals as well."""
+    stacked ``gjets`` and the values ``gamma`` of their Christoffel symbols
+    serve the Kahler residuals as well."""
 
     gvals: np.ndarray
     ginv: np.ndarray
     gjets: jets.Jet
-    gamma_jets: jets.Jet
     gamma: np.ndarray
     rlow: np.ndarray
     ric: np.ndarray
@@ -283,7 +266,7 @@ def _curvature_from_jets(gjets, gvals, gamma_jets) -> CurvatureData:
     ginv = np.linalg.inv(gvals)
     scal = np.einsum("...ij,...ij->...", ginv, ric)
     # the curvature actions consume Rup raised back from Rlow
-    return CurvatureData(gvals, ginv, gjets, gamma_jets, gamma, rlow, ric, scal,
+    return CurvatureData(gvals, ginv, gjets, gamma, rlow, ric, scal,
                          np.einsum("...lm,...ijkm->...lkij", ginv, rlow))
 
 

@@ -138,7 +138,7 @@ def _eguchi_hanson(a=1.0):
         r = jets.sqrt(u * u + a4)
         return r - a2 * jets.log(a2 + r) + a2 * jets.log(u)
 
-    chart = ChartDomain([[0.25, 1.05]] * 4, exclusion=lambda x: np.sum(x * x, axis=-1) < 0.1)
+    chart = ChartDomain([[0.25, 1.05]] * 4)
     return KahlerPotentialMetric(chart, phi, name="eguchi_hanson")
 
 
@@ -151,7 +151,7 @@ def _burns(m=1.0):
         u = _u_of(xj)
         return u + m * jets.log(u)
 
-    chart = ChartDomain([[0.25, 1.05]] * 4, exclusion=lambda x: np.sum(x * x, axis=-1) < 0.1)
+    chart = ChartDomain([[0.25, 1.05]] * 4)
     return KahlerPotentialMetric(chart, phi, name="burns")
 
 

@@ -273,11 +273,9 @@ def _plain_eval(rec: _Recorder, metric, n: int) -> twistor.ChartEval:
 
 def _modified_charts(metric, config: SuiteConfig):
     fib = config.fiber
-    profile = fibermap.get_profile(fib["profile"])
-    emap = fibermap.solve_phi(profile, c=fib["c"], sign=fib["sign"], branch=fib["branch"])
-    chart = twistor.TwistorChart.modified(metric, profile, emap)
-    perturbed = twistor.TwistorChart.modified(metric, profile, emap.perturbed(0.1))
-    return chart, perturbed
+    emap = fibermap.solve_phi(fibermap.get_profile(fib["profile"]), c=fib["c"], sign=fib["sign"],
+                              branch=fib["branch"])
+    return twistor.TwistorChart(metric, emap), twistor.TwistorChart(metric, emap.perturbed(0.1))
 
 
 def _run_integrability(rec: _Recorder, metric, config: SuiteConfig):
@@ -387,22 +385,21 @@ def _run_cone(rec: _Recorder, metric, config: SuiteConfig):
 def _run_fibermap(rec: _Recorder, metric, config: SuiteConfig):
     n = config.points(100)
     for pname in ("sphere", "cylinder", "cosh"):
-        prof = fibermap.get_profile(pname)
-        emap = fibermap.solve_phi(prof, c=float(config.fiber["c"]), branch="quadrature")
-        rep = fibermap.conformality_check(prof, emap, sample_count=n)
+        emap = fibermap.solve_phi(fibermap.get_profile(pname), c=float(config.fiber["c"]),
+                                  branch="quadrature")
+        rep = fibermap.conformality_check(emap, sample_count=n)
         rec.add(f"fibermap.quadrature_conformal_{pname}",
                 "isothermal-coordinate fiber maps are conformal and orientation-preserving",
                 rep.samples_used, rep.max_anisotropy, 1e-6,
                 detail={"orientation": rep.orientation, "skipped": rep.samples_skipped})
-    sph = fibermap.get_profile("sphere")
-    alt = fibermap.solve_phi(sph, c=0.0, branch="alternate_closed_form")
+    alt = fibermap.solve_phi(fibermap.get_profile("sphere"), c=0.0, branch="alternate_closed_form")
     zs = np.linspace(alt.domain[0] + 1e-3, alt.domain[1] - 1e-3, 50)
     rec.add("fibermap.sphere_alternate_identity",
             "alternate closed form at c = 0 reproduces the identity on the sphere",
             50, float(np.max(np.abs(alt.phi_values(zs) - zs))), 1e-9)
-    cyl = fibermap.get_profile("cylinder")
-    flatm = fibermap.solve_phi(cyl, c=-0.5, branch="flat_meridian_closed_form")
-    rep = fibermap.conformality_check(cyl, flatm, sample_count=n)
+    flatm = fibermap.solve_phi(fibermap.get_profile("cylinder"), c=-0.5,
+                               branch="flat_meridian_closed_form")
+    rep = fibermap.conformality_check(flatm, sample_count=n)
     rec.add("fibermap.cylinder_flat_branch_degenerate",
             "flat-meridian closed form degenerates to a constant on the cylinder",
             n, 1.0 if (flatm.degenerate and rep.degenerate) else 0.0, 0.5, mode="exceeds",

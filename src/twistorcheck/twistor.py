@@ -81,8 +81,7 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError, InputError, NumericError, UsageError
-from .fibermap import (POLE_MARGIN, EquivariantMap, SurfaceProfile, identity_sphere_map,
-                       sphere_profile)
+from .fibermap import POLE_MARGIN, EquivariantMap, identity_sphere_map
 from .geometry import (
     MetricField,
     TwoVector,
@@ -111,33 +110,24 @@ FIBER_MARGIN = 1e-2  # fiber sampling keeps this fraction of the interval clear
 # ---------------------------------------------------------------------------
 
 class TwistorChart:
-    """A 6-coordinate chart on the (modified) twistor space over a fixture.
-
-    Plain twistor charts use the sphere profile with the identity fiber map;
-    modified charts carry an arbitrary rotational profile and an equivariant
-    fiber map phi.  The sign eps of the connection correction is not part of
-    the chart; it lives on :class:`ChartEval`.
+    """A 6-coordinate chart on the (modified) twistor space over a fixture:
+    its base metric and one equivariant fiber map ``fmap``, which carries the
+    fiber's profile; without one, the identity of the sphere, the plain
+    twistor chart (:meth:`twistor`).  The sign eps of the connection
+    correction is not part of the chart; it lives on :class:`ChartEval`.
     """
 
-    def __init__(self, base: MetricField, profile: SurfaceProfile,
-                 fmap: Optional[EquivariantMap] = None):
+    def __init__(self, base: MetricField, fmap: Optional[EquivariantMap] = None):
         self.base = base
-        self.profile = profile
         self.fmap = fmap if fmap is not None else identity_sphere_map()
 
     @classmethod
     def twistor(cls, base: MetricField) -> "TwistorChart":
-        return cls(base, sphere_profile(), None)
-
-    @classmethod
-    def modified(cls, base: MetricField, profile: SurfaceProfile,
-                 fmap: EquivariantMap) -> "TwistorChart":
-        return cls(base, profile, fmap)
+        return cls(base)
 
     def fiber_interval(self):
+        """The map's domain, FIBER_MARGIN of it clear of either end."""
         lo, hi = self.fmap.domain
-        lo = max(lo, self.profile.z_minus)
-        hi = min(hi, self.profile.z_plus)
         pad = FIBER_MARGIN * (hi - lo)
         return lo + pad, hi - pad
 
@@ -311,13 +301,13 @@ class ChartEval:
     # -- fiber fields -------------------------------------------------------
     def _build_fiber(self):
         chart = self.chart
-        prof = chart.profile
+        prof = chart.fmap.profile
         if np.any(self.v <= prof.z_minus) or np.any(self.v >= prof.z_plus):
             raise DomainError(
                 f"fiber coordinate outside the open profile interval "
                 f"({prof.z_minus}, {prof.z_plus})")
         vj_hi = jets.seed_univariate(self.v, 2)  # rho' and phi' at order 1
-        rho_hi = chart.profile.rho(vj_hi)
+        rho_hi = prof.rho(vj_hi)
         phi_hi = chart.fmap.phi(vj_hi)
         emb_v = lambda j: j.embed(self.space, (IDX_V,))
         self.rho = emb_v(rho_hi.truncate(1))
@@ -614,7 +604,7 @@ def verify_structure_identities(ctx: ChartEval, n_random: int = 6,
     Nijenhuis identity itself is exposed separately for modified charts
     (:func:`mixed_nijenhuis_residual`).
     """
-    if ctx.chart.profile.name != "sphere":
+    if ctx.chart.fmap.profile.name != "sphere":
         raise UsageError("structure identities are verified on sphere-fiber charts")
     rng = np.random.default_rng(seed)
     data = ctx.data4
@@ -702,7 +692,7 @@ def horizontal_nijenhuis_residual(ctx: ChartEval, n_random: int = 6,
     sign is tied to the package's curvature convention, like the vertical
     second-fundamental-form identity.
     """
-    if ctx.chart.profile.name != "sphere":
+    if ctx.chart.fmap.profile.name != "sphere":
         raise UsageError("the horizontal Nijenhuis identity is verified on sphere-fiber charts")
     N = _components(ctx.nijenhuis, _ALL, _HOR, _HOR)
     hv = _components(ctx.h_values, _ALL, _VERT)

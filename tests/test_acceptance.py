@@ -157,7 +157,7 @@ def test_criterion_3_integrability_dichotomy():
         results[f"{name}:twistor"] = float(np.max(tw.nijenhuis_max(tw.ChartEval(chart, pts))))
         prof = fm.cylinder_profile()
         emap = fm.solve_phi(prof, c=0.0, branch="quadrature")
-        mod = tw.TwistorChart.modified(m, prof, emap)
+        mod = tw.TwistorChart(m, emap)
         pts_m = mod.sample(50, SEED + 1)
         results[f"{name}:modified"] = float(np.max(tw.nijenhuis_max(tw.ChartEval(mod, pts_m))))
     fs_chart = tw.TwistorChart.twistor(_metric("fubini_study"))
@@ -166,7 +166,7 @@ def test_criterion_3_integrability_dichotomy():
     eh = _metric("eguchi_hanson")
     prof = fm.cylinder_profile()
     pert = fm.solve_phi(prof, c=0.0, branch="quadrature").perturbed(0.1)
-    pert_chart = tw.TwistorChart.modified(eh, prof, pert)
+    pert_chart = tw.TwistorChart(eh, pert)
     pert_pts = pert_chart.sample(50, SEED + 2)
     pert_max = float(np.max(tw.nijenhuis_max(tw.ChartEval(pert_chart, pert_pts))))
     ok = all(v < 1e-6 for v in results.values()) and fs_max > 1e-3 and pert_max > 1e-3
@@ -252,7 +252,7 @@ def test_criterion_7_fiber_maps():
     for pname in ("sphere", "cylinder", "cosh"):
         prof = fm.get_profile(pname)
         emap = fm.solve_phi(prof, c=0.2, branch="quadrature")
-        rep = fm.conformality_check(prof, emap, sample_count=100)
+        rep = fm.conformality_check(emap, sample_count=100)
         aniso[pname] = rep.max_anisotropy
         assert rep.orientation == +1, pname
     sph = fm.get_profile("sphere")
@@ -261,7 +261,7 @@ def test_criterion_7_fiber_maps():
     ident_resid = float(np.max(np.abs(alt.phi_values(zs) - zs)))
     cyl = fm.get_profile("cylinder")
     flatm = fm.solve_phi(cyl, c=-0.5, branch="flat_meridian_closed_form")
-    rep_deg = fm.conformality_check(cyl, flatm, sample_count=100)
+    rep_deg = fm.conformality_check(flatm, sample_count=100)
     ok = (max(aniso.values()) < 1e-6 and ident_resid < 1e-9
           and flatm.degenerate and rep_deg.degenerate)
     _report("7", ok, f"anisotropy={ {k: f'{v:.1e}' for k, v in aniso.items()} } "

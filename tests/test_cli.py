@@ -478,6 +478,36 @@ class TestCliCommands:
         assert np.max(np.abs(phi - np.tanh(z))) < 1e-10
         assert np.max(aniso) < 1e-6
 
+    def test_solve_map_sign_reflects_phi(self, tmp_path, capsys):
+        # --sign -1 reflects phi through the equator on the quadrature branch
+        # too: the CSV's phi negated bit for bit, the orientation reversed
+        rows, verdicts = {}, {}
+        for sign in ("1", "-1"):
+            out = tmp_path / f"map_{sign}.csv"
+            assert main(["solve-map", "--profile", "cosh", "--sign", sign, "--samples", "25",
+                         "--csv", str(out)]) == 0
+            verdicts[sign] = capsys.readouterr().out.splitlines()[0].split()[-1]
+            with open(out) as fh:
+                rows[sign] = np.array([[float(v) for v in r] for r in list(csv.reader(fh))[1:]])
+        z, phi, aniso = rows["1"].T
+        assert np.array_equal(rows["-1"], np.stack([z, -phi, aniso], axis=1))
+        assert verdicts == {"1": "orientation=1", "-1": "orientation=-1"}
+
+    def test_orientation_reversing_fiber_map_fails_integrability(self, tmp_path, capsys):
+        # fiber.sign = -1 makes the modified chart's fiber map anti-holomorphic,
+        # so its Nijenhuis tensor is of order one, not zero
+        rows = {}
+        for sign in (1, -1):
+            cfg, out = tmp_path / f"cfg_{sign}.json", tmp_path / f"r_{sign}.json"
+            cfg.write_text(json.dumps({"metric": "burns", "suite": "integrability",
+                                       "fiber": {"sign": sign}}))
+            rc = main(["verify", "--config", str(cfg), "--points", "5", "--report", str(out)])
+            assert rc == (0 if sign == 1 else 1)
+            checks = {c["check_id"]: c for c in json.loads(out.read_text())["checks"]}
+            rows[sign] = checks["integrability.modified_holomorphic"]
+        assert rows[1]["pass"] and rows[1]["max_residual"] < 1e-12
+        assert not rows[-1]["pass"] and rows[-1]["max_residual"] > 1.0
+
     def test_solve_map_evaluates_phi_once(self, tmp_path, quad_calls):
         # the CSV and the conformality verdict come from one evaluation of
         # phi on the z grid; the other quadrature is the degeneracy scan on

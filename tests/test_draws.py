@@ -66,7 +66,7 @@ def test_nijenhuis_on_modified_charts(metric):
     prof = fm.get_profile("cylinder")
     emap = fm.solve_phi(prof, c=0.0, sign=1, branch="quadrature")
     for fmap in (emap, emap.perturbed(0.1)):
-        chart = tw.TwistorChart.modified(metric, prof, fmap)
+        chart = tw.TwistorChart(metric, fmap)
         ctx = tw.ChartEval(chart, chart.sample(7, SEED))
         assert_bits(ctx.nijenhuis, ref.nijenhuis_values(ctx))
         assert_bits(ctx.flipped().nijenhuis, ref.nijenhuis_values(ctx.flipped()))
@@ -104,7 +104,7 @@ def test_curvature_operator_matches_the_pair_loop(metric, per_block, monkeypatch
 def test_mixed_nijenhuis_takes_stacked_draws(metric):
     prof = fm.get_profile("cylinder")
     fmap = fm.solve_phi(prof, c=0.0, sign=1, branch="quadrature").perturbed(0.1)
-    chart = tw.TwistorChart.modified(metric, prof, fmap)
+    chart = tw.TwistorChart(metric, fmap)
     ctx = tw.ChartEval(chart, chart.sample(7, SEED))
     rng = np.random.default_rng(SEED)
     X, Z = rng.normal(size=(2, 5, 4))

@@ -53,66 +53,34 @@ class TestChartDomain:
         with pytest.raises(ConfigurationError):
             geo.ChartDomain([[0, 0]] * 4)
 
-    def test_sampling_respects_margin_and_exclusion(self, rng):
-        dom = geo.ChartDomain([[0, 1]] * 4, exclusion=lambda x: x[..., 0] < 0.5)
+    def test_sampling_respects_margin(self, rng):
+        dom = geo.ChartDomain([[0, 1]] * 4)
         pts = dom.sample(40, rng)
         m = geo.SAMPLE_MARGIN
         assert np.all(pts >= m) and np.all(pts <= 1.0 - m)
-        assert np.all(pts[:, 0] >= 0.5)
 
     def test_sampling_deterministic(self):
         dom = geo.ChartDomain([[0, 1]] * 4)
         assert np.array_equal(dom.sample(5, 42), dom.sample(5, 42))
 
-    @pytest.mark.parametrize("exclusion", [None, lambda x: x[..., 0] < 0.5,
-                                           lambda x: np.sum(x * x, axis=-1) < 1.0])
     @pytest.mark.parametrize("n", (1, 5, 400))
     @pytest.mark.parametrize("seed", (2024, 7, 11))
-    def test_batch_sampling_draws_as_the_point_loop(self, exclusion, n, seed):
+    def test_batch_sampling_draws_as_the_point_loop(self, n, seed):
         # the same points, and the generator left where the loop leaves it
         # (TwistorChart.sample draws the fiber points from it next)
-        dom = geo.ChartDomain([[0, 1]] * 4, exclusion=exclusion)
+        dom = geo.ChartDomain([[0, 1]] * 4)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         assert np.array_equal(dom.sample(n, rng), ref.chart_sample(dom, n, ref_rng))
         assert rng.uniform() == ref_rng.uniform()
 
-    @pytest.mark.parametrize("exclusion", [None, lambda x: x[..., 0] < 0.5,
-                                           lambda x: np.sum(x * x, axis=-1) < 1.0])
     @pytest.mark.parametrize("seed", (2024, 7, 11))
-    def test_a_sample_is_the_head_of_every_wider_sample(self, exclusion, seed):
-        # one candidate per missing point: the n points of a seed are the
-        # first n of any wider sample at that seed, rejections included
-        dom = geo.ChartDomain([[0, 1]] * 4, exclusion=exclusion)
+    def test_a_sample_is_the_head_of_every_wider_sample(self, seed):
+        # one draw of n rows: the n points of a seed are the first n of any
+        # wider sample at that seed
+        dom = geo.ChartDomain([[0, 1]] * 4)
         wide = dom.sample(50, seed)
         for n in (1, 7, 20, 30, 49):
             assert np.array_equal(dom.sample(n, seed), wide[:n]), n
-        if exclusion is not None:  # the exclusion rejected candidates
-            assert not np.array_equal(geo.ChartDomain([[0, 1]] * 4).sample(50, seed), wide)
-
-    @pytest.mark.parametrize("accepted,n,gives_up", [
-        ((), 1, True), ((999,), 1, False), ((1000,), 1, True),
-        ((0, 1000), 2, False), ((0, 1001), 2, True), ((3, 500, 1400), 3, False),
-        ((3, 500, 1501), 3, True)])
-    def test_sampling_gives_up_after_1000_rejections_in_a_row(self, accepted, n, gives_up):
-        # the exclusion admits only the candidates numbered ``accepted``, in
-        # draw order; the loop gives up on a point after 1000 rejections
-        def admitting(numbers):
-            seen = [0]
-
-            def exclusion(x):
-                t = seen[0] + np.arange(len(x))
-                seen[0] += len(x)
-                return ~np.isin(t, numbers)
-            return exclusion
-
-        for sample in (lambda dom: dom.sample(n, 3),
-                       lambda dom: ref.chart_sample(dom, n, np.random.default_rng(3))):
-            dom = geo.ChartDomain([[0, 1]] * 4, exclusion=admitting(accepted))
-            if gives_up:
-                with pytest.raises(GeometryError, match="could not sample an admissible chart point"):
-                    sample(dom)
-            else:
-                assert sample(dom).shape == (n, 4)
 
 
 class TestChristoffel:

@@ -173,16 +173,8 @@ class TestCurvatureResiduals:
 
 @pytest.mark.parametrize("name", ("eguchi_hanson", "burns"))
 def test_puncture_guard(name):
-    # the exclusion rejects the points with |x|^2 < 0.1 around the puncture;
-    # the sampling box keeps clear of it, so only a box moved onto the
-    # puncture meets it, and sampling then goes round it
+    # the metric is singular at the puncture x = 0, and nothing is rejected
+    # when sampling: the sampling box keeps clear of it, |x|^2 >= 0.1
     dom = kahler.get_fixture(name).chart
-    x = np.array([[0.1] * 4, [0.15] * 4, [0.16] * 4, [0.2] * 4, [0.3, 0.1, 0.0, 0.0]])
-    assert dom.exclusion(x).tolist() == [True, True, False, False, False]
     lo = dom.box[:, 0] + geo.SAMPLE_MARGIN * (dom.box[:, 1] - dom.box[:, 0])
     assert np.all(lo > 0) and np.sum(lo * lo) >= 0.1
-    near = geo.ChartDomain([[-0.3, 0.3]] * 4, exclusion=dom.exclusion)
-    pts = near.sample(200, 5)
-    assert np.all(np.sum(pts * pts, axis=-1) >= 0.1)
-    free = geo.ChartDomain([[-0.3, 0.3]] * 4).sample(200, 5)
-    assert np.any(np.sum(free * free, axis=-1) < 0.1)

@@ -308,7 +308,7 @@ def test_chart_eval_halves_jet_products(eguchi_hanson, multiply_calls):
 
 def test_chart_sample_runs_one_quadrature(flat, quad_calls):
     prof = fibermap.get_profile("cylinder")
-    chart = twistor.TwistorChart.modified(flat, prof, fibermap.solve_phi(prof, branch="quadrature"))
+    chart = twistor.TwistorChart(flat, fibermap.solve_phi(prof, branch="quadrature"))
     pts = chart.sample(20, 3)
     assert quad_calls == [20]
     assert np.all(np.abs(chart.fmap.phi_values(pts[:, twistor.IDX_V])) < 1.0 - 1e-3)

@@ -43,7 +43,7 @@ def modified_chart(metric, perturb=0.0, profile_name="cylinder", c=0.0):
     emap = fm.solve_phi(prof, c=c, branch="quadrature")
     if perturb:
         emap = emap.perturbed(perturb)
-    return tw.TwistorChart.modified(metric, prof, emap)
+    return tw.TwistorChart(metric, emap)
 
 
 class TestKOperator:
@@ -559,7 +559,7 @@ class TestSharedBase:
                 assert list(vars(shared)) == list(vars(fresh))
                 for field in names:
                     _same_fields(getattr(shared, field), getattr(fresh, field),
-                                 f"{chart.profile.name} {n} {field}")
+                                 f"{chart.fmap.profile.name} {n} {field}")
 
     def test_narrower_charts_read_the_wide_connection(self, charts, monkeypatch):
         calls = []

@@ -42,9 +42,7 @@ Each ``raw/...`` line has a twin ``raw/...+0.0`` that hashes the same
 array plus 0.0, which makes every zero +0.0 and keeps every other bit, NaN
 and inf.  Fixtures, suite seeds and the ``dense_balanced`` input are read
 from ROOT's ``perfbench/workloads.py``.  ``diff`` of the lines of two
-checkouts lists every output that differs between them.  The script runs
-on checkouts whose ``BaseEval.connection`` is a method and on those where
-it is a property.
+checkouts lists every output that differs between them.
 
 A change that keeps every value must leave byte-identical every report,
 demo and ``solve-map`` line, every value-level ``identities/...`` line, the
@@ -111,12 +109,6 @@ def _raw_arrays(wl):
             yield name, _raw(data)
 
 
-def _connection(base):
-    """(sd, beta) of a ``BaseEval``, its ``connection`` a property or a method."""
-    connection = base.connection
-    return connection() if callable(connection) else connection
-
-
 def _coefficient_arrays(wl):
     import numpy as np
 
@@ -128,7 +120,7 @@ def _coefficient_arrays(wl):
         for n in (1, 7, 50, 400):
             pts = metric.chart.sample(n, wl.CONFIG_SEEDS[0])
             base = kahler.BaseEval(metric, pts)
-            sd, beta = _connection(base)
+            sd, beta = base.connection
             s2 = kahler._self_dual(kahler.adapted_frame(base.gjets))[1]
             nabla = kahler._two_vector_nabla(base.gamma_jets, s2)
             for name, jet in (("s", sd.truncate(base.gjets.order - 1)), ("beta", beta),
@@ -141,7 +133,7 @@ def _coefficient_arrays(wl):
                 frame = kahler.adapted_frame(base.gjets)
                 yield f"raw/{fixture}/{n}/frame_{order}", frame.coeffs
                 if order == 3:  # rounding leaves residues of about 1e-17 where s2 and s3 are zero at order 2
-                    sd, beta = _connection(base)
+                    sd, beta = base.connection
                     nabla = kahler._two_vector_nabla(base.gamma_jets, kahler._self_dual(frame)[1])
                     for name, jet in (("s_3", sd), ("beta_3", beta), ("nabla_s2_3", nabla)):
                         yield f"raw/{fixture}/{n}/{name}", jet.coeffs

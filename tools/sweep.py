@@ -25,12 +25,11 @@ twistor chart:
 and at those chart points, at working order 1:
 
 * ``chart_eval``: a ``ChartEval`` assembled on a ``BaseEval`` whose
-  connection is built, as the suites share one, with its J and h (on a
-  ROOT with ``twistor.ChartBase``, on one of those with its fields built);
+  connection is built, as the suites share one, with its J and h;
 * ``nijenhuis``: ``twistor._nijenhuis_values`` of that ChartEval;
 * ``wedge_d``: d(Omega ^ Omega) of its Omega = tau + omega_FS, the
   balanced condition, by ``d_wedge``, which forms only the partials d
-  reads (by ``wedge_dicts`` then ``d_dict`` on a ROOT without it).
+  reads.
 
 Each time is the best of 5 warm runs (one untimed run first), each run
 repeating the call until it takes 20 ms or more, divided by n.  Every
@@ -120,12 +119,8 @@ def _layers(metric, x6):
     s2 = kahler._self_dual(frame, (1,))[0]
     s3 = kahler._self_dual(frame.truncate(1))[2]
     chart = twistor.TwistorChart.twistor(metric)
-    if hasattr(twistor, "ChartBase"):  # a ROOT whose charts share a ChartBase
-        base = twistor.ChartBase(metric, x)
-        base.fields
-    else:
-        base = kahler.BaseEval(metric, x)
-        base.connection  # built once and shared, as in a suite run
+    base = kahler.BaseEval(metric, x)
+    base.connection  # built once and shared, as in a suite run
 
     def chart_eval():
         ctx = twistor.ChartEval(chart, x6, base=base)
@@ -133,7 +128,6 @@ def _layers(metric, x6):
 
     ctx = twistor.ChartEval(chart, x6, base=base)
     omega = twistor.omega_ab_field(ctx, None)
-    d_wedge = getattr(twistor, "d_wedge", lambda a, b: twistor.d_dict(twistor.wedge_dicts(a, b)))
     return {
         "jets_at": lambda: metric.jets_at(x, 2),
         "adapted_frame": lambda: kahler.adapted_frame(gjets),
@@ -141,7 +135,7 @@ def _layers(metric, x6):
         "beta_form": lambda: kahler.beta_form(gjets, s2, s3, gamma),
         "chart_eval": chart_eval,
         "nijenhuis": lambda: twistor._nijenhuis_values(ctx),
-        "wedge_d": lambda: d_wedge(omega, omega),
+        "wedge_d": lambda: twistor.d_wedge(omega, omega),
     }
 
 
