@@ -36,7 +36,7 @@ import inspect
 import numpy as np
 
 from . import jets
-from .errors import FrameError, GeometryError
+from .errors import FrameError, GeometryError, UsageError
 from .geometry import (
     DIM,
     ChartDomain,
@@ -50,6 +50,7 @@ from .geometry import (
     curvature_two_vector_action,
     sd_basis,
     tensor_values,
+    _at,
     _curvature_from_jets,
     _inner_kernel,
 )
@@ -76,9 +77,15 @@ class KahlerPotentialMetric(MetricField):
 
     def jets_at(self, x, order: int) -> jets.Jet:
         """Stacked (4, 4) g_{ij} jets of order ``order``, from potential jets
-        two orders higher."""
+        two orders higher; GeometryError, naming the first point, where the
+        potential is undefined (the log or sqrt of a nonpositive value)."""
+        x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            phi = self.potential(jets.seed_raw(np.asarray(x, dtype=float), order + 2))
+            try:
+                phi = self.potential(jets.seed_raw(x, order + 2))
+            except UsageError as exc:
+                where = self._undefined_at(x, order + 2)
+                raise GeometryError(f"potential is undefined: {exc}{where}") from None
             # second partials of Phi as jets of the requested order, d_a then d_b
             # for a <= b (one combined factor would round differently)
             d1 = [phi.deriv(a) for a in range(DIM)]
@@ -94,6 +101,16 @@ class KahlerPotentialMetric(MetricField):
                     g[:, xa, yb] = g[:, yb, xa] = im
                     g[:, ya, xb] = g[:, xb, ya] = -1.0 * im
         return check_finite(jets.Jet(d2.space, g), x)
+
+    def _undefined_at(self, x, order: int) -> str:
+        """`` at x=...``, the first point of ``x`` where the potential raises,
+        found one point at a time (on the error path only)."""
+        for i, xi in enumerate(x.reshape(-1, DIM)):
+            try:
+                self.potential(jets.seed_raw(xi[None], order))
+            except UsageError:
+                return _at(x, [[i]])
+        return ""
 
 
 # ---------------------------------------------------------------------------

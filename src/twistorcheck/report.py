@@ -16,7 +16,9 @@ at any point count, reads one base evaluation of the run's seed.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -31,10 +33,20 @@ SUITES = ("curvature", "integrability", "structure_identities", "balanced",
 
 TOL_TIERS = {"strict": 1.0, "loose": 100.0}
 
-# Peak RSS grows by about 41 kB a point (Burns, suite=all: 54 MB at 400
-# points, 119 MB at 2000), so 50 000 points need about 2 GB, a quarter of
-# an 8 GB host; a larger count is refused before anything is allocated.
+# Peak RSS grows by about 50 kB a point (Burns, suite=all through the CLI:
+# 59 MB at 400 points, 139 MB at 2000, 292 MB at 5000), so 50 000 points
+# need about 2.5 GB, under a third of an 8 GB host; a larger count is
+# refused before anything is allocated.
 MAX_SAMPLE_COUNT = 50_000
+
+# The run's malloc policy on glibc (mallopt parameters from <malloc.h>): keep
+# up to 256 MiB of freed heap top instead of returning it to the kernel, and
+# serve blocks below 32 MiB (glibc's largest mmap threshold on 64-bit) from
+# the heap, so a repeated pass reuses the pages the first one faulted in.
+# Setting the trim threshold alone freezes the mmap threshold where it stands.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 256 << 20
+_MMAP_THRESHOLD = 32 << 20
 
 _FIBER_KEYS = {
     "profile": "cylinder",
@@ -437,8 +449,25 @@ _SUITE_RUNNERS = {
 }
 
 
+def keep_heap():
+    """Set the run's malloc policy (above) if the C library is glibc; on any
+    other, whose mallopt numbers may mean something else, do nothing.  It
+    changes no arithmetic, only which pages a pass faults in, and setting it
+    again changes nothing."""
+    try:
+        glibc = (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    if glibc:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def run_suite(config: SuiteConfig) -> dict:
     """Execute the configured suite and assemble the verification report."""
+    keep_heap()
     config.validate()
     metric = kahler.get_fixture(config.metric, **config.params)
     rec = _Recorder(config)

@@ -178,3 +178,12 @@ def test_puncture_guard(name):
     dom = kahler.get_fixture(name).chart
     lo = dom.box[:, 0] + geo.SAMPLE_MARGIN * (dom.box[:, 1] - dom.box[:, 0])
     assert np.all(lo > 0) and np.sum(lo * lo) >= 0.1
+
+
+@pytest.mark.parametrize("name", ["burns", "eguchi_hanson"])
+def test_undefined_potential_names_the_point(name):
+    # the potential's log is undefined at the puncture x = 0: the error names
+    # that point, not the good point before it
+    x = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(GeometryError, match=r"potential is undefined: log .* at x=\[0\. 0\. 0\. 0\.\]$"):
+        kahler.BaseEval(kahler.get_fixture(name), x)

@@ -32,7 +32,10 @@ and at those chart points, at working order 1:
   reads.
 
 Each time is the best of 5 warm runs (one untimed run first), each run
-repeating the call until it takes 20 ms or more, divided by n.  Every
+repeating the call until it takes 20 ms or more, divided by n;
+``minflt_per_call`` is the minor page faults of those 5 runs over the calls
+they made.  The sweep first sets ROOT's malloc policy (``report.keep_heap``)
+where ROOT has one, as a suite run does.  Every
 (fixture, n) block, and the kernel's block at each n, is bracketed by the
 host speed probe of ROOT's ``perfbench/hostspeed.py`` and scaled as the
 benchmark scales its end-to-end times: ``s_per_point`` reads in seconds at
@@ -47,6 +50,7 @@ import importlib.util
 import json
 import pathlib
 import platform
+import resource
 import sys
 import time
 
@@ -64,8 +68,13 @@ def _hostspeed(root: pathlib.Path):
     return module
 
 
-def _best(call) -> float:
-    """Best seconds per call over REPEATS warm runs."""
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _best(call):
+    """Best seconds per call over REPEATS warm runs, and their minor page
+    faults per call."""
     call()
     loops, t0 = 1, time.perf_counter()
     call()
@@ -74,13 +83,13 @@ def _best(call) -> float:
         t0 = time.perf_counter()
         for _ in range(loops):
             call()
-    best = float("inf")
+    best, faults = float("inf"), _minflt()
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(loops):
             call()
         best = min(best, (time.perf_counter() - t0) / loops)
-    return best
+    return best, (_minflt() - faults) / (REPEATS * loops)
 
 
 def _kernel(n):
@@ -141,8 +150,10 @@ def _layers(metric, x6):
 
 def sweep(root: pathlib.Path) -> dict:
     sys.path.insert(0, str(root / "src"))
-    from twistorcheck import kahler, twistor
+    from twistorcheck import kahler, report, twistor
 
+    if hasattr(report, "keep_heap"):
+        report.keep_heap()
     hostspeed = _hostspeed(root)
 
     def block(fixture, n, calls):
@@ -150,7 +161,8 @@ def sweep(root: pathlib.Path) -> dict:
         times = {layer: _best(call) for layer, call in calls.items()}
         scale = hostspeed.scale(before, hostspeed.probe())
         return [{"fixture": fixture, "n": n, "layer": layer, "s_per_point": t * scale / n,
-                 "raw_s_per_point": t / n, "scale": scale} for layer, t in times.items()]
+                 "raw_s_per_point": t / n, "scale": scale, "minflt_per_call": faults}
+                for layer, (t, faults) in times.items()]
 
     rows = [row for n in BATCHES for row in block(None, n, {**_kernel(n), **_fiber_map(n)})]
     for fixture in sorted(kahler.FIXTURES):
@@ -172,7 +184,7 @@ def main(argv=None) -> int:
     pathlib.Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     for row in result["rows"]:
         print(f"{row['fixture'] or '-':<20} {row['n']:>5} {row['layer']:<27} "
-              f"{row['s_per_point'] * 1e6:10.3f} us/point")
+              f"{row['s_per_point'] * 1e6:10.3f} us/point {row['minflt_per_call']:9.1f} faults/call")
     return 0
 
 
