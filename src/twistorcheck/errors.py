@@ -13,6 +13,11 @@ class UsageError(TwistorCheckError):
     """API misuse: out-of-range indices, malformed arguments."""
 
 
+class UndefinedError(UsageError):
+    """A jet function taken where it is undefined: the log or sqrt of a
+    nonpositive value, a division by zero."""
+
+
 class GeometryError(TwistorCheckError):
     """Geometric degeneracy: non-SPD metric, singular chart point."""
 

@@ -91,7 +91,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UndefinedError, UsageError
 
 __all__ = [
     "Jet",
@@ -524,7 +524,7 @@ class Jet:
     def _reciprocal(self):
         u0 = self.coeffs[0]
         if np.any(np.abs(u0) < 1e-300):
-            raise UsageError("division by a jet with zero constant term")
+            raise UndefinedError("division by a jet with zero constant term")
         vals = [1.0 / u0]
         for k in range(1, self.space.order + 1):
             vals.append(((-1.0) ** k) / u0 ** (k + 1))
@@ -582,7 +582,7 @@ def _exp_jet(u):
 def _log_jet(u):
     u0 = u.value
     if np.any(u0 <= 0):
-        raise UsageError("log of a jet with nonpositive constant term")
+        raise UndefinedError("log of a jet with nonpositive constant term")
     vals = [np.log(u0)]
     for k in range(1, u.order + 1):
         vals.append(((-1.0) ** (k + 1)) / (k * u0**k))
@@ -592,7 +592,7 @@ def _log_jet(u):
 def _sqrt_jet(u):
     u0 = u.value
     if np.any(u0 <= 0):
-        raise UsageError("sqrt of a jet with nonpositive constant term")
+        raise UndefinedError("sqrt of a jet with nonpositive constant term")
     vals, binom = [np.sqrt(u0)], 1.0
     for k in range(1, u.order + 1):
         binom *= (0.5 - (k - 1)) / k

@@ -36,7 +36,7 @@ import inspect
 import numpy as np
 
 from . import jets
-from .errors import FrameError, GeometryError, UsageError
+from .errors import FrameError, GeometryError, UndefinedError
 from .geometry import (
     DIM,
     ChartDomain,
@@ -83,8 +83,10 @@ class KahlerPotentialMetric(MetricField):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 phi = self.potential(jets.seed_raw(x, order + 2))
-            except UsageError as exc:
+            except UndefinedError as exc:
                 where = self._undefined_at(x, order + 2)
+                if where is None:
+                    raise
                 raise GeometryError(f"potential is undefined: {exc}{where}") from None
             # second partials of Phi as jets of the requested order, d_a then d_b
             # for a <= b (one combined factor would round differently)
@@ -102,15 +104,17 @@ class KahlerPotentialMetric(MetricField):
                     g[:, ya, xb] = g[:, xb, ya] = -1.0 * im
         return check_finite(jets.Jet(d2.space, g), x)
 
-    def _undefined_at(self, x, order: int) -> str:
-        """`` at x=...``, the first point of ``x`` where the potential raises,
-        found one point at a time (on the error path only)."""
-        for i, xi in enumerate(x.reshape(-1, DIM)):
+    def _undefined_at(self, x, order: int):
+        """`` at x=...``, the first point of ``x`` where the potential is
+        undefined, found one point at a time (on the error path only); None
+        if it is defined at each point on its own."""
+        points = x.reshape(-1, DIM)
+        for i, xi in enumerate(points):
             try:
                 self.potential(jets.seed_raw(xi[None], order))
-            except UsageError:
-                return _at(x, [[i]])
-        return ""
+            except UndefinedError:
+                return _at(points, [[i]])
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,18 @@ TOL_TIERS = {"strict": 1.0, "loose": 100.0}
 # refused before anything is allocated.
 MAX_SAMPLE_COUNT = 50_000
 
-# The run's malloc policy on glibc (mallopt parameters from <malloc.h>): keep
-# up to 256 MiB of freed heap top instead of returning it to the kernel, and
-# serve blocks below 32 MiB (glibc's largest mmap threshold on 64-bit) from
-# the heap, so a repeated pass reuses the pages the first one faulted in.
-# Setting the trim threshold alone freezes the mmap threshold where it stands.
+# The run's malloc policy on glibc (mallopt parameters from <malloc.h>): from
+# the start, the thresholds glibc's own dynamic policy reaches once a process
+# frees a 32 MiB mapped block.  Blocks below 32 MiB (its largest mmap threshold
+# on 64-bit) come from the heap, not from fresh mmaps, and a freed heap top of
+# up to 64 MiB (twice that, as glibc sets it) is kept, so a repeated pass
+# reuses the pages the previous one faulted in; a larger run still returns its
+# heap top to the kernel.  Setting the trim threshold alone freezes the mmap
+# threshold where it stands.  A run that leaves more than the trim threshold
+# free anywhere in the heap (a large one frees blocks below live ones, where
+# trimming the top cannot reach) returns its free pages after it (malloc_trim).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_TRIM_THRESHOLD = 256 << 20
+_TRIM_THRESHOLD = 64 << 20
 _MMAP_THRESHOLD = 32 << 20
 
 _FIBER_KEYS = {
@@ -449,24 +454,56 @@ _SUITE_RUNNERS = {
 }
 
 
+def _glibc() -> bool:
+    """Whether the C library is glibc, whose mallopt numbers keep_heap uses."""
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return False
+
+
 def keep_heap():
     """Set the run's malloc policy (above) if the C library is glibc; on any
-    other, whose mallopt numbers may mean something else, do nothing.  It
-    changes no arithmetic, only which pages a pass faults in, and setting it
-    again changes nothing."""
-    try:
-        glibc = (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
-    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
-        return
-    if glibc:
+    other, whose mallopt numbers may mean something else, do nothing.  The
+    policy is process-wide: it replaces both thresholds, whatever set them
+    before, and stays set for the rest of the process.  It changes no
+    arithmetic, only which pages a pass faults in, and setting it again
+    changes nothing."""
+    if _glibc():
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
+class _Mallinfo2(ctypes.Structure):
+    """glibc's ``struct mallinfo2`` (<malloc.h>): every field a size_t."""
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def release_heap():
+    """Return the heap's free pages to the kernel (malloc_trim) if more than
+    the trim threshold of it is free; after a run that fits the threshold do
+    nothing, so the next run reuses those pages.  glibc 2.33 or later only
+    (mallinfo2); on any other C library it does nothing."""
+    if _glibc():
+        libc = ctypes.CDLL(None)
+        mallinfo2 = getattr(libc, "mallinfo2", None)
+        if mallinfo2 is not None:
+            mallinfo2.restype = _Mallinfo2
+            if mallinfo2().fordblks > _TRIM_THRESHOLD:
+                libc.malloc_trim(0)
+
+
 def run_suite(config: SuiteConfig) -> dict:
-    """Execute the configured suite and assemble the verification report."""
+    """Execute the configured suite and assemble the verification report.
+
+    It first sets the process's malloc policy (:func:`keep_heap`; glibc
+    only), which stays set after it returns: the process keeps up to 64 MiB
+    of freed heap, so a later run in it faults in no fresh pages.  A run
+    that leaves more free returns it (:func:`release_heap`)."""
     keep_heap()
     config.validate()
     metric = kahler.get_fixture(config.metric, **config.params)
@@ -505,6 +542,8 @@ def run_suite(config: SuiteConfig) -> dict:
         "checks": checks,
         "overall_pass": bool(all(r.passed for r in rec.records)),
     }
+    del metric, rec  # free what the run built before the heap is measured
+    release_heap()
     return report
 
 

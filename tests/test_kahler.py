@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from twistorcheck import geometry as geo, kahler
-from twistorcheck.errors import GeometryError
+from twistorcheck import geometry as geo, jets, kahler
+from twistorcheck.errors import GeometryError, UsageError
 
 
 def values_at(metric, x):
@@ -187,3 +187,22 @@ def test_undefined_potential_names_the_point(name):
     x = np.array([[0.5, 0.5, 0.5, 0.5], [0.0, 0.0, 0.0, 0.0]])
     with pytest.raises(GeometryError, match=r"potential is undefined: log .* at x=\[0\. 0\. 0\. 0\.\]$"):
         kahler.BaseEval(kahler.get_fixture(name), x)
+
+
+def test_undefined_potential_names_the_point_of_a_2d_batch():
+    # the point is named by its place in the batch, whatever the batch's shape
+    x = np.full((2, 3, 4), 0.5)
+    x[1, 0] = [0.0, 0.0, 0.0, 0.0]
+    x[1, 1] = [-1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(GeometryError, match=r"at x=\[0\. 0\. 0\. 0\.\]$"):
+        kahler.get_fixture("burns").jets_at(x, 0)
+
+
+def test_misused_jets_in_a_potential_stay_a_usage_error():
+    # a potential that combines jets of different spaces is a programming
+    # error at every point, not a point where the potential is undefined
+    other = jets.seed_raw(np.zeros(2), 2)[0]
+    metric = kahler.KahlerPotentialMetric(kahler.get_fixture("flat").chart,
+                                          lambda z: z[0] * z[0] + other)
+    with pytest.raises(UsageError, match="different spaces"):
+        metric.jets_at(np.full((2, 4), 0.5), 0)
