@@ -11,8 +11,8 @@ Fubini-Study (W+ != 0, Scal = 24: the negative control for twistor
 integrability), Eguchi-Hanson (hyperkahler: whole ++ block and Ric0
 vanish), Burns (scalar-flat but not Ricci-flat: Ric0 survives).
 
-The metric is evaluated once per point: ``curvature_data`` keeps the metric
-jets it computed the curvature from, and the adapted frame is built from
+The metric is evaluated once per point: a ``kahler.BaseEval`` keeps the
+metric jets, and the curvature and the adapted frame are both built from
 those same jets.
 """
 
@@ -25,9 +25,8 @@ np.set_printoptions(precision=5, suppress=True)
 for name in ("flat", "fubini_study", "eguchi_hanson", "burns"):
     metric = kahler.get_fixture(name)
     x = metric.chart.sample(1, np.random.default_rng(1))[0]
-    data = geo.curvature_data(metric, x)  # the one evaluation of the metric
-    frame = geo.tensor_values(kahler.adapted_frame(data.gjets), 2)
-    basis = geo.sd_basis(frame, data.gvals)
+    base = kahler.BaseEval(metric, x)  # the one evaluation of the metric
+    data, basis = base.curvature(), base.basis
     op = geo.curvature_operator(data, basis)
     print(f"=== {name} at x={np.round(x, 3)}")
     print("Scal          :", float(np.round(data.scal, 10)))

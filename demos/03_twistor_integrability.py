@@ -21,10 +21,10 @@ def show(label, chart, n=25):
 
 for name in ("flat", "eguchi_hanson", "burns"):
     show(f"{name}: plain twistor chart",
-         twistor.TwistorChart.twistor(kahler.get_fixture(name)))
+         twistor.TwistorChart(kahler.get_fixture(name)))
 
 show("fubini_study: plain twistor chart (W+ != 0, obstructed)",
-     twistor.TwistorChart.twistor(kahler.get_fixture("fubini_study")))
+     twistor.TwistorChart(kahler.get_fixture("fubini_study")))
 
 # Modified charts over Eguchi-Hanson: the fiber is a cylinder, and the
 # isothermal-coordinate solution phi = tanh(z + c) is the holomorphic map.
@@ -36,7 +36,7 @@ show("eguchi_hanson: cylinder fiber, perturbed map (obstructed)",
 
 # The same dichotomy through the independent route: the Nijenhuis tensor
 # evaluated from the Levi-Civita connection of the total-space metric.
-chart = twistor.TwistorChart.twistor(eh)
+chart = twistor.TwistorChart(eh)
 ctx = twistor.ChartEval(chart, chart.sample(3, SEED))
 agree = np.max(twistor.nijenhuis_route_agreement(ctx, n_triples=10, seed=SEED))  # worst point
 print(f"\nbracket route vs connection route (20 random triples): {agree:.3e}")

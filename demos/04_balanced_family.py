@@ -21,7 +21,7 @@ weights = (
 )
 
 for name in ("eguchi_hanson", "burns"):
-    chart = twistor.TwistorChart.twistor(kahler.get_fixture(name))
+    chart = twistor.TwistorChart(kahler.get_fixture(name))
     ctx = twistor.ChartEval(chart, chart.sample(15, SEED))  # one evaluation, four weights
     print(f"=== {name}")
     for label, h in weights:
@@ -29,11 +29,11 @@ for name in ("eguchi_hanson", "burns"):
         print(f"  {label:22s} max|d(Omega_h^2)| = {rep.max_residual:.3e}")
 
 print("\ncontrols:")
-eh_chart = twistor.TwistorChart.twistor(kahler.get_fixture("eguchi_hanson"))
+eh_chart = twistor.TwistorChart(kahler.get_fixture("eguchi_hanson"))
 ctrl = twistor.balanced_check(twistor.ChartEval(eh_chart, eh_chart.sample(15, SEED)), None,
                               weight_mode="x_dependent")
 print(f"  base-dependent weight e^{{x0}} on EH   : {ctrl.max_residual:.3e}  (not balanced)")
-fs_chart = twistor.TwistorChart.twistor(kahler.get_fixture("fubini_study"))
+fs_chart = twistor.TwistorChart(kahler.get_fixture("fubini_study"))
 fs = twistor.balanced_check(twistor.ChartEval(fs_chart, fs_chart.sample(10, SEED)), None)
 print(f"  positive scalar curvature base (FS)  : {fs.max_residual:.3e}  (not balanced)")
 

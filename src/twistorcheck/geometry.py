@@ -6,9 +6,10 @@ symbols, the full Riemann tensor, the half-determinant inner product on
 block form.  :func:`covariant_derivative` (of a 2-tensor field) and
 :func:`wedge` (of two vectors) serve the base and the total space alike.
 
-A metric is evaluated once per point set: :meth:`MetricField.jets_at`
-returns the metric jets as one stacked (4, 4) jet, and :func:`curvature_data`
-bundles those jets with the curvature computed from them.  Functions
+A metric is evaluated once per point set, by :class:`kahler.BaseEval`:
+:meth:`MetricField.jets_at` returns the metric jets as one stacked (4, 4)
+jet, and :func:`curvature_data` bundles those jets with the curvature
+computed from them and their :func:`christoffel_jets`.  Functions
 downstream take the jets or the :class:`CurvatureData` they need, never the
 metric and the points again; jets carry their own truncation order.  A
 tensor of jets is always one stacked jet (see :mod:`twistorcheck.jets`);
@@ -241,17 +242,11 @@ class CurvatureData:
     rup: np.ndarray
 
 
-def curvature_data(metric: MetricField, x) -> CurvatureData:
-    """Full curvature at x (Rlow, Ric, Scal, Rup) from one order-2 evaluation."""
-    gjets = metric.jets_at(x, 2)
-    gvals = tensor_values(gjets, 2)
-    check_spd(gvals, x)
-    return _curvature_from_jets(gjets, gvals, christoffel_jets(gjets))
-
-
-def _curvature_from_jets(gjets, gvals, gamma_jets) -> CurvatureData:
-    """Curvature of metric jets of order >= 2 whose values ``gvals`` are SPD,
-    from their Christoffel jets ``gamma_jets`` (:func:`christoffel_jets`)."""
+def curvature_data(gjets: jets.Jet, gvals: np.ndarray, gamma_jets: jets.Jet) -> CurvatureData:
+    """Full curvature (Rlow, Ric, Scal, Rup) of metric jets ``gjets`` of order
+    >= 2 whose values ``gvals`` are SPD, from their Christoffel jets
+    ``gamma_jets`` (:func:`christoffel_jets`); at a metric's points, read
+    :meth:`kahler.BaseEval.curvature`."""
     gamma = tensor_values(gamma_jets, 3)
     dgamma = tensor_partials(gamma_jets, 3)  # [..., i, l, j, k] = d_i Gamma^l_{jk}
     # R(d_i, d_j) d_k = Rup[..., l, k, i, j] d_l
@@ -293,10 +288,6 @@ class TwoVector:
         if np.max(np.abs(comps + np.swapaxes(comps, -1, -2))) > 1e-12 * max(1.0, np.max(np.abs(comps))):
             raise UsageError("two-vector components must be antisymmetric")
         self.comps = comps
-
-    @staticmethod
-    def wedge(X, Y) -> "TwoVector":
-        return TwoVector(wedge(np.asarray(X, float), np.asarray(Y, float)))
 
 
 def _inner_kernel(gvals, B1, B2):

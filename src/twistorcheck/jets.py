@@ -798,9 +798,10 @@ def nonzero_components(coeffs: np.ndarray, ndim: int) -> np.ndarray:
 def seed(point, order: int, n_vars: int | None = None):
     """Coordinate jets at ``point``: value + unit first-order coefficient.
 
-    ``order`` must be 1, 2 or 3 (the orders any verification run needs).
-    ``point`` may be a flat coordinate tuple or an array whose last axis is
-    the coordinate axis (leading axes become the jet batch).
+    ``order`` must be 1, 2 or 3, the public contract; the package itself
+    seeds through :func:`seed_raw`, at order 4 too (a potential under base
+    order 2).  ``point`` may be a flat coordinate tuple or an array whose
+    last axis is the coordinate axis (leading axes become the jet batch).
     """
     if order not in (1, 2, 3):
         raise ConfigurationError(f"jet order must be 1, 2 or 3, got {order}")

@@ -47,11 +47,11 @@ from .geometry import (
     check_spd,
     christoffel_jets,
     covariant_derivative,
+    curvature_data,
     curvature_two_vector_action,
     sd_basis,
     tensor_values,
     _at,
-    _curvature_from_jets,
     _inner_kernel,
 )
 
@@ -402,7 +402,7 @@ class BaseEval:
 
     def curvature(self) -> CurvatureData:
         """The curvature at the points (needs ``order`` >= 2)."""
-        return _curvature_from_jets(self.gjets, self.gvals, self.gamma_jets)
+        return curvature_data(self.gjets, self.gvals, self.gamma_jets)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import ctypes
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -143,27 +143,23 @@ def _check_real(where: str, value):
         raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
 
 
-@dataclass
-class CheckRecord:
-    check_id: str
-    anchor: str
-    points_tested: int
-    max_residual: float
-    threshold: float
-    mode: str  # "below" (affirmative) or "exceeds" (negative control)
-    passed: bool
-    detail: dict = field(default_factory=dict)
+def _row(check_id, anchor, points, residual, threshold, mode, passed, detail) -> dict:
+    """One check of a report, as its JSON holds it; ``mode`` is "below"
+    (affirmative), "exceeds" (negative control) or "skipped"."""
+    return {"check_id": check_id, "anchor": anchor, "points_tested": int(points),
+            "max_residual": _json_float(residual), "threshold": _json_float(threshold),
+            "mode": mode, "pass": bool(passed), "detail": _json_clean(detail)}
 
 
 class _Recorder:
-    """The records of one run, and the evaluations its suites share: the
+    """The report rows of one run, and the evaluations its suites share: the
     widest :class:`kahler.BaseEval` built at the run's seed (:func:`_base`)
     and the plain chart's ChartEval at each point count
     (:func:`_plain_eval`), kept until the run ends."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
-        self.records = []
+        self.rows = []
         self.scale = TOL_TIERS[config.tol_tier]
         self.base = None  # the widest BaseEval; see _base
         self.plain_evals = {}  # n -> ChartEval; see _plain_eval
@@ -172,12 +168,11 @@ class _Recorder:
         thr = float(self.config.tolerances.get(check_id, threshold * (self.scale if mode == "below" else 1.0)))
         residual = float(residual)
         passed = residual < thr if mode == "below" else residual > thr
-        self.records.append(CheckRecord(check_id, anchor, int(points), residual,
-                                        thr, mode, bool(passed), detail or {}))
+        self.rows.append(_row(check_id, anchor, points, residual, thr, mode, passed, detail or {}))
 
     def skip(self, check_id, anchor, reason):
-        self.records.append(CheckRecord(check_id, anchor, 0, float("nan"), float("nan"),
-                                        "skipped", True, {"reason": reason}))
+        self.rows.append(_row(check_id, anchor, 0, float("nan"), float("nan"),
+                              "skipped", True, {"reason": reason}))
 
 
 def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
@@ -282,7 +277,7 @@ def _plain_eval(rec: _Recorder, metric, n: int) -> twistor.ChartEval:
     share one evaluation, and suites with fewer points read the head of the
     base."""
     if n not in rec.plain_evals:
-        chart = twistor.TwistorChart.twistor(metric)
+        chart = twistor.TwistorChart(metric)
         rec.plain_evals[n] = twistor.ChartEval(chart, chart.sample(n, rec.config.seed),
                                                base=_base(rec, metric, n))
     return rec.plain_evals[n]
@@ -486,15 +481,18 @@ class _Mallinfo2(ctypes.Structure):
 def release_heap():
     """Return the heap's free pages to the kernel (malloc_trim) if more than
     the trim threshold of it is free; after a run that fits the threshold do
-    nothing, so the next run reuses those pages.  glibc 2.33 or later only
-    (mallinfo2); on any other C library it does nothing."""
+    nothing, so the next run reuses those pages.  A glibc older than 2.33
+    has no mallinfo2 to measure the free heap with, so there it trims after
+    every run; on any other C library it does nothing."""
     if _glibc():
         libc = ctypes.CDLL(None)
         mallinfo2 = getattr(libc, "mallinfo2", None)
         if mallinfo2 is not None:
-            mallinfo2.restype = _Mallinfo2
-            if mallinfo2().fordblks > _TRIM_THRESHOLD:
-                libc.malloc_trim(0)
+            mallinfo2.argtypes, mallinfo2.restype = (), _Mallinfo2
+        if mallinfo2 is None or mallinfo2().fordblks > _TRIM_THRESHOLD:
+            trim = libc.malloc_trim
+            trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+            trim(0)
 
 
 def run_suite(config: SuiteConfig) -> dict:
@@ -510,21 +508,15 @@ def run_suite(config: SuiteConfig) -> dict:
     rec = _Recorder(config)
     names = [s for s in SUITES if s != "all"] if config.suite == "all" else [config.suite]
     for name in names:
-        start = len(rec.records)
+        start = len(rec.rows)
         try:
             _SUITE_RUNNERS[name](rec, metric, config)
         except TwistorCheckError as exc:
-            after = rec.records[-1].check_id if len(rec.records) > start else None
-            rec.records.append(CheckRecord(
+            after = rec.rows[-1]["check_id"] if len(rec.rows) > start else None
+            rec.rows.append(_row(
                 f"{name}.numeric_failure", "suite aborted by a numerical error",
                 0, float("inf"), 0.0, "below", False,
                 {"error": str(exc), "type": type(exc).__name__, "after": after}))
-    checks = [asdict(r) for r in rec.records]
-    for c in checks:
-        c["max_residual"] = _json_float(c["max_residual"])
-        c["threshold"] = _json_float(c["threshold"])
-        c["detail"] = _json_clean(c["detail"])
-        c["pass"] = c.pop("passed")
     report = {
         "environment": {
             "package": "twistorcheck",
@@ -539,8 +531,8 @@ def run_suite(config: SuiteConfig) -> dict:
             "tol_tier": config.tol_tier,
             "fiber": _json_clean(config.fiber),
         },
-        "checks": checks,
-        "overall_pass": bool(all(r.passed for r in rec.records)),
+        "checks": rec.rows,
+        "overall_pass": all(r["pass"] for r in rec.rows),
     }
     del metric, rec  # free what the run built before the heap is measured
     release_heap()

@@ -113,17 +113,13 @@ class TwistorChart:
     """A 6-coordinate chart on the (modified) twistor space over a fixture:
     its base metric and one equivariant fiber map ``fmap``, which carries the
     fiber's profile; without one, the identity of the sphere, the plain
-    twistor chart (:meth:`twistor`).  The sign eps of the connection
-    correction is not part of the chart; it lives on :class:`ChartEval`.
+    twistor chart.  The sign eps of the connection correction is not part
+    of the chart; it lives on :class:`ChartEval`.
     """
 
     def __init__(self, base: MetricField, fmap: Optional[EquivariantMap] = None):
         self.base = base
         self.fmap = fmap if fmap is not None else identity_sphere_map()
-
-    @classmethod
-    def twistor(cls, base: MetricField) -> "TwistorChart":
-        return cls(base)
 
     def fiber_interval(self):
         """The map's domain, FIBER_MARGIN of it clear of either end."""
@@ -164,18 +160,14 @@ def calibrate_epsilon(metric: MetricField, seed: int = 2024, steps: int = 24,
     sign works and +1 is returned.  This is the reference that the fixed
     :data:`EPS` is tested against; verification runs do not call it.
     """
-    rng = np.random.default_rng(seed)
-    probes = metric.chart.sample(4, rng)
-    ranked = []
-    for x in probes:
-        b = tensor_values(BaseEval(metric, x).connection[1], 1)
-        k = int(np.argmax(np.abs(b)))
-        ranked.append((abs(b[k]), k, x))
-    ranked.sort(key=lambda t: -t[0])
-    if ranked[0][0] < 1e-10:
+    probes = metric.chart.sample(4, np.random.default_rng(seed))
+    beta = np.abs(tensor_values(BaseEval(metric, probes, order=1).connection[1], 1))  # [probe, k]
+    ks, strength = np.argmax(beta, axis=1), np.max(beta, axis=1)
+    ranked = np.argsort(-strength, kind="stable")
+    if strength[ranked[0]] < 1e-10:
         return +1, {"beta_negligible": True, "mismatch_ratio": 0.0}
-    results = [_transport_sign(metric, x, k, steps, t_max)
-               for strength, k, x in ranked[:2] if strength > 1e-10]
+    results = [_transport_sign(metric, probes[i], int(ks[i]), steps, t_max)
+               for i in ranked[:2] if strength[i] > 1e-10]
     signs = {r[0] for r in results}
     if len(signs) != 1:
         raise NumericError("connection-sign calibration disagrees between probe points")
@@ -187,36 +179,35 @@ def _transport_sign(metric: MetricField, x0, k, steps, t_max):
     box = metric.chart.box
     direction = 1.0 if x0[k] + t_max <= box[k, 1] else -1.0
     h = t_max / steps
-
-    def probe(x):
-        """The base at x, its Christoffel values and beta_k: values only,
-        which the base gives bit for bit at order 1."""
-        base = BaseEval(metric, x, order=1)
-        return base, tensor_values(base.gamma_jets, 3), tensor_values(base.connection[1], 1)[k]
+    # the path's RK4 stage points, evaluated at once (values only, which the
+    # base gives bit for bit at order 1): x0, then the midpoint and the end
+    # of each step; the ends summed step by step, as x[k] += direction * h
+    ends = np.cumsum(np.concatenate([[x0[k]], np.full(steps, direction * h)]))
+    path = np.repeat(np.asarray(x0, dtype=float)[None], 2 * steps + 1, axis=0)
+    path[0::2, k] = ends
+    path[1::2, k] = ends[:-1] + direction * h / 2
+    base = BaseEval(metric, path, order=1)
+    G = tensor_values(base.gamma_jets, 3)
+    sd, beta = base.connection
+    s = tensor_values(sd, 3)  # [point, q, i, j]: s1, s2, s3
+    b = tensor_values(beta, 1)[:, k]
 
     def gamma_action(G, S):
         return -direction * (np.einsum("im,mj->ij", G[:, k, :], S)
                              + np.einsum("jm,im->ij", G[:, k, :], S))
 
-    base, G, b_here = probe(x0)
-    S = base.basis[1].comps.copy()
-    x = x0.copy()
+    S = s[0, 1].copy()
     beta_int = 0.0
-    for _ in range(steps):
-        xm = x.copy(); xm[k] += direction * h / 2
-        xe = x.copy(); xe[k] += direction * h
-        Gm = tensor_values(BaseEval(metric, xm, order=1).gamma_jets, 3)
-        base, Ge, b_next = probe(xe)
-        k1 = gamma_action(G, S)
-        k2 = gamma_action(Gm, S + h / 2 * k1)
-        k3 = gamma_action(Gm, S + h / 2 * k2)
-        k4 = gamma_action(Ge, S + h * k3)
+    for j in range(0, 2 * steps, 2):
+        k1 = gamma_action(G[j], S)
+        k2 = gamma_action(G[j + 1], S + h / 2 * k1)
+        k3 = gamma_action(G[j + 1], S + h / 2 * k2)
+        k4 = gamma_action(G[j + 2], S + h * k3)
         S = S + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        beta_int += direction * h * 0.5 * (b_here + b_next)
-        x, G, b_here = xe, Ge, b_next
-    g, basis1 = base.gvals, base.basis
-    c2 = _inner_kernel(g, S, basis1[1].comps)
-    c3 = _inner_kernel(g, S, basis1[2].comps)
+        beta_int += direction * h * 0.5 * (b[j] + b[j + 2])
+    g = base.gvals[-1]
+    c2 = _inner_kernel(g, S, s[-1, 1])
+    c3 = _inner_kernel(g, S, s[-1, 2])
     psi = float(np.arctan2(c3, c2))
     plus_resid = abs(psi + beta_int)   # eps = +1 predicts psi = -int beta
     minus_resid = abs(psi - beta_int)

@@ -152,7 +152,7 @@ def test_criterion_3_integrability_dichotomy():
     results = {}
     for name in ("flat", "eguchi_hanson", "burns"):
         m = _metric(name)
-        chart = tw.TwistorChart.twistor(m)
+        chart = tw.TwistorChart(m)
         pts = chart.sample(50, SEED)
         results[f"{name}:twistor"] = float(np.max(tw.nijenhuis_max(tw.ChartEval(chart, pts))))
         prof = fm.cylinder_profile()
@@ -160,7 +160,7 @@ def test_criterion_3_integrability_dichotomy():
         mod = tw.TwistorChart(m, emap)
         pts_m = mod.sample(50, SEED + 1)
         results[f"{name}:modified"] = float(np.max(tw.nijenhuis_max(tw.ChartEval(mod, pts_m))))
-    fs_chart = tw.TwistorChart.twistor(_metric("fubini_study"))
+    fs_chart = tw.TwistorChart(_metric("fubini_study"))
     fs_pts = fs_chart.sample(50, SEED)
     fs_max = float(np.max(tw.nijenhuis_max(tw.ChartEval(fs_chart, fs_pts))))
     eh = _metric("eguchi_hanson")
@@ -181,7 +181,7 @@ def test_criterion_3_integrability_dichotomy():
 # -- criterion 4: structure identities ---------------------------------------
 
 def test_criterion_4_structure_identities():
-    chart = tw.TwistorChart.twistor(_metric("eguchi_hanson"))
+    chart = tw.TwistorChart(_metric("eguchi_hanson"))
     pts = chart.sample(20, SEED)
     ctx = tw.ChartEval(chart, pts)
     res = tw.verify_structure_identities(ctx, n_random=6, seed=SEED)
@@ -207,12 +207,12 @@ H_FAMILY = (
 def test_criterion_5_balancedness():
     worst = {}
     for name in ("eguchi_hanson", "burns"):
-        chart = tw.TwistorChart.twistor(_metric(name))
+        chart = tw.TwistorChart(_metric(name))
         ctx = tw.ChartEval(chart, chart.sample(30, SEED))
         for label, h in H_FAMILY:
             rep = tw.balanced_check(ctx, h)
             worst[f"{name}:{label}"] = rep.max_residual
-    eh_chart = tw.TwistorChart.twistor(_metric("eguchi_hanson"))
+    eh_chart = tw.TwistorChart(_metric("eguchi_hanson"))
     ctrl = tw.balanced_check(tw.ChartEval(eh_chart, eh_chart.sample(30, SEED)), None,
                              weight_mode="x_dependent")
     ok = all(v < 1e-7 for v in worst.values()) and ctrl.max_residual > 1e-3
@@ -225,7 +225,7 @@ def test_criterion_5_balancedness():
 # -- criterion 6: wedge-cone identities ---------------------------------------
 
 def test_criterion_6_cone_identities():
-    chart = tw.TwistorChart.twistor(_metric("eguchi_hanson"))
+    chart = tw.TwistorChart(_metric("eguchi_hanson"))
     base = tw.cone_wedge_constants(tw.ChartEval(chart, chart.sample(50, SEED)), 1.0, 1.0)
     grid = tw.ChartEval(chart, chart.sample(10, SEED))
     ok = base.c1_rel_variation < 1e-6 and base.c2_rel_variation < 1e-6

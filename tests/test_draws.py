@@ -40,7 +40,7 @@ def metric(request):
 @pytest.fixture(scope="module")
 def evals(metric):
     """The plain chart's ChartEval at each point count, and its flipped one."""
-    chart = tw.TwistorChart.twistor(metric)
+    chart = tw.TwistorChart(metric)
     out = {}
     for n in (1, 7, 20):
         ctx = tw.ChartEval(chart, chart.sample(n, SEED))

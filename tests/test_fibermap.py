@@ -17,7 +17,7 @@ def fiber_eval(profile_name, v, w):
     at fiber coordinates (v, w) above one base point."""
     base = kahler.get_fixture("flat")
     prof = fm.get_profile(profile_name)
-    chart = (tw.TwistorChart.twistor(base) if profile_name == "sphere" else
+    chart = (tw.TwistorChart(base) if profile_name == "sphere" else
              tw.TwistorChart(base, fm.solve_phi(prof, branch="quadrature")))
     v, w = np.broadcast_arrays(np.asarray(v, float), np.asarray(w, float))
     pts = np.zeros((v.size, 6))

@@ -41,7 +41,7 @@ def max_abs(comps):
 
 @pytest.fixture(scope="module", params=FIXTURES)
 def chart(request):
-    return tw.TwistorChart.twistor(kahler.get_fixture(request.param))
+    return tw.TwistorChart(kahler.get_fixture(request.param))
 
 
 @pytest.mark.parametrize("h_func", [h for _, h in H_FUNCS], ids=[n for n, _ in H_FUNCS])
@@ -95,7 +95,7 @@ def test_cone_top_components_match_the_dict_code(chart):
 
 def test_balanced_check_wedges_in_at_most_three_multiplies(monkeypatch, multiply_calls):
     # the dict code made one jet product per pair of components: 42
-    chart = tw.TwistorChart.twistor(kahler.get_fixture("eguchi_hanson"))
+    chart = tw.TwistorChart(kahler.get_fixture("eguchi_hanson"))
     ctx = tw.ChartEval(chart, chart.sample(30, 2024))
     inside = []
 
@@ -118,7 +118,7 @@ def test_ragged_wedge_skips_its_padding(monkeypatch):
     # Omega ^ Omega is 42 terms in a grid of 6 ranks x 11 outputs; its
     # columns hold the outputs by term count, so a block of one rank stops
     # at the last output that has that rank, and the outputs keep their order
-    chart = tw.TwistorChart.twistor(kahler.get_fixture("burns"))
+    chart = tw.TwistorChart(kahler.get_fixture("burns"))
     ctx = tw.ChartEval(chart, chart.sample(5, 2024))
     omega = tw.omega_ab_field(ctx, None)
     keys, terms = tw._wedge_terms(omega.keys, omega.keys)
@@ -144,7 +144,7 @@ def test_ragged_wedge_skips_its_padding(monkeypatch):
 
 
 def test_d_is_a_gather(flat, multiply_calls):
-    chart = tw.TwistorChart.twistor(flat)
+    chart = tw.TwistorChart(flat)
     omega = tw.omega_ab_field(tw.ChartEval(chart, chart.sample(3, 1)), None)
     multiply_calls.clear()
     assert tw.d_dict(omega).jet.order == 0
@@ -154,7 +154,7 @@ def test_d_is_a_gather(flat, multiply_calls):
 def test_d_runs_its_grid_in_output_order(flat):
     # d forms no products, so its grid skips no padding and needs no
     # column permutation: the same sums as the grid ordered by term count
-    chart = tw.TwistorChart.twistor(flat)
+    chart = tw.TwistorChart(flat)
     omega = tw.omega_ab_field(tw.ChartEval(chart, chart.sample(3, 1)), None)
     keys, src, terms = tw._d_terms(omega.keys)
     assert terms.cols is None and terms.reach is None and terms.pad.any()

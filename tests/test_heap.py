@@ -1,7 +1,8 @@
 """The run's malloc policy (report.keep_heap, report.release_heap): on glibc a
 repeated pass faults in no fresh pages, and more than 64 MiB of free heap,
-at its top or below live blocks, is still returned to the kernel; on any
-other C library no mallopt is called."""
+at its top or below live blocks, is still returned to the kernel; a glibc
+without mallinfo2 (before 2.33) trims after every run; on any other C
+library no mallopt is called."""
 
 import ctypes
 import os
@@ -100,3 +101,27 @@ def test_glibc_gets_both_mallopt_values(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", FakeLibc)
     report.keep_heap()
     assert FakeLibc.calls == [("CDLL", None), (-1, 64 << 20), (-3, 32 << 20)]
+
+
+class OldGlibc(FakeLibc):
+    """Stands in for ctypes.CDLL on a glibc older than 2.33, which has no
+    mallinfo2: records every CDLL, mallopt and malloc_trim call."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.malloc_trim = lambda pad: self.calls.append(("malloc_trim", pad)) or 1
+
+
+def test_glibc_without_mallinfo2_trims_after_every_run(monkeypatch):
+    # without the trim a 10 000-point Burns verify keeps about 413 MB
+    # resident after the run, against 39 MB with it (glibc 2.36, mallinfo2
+    # hidden)
+    cfg = SuiteConfig.from_dict({"metric": "flat", "suite": "completeness"})
+    expected = report_to_json(run_suite(cfg))
+    monkeypatch.setattr(OldGlibc, "calls", [])
+    monkeypatch.setattr(ctypes, "CDLL", OldGlibc)
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.31")
+    for _ in range(2):
+        assert report_to_json(run_suite(cfg)) == expected
+    run = [("CDLL", None), (-1, 64 << 20), (-3, 32 << 20), ("CDLL", None), ("malloc_trim", 0)]
+    assert OldGlibc.calls == run * 2

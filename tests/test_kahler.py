@@ -44,7 +44,7 @@ class TestPotentialMetrics:
 
     def test_burns_scalar_flat(self, burns, rng):
         pts = burns.chart.sample(50, rng)
-        scal = geo.curvature_data(burns, pts).scal
+        scal = kahler.BaseEval(burns, pts).curvature().scal
         assert np.max(np.abs(scal)) < 1e-7
 
     def test_metric_positive_definite_on_samples(self, all_fixtures, rng):
@@ -62,18 +62,18 @@ class TestPotentialMetrics:
 
         m = kahler.KahlerPotentialMetric(chart, phi)
         with pytest.raises(GeometryError):
-            geo.curvature_data(m, np.array([[0.9, 0.9, 0.9, 0.9]]))
+            kahler.BaseEval(m, np.array([[0.9, 0.9, 0.9, 0.9]])).curvature()
 
     def test_kahler_two_form_closed_and_parallel(self, all_fixtures, rng):
         for name, m in all_fixtures.items():
             pts = m.chart.sample(8, rng)
             assert d_omega_residual(m.jets_at(pts, 1)) < 1e-9, name
-            assert kahler.nabla_omega_residual(geo.curvature_data(m, pts)) < 1e-8, name
+            assert kahler.nabla_omega_residual(kahler.BaseEval(m, pts).curvature()) < 1e-8, name
 
     def test_non_kahler_control_detected(self, rng):
         m = kahler.get_fixture("conformal_hermitian")
         pts = m.chart.sample(8, rng)
-        assert kahler.nabla_omega_residual(geo.curvature_data(m, pts)) > 1e-3
+        assert kahler.nabla_omega_residual(kahler.BaseEval(m, pts).curvature()) > 1e-3
 
 
 class TestAdaptedFrame:

@@ -129,7 +129,7 @@ class TestBaseJets:
 
     @pytest.mark.parametrize("order,n", CHART_CASES)
     def test_chart_eval_fields(self, metric, order, n):
-        chart = twistor.TwistorChart.twistor(metric)
+        chart = twistor.TwistorChart(metric)
         pts = chart.sample(1 if n is None else n, 3)
         ctx = twistor.ChartEval(chart, pts[0] if n is None else pts)
         assert ctx.base.gjets.order == order
@@ -148,7 +148,7 @@ def test_tau_leaves_out_only_exact_zeros(name):
     # conformal-Hermitian), equals the whole (g P g)_{ij} contraction
     # but for signs of zero: those terms are products with a signed zero
     metric = kahler.get_fixture(name)
-    chart = twistor.TwistorChart.twistor(metric)
+    chart = twistor.TwistorChart(metric)
     i, j = np.triu_indices(4, 1)
     for n in (1, 7, 50, 400):
         ctx = twistor.ChartEval(chart, chart.sample(n, 3))
@@ -159,7 +159,7 @@ def test_tau_leaves_out_only_exact_zeros(name):
 
 @pytest.mark.parametrize("n", (1, 5, 50, 400))
 def test_christoffel_of_h(christoffel_metric, n):
-    chart = twistor.TwistorChart.twistor(christoffel_metric)
+    chart = twistor.TwistorChart(christoffel_metric)
     ctx = twistor.ChartEval(chart, chart.sample(n, 3))
     assert_same_jets(geo.christoffel_jets(ctx.h), ref.christoffel_jets(ref.to_objects(ctx.h, 2)), False)
 
@@ -294,7 +294,7 @@ def test_self_dual_diagonal_and_antisymmetry(burns):
 
 
 def test_chart_eval_halves_jet_products(eguchi_hanson, multiply_calls):
-    chart = twistor.TwistorChart.twistor(eguchi_hanson)
+    chart = twistor.TwistorChart(eguchi_hanson)
     pts = chart.sample(20, 2024)
     multiply_calls.clear()
     ctx = twistor.ChartEval(chart, pts)

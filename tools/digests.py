@@ -116,7 +116,7 @@ def _coefficient_arrays(wl):
 
     for fixture in wl.FIXTURES:
         metric = kahler.get_fixture(fixture)
-        chart = twistor.TwistorChart.twistor(metric)
+        chart = twistor.TwistorChart(metric)
         for n in (1, 7, 50, 400):
             pts = metric.chart.sample(n, wl.CONFIG_SEEDS[0])
             base = kahler.BaseEval(metric, pts)

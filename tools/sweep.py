@@ -21,11 +21,13 @@ twistor chart:
 * ``adapted_frame`` of those jets;
 * ``christoffel_jets`` of those jets;
 * ``beta_form``, which forms nabla s2 too, from the frame's s2 and s3;
+* ``curvature``: ``BaseEval.curvature()`` of a base built beforehand;
 
 and at those chart points, at working order 1:
 
 * ``chart_eval``: a ``ChartEval`` assembled on a ``BaseEval`` whose
   connection is built, as the suites share one, with its J and h;
+* ``christoffel_h``: ``christoffel_jets`` of that ChartEval's h;
 * ``nijenhuis``: ``twistor._nijenhuis_values`` of that ChartEval;
 * ``wedge_d``: d(Omega ^ Omega) of its Omega = tau + omega_FS, the
   balanced condition, by ``d_wedge``, which forms only the partials d
@@ -127,7 +129,7 @@ def _layers(metric, x6):
     gamma = geometry.christoffel_jets(gjets)
     s2 = kahler._self_dual(frame, (1,))[0]
     s3 = kahler._self_dual(frame.truncate(1))[2]
-    chart = twistor.TwistorChart.twistor(metric)
+    chart = twistor.TwistorChart(metric)
     base = kahler.BaseEval(metric, x)
     base.connection  # built once and shared, as in a suite run
 
@@ -142,7 +144,9 @@ def _layers(metric, x6):
         "adapted_frame": lambda: kahler.adapted_frame(gjets),
         "christoffel_jets": lambda: geometry.christoffel_jets(gjets),
         "beta_form": lambda: kahler.beta_form(gjets, s2, s3, gamma),
+        "curvature": base.curvature,
         "chart_eval": chart_eval,
+        "christoffel_h": lambda: geometry.christoffel_jets(ctx.h),
         "nijenhuis": lambda: twistor._nijenhuis_values(ctx),
         "wedge_d": lambda: twistor.d_wedge(omega, omega),
     }
@@ -167,7 +171,7 @@ def sweep(root: pathlib.Path) -> dict:
     rows = [row for n in BATCHES for row in block(None, n, {**_kernel(n), **_fiber_map(n)})]
     for fixture in sorted(kahler.FIXTURES):
         metric = kahler.get_fixture(fixture)
-        chart = twistor.TwistorChart.twistor(metric)
+        chart = twistor.TwistorChart(metric)
         for n in BATCHES:
             rows += block(fixture, n, _layers(metric, chart.sample(n, SEED)))
     return {"root": str(root), "python": platform.python_version(),
