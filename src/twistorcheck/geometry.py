@@ -122,7 +122,8 @@ def _inverse(m: jets.Jet) -> jets.Jet:
     """Gauss-Jordan inverse (no pivoting) of a stacked (n, n) jet matrix,
     valid while the leading principal minors stay nonsingular (SPD metrics
     qualify).  Each pivot step scales the pivot row and updates every other
-    row with stacked products, a chunk of columns at a time."""
+    row with stacked products, a chunk of columns at a time, on the columns
+    past the pivot: nothing reads the pivot column again."""
     space, n = m.space, m.coeffs.shape[1]
     batch = m.coeffs.shape[3:]
     one = m.coeffs[:, 0, 0] * 0  # as the scalar loop built it, signed zeros included
@@ -135,8 +136,8 @@ def _inverse(m: jets.Jet) -> jets.Jet:
         piv = (1.0 / jets.Jet(space, a[:, col, col])).coeffs[:, None]
         rows = [r for r in range(n) if r != col]
         f = a[:, rows, col, None]
-        for c in space.chunks(2 * n - col, n * int(np.prod(batch))):
-            cols = slice(col + c.start, col + c.stop)
+        for c in space.chunks(2 * n - col - 1, n * int(np.prod(batch))):
+            cols = slice(col + 1 + c.start, col + 1 + c.stop)
             a[:, col, cols] = space.multiply(a[:, col, cols], piv)
             a[:, rows, cols] -= space.multiply(f, a[:, None, col, cols])
     return jets.Jet(space, a[:, :, n:].copy())

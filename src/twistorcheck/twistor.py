@@ -48,7 +48,7 @@ stacked jet over its sorted index tuples.  :func:`wedge_dicts` and
 pattern, in the loop order of the dict code they replaced, so the
 coefficients are those of that code bit for bit; :func:`d_wedge`, which
 the balanced check calls, forms only the partials of a wedge that d
-reads, with the bytes of d of the wedge.
+reads, each product pair of a ^ a once, with the bytes of d of the wedge.
 
 The value-level identity checks (the structure identities, the two
 Nijenhuis routes, the horizontal and mixed Nijenhuis identities) evaluate
@@ -354,10 +354,14 @@ class ChartEval:
 
     @cached_property
     def h(self):
-        """The total-space metric h_{ab} as a stacked (6, 6) jet."""
+        """The total-space metric h_{ab} as a stacked (6, 6) jet, its base
+        block formed on the pairs i <= j and mirrored (g is stored symmetric;
+        at order 1 beta_i beta_j has the bits of beta_j beta_i)."""
         rho_sq = self.rho * self.rho
         h = self._zeros(TOTAL_DIM, TOTAL_DIM)
-        h.coeffs[:, :4, :4] = (self.g + jets.contract("i,j,->ij", self.beta, self.beta, rho_sq)).coeffs
+        i, j = np.triu_indices(4)
+        h.coeffs[:, i, j] = h.coeffs[:, j, i] = (
+            self.g[i, j] + jets.contract("p,p,->p", self.beta[i], self.beta[j], rho_sq)).coeffs
         h.coeffs[:, :4, IDX_W] = h.coeffs[:, IDX_W, :4] = jets.contract(
             "i,->i", (self.eps * 1.0) * self.beta, rho_sq).coeffs
         h.coeffs[:, IDX_V, IDX_V] = (self.m_len * self.m_len).coeffs
@@ -818,41 +822,36 @@ def d_dict(form: Form) -> Form:
 
 
 @lru_cache(maxsize=None)
-def _d_wedge_terms(keys_a: tuple, keys_b: tuple) -> tuple:
-    """The output keys of d(a ^ b), the :class:`jets.Terms` of the
-    partials it reads and those of d.  Output t of the partials is d's term
-    t, d_var of component comp of a ^ b: it adds that component's terms in
-    their order, reading a and b at (var, component)."""
-    wedge, (wedge_keys, _) = _wedge_list(keys_a, keys_b), _wedge_terms(keys_a, keys_b)
+def _d_wedge_terms(keys_a: tuple, keys_b: tuple, same: bool) -> tuple:
+    """The output keys of d(a ^ b), the cells (var, component of a, of b)
+    of the partials it reads, the :class:`jets.Terms` adding them into d's
+    terms (d_var of a component of a ^ b: its terms' cells with their signs,
+    in their order) and that of d; where ``same``, (I, J) and (J, I) are one."""
+    wedge, (wedge_keys, _), ids = _wedge_list(keys_a, keys_b), _wedge_terms(keys_a, keys_b), {}
     keys, src, terms = _d_terms(wedge_keys)
-    cells = [(t, var, ia, ib, sign) for t, (var, comp) in enumerate(src.T.tolist())
-             for key, ia, ib, sign in wedge if key == wedge_keys[comp]]
-    t, var, ia, ib, sign = tuple(zip(*cells)) or ((),) * 5
-    return keys, jets.Terms.of(t, [[var, ia], [var, ib]], sign), terms
+    t, cell, sign = tuple(zip(*[(out, ids.setdefault((var, *(sorted((ia, ib)) if same else (ia, ib))), len(ids)), s)
+                                for out, (var, comp) in enumerate(src.T.tolist())
+                                for key, ia, ib, s in wedge if key == wedge_keys[comp]])) or ((),) * 3
+    cells = np.array(list(ids), dtype=np.intp).reshape(-1, 3).T
+    return keys, cells, jets.Terms.of(t, [[cell]], sign, by_count=False), terms
 
 
 def d_wedge(a: Form, b: Form) -> Form:
     """The values of d(a ^ b), an order-0 form, from the order-1 parts of
     the forms ``a`` and ``b``: ``d_dict(wedge_dicts(a.truncate(1),
     b.truncate(1)))``, forming only the partials d reads, d_k (a ^ b)_K for
-    k not in K.  Each is the degree-1 coefficient of the one-variable
-    products of the (value, d_k) pairs of a and b, a0 b1 + a1 b0, the terms
-    of coefficient k in six variables, so the bytes are the oracle's but
-    where a component is zero in its value and d_k and not in another
-    partial: a zero term the oracle forms is left out, which may move the
-    sign of a zero."""
+    k not in K.  A cell d_k (a_I b_J) is a_I0 b_Jk + a_Ik b_J0, the kernel's
+    coefficient k; products and two-term sums commute, so for b = a the
+    cells (I, J) and (J, I) are one.  Added with their signs in the oracle's
+    order, the bytes are the oracle's but where a cell is zero at every
+    point and its components are not: the oracle adds that zero term, which
+    may move the sign of a zero."""
     if a.jet.order == 0 or b.jet.order == 0:
         raise UsageError("d of a wedge needs forms of jet order 1 or more")
-    keys, partials, terms = _d_wedge_terms(a.keys, b.keys)
-
-    def pairs(f):  # [value or d_k, k, component, *batch]
-        p = np.empty((2, TOTAL_DIM) + f.jet.shape)
-        p[0], p[1] = f.jet.coeffs[0], f.jet.coeffs[1:TOTAL_DIM + 1]
-        return p
-
-    pa = pairs(a)
-    d = jets.get_space(1, 1).sum_terms([pa, pa if b is a else pairs(b)], partials)[1:]
+    keys, (var, ia, ib), partials, terms = _d_wedge_terms(a.keys, b.keys, b is a)
+    (a0, a1), (b0, b1) = ((f.jet.coeffs[0], f.jet.coeffs[1:TOTAL_DIM + 1]) for f in (a, b))
     space = jets.get_space(TOTAL_DIM, 0)
+    d = space.sum_terms([(a0[ia] * b1[var, ib] + a1[var, ia] * b0[ib])[None]], partials)
     return Form(keys, jets.Jet(space, space.sum_terms([d], terms)))
 
 

@@ -3,13 +3,15 @@
 ``twistor.Form`` keeps a k-form as one stacked jet over its sorted index
 tuples; ``wedge_dicts`` and ``d_dict`` are one gather, at most one multiply
 and one fold each, and ``d_wedge`` forms only the partials of a wedge that
-d reads.  tests/scalar_reference.py keeps the dict code they
-replaced, which loops over the component pairs.  Results must be equal,
-not close: the Hermitian family, Omega ^ Omega, d(Omega^2), the proof wedge
-and the cone's top components, on every fixture, at the chart's jet order
-1.  Random polynomial forms, at jet order 2, then check the algebra itself.
+d reads, as their degree-1 coefficients, each pair of a ^ a once.
+tests/scalar_reference.py keeps the dict code they replaced, which loops
+over the component pairs.  Results must be equal, not close: the
+Hermitian family, Omega ^ Omega, d(Omega^2), the proof wedge and the cone's
+top components, on every fixture, at the chart's jet order 1.  Random
+polynomial forms, at jet order 2, then check the algebra itself.
 """
 
+import copy
 import itertools
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
-from twistorcheck import fibermap, jets, kahler, twistor as tw
+from twistorcheck import fibermap, jets, kahler, report, twistor as tw
 from twistorcheck.errors import UsageError
 
 FIXTURES = ("flat", "eguchi_hanson", "burns", "fubini_study", "conformal_hermitian")
@@ -73,6 +75,30 @@ def test_balanced_forms_match_the_dict_code(chart, h_func):
     assert rep.proof_step_residual == max_abs(old_proof)
 
 
+@pytest.mark.parametrize("n", (1, 6))
+@pytest.mark.parametrize("name", FIXTURES)
+def test_d_wedge_of_two_forms_is_d_of_their_wedge(name, n):
+    # b is not a: one cell a_I0 b_Jk + a_Ik b_J0 for every ordered pair (I, J),
+    # with the bytes of the oracle, signs of zero included, on the plain
+    # chart and on the modified chart a suite configures; a copy of Omega
+    # takes that path, and gives d(Omega ^ Omega) bit for bit
+    metric = kahler.get_fixture(name)
+    modified, _ = report._modified_charts(metric, report.SuiteConfig.from_dict({"metric": name}))
+    for chart in (tw.TwistorChart(metric), modified):
+        ctx = tw.ChartEval(chart, chart.sample(n, 2024))
+        omegas = [tw.omega_ab_field(ctx, h) for _, h in H_FUNCS]
+        omegas.append(tw.omega_ab_field(ctx, None, weight_mode="x_dependent"))
+        fiber = tw._fiber_area_form(ctx, ctx.one)
+        for a, b in [*zip(omegas, omegas[1:] + omegas[:1]), (ctx.tau, fiber), (fiber, omegas[1]),
+                     (ctx.tau, omegas[2])]:
+            new, old = tw.d_wedge(a, b), tw.d_dict(tw.wedge_dicts(a, b))
+            assert new.keys == old.keys and new.jet.coeffs.shape == old.jet.coeffs.shape
+            assert new.jet.coeffs.tobytes() == old.jet.coeffs.tobytes()
+        for omega in omegas:
+            twin = copy.deepcopy(omega)
+            assert tw.d_wedge(omega, twin).jet.coeffs.tobytes() == tw.d_wedge(omega, omega).jet.coeffs.tobytes()
+
+
 def test_cone_top_components_match_the_dict_code(chart):
     ctx = tw.ChartEval(chart, chart.sample(6, 4))
     a, b = 2.0, 3.0
@@ -94,7 +120,8 @@ def test_cone_top_components_match_the_dict_code(chart):
 
 
 def test_balanced_check_wedges_in_at_most_three_multiplies(monkeypatch, multiply_calls):
-    # the dict code made one jet product per pair of components: 42
+    # the dict code made one jet product per pair of components: 42; d_wedge
+    # forms the degree-1 coefficients of its cells itself, in no multiply
     chart = tw.TwistorChart(kahler.get_fixture("eguchi_hanson"))
     ctx = tw.ChartEval(chart, chart.sample(30, 2024))
     inside = []
@@ -111,7 +138,7 @@ def test_balanced_check_wedges_in_at_most_three_multiplies(monkeypatch, multiply
         monkeypatch.setattr(tw, name, counted(getattr(tw, name)))
     tw.balanced_check(ctx, fibermap.power_pole_h(1.0))
     # the partials of Omega ^ Omega that d reads, and the proof wedge
-    assert inside == [("d_wedge", 1), ("wedge_dicts", 1)]
+    assert inside == [("d_wedge", 0), ("wedge_dicts", 1)]
 
 
 def test_ragged_wedge_skips_its_padding(monkeypatch):

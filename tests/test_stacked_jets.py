@@ -159,8 +159,12 @@ def test_tau_leaves_out_only_exact_zeros(name):
 
 @pytest.mark.parametrize("n", (1, 5, 50, 400))
 def test_christoffel_of_h(christoffel_metric, n):
+    # h is formed on its upper triangle and mirrored, equal to its transpose;
+    # its 6x6 inverse leaves out the pivot column, which nothing reads again
     chart = twistor.TwistorChart(christoffel_metric)
     ctx = twistor.ChartEval(chart, chart.sample(n, 3))
+    assert ctx.h.coeffs.tobytes() == np.ascontiguousarray(ctx.h.coeffs.swapaxes(1, 2)).tobytes()
+    assert_same_jets(geo._inverse(ctx.h), ref.jet_matrix_inverse(ref.to_objects(ctx.h, 2)))
     assert_same_jets(geo.christoffel_jets(ctx.h), ref.christoffel_jets(ref.to_objects(ctx.h, 2)), False)
 
 

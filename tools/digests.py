@@ -18,8 +18,10 @@ ROOT, each produced by ROOT's own ``src``:
   s2 (from ``_self_dual`` of the whole frame), of the Christoffel jets
   ``BaseEval(...).gamma_jets``, of the metric jets ``metric.jets_at`` and
   of ``adapted_frame`` at base orders 1-3,
-  of s, beta and nabla s2 at base order 3 too, and of ``ChartEval.gamma_h``
-  on the plain chart;
+  of s, beta and nabla s2 at base order 3 too, and on the plain chart of
+  ``ChartEval.gamma_h``, of ``geometry._inverse`` of ``ChartEval.h`` and of
+  the values of d(Omega^2) (``twistor.d_wedge``) for the balanced suite's
+  three fiber weights and its base-dependent control weight;
 * the raw values, signs of zero included, for every fixture at 1, 7, 20
   and 50 points: of ``ChartEval.nijenhuis`` on the plain chart and on its
   ``flipped()`` evaluation, of the per-point ``nijenhuis_route_agreement``,
@@ -112,7 +114,11 @@ def _raw_arrays(wl):
 def _coefficient_arrays(wl):
     import numpy as np
 
-    from twistorcheck import geometry, kahler, twistor
+    from twistorcheck import fibermap, geometry, kahler, twistor
+
+    # the fiber weights of the balanced suite, and its base-dependent control
+    weights = (("zero", None, "fiber"), ("log_pole", fibermap.power_pole_h(1.0), "fiber"),
+               ("log_pole_2", fibermap.power_pole_h(2.0), "fiber"), ("x_weight", None, "x_dependent"))
 
     for fixture in wl.FIXTURES:
         metric = kahler.get_fixture(fixture)
@@ -139,6 +145,10 @@ def _coefficient_arrays(wl):
                         yield f"raw/{fixture}/{n}/{name}", jet.coeffs
             ctx = twistor.ChartEval(chart, chart.sample(n, wl.CONFIG_SEEDS[0]))
             yield f"raw/{fixture}/{n}/gamma_h_1", ctx.gamma_h
+            yield f"raw/{fixture}/{n}/h_inverse", geometry._inverse(ctx.h).coeffs
+            for name, h_func, mode in weights:
+                omega = twistor.omega_ab_field(ctx, h_func, weight_mode=mode)
+                yield f"raw/{fixture}/{n}/d_omega2_{name}", twistor.d_wedge(omega, omega).jet.coeffs
         for n in (1, 7, 20, 50):
             seed = wl.CONFIG_SEEDS[0]
             ctx = twistor.ChartEval(chart, chart.sample(n, seed))
