@@ -23,7 +23,7 @@ import sys
 
 from . import fibermap
 from .errors import ConfigurationError, TwistorCheckError
-from .report import SuiteConfig, _check_real, report_to_json, run_suite
+from .report import TOL_TIERS, SuiteConfig, _check_real, report_to_json, run_suite
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -108,7 +108,7 @@ def _cmd_solve_map(args) -> int:
     write(buf.getvalue())
     rep = fibermap.conformality_report(samples)
     print(f"profile={args.profile} branch={args.branch} c={args.c} "
-          f"degenerate={emap.degenerate} max_anisotropy={rep.max_anisotropy} "
+          f"degenerate={rep.degenerate} max_anisotropy={rep.max_anisotropy} "
           f"orientation={rep.orientation}")
     print(f"csv written to {out}")
     return EXIT_PASS
@@ -126,9 +126,10 @@ def _cmd_classify(args) -> int:
         "method": verdict.method,
         "detail": verdict.detail,
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    print(text)
     if write:
-        write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write(text + "\n")
     return EXIT_PASS
 
 
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", help="suite name (overrides config)")
     v.add_argument("--points", type=int, help="sample count override")
     v.add_argument("--seed", type=int, help="RNG seed override")
-    v.add_argument("--tol-tier", choices=("strict", "loose"), dest="tol_tier")
+    v.add_argument("--tol-tier", choices=tuple(TOL_TIERS), dest="tol_tier")
     v.add_argument("--report", help="output JSON path")
     v.set_defaults(func=_cmd_verify)
 

@@ -23,12 +23,14 @@ metrics) adjudicates between them.  Closed forms derived from the flat
 meridian normalization |rho'| instead of sqrt(rho'^2 + 1) agree with the
 isothermal solution only asymptotically; the cylinder discriminates (the
 closed form degenerates to a constant there) and the verifier reports it.
+The verifier is the one degeneracy test: a map is constant when its
+:class:`ConformalityReport` says ``degenerate`` (|phi'| < 1e-12 at every
+sample it keeps), read from the same evaluation of phi as the anisotropy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -125,20 +127,6 @@ class EquivariantMap:
 
     def phi_values(self, z):
         return np.asarray(self.phi_jet(z, 0).value)
-
-    def phi_prime(self, z):
-        return np.asarray(self.phi_jet(z, 1).deriv(0).value)
-
-    @cached_property
-    def degenerate(self) -> bool:
-        """Whether phi is constant: |phi'| < 1e-12 at 64 evenly spaced z,
-        SAMPLE_MARGIN of the domain clear of either end.  Computed on first
-        read: most maps are never asked, and on a quadrature map the scan is
-        a phi evaluation of its own."""
-        lo, hi = self.domain
-        pad = SAMPLE_MARGIN * (hi - lo)
-        zs = np.linspace(lo + pad, hi - pad, 64)
-        return bool(np.max(np.abs(self.phi_prime(zs))) < 1e-12)
 
     def perturbed(self, amount: float) -> "EquivariantMap":
         """phi -> tanh((1 + amount) atanh phi), with atanh p = log((1 + p) /

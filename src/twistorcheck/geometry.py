@@ -5,6 +5,9 @@ symbols, the full Riemann tensor, the half-determinant inner product on
 2-vectors, self-dual / anti-self-dual bases, and the curvature operator in
 block form.  :func:`covariant_derivative` (of a 2-tensor field) and
 :func:`wedge` (of two vectors) serve the base and the total space alike.
+A 2-vector is a plain (..., 4, 4) array, antisymmetric by the formula that
+builds it (a :func:`wedge`, sums of them, M - M^T or AB - (AB)^T); the
+tests check it of :func:`sd_basis` and :func:`rho_apply`.
 
 A metric is evaluated once per point set, by :class:`kahler.BaseEval`:
 :meth:`MetricField.jets_at` returns the metric jets as one stacked (4, 4)
@@ -42,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import jets
-from .errors import ConfigurationError, FrameError, GeometryError, UsageError
+from .errors import ConfigurationError, FrameError, GeometryError
 
 DIM = 4
 SAMPLE_MARGIN = 1e-2  # chart sampling keeps this fraction of each side clear
@@ -276,21 +279,6 @@ def wedge(X, Y) -> np.ndarray:
     return np.einsum("...i,...j->...ij", X, Y) - np.einsum("...j,...i->...ij", X, Y)
 
 
-class TwoVector:
-    """Element of Lambda^2 TM in coordinate components B^{ij} = -B^{ji},
-    checked on construction; combine 2-vectors on :attr:`comps`."""
-
-    __slots__ = ("comps",)
-
-    def __init__(self, comps):
-        comps = np.asarray(comps, dtype=float)
-        if comps.shape[-2:] != (DIM, DIM):
-            raise UsageError("two-vector components must be 4x4")
-        if np.max(np.abs(comps + np.swapaxes(comps, -1, -2))) > 1e-12 * max(1.0, np.max(np.abs(comps))):
-            raise UsageError("two-vector components must be antisymmetric")
-        self.comps = comps
-
-
 def _inner_kernel(gvals, B1, B2):
     """g(B1, B2) in the half-determinant metric: the einsum
     "...ij,...kl,...ik,...jl->..." of B1, B2, gvals, gvals with the product
@@ -300,17 +288,18 @@ def _inner_kernel(gvals, B1, B2):
     return 0.25 * np.einsum("...ijkl,...ik,...jl->...", B1B2, gvals, gvals)
 
 
-def sd_basis(E: np.ndarray, gvals: np.ndarray):
-    """Orthonormal basis (s1,s2,s3,t1,t2,t3) of Lambda2+ + Lambda2- from the
-    frame ``E`` (rows = frame vector components, (..., 4, 4)), whose
-    orthonormality in the metric values ``gvals`` is validated to 1e-10."""
+def sd_basis(E: np.ndarray, gvals: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (s1,s2,s3,t1,t2,t3) of Lambda2+ + Lambda2-, stacked
+    (6, ..., 4, 4), from the frame ``E`` (rows = frame vector components,
+    (..., 4, 4)), whose orthonormality in the metric values ``gvals`` is
+    validated to 1e-10."""
     gram = np.einsum("...ai,...ij,...bj->...ab", E, gvals, E)
     resid = np.max(np.abs(gram - np.eye(DIM)))
     if resid > 1e-10:
         raise FrameError(f"frame is not orthonormal (Gram residual {resid:.3e})")
     e = [E[..., a, :] for a in range(DIM)]
     pairs = [(wedge(e[0], e[q]), wedge(e[r], e[s])) for q, r, s in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
-    return tuple(TwoVector(a + b) for a, b in pairs) + tuple(TwoVector(a - b) for a, b in pairs)
+    return np.stack([a + b for a, b in pairs] + [a - b for a, b in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +322,13 @@ def curvature_endomorphism(data: CurvatureData, xi: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...ij,...lkij->...lk", xi, data.rup)
 
 
-def rho_apply(data: CurvatureData, xi: TwoVector, v: TwoVector) -> TwoVector:
+def rho_apply(data: CurvatureData, xi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Derivation action rho(xi) v of the curvature on Lambda^2 TM.
 
     rho(X^Y)(Z^W) = R(X,Y)Z ^ W + Z ^ R(X,Y)W, extended bilinearly in xi.
     """
-    A = curvature_endomorphism(data, xi.comps)
-    B = v.comps
-    out = np.einsum("...km,...ml->...kl", A, B) - np.einsum("...lm,...mk->...kl", A, B)
-    return TwoVector(out)
+    A = curvature_endomorphism(data, xi)
+    return np.einsum("...km,...ml->...kl", A, v) - np.einsum("...lm,...mk->...kl", A, v)
 
 
 @dataclass
@@ -377,20 +364,20 @@ def _traceless(block):
 
 
 def curvature_operator(data: CurvatureData, basis) -> CurvatureOperator:
-    """Matrix of the curvature operator in an (s1,s2,s3,t1,t2,t3) basis.
+    """Matrix of the curvature operator in an (s1,s2,s3,t1,t2,t3) basis,
+    stacked as :func:`sd_basis` returns it.
 
     Normalized so the diagonal blocks are W+- + (Scal/12) Id: this is -1/2
     times the rho-dual endomorphism of :func:`curvature_two_vector_action`.
     """
-    comps = np.stack([b.comps for b in basis])
-    n = len(comps)
+    n = len(basis)
     batch = data.scal.shape
     # the basis stacked ahead of the batch axes of data, which it may lack
-    comps = comps.reshape((n,) + (1,) * (len(batch) + 3 - comps.ndim) + comps.shape[1:])
-    va = curvature_two_vector_action(data, comps)
+    basis = basis.reshape((n,) + (1,) * (len(batch) + 3 - basis.ndim) + basis.shape[1:])
+    va = curvature_two_vector_action(data, basis)
     a, b = np.divmod(np.arange(n * n), n)  # the pairs (a, b) in row order
     M = np.empty((n * n,) + batch)
     # in blocks of pairs whose products B1 B2 in _inner_kernel fit CHUNK_DOUBLES
     for p in jets.blocks(n * n, DIM ** 4 * int(np.prod(batch))):
-        M[p] = -0.5 * _inner_kernel(data.gvals, va[a[p]], comps[b[p]])
+        M[p] = -0.5 * _inner_kernel(data.gvals, va[a[p]], basis[b[p]])
     return CurvatureOperator(np.moveaxis(M, 0, -1).reshape(batch + (n, n)))

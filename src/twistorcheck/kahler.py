@@ -397,7 +397,7 @@ class BaseEval:
 
     @property
     def basis(self):
-        """The :func:`geometry.sd_basis` of the adapted frame's values."""
+        """The stacked :func:`geometry.sd_basis` of the adapted frame's values."""
         return sd_basis(tensor_values(adapted_frame(self.gjets.truncate(0)), 2), self.gvals)
 
     def curvature(self) -> CurvatureData:
@@ -427,8 +427,8 @@ def curvature_s_residuals(data: CurvatureData, basis):
     s1, s2, s3 = basis[0], basis[1], basis[2]
     out = []
     for s in (s2, s3):
-        img = curvature_two_vector_action(data, s.comps)
+        img = curvature_two_vector_action(data, s)
         out.append(np.sqrt(np.abs(_inner_kernel(data.gvals, img, img))))
-    r1 = curvature_two_vector_action(data, s1.comps)
-    out.append(_inner_kernel(data.gvals, r1, s1.comps))
+    r1 = curvature_two_vector_action(data, s1)
+    out.append(_inner_kernel(data.gvals, r1, s1))
     return out[0], out[1], out[2]

@@ -28,9 +28,6 @@ import numpy as np
 from . import __version__, fibermap, geometry, kahler, twistor
 from .errors import ConfigurationError, GeometryError, TwistorCheckError
 
-SUITES = ("curvature", "integrability", "structure_identities", "balanced",
-          "cone", "fibermap", "completeness", "all")
-
 TOL_TIERS = {"strict": 1.0, "loose": 100.0}
 
 # Peak RSS grows by about 50 kB a point (Burns, suite=all through the CLI:
@@ -231,7 +228,7 @@ def _run_curvature(rec: _Recorder, metric, config: SuiteConfig):
     # rho duality spot check, at pts[0] evaluated alone: a slice of data
     # differs from it in the last bits
     base1 = kahler.BaseEval(metric, pts[0])
-    worst = _rho_duality(base1.curvature(), [b.comps for b in base1.basis[:3]], rng)
+    worst = _rho_duality(base1.curvature(), base1.basis[:3], rng)
     rec.add("curvature.rho_duality", "derivation action is dual to the curvature operator"
             " under the self-dual cross product", 20, worst, 1e-9)
 
@@ -246,15 +243,13 @@ def _rho_duality(data, s, rng) -> float:
     M = np.array([m for _, m in rounds])
 
     def combine(c):  # c0 s1 + c1 s2 + c2 s3, a draw a row of c
-        return geometry.TwoVector(c[:, 0, None, None] * s[0] + c[:, 1, None, None] * s[1]
-                                  + c[:, 2, None, None] * s[2])
+        return c[:, 0, None, None] * s[0] + c[:, 1, None, None] * s[1] + c[:, 2, None, None] * s[2]
 
     cv, cw = cvw[:, 0], cvw[:, 1]
     v, w, vxw = combine(cv), combine(cw), combine(np.cross(cv, cw))
-    xi = geometry.TwoVector(M - np.swapaxes(M, -1, -2))
-    lhs = geometry._inner_kernel(data.gvals, geometry.curvature_two_vector_action(data, vxw.comps),
-                                 xi.comps)
-    rhs = geometry._inner_kernel(data.gvals, geometry.rho_apply(data, xi, v).comps, w.comps)
+    xi = M - np.swapaxes(M, -1, -2)
+    lhs = geometry._inner_kernel(data.gvals, geometry.curvature_two_vector_action(data, vxw), xi)
+    rhs = geometry._inner_kernel(data.gvals, geometry.rho_apply(data, xi, v), w)
     return max([0.0, *(abs(d) for d in (lhs - rhs).tolist())])
 
 
@@ -414,8 +409,8 @@ def _run_fibermap(rec: _Recorder, metric, config: SuiteConfig):
     rep = fibermap.conformality_check(flatm, sample_count=n)
     rec.add("fibermap.cylinder_flat_branch_degenerate",
             "flat-meridian closed form degenerates to a constant on the cylinder",
-            n, 1.0 if (flatm.degenerate and rep.degenerate) else 0.0, 0.5, mode="exceeds",
-            detail={"flagged_degenerate": flatm.degenerate})
+            n, 1.0 if rep.degenerate else 0.0, 0.5, mode="exceeds",
+            detail={"flagged_degenerate": rep.degenerate})
 
 
 def _run_completeness(rec: _Recorder, metric, config: SuiteConfig):
@@ -447,6 +442,7 @@ _SUITE_RUNNERS = {
     "fibermap": _run_fibermap,
     "completeness": _run_completeness,
 }
+SUITES = (*_SUITE_RUNNERS, "all")
 
 
 def _glibc() -> bool:
@@ -506,7 +502,7 @@ def run_suite(config: SuiteConfig) -> dict:
     config.validate()
     metric = kahler.get_fixture(config.metric, **config.params)
     rec = _Recorder(config)
-    names = [s for s in SUITES if s != "all"] if config.suite == "all" else [config.suite]
+    names = list(_SUITE_RUNNERS) if config.suite == "all" else [config.suite]
     for name in names:
         start = len(rec.rows)
         try:

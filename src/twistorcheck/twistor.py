@@ -84,7 +84,6 @@ from .errors import DomainError, InputError, NumericError, UsageError
 from .fibermap import POLE_MARGIN, EquivariantMap, identity_sphere_map
 from .geometry import (
     MetricField,
-    TwoVector,
     christoffel_jets,
     covariant_derivative,
     curvature_endomorphism,
@@ -607,7 +606,6 @@ def verify_structure_identities(ctx: ChartEval, n_random: int = 6,
     t_v, t_w, eps3 = ctx.fiber_tangents()
     p3 = ctx.fiber_point()
     p2v = ctx.triple_to_two_vector(p3)
-    p2 = TwoVector(p2v)
     Kp = -np.einsum("...mi,...ij->...mj", p2v, g)
 
     gamma_h = ctx.gamma_h
@@ -648,8 +646,8 @@ def verify_structure_identities(ctx: ChartEval, n_random: int = 6,
         pv, pw = ctx.vertical_coframe_pairing(DXY)
         vert3 = pv[..., None] * t_v + pw[..., None] * t_w
         vert2 = ctx.triple_to_two_vector(vert3)
-        rho_p2 = rho_apply(data, TwoVector(XY), p2)
-        resid = vert2 + 0.5 * rho_p2.comps
+        rho_p2 = rho_apply(data, XY, p2v)
+        resid = vert2 + 0.5 * rho_p2
         r2 = max([r2, *(m ** 0.5 for m in _maxima(np.abs(_inner_kernel(g, resid, resid))))])
 
         # (3) D_V X^h = 1/2 (R(p x V) X)^h with V a vertical coordinate field
@@ -661,7 +659,7 @@ def verify_structure_identities(ctx: ChartEval, n_random: int = 6,
 
         # (4) g(eps x rho(X^Y)p, U) = -g(Rhat(p x (eps x U)), X^Y)
         U3 = _vertical(cU, t_v, t_w)
-        rho_p3 = ctx.two_vector_to_triple(rho_p2.comps)
+        rho_p3 = ctx.two_vector_to_triple(rho_p2)
         lhs4 = np.einsum("...i,...i->...", np.cross(eps3, rho_p3), U3)
         arg = ctx.triple_to_two_vector(np.cross(p3, np.cross(eps3, U3)))
         rhs4 = -_inner_kernel(g, curvature_two_vector_action(data, arg), XY)

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from twistorcheck import fibermap, jets
-from twistorcheck.geometry import (SAMPLE_MARGIN, TwoVector, _inner_kernel,
+from twistorcheck.geometry import (SAMPLE_MARGIN, _inner_kernel,
                                    curvature_endomorphism, curvature_two_vector_action,
                                    rho_apply, tensor_partials, tensor_values, wedge)
 from twistorcheck.kahler import I_MATRIX, KahlerPotentialMetric
@@ -588,9 +588,8 @@ def structure_identities(ctx, n_random=6, seed=0):
         pw = DXY[..., IDX_W] + ctx.eps * np.einsum("...k,...k->...", ctx.beta_vals, DXY[..., :4])
         vert3 = pv[..., None] * t_v + pw[..., None] * t_w
         vert2 = ctx.triple_to_two_vector(vert3)
-        rho_p2 = rho_apply(data, TwoVector(np.broadcast_to(XY, ctx.gvals.shape[:-2] + (4, 4))),
-                           TwoVector(p2v))
-        resid = vert2 + 0.5 * rho_p2.comps
+        rho_p2 = rho_apply(data, np.broadcast_to(XY, ctx.gvals.shape[:-2] + (4, 4)), p2v)
+        resid = vert2 + 0.5 * rho_p2
         r2 = max(r2, float(np.max(np.abs(_inner_kernel(ctx.gvals, resid, resid)))) ** 0.5)
         for vidx, t3c in ((IDX_V, t_v), (IDX_W, t_w)):
             DVX = np.einsum("...mj,j->...m", covDH[..., vidx, :, :], X)
@@ -600,7 +599,7 @@ def structure_identities(ctx, n_random=6, seed=0):
             r3 = max(r3, float(np.max(np.abs(DVX - rhs6))))
         cU = rng.normal(size=2)
         U3 = cU[0] * t_v + cU[1] * t_w
-        rho_p3 = ctx.two_vector_to_triple(rho_p2.comps)
+        rho_p3 = ctx.two_vector_to_triple(rho_p2)
         lhs4 = np.einsum("...i,...i->...", np.cross(eps3, rho_p3), U3)
         arg = ctx.triple_to_two_vector(np.cross(p3, np.cross(eps3, U3)))
         rhs4 = -_inner_kernel(ctx.gvals, curvature_two_vector_action(data, arg),
@@ -648,13 +647,12 @@ def horizontal_nijenhuis(ctx, n_random=6, seed=0):
 
 def curvature_operator_matrix(data, basis):
     """The curvature operator matrix, one pair of basis elements at a time."""
-    comps = [b.comps for b in basis]
-    n = len(comps)
+    n = len(basis)
     M = np.empty(data.scal.shape + (n, n))
     for a in range(n):
-        va = curvature_two_vector_action(data, comps[a])
+        va = curvature_two_vector_action(data, basis[a])
         for b in range(n):
-            M[..., a, b] = -0.5 * _inner_kernel(data.gvals, va, comps[b])
+            M[..., a, b] = -0.5 * _inner_kernel(data.gvals, va, basis[b])
     return M
 
 
@@ -662,15 +660,15 @@ def rho_duality(data, s, rng, n_draws=20):
     """The curvature suite's rho duality residual at one point: ``data`` its
     CurvatureData, ``s`` the components of s1, s2, s3; one draw at a time."""
     def combine(c):
-        return TwoVector(c[0] * s[0] + c[1] * s[1] + c[2] * s[2])
+        return c[0] * s[0] + c[1] * s[1] + c[2] * s[2]
 
     worst = 0.0
     for _ in range(n_draws):
         cv, cw2 = rng.normal(size=(2, 3))
         v, w, vxw = combine(cv), combine(cw2), combine(np.cross(cv, cw2))
         M = rng.normal(size=(4, 4))
-        xi = TwoVector(M - M.T)
-        lhs = _inner_kernel(data.gvals, curvature_two_vector_action(data, vxw.comps), xi.comps)
-        rhs = _inner_kernel(data.gvals, rho_apply(data, xi, v).comps, w.comps)
+        xi = M - M.T
+        lhs = _inner_kernel(data.gvals, curvature_two_vector_action(data, vxw), xi)
+        rhs = _inner_kernel(data.gvals, rho_apply(data, xi, v), w)
         worst = max(worst, abs(float(lhs - rhs)))
     return worst

@@ -509,13 +509,12 @@ class TestCliCommands:
         assert not rows[-1]["pass"] and rows[-1]["max_residual"] > 1.0
 
     def test_solve_map_evaluates_phi_once(self, tmp_path, quad_calls):
-        # the CSV and the conformality verdict come from one evaluation of
-        # phi on the z grid; the other quadrature is the degeneracy scan on
-        # 64 points, run when the printed line reads the flag
+        # the CSV, the conformality verdict and the degeneracy flag come
+        # from one evaluation of phi on the z grid
         rc = main(["solve-map", "--profile", "cosh", "--samples", "25",
                    "--csv", str(tmp_path / "map.csv")])
         assert rc == 0
-        assert quad_calls == [25, 64]
+        assert quad_calls == [25]
 
     def test_cone_constancy_needs_two_points(self, tmp_path, capsys):
         # one point makes every ratio its own mean: constancy is skipped, not

@@ -90,7 +90,7 @@ class TestSolvePhi:
         m = fm.solve_phi(cy, c=0.0, branch="quadrature")  # l(0) = 0
         zs = np.linspace(-1.8, 1.8, 25)
         assert np.max(np.abs(m.phi_values(zs) - np.tanh(zs))) < 1e-10
-        assert np.max(np.abs(m.phi_prime(zs) - 1.0 / np.cosh(zs) ** 2)) < 1e-10
+        assert np.max(np.abs(m.phi_jet(zs, 1).deriv(0).value - 1.0 / np.cosh(zs) ** 2)) < 1e-10
 
     def test_sphere_quadrature_is_identity(self):
         sp = fm.sphere_profile()
@@ -101,14 +101,8 @@ class TestSolvePhi:
     def test_constant_profile_flat_branch_degenerate(self):
         cp = fm.SurfaceProfile(lambda zj: zj * 0.0 + np.sqrt(2.0), (-1.0, 1.0))
         m = fm.solve_phi(cp, c=0.0, branch="flat_meridian_closed_form")
-        assert m.degenerate
+        assert fm.conformality_check(m).degenerate
         assert np.allclose(m.phi_values(np.array([0.0, 0.3])), 1 / np.sqrt(2), atol=1e-14)
-
-    def test_quadrature_map_scans_for_degeneracy_on_first_read(self, quad_calls):
-        m = fm.solve_phi(fm.cosh_profile(), c=0.0, branch="quadrature")
-        assert quad_calls == []
-        assert not m.degenerate and not m.degenerate
-        assert quad_calls == [64]
 
     def test_domain_scan_evaluates_predicate_once(self):
         sp = fm.sphere_profile()
@@ -291,7 +285,7 @@ class TestConformality:
         # fires exactly when dphi/dz vanishes on the sampled set
         cy = fm.cylinder_profile()
         good = fm.solve_phi(cy, c=0.0, branch="quadrature")
-        assert not good.degenerate
+        assert not fm.conformality_check(good).degenerate
 
 
 class TestMobius:

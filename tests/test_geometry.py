@@ -5,7 +5,7 @@ import pytest
 
 import scalar_reference as ref
 from twistorcheck import geometry as geo, jets, kahler
-from twistorcheck.errors import ConfigurationError, FrameError, GeometryError, UsageError
+from twistorcheck.errors import ConfigurationError, FrameError, GeometryError
 
 # permutation symbol on 4 indices
 EPS4 = np.zeros((4, 4, 4, 4))
@@ -25,7 +25,7 @@ def christoffel(metric, x):
 
 def two_vector_inner(metric, x, b1, b2):
     """Half-determinant metric on 2-vectors at x, extended bilinearly."""
-    return geo._inner_kernel(values_at(metric, x), b1.comps, b2.comps)
+    return geo._inner_kernel(values_at(metric, x), b1, b2)
 
 
 def hodge_star(gvals, B):
@@ -179,55 +179,70 @@ class TestRiemann:
         assert np.max(np.abs(bianchi)) < 1e-10
 
 
+def antisymmetric(B) -> bool:
+    """max|B + B^T| <= 1e-12 max(1, max|B|) over all of B's batch axes."""
+    return np.max(np.abs(B + np.swapaxes(B, -1, -2))) <= 1e-12 * max(1.0, np.max(np.abs(B)))
+
+
 class TestTwoVectors:
     def test_half_det_examples(self, flat):
         e = np.eye(4)
         x0 = np.zeros(4)
-        w12 = geo.TwoVector(geo.wedge(e[0], e[1]))
-        w34 = geo.TwoVector(geo.wedge(e[2], e[3]))
+        w12 = geo.wedge(e[0], e[1])
+        w34 = geo.wedge(e[2], e[3])
         assert two_vector_inner(flat, x0, w12, w12) == pytest.approx(0.5)
         assert two_vector_inner(flat, x0, w12, w34) == pytest.approx(0.0)
-        s1 = geo.TwoVector(w12.comps + w34.comps)
+        s1 = w12 + w34
         assert two_vector_inner(flat, x0, s1, s1) == pytest.approx(1.0)
 
     def test_bilinear_symmetric(self, burns, rng):
         x = burns.chart.sample(1, rng)[0]
         g = values_at(burns, x)
-        a, b, c = [geo.TwoVector(m - m.T) for m in rng.normal(size=(3, 4, 4))]
-        lhs = geo._inner_kernel(g, a.comps + b.comps, c.comps)
-        rhs = geo._inner_kernel(g, a.comps, c.comps) + geo._inner_kernel(g, b.comps, c.comps)
+        a, b, c = [m - m.T for m in rng.normal(size=(3, 4, 4))]
+        lhs = geo._inner_kernel(g, a + b, c)
+        rhs = geo._inner_kernel(g, a, c) + geo._inner_kernel(g, b, c)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-        assert geo._inner_kernel(g, a.comps, b.comps) == pytest.approx(
-            geo._inner_kernel(g, b.comps, a.comps), rel=1e-12)
+        assert geo._inner_kernel(g, a, b) == pytest.approx(geo._inner_kernel(g, b, a), rel=1e-12)
 
-    def test_antisymmetry_enforced(self):
-        with pytest.raises(UsageError):
-            geo.TwoVector(np.eye(4))
+    @pytest.mark.parametrize("n", (1, 20))
+    @pytest.mark.parametrize("name", sorted(kahler.FIXTURES))
+    def test_basis_and_rho_apply_antisymmetric(self, name, n):
+        # a 2-vector is a plain array, checked nowhere at run time: the basis
+        # and rho's images are antisymmetric by their formulas
+        metric = kahler.get_fixture(name)
+        base = kahler.BaseEval(metric, metric.chart.sample(n, 2024))
+        basis, data = base.basis, base.curvature()
+        assert basis.shape == (6, n, 4, 4)
+        m = np.random.default_rng([n, 33]).normal(size=(n, 4, 4))
+        for xi in (m - np.swapaxes(m, -1, -2), *basis):
+            for v in basis:
+                assert antisymmetric(v)
+                assert antisymmetric(geo.rho_apply(data, xi, v))
 
 
 class TestHodge:
     def test_orthonormal_frame_examples(self, flat):
         e = np.eye(4)
         x0 = np.zeros(4)
-        w12 = geo.TwoVector(geo.wedge(e[0], e[1]))
-        w34 = geo.TwoVector(geo.wedge(e[2], e[3]))
+        w12 = geo.wedge(e[0], e[1])
+        w34 = geo.wedge(e[2], e[3])
         g = values_at(flat, x0)
-        star = hodge_star(g, w12.comps)
-        assert np.allclose(star, w34.comps, atol=1e-14)
-        s1 = w12.comps + w34.comps
+        star = hodge_star(g, w12)
+        assert np.allclose(star, w34, atol=1e-14)
+        s1 = w12 + w34
         assert np.allclose(hodge_star(g, s1), s1, atol=1e-14)
-        t1 = w12.comps - w34.comps
+        t1 = w12 - w34
         assert np.allclose(hodge_star(g, t1), -t1, atol=1e-14)
 
     def test_involution_and_isometry_curved(self, eguchi_hanson, rng):
         x = eguchi_hanson.chart.sample(1, rng)[0]
         g = values_at(eguchi_hanson, x)
         m = rng.normal(size=(4, 4))
-        b = geo.TwoVector(m - m.T)
-        ss = hodge_star(g, hodge_star(g, b.comps))
-        assert np.max(np.abs(ss - b.comps)) < 1e-12
-        n1 = geo._inner_kernel(g, b.comps, b.comps)
-        sb = hodge_star(g, b.comps)
+        b = m - m.T
+        ss = hodge_star(g, hodge_star(g, b))
+        assert np.max(np.abs(ss - b)) < 1e-12
+        n1 = geo._inner_kernel(g, b, b)
+        sb = hodge_star(g, b)
         n2 = geo._inner_kernel(g, sb, sb)
         assert n1 == pytest.approx(n2, rel=1e-12)
 
@@ -236,18 +251,18 @@ class TestSdBasis:
     def test_flat_components(self, flat):
         basis = geo.sd_basis(np.eye(4), values_at(flat, np.zeros(4)))
         s1 = basis[0]
-        assert s1.comps[0, 1] == 1.0 and s1.comps[2, 3] == 1.0
+        assert s1[0, 1] == 1.0 and s1[2, 3] == 1.0
 
     def test_orthonormality_and_duality(self, burns, rng):
         x = burns.chart.sample(1, rng)[0]
         g = values_at(burns, x)
         fr = geo.tensor_values(kahler.adapted_frame(burns.jets_at(x, 2)), 2)
         basis = geo.sd_basis(fr, g)
-        gram = np.array([[geo._inner_kernel(g, a.comps, b.comps) for b in basis] for a in basis])
+        gram = np.array([[geo._inner_kernel(g, a, b) for b in basis] for a in basis])
         assert np.max(np.abs(gram - np.eye(6))) < 1e-12
         for i in range(3):
-            assert np.max(np.abs(hodge_star(g, basis[i].comps) - basis[i].comps)) < 1e-10
-            assert np.max(np.abs(hodge_star(g, basis[3 + i].comps) + basis[3 + i].comps)) < 1e-10
+            assert np.max(np.abs(hodge_star(g, basis[i]) - basis[i])) < 1e-10
+            assert np.max(np.abs(hodge_star(g, basis[3 + i]) + basis[3 + i])) < 1e-10
 
     def test_non_orthonormal_frame_rejected(self, flat):
         with pytest.raises(FrameError):
@@ -298,27 +313,26 @@ class TestCurvatureOperator:
 class TestRho:
     def test_flat_zero(self, flat, rng):
         m = rng.normal(size=(4, 4))
-        xi = geo.TwoVector(m - m.T)
-        v = geo.TwoVector(geo.wedge(np.eye(4)[0], np.eye(4)[1]))
+        xi = m - m.T
+        v = geo.wedge(np.eye(4)[0], np.eye(4)[1])
         out = geo.rho_apply(kahler.BaseEval(flat, np.zeros(4)).curvature(), xi, v)
-        assert np.max(np.abs(out.comps)) == 0.0
+        assert np.max(np.abs(out)) == 0.0
 
     def test_duality_random(self, eguchi_hanson, rng):
         x = eguchi_hanson.chart.sample(1, rng)[0]
         base = kahler.BaseEval(eguchi_hanson, x)
         data, basis = base.curvature(), base.basis
-        s = np.stack([b.comps for b in basis[:3]])
+        s = basis[:3]
         worst = 0.0
         for _ in range(20):
             cv, cw = rng.normal(size=(2, 3))
-            v = geo.TwoVector(np.einsum("q,qij->ij", cv, s))
+            v = np.einsum("q,qij->ij", cv, s)
             w = np.einsum("q,qij->ij", cw, s)
             vxw = np.einsum("q,qij->ij", np.cross(cv, cw), s)
             m = rng.normal(size=(4, 4))
-            xi = geo.TwoVector(m - m.T)
-            lhs = geo._inner_kernel(data.gvals,
-                                    geo.curvature_two_vector_action(data, vxw), xi.comps)
-            rhs = geo._inner_kernel(data.gvals, geo.rho_apply(data, xi, v).comps, w)
+            xi = m - m.T
+            lhs = geo._inner_kernel(data.gvals, geo.curvature_two_vector_action(data, vxw), xi)
+            rhs = geo._inner_kernel(data.gvals, geo.rho_apply(data, xi, v), w)
             worst = max(worst, abs(float(lhs - rhs)))
         assert worst < 1e-9
 
@@ -326,9 +340,8 @@ class TestRho:
         x = burns.chart.sample(1, rng)[0]
         data = kahler.BaseEval(burns, x).curvature()
         m1, m2 = rng.normal(size=(2, 4, 4))
-        xi1 = geo.TwoVector(m1 - m1.T)
-        xi2 = geo.TwoVector(m2 - m2.T)
-        v = geo.TwoVector(geo.wedge(np.eye(4)[0], np.eye(4)[2]))
-        lhs = geo.rho_apply(data, geo.TwoVector(xi1.comps + xi2.comps), v).comps
-        rhs = geo.rho_apply(data, xi1, v).comps + geo.rho_apply(data, xi2, v).comps
+        xi1, xi2 = m1 - m1.T, m2 - m2.T
+        v = geo.wedge(np.eye(4)[0], np.eye(4)[2])
+        lhs = geo.rho_apply(data, xi1 + xi2, v)
+        rhs = geo.rho_apply(data, xi1, v) + geo.rho_apply(data, xi2, v)
         assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -104,7 +104,7 @@ class TestAdaptedFrame:
         omega = omega_values(eguchi_hanson, x)
         omega_sharp = np.einsum("ik,jl,kl->ij", ginv, ginv, omega)
         s1 = geo.sd_basis(frame_values(eguchi_hanson, x), g)[0]
-        diff = s1.comps - omega_sharp
+        diff = s1 - omega_sharp
         assert geo._inner_kernel(g, diff, diff) < 1e-10
 
 

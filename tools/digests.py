@@ -14,7 +14,8 @@ ROOT, each produced by ROOT's own ``src``:
 * the ``dense_balanced`` report at every suite seed;
 * the raw coefficients, signs of zero included, for every fixture at 1,
   7, 50 and 400 points: of the self-dual basis s below the base order and
-  of beta (``BaseEval(...).connection``), of ``_two_vector_nabla`` of
+  of beta (``BaseEval(...).connection``), of the stacked values-level
+  self-dual basis ``BaseEval(...).basis``, of ``_two_vector_nabla`` of
   s2 (from ``_self_dual`` of the whole frame), of the Christoffel jets
   ``BaseEval(...).gamma_jets``, of the metric jets ``metric.jets_at`` and
   of ``adapted_frame`` at base orders 1-3,
@@ -132,6 +133,8 @@ def _coefficient_arrays(wl):
             for name, jet in (("s", sd.truncate(base.gjets.order - 1)), ("beta", beta),
                               ("nabla_s2", nabla)):
                 yield f"raw/{fixture}/{n}/{name}", jet.coeffs
+            # a checkout whose basis is a tuple of TwoVector objects stacks their comps
+            yield f"raw/{fixture}/{n}/basis", np.stack([getattr(b, "comps", b) for b in base.basis])
             for order in (1, 2, 3):
                 base = kahler.BaseEval(metric, pts, order)
                 yield f"raw/{fixture}/{n}/metric_{order}", base.gjets.coeffs
